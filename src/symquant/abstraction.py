@@ -15,16 +15,17 @@ intersects the inflated box.  If the box leaves the lattice bounds the input
 is disabled for that cell (no stored successors), so enabled inputs can never
 drive the quantized closed loop out of the working box.
 
-Models are built eagerly or lazily: a lazy model computes a successor set on
-first query and memoizes it.  The computation is pure, so the memo table
-needs no lock: concurrent first queries of one key store identical values.
+Models are built eagerly (every successor set in one vectorized pass) or
+lazily (the sets of a cell on the first query of that cell); see
+:class:`SymbolicModel` for the array layout of the relation.
 """
 
 from __future__ import annotations
 
+import io
 import itertools
 import logging
-from concurrent.futures import ThreadPoolExecutor
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,7 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 FORMAT_VERSION = 1
+_SAVE_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -82,8 +84,29 @@ def input_grid(sys: SampledSystem, samples: int) -> np.ndarray:
     return np.array(rows, float).reshape(len(rows), sys.dim_u)
 
 
-def _mu_signature(x: np.ndarray, mu_axis: LogQuantizerAxis) -> tuple[int, ...]:
-    return tuple(mu_axis.quantize(float(v))[0] for v in x)
+def _dedup(nominal: np.ndarray, grid: np.ndarray, cells,
+           cfg: InputApproxConfig) -> np.ndarray:
+    """Rows ``c * len(grid) + k`` of ``nominal`` (shape cells x grid x dim)
+    that keep, per cell, the first grid sample of each mu-signature class
+    (the mu-quantized levels of its nominal successor), ascending; divergent
+    samples are skipped (and logged)."""
+    n_cells, n_grid, dim = nominal.shape
+    flat = nominal.reshape(-1, dim)
+    finite = np.isfinite(flat).all(axis=1)
+    for r in np.flatnonzero(~finite):
+        logger.warning("skipping divergent input sample %s at cell %s",
+                       grid[r % n_grid], cells[r // n_grid])
+    rows = np.flatnonzero(finite)
+    if rows.size == 0:
+        return rows
+    classes = np.column_stack([rows // n_grid,
+                               cfg.mu_axis().levels(flat[rows])])
+    # a stable sort keeps the first sample of each class in front
+    order = np.lexsort(classes.T[::-1])
+    ordered = classes[order]
+    first = np.ones(len(order), bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return np.sort(rows[order[first]])
 
 
 def approximate_inputs(cell, lattice: LogLattice, sys: SampledSystem,
@@ -98,17 +121,7 @@ def approximate_inputs(cell, lattice: LogLattice, sys: SampledSystem,
     grid = input_grid(sys, cfg.input_samples)
     center = lattice.center(cell)
     succ = successor_many(sys, np.tile(center, (len(grid), 1)), grid)
-    mu_axis = cfg.mu_axis()
-    seen: dict[tuple[int, ...], int] = {}
-    for k in range(len(grid)):
-        if not np.isfinite(succ[k]).all():
-            logger.warning("skipping divergent input sample %s at cell %s",
-                           grid[k], cell)
-            continue
-        sig = _mu_signature(succ[k], mu_axis)
-        if sig not in seen:
-            seen[sig] = k
-    return [grid[k] for k in sorted(seen.values())]
+    return [grid[k] for k in _dedup(succ[None], grid, [cell], cfg)]
 
 
 def transition_targets(cell, u, sys: SampledSystem,
@@ -124,39 +137,97 @@ def transition_targets(cell, u, sys: SampledSystem,
         logger.warning("divergence from cell %s under input %s: %s",
                        cell, u, exc)
         return ()
-    return _targets_from_nominal(cell, nominal, lattice, sys.lipschitz, sys.tau)
+    _, ids = _targets_many(lattice, center[None], nominal[None],
+                           sys.lipschitz, sys.tau)
+    return tuple(lattice.cells_of(ids))
 
 
-def _targets_from_nominal(cell, nominal: np.ndarray, lattice: LogLattice,
-                          lipschitz: float, tau: float):
-    radius = growth_radius(lattice.center(cell), lattice.shared_eta,
-                           lipschitz, tau)
+def _targets_many(lattice: LogLattice, centers: np.ndarray,
+                  nominal: np.ndarray, lipschitz: float, tau: float):
+    """Successor sets of many (cell center, nominal successor) rows as CSR
+    ``(offsets, ids)``: row k leads to the ascending state ids
+    ``ids[offsets[k]:offsets[k + 1]]``.
+
+    A set is the product of the per-axis level ranges that the inflated box
+    meets, enumerated in raveled order; it is empty when the box leaves the
+    lattice bounds or the nominal successor is not finite.
+    """
+    radius = growth_radius(centers, lattice.shared_eta, lipschitz, tau)
     box_lo = nominal - radius
     box_hi = nominal + radius
-    if (box_lo < lattice.lo_array).any() or (box_hi > lattice.hi_array).any():
-        return ()
-    per_axis = [lattice.levels_in_interval(i, box_lo[i], box_hi[i])
-                for i in range(lattice.dim)]
-    return tuple(itertools.product(*per_axis))
+    ok = (np.isfinite(nominal).all(axis=1)
+          & (box_lo >= lattice.lo_array).all(axis=1)
+          & (box_hi <= lattice.hi_array).all(axis=1))
+    first = lattice.quantize_many(box_lo[ok])
+    sizes = np.zeros(nominal.shape, np.int64)
+    sizes[ok] = lattice.quantize_many(box_hi[ok]) - first + 1
+    counts = sizes.prod(axis=1)
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    # mixed-radix walk over each box: the last axis varies fastest
+    local = np.arange(offsets[-1]) - np.repeat(offsets[:-1], counts)
+    ids = np.repeat(lattice.cell_ids(first), counts[ok])
+    stride = 1
+    for i in reversed(range(lattice.dim)):
+        size = np.repeat(sizes[ok, i], counts[ok])
+        ids += local % size * stride
+        local //= size
+        stride *= lattice.shape[i]
+    return offsets, ids
+
+
+def _pack(src, uid, dst, n_states: int, n_inputs: int):
+    """Candidate pairs and CSR relation of explicit transitions: returns
+    ``(pair_ptr, pair_input, (offsets, targets))``.  Repeated transitions
+    count once."""
+    src, uid, dst = (np.asarray(a, np.int64) for a in (src, uid, dst))
+    if ((src < 0) | (src >= n_states) | (dst < 0) | (dst >= n_states)
+            | (uid < 0) | (uid >= n_inputs)).any():
+        raise ValueError("transition names an unknown state or input")
+    key = (src * n_inputs + uid) * n_states + dst
+    if not (np.diff(key) > 0).all():
+        key = np.unique(key)
+    pair_key, dst = np.divmod(key, n_states)
+    starts = np.flatnonzero(np.diff(pair_key, prepend=-1))
+    pair_state, pair_input = np.divmod(pair_key[starts], n_inputs)
+    pair_ptr = np.searchsorted(pair_state, np.arange(n_states + 1))
+    return pair_ptr, pair_input, (np.append(starts, len(key)), dst)
 
 
 class SymbolicModel:
     """Finite transition system over lattice cells.
 
-    States are cell indices, inputs an indexed table of input vectors, and
-    the sparse transition map is keyed by (state id, input id).  The output
-    map is the identity on cells and is not stored.  Models are immutable
-    once fully materialized; lazy models memoize successor sets on first
-    query (pure computation, so double computation is harmless).
+    States are cells, numbered by their position in ``cells``; with lattice
+    geometry these are the lattice's cells in enumeration order, so a state
+    id is the raveled level index.  Inputs are an indexed table of input
+    vectors.  The candidate pairs of state s are rows
+    ``pair_ptr[s]:pair_ptr[s + 1]`` of ``pair_state`` and ``pair_input``
+    (ascending input ids).  The successor sets are compressed sparse rows
+    over the pairs, ``(offsets, targets)`` with ascending target ids; an
+    empty set means the input is disabled there, and a state without
+    enabled inputs is blocking.  The output map is the identity on cells and
+    is not stored.
+
+    ``relation`` gives the successor sets up front.  Without it they are
+    computed from the pairs' ``nominal`` successors and the states' cell
+    ``centers``: all at once by :meth:`materialize`, or a cell at a time on
+    first query.
     """
 
-    def __init__(self, cells, inputs, lattice, tau, eta, mu, lipschitz,
-                 candidates, nominal=None, system=None, lazy=False):
+    def __init__(self, cells, inputs, pair_ptr, pair_input, lattice=None,
+                 tau=0.0, eta=0.5, mu=0.5, lipschitz=1.0, system=None,
+                 relation=None, centers=None, nominal=None):
         self.cells = [tuple(int(m) for m in c) for c in cells]
         self._id = {c: i for i, c in enumerate(self.cells)}
         if len(self._id) != len(self.cells):
             raise ValueError("duplicate cells")
-        self.inputs = np.asarray(inputs, float)
+        if lattice is not None and self.cells != lattice.enumerate_cells():
+            raise ValueError("the cells of a model with lattice geometry "
+                             "must be the lattice's cells in order")
+        inputs = np.asarray(inputs, float)
+        if inputs.ndim != 2:
+            inputs = (inputs.reshape(len(inputs), -1) if inputs.size
+                      else np.empty((0, 1)))
+        self.inputs = inputs
         self.inputs.setflags(write=False)
         self.lattice = lattice
         self.tau = float(tau)
@@ -164,15 +235,14 @@ class SymbolicModel:
         self.mu = float(mu)
         self.lipschitz = float(lipschitz)
         self.system = system
-        self._candidates = [tuple(sorted(int(u) for u in cand))
-                            for cand in candidates]
-        # nominal successor of each (state, candidate input), filled on
-        # demand in lazy mode
-        self._nominal = dict(nominal) if nominal else {}
-        self._succ: dict[tuple[int, int], tuple[int, ...]] = {}
-        self._enabled: list[tuple[int, ...] | None] = [None] * len(self.cells)
-        if not lazy:
-            self.materialize()
+        self.pair_ptr = np.asarray(pair_ptr, np.int64)
+        self.pair_input = np.asarray(pair_input, np.int64)
+        self.pair_state = np.repeat(np.arange(len(self.cells)),
+                                    np.diff(self.pair_ptr))
+        self._relation = relation
+        self._centers = centers
+        self._nominal = nominal
+        self._blocks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     # -- identifiers ---------------------------------------------------
 
@@ -192,46 +262,48 @@ class SymbolicModel:
 
     # -- transition queries --------------------------------------------
 
-    def _compute_targets(self, sid: int, uid: int) -> tuple[int, ...]:
-        cell = self.cells[sid]
-        key = (sid, uid)
-        if key not in self._nominal:
-            if self.system is None:
-                raise ValueError("lazy model queries need the source system")
-            try:
-                self._nominal[key] = successor(self.system, self.lattice.center(cell),
-                                               self.inputs[uid])
-            except DivergenceError as exc:
-                logger.warning("divergence from cell %s under input %s: %s",
-                               cell, self.inputs[uid], exc)
-                self._nominal[key] = None
-        nominal = self._nominal[key]
-        if nominal is None or not np.isfinite(nominal).all():
-            return ()
-        cells = _targets_from_nominal(cell, nominal, self.lattice,
-                                      self.lipschitz, self.tau)
-        return tuple(sorted(self.state_id(c) for c in cells))
+    def _compute(self, rows: np.ndarray):
+        return _targets_many(self.lattice, self._centers[self.pair_state[rows]],
+                             self._nominal[rows], self.lipschitz, self.tau)
 
-    def _targets(self, sid: int, uid: int) -> tuple[int, ...]:
-        key = (sid, uid)
-        got = self._succ.get(key)
-        if got is None:
-            got = self._compute_targets(sid, uid)
-            self._succ[key] = got
-        return got
+    def _block(self, sid: int):
+        """CSR ``(offsets, targets)`` of one state's candidate pairs."""
+        a, b = self.pair_ptr[sid], self.pair_ptr[sid + 1]
+        if self._relation is not None:
+            ptr, targets = self._relation
+            return ptr[a:b + 1] - ptr[a], targets[ptr[a]:ptr[b]]
+        if sid not in self._blocks:
+            self._blocks[sid] = self._compute(np.arange(a, b))
+        return self._blocks[sid]
+
+    def relation(self, sids=None):
+        """Successor sets as ``(rows, offsets, targets)``: pair ``rows[k]``
+        leads to ``targets[offsets[k]:offsets[k + 1]]``.
+
+        The rows hold every pair of the states ``sids``, and every pair of
+        the model when ``sids`` is None or the model is complete.  A lazy
+        model computes the pairs of ``sids`` in one pass without keeping
+        them.
+        """
+        if sids is None:
+            self.materialize()
+        if self._relation is not None:
+            return (np.arange(len(self.pair_input)), *self._relation)
+        rows = np.flatnonzero(np.isin(self.pair_state, sids))
+        return (rows, *self._compute(rows))
 
     def enabled_ids(self, sid: int) -> tuple[int, ...]:
-        cached = self._enabled[sid]
-        if cached is None:
-            cached = tuple(uid for uid in self._candidates[sid]
-                           if self._targets(sid, uid))
-            self._enabled[sid] = cached
-        return cached
+        ptr, _ = self._block(sid)
+        pairs = self.pair_input[self.pair_ptr[sid]:self.pair_ptr[sid + 1]]
+        return tuple(pairs[ptr[1:] > ptr[:-1]].tolist())
 
     def successor_ids(self, sid: int, uid: int) -> tuple[int, ...]:
-        if uid not in self._candidates[sid]:
+        pairs = self.pair_input[self.pair_ptr[sid]:self.pair_ptr[sid + 1]]
+        j = int(np.searchsorted(pairs, uid))
+        if j == len(pairs) or pairs[j] != uid:
             return ()
-        return self._targets(sid, uid)
+        ptr, targets = self._block(sid)
+        return tuple(targets[ptr[j]:ptr[j + 1]].tolist())
 
     def enabled_inputs(self, cell) -> tuple[int, ...]:
         """Input indices with at least one successor at this cell; an empty
@@ -248,23 +320,29 @@ class SymbolicModel:
         return not self.enabled_inputs(cell)
 
     def materialize(self):
-        """Force computation of every successor set (no-op when eager)."""
-        for sid in range(self.n_states):
-            self.enabled_ids(sid)
+        """Compute every successor set in one pass (no-op when complete)."""
+        if self._relation is not None:
+            return
+        start = time.perf_counter()
+        self._relation = self._compute(np.arange(len(self.pair_input)))
+        self._blocks.clear()
+        logger.info("targets: %d pairs, %d transitions, %.3f s",
+                    len(self.pair_input), len(self._relation[1]),
+                    time.perf_counter() - start)
+
+    def _triples(self):
+        """Source, target and input id of every transition, sorted."""
+        _, ptr, targets = self.relation()
+        counts = np.diff(ptr)
+        return (np.repeat(self.pair_state, counts), targets,
+                np.repeat(self.pair_input, counts))
 
     def transition_count(self) -> int:
-        self.materialize()
-        return sum(len(self._targets(sid, uid))
-                   for sid in range(self.n_states)
-                   for uid in self.enabled_ids(sid))
+        return len(self.relation()[2])
 
     def iter_transitions(self):
         """Yield (src id, dst id, input id) sorted; materializes the model."""
-        self.materialize()
-        for sid in range(self.n_states):
-            for uid in self.enabled_ids(sid):
-                for dst in self._targets(sid, uid):
-                    yield sid, dst, uid
+        yield from zip(*(a.tolist() for a in self._triples()))
 
     def summary(self) -> dict:
         return {
@@ -285,37 +363,13 @@ class SymbolicModel:
         stored successors, so loaded/hand-built models have
         enabled == candidates.
         """
-        cells = [tuple(c) for c in cells]
-        cand: list[set[int]] = [set() for _ in cells]
-        succ: dict[tuple[int, int], tuple[int, ...]] = {}
-        for (sid, uid), dsts in successors.items():
-            dsts = tuple(sorted(int(d) for d in dsts))
-            if not dsts:
-                continue
-            succ[(int(sid), int(uid))] = dsts
-            cand[int(sid)].add(int(uid))
-        model = cls.__new__(cls)
-        model.cells = cells
-        model._id = {c: i for i, c in enumerate(cells)}
-        inputs_arr = np.asarray(inputs, float)
-        if inputs_arr.size == 0:
-            inputs_arr = inputs_arr.reshape(0, 1)
-        else:
-            inputs_arr = inputs_arr.reshape(len(inputs), -1)
-        model.inputs = inputs_arr
-        model.inputs.setflags(write=False)
-        model.lattice = lattice
-        model.tau = float(tau)
-        model.eta = float(eta)
-        model.mu = float(mu)
-        model.lipschitz = float(lipschitz)
-        model.system = system
-        model._candidates = [tuple(sorted(s)) for s in cand]
-        model._nominal = {}
-        model._succ = dict(succ)
-        model._enabled = [None] * len(cells)
-        model.materialize()
-        return model
+        triples = np.array([(s, u, d) for (s, u), dsts in successors.items()
+                            for d in dsts], np.int64).reshape(-1, 3)
+        pair_ptr, pair_input, relation = _pack(*triples.T, len(cells),
+                                               len(inputs))
+        return cls(cells, inputs, pair_ptr, pair_input, lattice=lattice,
+                   tau=tau, eta=eta, mu=mu, lipschitz=lipschitz,
+                   system=system, relation=relation)
 
     # -- persistence ----------------------------------------------------
 
@@ -337,11 +391,11 @@ def build_abstraction(sys: SampledSystem, lattice: LogLattice,
                       threads: int | None = None) -> SymbolicModel:
     """Build the symbolic model of a sampled system over a lattice.
 
-    The result is deterministic and independent of ``threads``: per-cell
-    results are computed independently and assembled in cell order.  With
-    ``lazy=True`` the per-cell abstract input sets are still computed up
-    front (one batched integration), but successor sets are left to be
-    computed and memoized on first query.
+    The result is deterministic.  ``threads`` is accepted for compatibility
+    and has no effect: the build is vectorized, and a thread pool measured
+    slower.  With ``lazy=True`` the per-cell abstract input sets are still
+    computed up front (one batched integration), but successor sets are left
+    to be computed on first query.
     """
     if sys.dim_x != lattice.dim:
         raise ConfigError(f"system dimension {sys.dim_x} does not match "
@@ -351,6 +405,7 @@ def build_abstraction(sys: SampledSystem, lattice: LogLattice,
     if not cells:
         raise ConfigError("lattice has no cells")
 
+    start = time.perf_counter()
     grid = input_grid(sys, cfg.input_samples)
     n_cells, n_grid = len(cells), len(grid)
     centers = np.array([lattice.center(c) for c in cells])
@@ -359,41 +414,22 @@ def build_abstraction(sys: SampledSystem, lattice: LogLattice,
     stacked_x = np.repeat(centers, n_grid, axis=0)
     stacked_u = np.tile(grid, (n_cells, 1))
     nominal_all = successor_many(sys, stacked_x, stacked_u)
+    rows = _dedup(nominal_all.reshape(n_cells, n_grid, -1), grid, cells, cfg)
 
-    mu_axis = cfg.mu_axis()
-    rep_rows: list[list[int]] = []
-    for ci in range(n_cells):
-        block = nominal_all[ci * n_grid:(ci + 1) * n_grid]
-        seen: dict[tuple[int, ...], int] = {}
-        for k in range(n_grid):
-            if not np.isfinite(block[k]).all():
-                logger.warning("skipping divergent input sample %s at cell %s",
-                               grid[k], cells[ci])
-                continue
-            sig = _mu_signature(block[k], mu_axis)
-            if sig not in seen:
-                seen[sig] = k
-        rep_rows.append(sorted(seen.values()))
-
-    # global input table: union of representatives, lexicographically sorted
-    used = sorted({k for rows in rep_rows for k in rows},
-                  key=lambda k: tuple(grid[k]))
-    grid_to_uid = {k: uid for uid, k in enumerate(used)}
-    inputs = grid[used] if used else np.empty((0, sys.dim_u))
-    candidates = [tuple(sorted(grid_to_uid[k] for k in rows))
-                  for rows in rep_rows]
-    nominal = {(ci, grid_to_uid[k]): nominal_all[ci * n_grid + k]
-               for ci in range(n_cells) for k in rep_rows[ci]}
-
-    model = SymbolicModel(cells, inputs, lattice, sys.tau, eta, cfg.mu,
-                          sys.lipschitz, candidates, nominal=nominal,
-                          system=sys, lazy=True)
+    # global input table: union of representatives; grid rows are in
+    # lexicographic order, so ascending sample index is ascending input
+    pair_state, sample = np.divmod(rows, n_grid)
+    used = np.unique(sample)
+    model = SymbolicModel(
+        cells, grid[used], np.searchsorted(pair_state, np.arange(n_cells + 1)),
+        np.searchsorted(used, sample), lattice=lattice, tau=sys.tau, eta=eta,
+        mu=cfg.mu, lipschitz=sys.lipschitz, system=sys, centers=centers,
+        nominal=nominal_all[rows])
+    logger.info("dedup: %d cells x %d input samples, %d candidate pairs, "
+                "%d inputs, %.3f s", n_cells, n_grid, len(rows), len(used),
+                time.perf_counter() - start)
     if not lazy:
-        if threads and threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(model.enabled_ids, range(n_cells)))
-        else:
-            model.materialize()
+        model.materialize()
     return model
 
 
@@ -405,12 +441,13 @@ def save_abstraction(model: SymbolicModel, path):
     """Write the versioned line-oriented abstraction file (lossless)."""
     if model.lattice is None:
         raise ValueError("cannot save a model without lattice geometry")
-    model.materialize()
     lat = model.lattice
     variants = {axis.variant for axis in lat.axes}
     if len(variants) != 1:
         raise ValueError("mixed-variant lattices are not serializable")
     variant = next(iter(variants)).value
+    table = np.column_stack(model._triples())
+    start = time.perf_counter()
     with open(path, "w") as fh:
         fh.write(f"#version {FORMAT_VERSION}\n")
         fh.write("#lattice variant=%s eta=%s scale=%s lo=%s hi=%s\n" % (
@@ -420,70 +457,129 @@ def save_abstraction(model: SymbolicModel, path):
         fh.write("#tau %s #eta %s #mu %s #L %s\n" % (
             repr(float(model.tau)), repr(float(model.eta)),
             repr(float(model.mu)), repr(float(model.lipschitz))))
-        for sid, dst, uid in model.iter_transitions():
-            fh.write(f"{sid} {dst} {uid}\n")
+        # one format operation per chunk bounds the transient Python ints
+        for chunk in np.split(table, range(_SAVE_ROWS, len(table), _SAVE_ROWS)):
+            fh.write(("%d %d %d\n" * len(chunk)) % tuple(chunk.ravel().tolist()))
         for uid in range(model.n_inputs):
             fh.write("input %d %s\n" % (uid, " ".join(
                 repr(float(v)) for v in model.inputs[uid])))
         for sid, cell in enumerate(model.cells):
             fh.write(f"state {sid} {format_cell(cell)}\n")
+    logger.info("save: %d transitions, %.3f s", len(table),
+                time.perf_counter() - start)
+
+
+def _malformed(line: str) -> bool:
+    """Whether a transition line is not three int64 values."""
+    try:
+        values = [int(part) for part in line.split()]
+    except ValueError:
+        return True
+    return len(values) != 3 or any(abs(v) >= 2 ** 63 for v in values)
 
 
 def load_abstraction(path, system=None) -> SymbolicModel:
-    """Read an abstraction file written by :func:`save_abstraction`."""
+    """Read an abstraction file written by :func:`save_abstraction`.
+
+    The file holds ``#`` header lines, one ``src dst uid`` line per
+    transition, then the ``input`` and ``state`` lines with ids counting up
+    from 0.  Malformed or inconsistent content raises a ValueError naming
+    the file and, where one line is at fault, the line.
+    """
+    start = time.perf_counter()
+    with open(path) as fh:
+        text = fh.read()
+    # header lines, then transitions up to the first input or state line
+    ends = [i + 1 for i in (text.find("\ninput "), text.find("\nstate "))
+            if i >= 0]
+    tail = min(ends, default=len(text))
     header: dict[str, str] = {}
     lattice_spec: dict[str, str] = {}
-    states: dict[int, tuple[int, ...]] = {}
-    inputs: dict[int, tuple[float, ...]] = {}
-    transitions: list[tuple[int, int, int]] = []
     version = None
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                if line.startswith("#version"):
-                    version = int(line.split()[1])
-                elif line.startswith("#lattice"):
-                    for token in line.split()[1:]:
-                        key, _, value = token.partition("=")
-                        lattice_spec[key] = value
-                elif line.startswith("#"):
-                    tokens = line.split()
-                    for key, value in zip(tokens[0::2], tokens[1::2]):
-                        header[key.lstrip("#")] = value
-                elif line.startswith("state "):
-                    _, sid, levels = line.split(maxsplit=2)
-                    states[int(sid)] = parse_cell(levels)
-                elif line.startswith("input "):
-                    parts = line.split()
-                    inputs[int(parts[1])] = tuple(float(v) for v in parts[2:])
-                else:
-                    src, dst, uid = line.split()
-                    transitions.append((int(src), int(dst), int(uid)))
-            except (ValueError, IndexError) as exc:
-                raise ValueError(f"{path}:{lineno}: malformed line {line!r}") from exc
+    pos = n_head = 0
+    while text.startswith("#", pos):
+        end = text.find("\n", pos)
+        end = len(text) if end < 0 else end
+        line = text[pos:end]
+        pos, n_head = end + 1, n_head + 1
+        try:
+            if line.startswith("#version"):
+                version = int(line.split()[1])
+            elif line.startswith("#lattice"):
+                for token in line.split()[1:]:
+                    key, _, value = token.partition("=")
+                    lattice_spec[key] = value
+            else:
+                tokens = line.split()
+                for key, value in zip(tokens[0::2], tokens[1::2]):
+                    header[key.lstrip("#")] = value
+        except (ValueError, IndexError):
+            raise ValueError(f"{path}:{n_head}: malformed line {line!r}") from None
     if version != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported abstraction format {version!r}")
 
-    lattice = None
-    if lattice_spec:
+    body = text[pos:tail]
+    n_body = body.count("\n") + (body[-1:] not in ("", "\n"))
+    try:
+        table = (np.loadtxt(io.StringIO(body), dtype=np.int64,
+                            comments=None, ndmin=2)
+                 if body.strip() else np.empty((0, 3), np.int64))
+        if table.shape != (n_body, 3):
+            raise ValueError("not one transition per line")
+    except ValueError:
+        bad, line = next(((k, line) for k, line in enumerate(body.split("\n"))
+                          if _malformed(line)), (0, ""))
+        raise ValueError(f"{path}:{n_head + bad + 1}: malformed line "
+                         f"{line!r}") from None
+
+    rows: dict[str, list] = {"input": [], "state": []}
+    for lineno, line in enumerate(text[tail:].splitlines(),
+                                  start=n_head + len(table) + 1):
+        if not line.strip():
+            continue
+        try:
+            kind, ident, rest = line.split(maxsplit=2)
+            value = (tuple(float(v) for v in rest.split()) if kind == "input"
+                     else parse_cell(rest))
+            seen = rows[kind]
+            ident = int(ident)
+        except (ValueError, KeyError):
+            raise ValueError(f"{path}:{lineno}: malformed line {line!r}") from None
+        if ident != len(seen):
+            raise ValueError(f"{path}:{lineno}: {kind} id {ident} where "
+                             f"{len(seen)} was expected")
+        if seen and len(value) != len(seen[0]):
+            raise ValueError(f"{path}:{lineno}: {kind} {ident} has "
+                             f"{len(value)} components, not {len(seen[0])}")
+        seen.append(value)
+    cells, inputs = rows["state"], rows["input"]
+    bad = np.flatnonzero(((table < 0) | (table >= [len(cells), len(cells),
+                                                    len(inputs)])).any(axis=1))
+    if bad.size:
+        raise ValueError(
+            f"{path}:{n_head + bad[0] + 1}: transition to or from an unknown "
+            f"state or input ({len(cells)} states, {len(inputs)} inputs)")
+
+    try:
         lattice = LogLattice.from_params(
             eta=float(lattice_spec["eta"]),
             scales=[float(v) for v in lattice_spec["scale"].split(",")],
             lo=[float(v) for v in lattice_spec["lo"].split(",")],
             hi=[float(v) for v in lattice_spec["hi"].split(",")],
-            variant=QuantizerVariant(lattice_spec["variant"]))
-
-    cells = [states[i] for i in range(len(states))]
-    input_table = np.array([inputs[i] for i in range(len(inputs))], float) \
-        if inputs else np.empty((0, 1))
-    succ: dict[tuple[int, int], set[int]] = {}
-    for src, dst, uid in transitions:
-        succ.setdefault((src, uid), set()).add(dst)
-    return SymbolicModel.from_tables(
-        cells, input_table, succ, lattice=lattice,
-        tau=float(header.get("tau", 0.0)), eta=float(header.get("eta", 0.5)),
-        mu=float(header.get("mu", 0.5)),
-        lipschitz=float(header.get("L", 1.0)), system=system)
+            variant=QuantizerVariant(lattice_spec["variant"])) \
+            if lattice_spec else None
+        pair_ptr, pair_input, relation = _pack(
+            table[:, 0], table[:, 2], table[:, 1], len(cells), len(inputs))
+        model = SymbolicModel(
+            cells, inputs, pair_ptr, pair_input, lattice=lattice,
+            tau=float(header.get("tau", 0.0)), eta=float(header.get("eta", 0.5)),
+            mu=float(header.get("mu", 0.5)), lipschitz=float(header.get("L", 1.0)),
+            system=system, relation=relation)
+    except KeyError as exc:
+        raise ValueError(f"{path}: the #lattice line lacks {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    logger.info("load: %d states, %d inputs, %d transitions, %.3f s",
+                len(cells), len(inputs), len(table),
+                time.perf_counter() - start)
+    return model

@@ -56,14 +56,6 @@ def _prepare_out(path: str) -> str:
     return path
 
 
-def _threads(args, cfg: ScenarioConfig) -> int:
-    if args.threads is not None:
-        return args.threads
-    if cfg.threads is not None:
-        return cfg.threads
-    return os.cpu_count() or 1
-
-
 def _build_or_load(args, cfg: ScenarioConfig):
     sys_ = cfg.build_system()
     if getattr(args, "infile", None):
@@ -71,8 +63,7 @@ def _build_or_load(args, cfg: ScenarioConfig):
         return model, sys_
     lazy = cfg.lazy or bool(getattr(args, "lazy", False))
     model = abstraction.build_abstraction(sys_, cfg.build_lattice(),
-                                          cfg.approx_config(), lazy=lazy,
-                                          threads=_threads(args, cfg))
+                                          cfg.approx_config(), lazy=lazy)
     return model, sys_
 
 
@@ -135,7 +126,11 @@ def _cmd_plan(args, cfg: ScenarioConfig) -> int:
 
 
 def _cmd_simulate(args, cfg: ScenarioConfig) -> int:
-    model, sys_ = _build_or_load_for_simulate(args, cfg)
+    # --in names the policy file, so the model is always rebuilt from the
+    # configuration (deterministic)
+    sys_ = cfg.build_system()
+    model = abstraction.build_abstraction(sys_, cfg.build_lattice(),
+                                          cfg.approx_config(), lazy=True)
     if cfg.sim_x0 is None:
         raise ConfigError(f"{cfg.path}: [simulate] x0 is required")
     if cfg.sim_policy == "controller":
@@ -149,16 +144,6 @@ def _cmd_simulate(args, cfg: ScenarioConfig) -> int:
     trajectory.write_csv(_prepare_out(args.out))
     print(f"{trajectory.steps} steps; terminated: {trajectory.terminated}")
     return EXIT_OK
-
-
-def _build_or_load_for_simulate(args, cfg: ScenarioConfig):
-    # simulate's --in names the policy file, so the model is always rebuilt
-    # from the configuration (deterministic).
-    sys_ = cfg.build_system()
-    model = abstraction.build_abstraction(sys_, cfg.build_lattice(),
-                                          cfg.approx_config(), lazy=True,
-                                          threads=_threads(args, cfg))
-    return model, sys_
 
 
 def _cmd_export(args, cfg: ScenarioConfig) -> int:
@@ -195,7 +180,7 @@ scenario file keys (section.key = default):
   abstraction.lazy = false
   synthesis.safe_lo/_hi = state box
   verify.samples = 10000        verify.seed = 0
-  run.threads = hardware parallelism
+  run.threads (accepted, no effect)
   plan.start, plan.goals (cells as comma-separated levels; goals ;-separated)
   plan.relaxed = false          plan.grid_resolution = 0.02
   plan.max_segment_steps = 200
@@ -226,15 +211,16 @@ def _parser() -> argparse.ArgumentParser:
         cmd.add_argument("--in", dest="infile",
                          help="input file (abstraction, controller or plan)")
         cmd.add_argument("--threads", type=int, default=None,
-                         help="worker threads for model building "
-                              "(default: hardware parallelism)")
+                         help="accepted, no effect (the model build is "
+                              "vectorized)")
         cmd.add_argument("--seed", type=int, default=None,
                          help="override the configured random seed")
         cmd.add_argument("--samples", type=int, default=None,
                          help="override the configured sample count")
         cmd.add_argument("--lazy", action="store_true",
                          help="build the model lazily (successors on demand)")
-        cmd.add_argument("--verbose", action="store_true")
+        cmd.add_argument("--verbose", action="store_true",
+                         help="log the count and time of each phase to stderr")
     return parser
 
 

@@ -26,6 +26,8 @@ onto the cells.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -49,11 +51,6 @@ __all__ = [
     "format_cell",
     "parse_cell",
 ]
-
-# Relative tolerance used to snap log-domain level estimates onto region
-# boundaries before the exact neighbor comparison takes over.
-_BOUNDARY_RTOL = 1e-12
-
 
 class QuantizerVariant(Enum):
     """Which constant anchors the level geometry.
@@ -145,63 +142,50 @@ class LogQuantizerAxis:
             return -m, -v
         if z <= self.deadzone:
             return 0, 0.0
-        m = self._positive_level(z)
+        m = bisect.bisect_left(self._boundaries(z), z)
         return m, self.level_value(m)
 
-    def _positive_level(self, z: float) -> int:
-        # closed-form candidate from the log-spaced boundaries ...
-        t = math.log(z / self.deadzone) / math.log(1.0 / self.rho)
-        nearest = round(t)
-        if nearest >= 1 and abs(t - nearest) <= _BOUNDARY_RTOL * max(1.0, abs(t)):
-            m = int(nearest)  # boundary points belong to the right-closed side
-        else:
-            m = max(1, math.ceil(t))
-        # ... then exact neighbor comparison settles boundary rounding
-        while m > 1 and z <= self.boundary(m):
-            m -= 1
-        while z > self.boundary(m + 1):
-            m += 1
-        return m
+    def _boundaries(self, z: float) -> np.ndarray:
+        """``boundary(1), boundary(2), ...`` past the region of z >= 0.
+
+        A positive level is the number of boundaries strictly below the
+        value, which puts a boundary point in the right-closed region below
+        it; scalar and vectorized quantization share this one table.  The
+        closed-form estimate of the level only sizes the table, with a
+        margin, to a power of two so that nearby values share it.
+        """
+        t = (math.log(max(z, self.deadzone) / self.deadzone)
+             / math.log(1.0 / self.rho))
+        return _boundary_table(self, 1 << (int(t) + 2).bit_length())
 
     def levels_overlapping(self, a: float, b: float) -> list[int]:
         """All signed levels whose regions intersect the closed interval
-        [a, b], in ascending order; computed from the log-spaced boundaries,
-        not by scanning."""
+        [a, b], in ascending order.  The regions partition the line in level
+        order, so these run from the level of a to the level of b."""
         a, b = float(a), float(b)
         if not (math.isfinite(a) and math.isfinite(b)):
             raise ValueError("interval endpoints must be finite")
         if a > b:
             raise ValueError(f"empty interval: a={a!r} > b={b!r}")
-        out = [-m for m in reversed(self._positive_overlap(-b, -a))]
-        dz = self.deadzone
-        if b >= -dz and a <= dz:
-            out.append(0)
-        out.extend(self._positive_overlap(a, b))
-        return out
+        return list(range(self.quantize(a)[0], self.quantize(b)[0] + 1))
 
-    def _positive_overlap(self, a: float, b: float) -> list[int]:
-        # positive level m intersects [a, b] iff b > boundary(m) and
-        # a <= boundary(m + 1)
-        dz = self.deadzone
-        if b <= dz:
-            return []
-        log_inv_rho = math.log(1.0 / self.rho)
-        t_hi = math.log(b / dz) / log_inv_rho
-        m_hi = max(1, math.ceil(t_hi))
-        while m_hi >= 1 and b <= self.boundary(m_hi):
-            m_hi -= 1
-        while b > self.boundary(m_hi + 1):
-            m_hi += 1
-        if a <= dz:
-            m_lo = 1
-        else:
-            t_lo = math.log(a / dz) / log_inv_rho
-            m_lo = max(1, math.ceil(t_lo))
-            while m_lo > 1 and a <= self.boundary(m_lo):
-                m_lo -= 1
-            while a > self.boundary(m_lo + 1):
-                m_lo += 1
-        return list(range(m_lo, m_hi + 1))
+    def levels(self, z) -> np.ndarray:
+        """Signed levels of an array of finite values, elementwise equal to
+        ``quantize(v)[0]``."""
+        z = np.asarray(z, float)
+        mag = np.abs(z)
+        top = float(mag.max(initial=0.0))
+        if not math.isfinite(top):
+            raise ValueError("cannot quantize non-finite values")
+        m = np.searchsorted(self._boundaries(top), mag, side="left")
+        return np.where(z < 0, -m, m)
+
+
+@functools.lru_cache(maxsize=256)
+def _boundary_table(axis: LogQuantizerAxis, count: int) -> np.ndarray:
+    table = np.array([axis.boundary(m) for m in range(1, count + 1)])
+    table.setflags(write=False)
+    return table
 
 
 @dataclass(frozen=True, eq=False)
@@ -394,29 +378,50 @@ class LogLattice:
             levels.append(min(max(m, -self._neg_max[i]), self._pos_max[i]))
         return tuple(levels)
 
+    def quantize_many(self, pts) -> np.ndarray:
+        """Cell levels of points inside the bounds box, one row per point;
+        row k equals ``quantize(pts[k])``, whose bounds check is left to the
+        caller."""
+        pts = np.asarray(pts, float).reshape(-1, self.dim)
+        out = np.empty(pts.shape, np.int64)
+        for i, axis in enumerate(self.axes):
+            out[:, i] = np.clip(axis.levels(pts[:, i]), -self._neg_max[i],
+                                self._pos_max[i])
+        return out
+
     def enumerate_cells(self) -> list[tuple[int, ...]]:
         """All valid cells in lexicographic level order."""
         return list(itertools.product(*(self.axis_levels(i)
                                         for i in range(self.dim))))
 
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """Number of valid levels per axis."""
+        return tuple(n + 1 + p for n, p in zip(self._neg_max, self._pos_max))
+
+    def cell_ids(self, levels) -> np.ndarray:
+        """Positions in :meth:`enumerate_cells` of cells given as level
+        rows (the raveled index of the levels)."""
+        levels = np.asarray(levels, np.int64).reshape(-1, self.dim)
+        return np.ravel_multi_index(tuple((levels + self._neg_max).T),
+                                    self.shape)
+
+    def cells_of(self, ids) -> list[tuple[int, ...]]:
+        """Inverse of :meth:`cell_ids`."""
+        levels = np.column_stack(np.unravel_index(ids, self.shape))
+        return [tuple(row) for row in (levels - self._neg_max).tolist()]
+
     def cell_count(self) -> int:
-        count = 1
-        for i in range(self.dim):
-            count *= self._neg_max[i] + 1 + self._pos_max[i]
-        return count
+        return math.prod(self.shape)
 
     def levels_in_interval(self, i: int, a: float, b: float) -> list[int]:
         """Valid levels on axis i whose clipped cells intersect [a, b]."""
         a2, b2 = max(a, self.lo[i]), min(b, self.hi[i])
         if a2 > b2:
             return []
-        raw = self.axes[i].levels_overlapping(a2, b2)
-        out: list[int] = []
-        for m in raw:
-            mc = min(max(m, -self._neg_max[i]), self._pos_max[i])
-            if not out or out[-1] != mc:
-                out.append(mc)
-        return out
+        first, last = (min(max(self.axes[i].quantize(v)[0], -self._neg_max[i]),
+                           self._pos_max[i]) for v in (a2, b2))
+        return list(range(first, last + 1))
 
     def sample_in_cell(self, idx, rng, count: int = 1) -> np.ndarray:
         """Uniform samples from a cell's box (boundary hits have measure zero)."""

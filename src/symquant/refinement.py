@@ -24,7 +24,7 @@ import numpy as np
 
 from .abstraction import SymbolicModel
 from .dynamics import SampledSystem, successor_many
-from .errors import ConfigError, OutOfDomainError
+from .errors import ConfigError
 from .quantizer import LogLattice, format_cell
 
 __all__ = [
@@ -121,47 +121,55 @@ def check_feedback_refinement(model: SymbolicModel, sys: SampledSystem,
         return report
 
     lattice = model.lattice
-    nonblocking = [sid for sid in range(model.n_states)
-                   if model.enabled_ids(sid)]
-    if not nonblocking:
+    _, ptr, targets = model.relation()
+    enabled = np.flatnonzero(ptr[1:] > ptr[:-1])  # pair rows, state-major
+    per_state = np.bincount(model.pair_state[enabled],
+                            minlength=model.n_states)
+    nonblocking = np.flatnonzero(per_state)
+    if not nonblocking.size:
         logger.warning("every cell is blocking; nothing to sample")
         return report
+    first_enabled = np.cumsum(per_state) - per_state
 
     rng = np.random.default_rng(seed)
     boxes = [lattice.cell_box(model.cells[sid]) for sid in nonblocking]
-    input_lo = np.array(sys.input_lo)
-    input_hi = np.array(sys.input_hi)
+    box_lo = np.array([box.lo for box in boxes])
+    box_hi = np.array([box.hi for box in boxes])
 
     picks = rng.integers(len(nonblocking), size=sample_count)
-    lo = np.stack([boxes[p].lo for p in picks])
-    hi = np.stack([boxes[p].hi for p in picks])
-    xs = rng.uniform(lo, hi)
-    uids = np.empty(sample_count, int)
-    for k in range(sample_count):
-        enabled = model.enabled_ids(nonblocking[picks[k]])
-        uids[k] = enabled[rng.integers(len(enabled))]
+    xs = rng.uniform(box_lo[picks], box_hi[picks])
+    sids = nonblocking[picks]
+    # one draw per sample, in sample order, as a loop of scalar draws would
+    pairs = enabled[first_enabled[sids] + rng.integers(per_state[sids])]
+    uids = model.pair_input[pairs]
     us = model.inputs[uids]
 
     succ = successor_many(sys, xs, us)
 
+    in_box = ((us >= np.array(sys.input_lo))
+              & (us <= np.array(sys.input_hi))).all(axis=1)
+    report.condition1_failures = [
+        (model.cells[sid], uid)
+        for sid, uid in zip(sids[~in_box].tolist(), uids[~in_box].tolist())]
+    inside = (np.isfinite(succ).all(axis=1)
+              & (succ >= lattice.lo_array).all(axis=1)
+              & (succ <= lattice.hi_array).all(axis=1))
+    levels = lattice.quantize_many(np.where(inside[:, None], succ, 0.0))
+    # a pair's targets ascend, so the (pair, target) keys are sorted
+    n = model.n_states
+    keys = np.repeat(np.arange(len(ptr) - 1), np.diff(ptr)) * n + targets
+    query = pairs * n + lattice.cell_ids(levels)
+    found = np.searchsorted(keys, query)
+    member = inside & (keys[np.minimum(found, len(keys) - 1)] == query)
+
     violations = []
-    for k in range(sample_count):
-        sid = nonblocking[picks[k]]
-        cell = model.cells[sid]
-        uid = int(uids[k])
-        if not ((us[k] >= input_lo).all() and (us[k] <= input_hi).all()):
-            report.condition1_failures.append((cell, uid))
-        expected = model.successor_ids(sid, uid)
-        observed: tuple[int, ...] | None
-        try:
-            observed = relate(succ[k], lattice)
-        except (OutOfDomainError, ValueError):
-            observed = None
-        if observed is None or model.state_id(observed) not in expected:
-            violations.append(RefinementWitness(
-                x=xs[k].copy(), u=us[k].copy(), source=cell, input_index=uid,
-                observed=observed,
-                expected=tuple(model.cells[t] for t in expected)))
+    for k in np.flatnonzero(~member):
+        expected = targets[ptr[pairs[k]]:ptr[pairs[k] + 1]]
+        violations.append(RefinementWitness(
+            x=xs[k].copy(), u=us[k].copy(), source=model.cells[sids[k]],
+            input_index=int(uids[k]),
+            observed=tuple(levels[k].tolist()) if inside[k] else None,
+            expected=tuple(model.cells[t] for t in expected)))
 
     violations.sort(key=lambda w: (w.source, w.input_index, tuple(w.x)))
     report.samples_tested = sample_count

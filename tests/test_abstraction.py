@@ -1,10 +1,12 @@
 """Symbolic model construction: input approximation, transitions, storage."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 import symquant as sq
-from symquant.abstraction import SymbolicModel
+from symquant.abstraction import SymbolicModel, _targets_many
 from symquant.errors import ConfigError, OutOfDomainError
 from conftest import targets_oracle
 
@@ -108,6 +110,117 @@ def test_targets_match_exhaustive_intersection(pendulum_scenario):
         assert tuple(got) == targets_oracle(model, sys_, lattice, cell, uid)
 
 
+def _batched_targets_match_oracle(sys_, lattice, model):
+    """Run the batched target pass over every (cell, input) pair of a model
+    and compare each set with the exhaustive-intersection oracle and with
+    the model's stored set; returns the set sizes seen."""
+    centers = np.array([lattice.center(c) for c in model.cells])
+    xs = np.repeat(centers, model.n_inputs, axis=0)
+    us = np.tile(model.inputs, (model.n_states, 1))
+    ptr, ids = _targets_many(lattice, xs, sq.successor_many(sys_, xs, us),
+                             sys_.lipschitz, sys_.tau)
+    sizes = set()
+    pairs = itertools.product(range(model.n_states), range(model.n_inputs))
+    for k, (sid, uid) in enumerate(pairs):
+        got = tuple(ids[ptr[k]:ptr[k + 1]].tolist())
+        cells = tuple(model.cells[t] for t in got)
+        assert cells == targets_oracle(model, sys_, lattice,
+                                       model.cells[sid], uid)
+        candidates = model.pair_input[model.pair_ptr[sid]:
+                                      model.pair_ptr[sid + 1]]
+        assert model.successor_ids(sid, uid) == \
+            (got if uid in candidates else ())
+        sizes.add(len(got))
+    return sizes
+
+
+def test_batched_targets_match_oracle_on_every_pair(pendulum_scenario,
+                                                    contracting_scenario):
+    def cube_field(x, u):
+        x = np.asarray(x, float)
+        u = np.asarray(u, float)
+        return -x + u[..., :1]
+
+    cube = sq.SampledSystem(dim_x=3, dim_u=1, field=cube_field,
+                            lipschitz=1.0, tau=0.5, input_lo=(-1.0,),
+                            input_hi=(1.0,), vectorized=True)
+    cube_lattice = sq.LogLattice.from_params(0.3, [0.3] * 3, [-1] * 3,
+                                             [1] * 3, "edge_anchored")
+    line = sq.linear_system(tau=0.3)
+    line_lattice = sq.LogLattice.from_params(0.25, [0.2], [-0.8], [1.3],
+                                             "value_anchored")
+    scenarios = [pendulum_scenario, contracting_scenario]
+    for sys_, lattice, samples in ((line, line_lattice, 15),
+                                   (cube, cube_lattice, 3)):
+        model = sq.build_abstraction(sys_, lattice,
+                                     sq.InputApproxConfig(0.002, samples))
+        scenarios.append((sys_, lattice, model))
+    for sys_, lattice, model in scenarios:
+        sizes = _batched_targets_match_oracle(sys_, lattice, model)
+        assert 0 in sizes and max(sizes) > 1
+
+
+def _landing(edge: float, offset: float) -> float:
+    """A value n with n + offset == edge in floating point."""
+    n = edge - offset
+    for _ in range(8):
+        got = n + offset
+        if got == edge:
+            return n
+        n = np.nextafter(n, -np.inf if got > edge else np.inf)
+    raise AssertionError(f"no float lands on {edge!r}")
+
+
+def test_targets_when_box_edge_is_a_boundary():
+    # a region boundary belongs to the region nearer zero: an upper box
+    # edge on boundary(m) stops at level m - 1, a lower edge on boundary(m)
+    # already meets level m - 1 (mirrored on the negative side); a box edge
+    # on the lattice bound keeps the input enabled
+    lattice = sq.LogLattice.from_params(0.2, [0.1], [-1.0], [1.5],
+                                        "value_anchored")
+    axis = lattice.axes[0]
+    center = lattice.center((1,))
+    radius = float(sq.growth_radius(center, 0.2, 1.0, 0.1)[0])
+    edges = [(sign * axis.boundary(m), offset, sign * (m - 1))
+             for m in (3, 5) for sign in (1, -1)
+             for offset in (radius, -radius)]
+    edges += [(lattice.hi[0], radius, None), (lattice.lo[0], -radius, None)]
+    for edge, offset, touching in edges:
+        nominal = _landing(edge, offset)
+        lo, hi = nominal - radius, nominal + radius
+        assert edge in (lo, hi)
+        _, ids = _targets_many(lattice, center[None], np.array([[nominal]]),
+                               1.0, 0.1)
+        got = [c[0] for c in lattice.cells_of(ids)]
+        assert got and got == lattice.levels_in_interval(0, lo, hi)
+        if touching is not None:
+            assert got[-1 if edge == hi else 0] == touching
+
+
+def test_vectorized_dedup_matches_scalar_signatures():
+    # reference: the per-sample loop over scalar mu signatures; at this
+    # coarse mu several grid inputs share a class in every cell
+    sys_ = sq.pendulum_system()
+    cfg = sq.InputApproxConfig(mu=0.3, input_samples=51)
+    model = sq.build_abstraction(sys_, EDGE_LATTICE, cfg, lazy=True)
+    grid = sq.input_grid(sys_, cfg.input_samples)
+    mu_axis = cfg.mu_axis()
+    pairs = 0
+    for sid, cell in enumerate(model.cells):
+        center = EDGE_LATTICE.center(cell)
+        succ = sq.successor_many(sys_, np.tile(center, (len(grid), 1)), grid)
+        first = {}
+        for k, x in enumerate(succ):
+            first.setdefault(tuple(mu_axis.quantize(v)[0] for v in x), k)
+        expected = grid[sorted(first.values())]
+        stored = model.pair_input[model.pair_ptr[sid]:model.pair_ptr[sid + 1]]
+        assert np.array_equal(model.inputs[stored], expected)
+        reps = sq.approximate_inputs(cell, EDGE_LATTICE, sys_, cfg)
+        assert np.array_equal(np.array(reps), expected)
+        pairs += len(expected)
+    assert pairs < model.n_states * len(grid)
+
+
 def test_build_statistics(pendulum_scenario):
     _, _, model = pendulum_scenario
     assert model.n_states == 25
@@ -146,7 +259,19 @@ def test_lazy_equals_eager(pendulum_scenario):
                                 sq.InputApproxConfig(0.002, 51), lazy=True)
     # query a few cells first, then exhaustively
     assert lazy.enabled_inputs((0, 0)) == eager.enabled_inputs((0, 0))
+    # the pairs of some cells, computed in one lazy pass, equal the eager
+    # arrays pair by pair
+    rows, ptr, targets = lazy.relation([0, 7, 12])
+    _, eager_ptr, eager_targets = eager.relation()
+    assert len(rows) > 0
+    for k, row in enumerate(rows):
+        assert np.array_equal(targets[ptr[k]:ptr[k + 1]],
+                              eager_targets[eager_ptr[row]:eager_ptr[row + 1]])
     lazy.materialize()
+    for got, want in zip(lazy.relation(), eager.relation()):
+        assert np.array_equal(got, want)
+    assert np.array_equal(lazy.pair_ptr, eager.pair_ptr)
+    assert np.array_equal(lazy.pair_input, eager.pair_input)
     assert lazy.cells == eager.cells
     assert (lazy.inputs == eager.inputs).all()
     for sid in range(eager.n_states):

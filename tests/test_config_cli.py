@@ -1,6 +1,9 @@
 """Scenario parsing, environment overrides, CLI workflows and exit codes."""
 
 import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -205,6 +208,55 @@ def test_cli_export_roundtrips_transition_count(tmp_path):
     edges = [line for line in dot_path.read_text().splitlines()
              if "->" in line]
     assert len(edges) == model.transition_count()
+
+
+@pytest.mark.parametrize("case", ["unknown_state", "unknown_input",
+                                  "noncontiguous_states"])
+def test_cli_rejects_bad_model_file(tmp_path, capsys, case):
+    cfg = _fast_cfg(tmp_path)
+    path = tmp_path / "m.abs"
+    assert cli.main(["abstract", "--config", cfg, "--out", str(path)]) == 0
+    lines = path.read_text().splitlines()
+    src, dst, uid = lines[3].split()  # the first transition line
+    if case == "unknown_state":
+        at, lines[3] = 4, f"{src} 999 {uid}"
+    elif case == "unknown_input":
+        at, lines[3] = 4, f"{src} {dst} 9999"
+    else:
+        at = lines.index(next(ln for ln in lines if ln.startswith("state 5 ")))
+        lines[at] = lines[at].replace("state 5 ", "state 7 ")
+        at += 1
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    for command in ("synthesize", "verify"):
+        code = cli.main([command, "--config", cfg, "--in", str(path),
+                         "--out", str(tmp_path / "out.txt")])
+        assert code == cli.EXIT_BUILD
+        assert f"m.abs:{at}: " in capsys.readouterr().err
+
+
+def test_cli_verbose_logs_phases(tmp_path):
+    # a fresh process: under pytest the root logger already has handlers,
+    # so the CLI's logging set-up would not take effect in-process
+    cfg = _fast_cfg(tmp_path)
+    src = os.path.dirname(os.path.dirname(sq.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    runs = []
+    for flags in ([], ["--verbose"]):
+        out = tmp_path / f"m{len(flags)}.abs"
+        proc = subprocess.run(
+            [sys.executable, "-m", "symquant.cli", "abstract", "--config",
+             cfg, "--out", str(out), *flags],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        runs.append((out.read_bytes(), proc.stderr))
+    (quiet_file, quiet_log), (verbose_file, verbose_log) = runs
+    assert verbose_file == quiet_file
+    assert quiet_log == ""
+    assert re.search(r"^INFO symquant\.abstraction: targets: \d+ pairs, "
+                     r"\d+ transitions, \d+\.\d+ s$", verbose_log, re.M)
+    assert "symquant.abstraction: save: " in verbose_log
 
 
 def test_cli_config_error_exit_code(tmp_path):

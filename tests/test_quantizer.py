@@ -234,3 +234,30 @@ def test_cell_serialization_roundtrip():
         assert sq.parse_cell(sq.format_cell(cell)) == cell
     with pytest.raises(ValueError):
         sq.parse_cell(" ")
+
+
+def test_vectorized_levels_match_scalar_quantize():
+    # boundaries themselves, their float neighbours on both sides, the
+    # deadzone edges and random values, on both signs
+    rng = np.random.default_rng(6)
+    for axis in (VALUE_AXIS, EDGE_AXIS, sq.LogQuantizerAxis(0.002, 0.002)):
+        edges = np.array([axis.boundary(m) for m in range(1, 40)])
+        z = np.concatenate([edges, np.nextafter(edges, 0.0),
+                            np.nextafter(edges, np.inf),
+                            rng.uniform(-60, 60, size=2000), [0.0, -0.0]])
+        z = np.concatenate([z, -z])
+        assert axis.levels(z).tolist() == [axis.quantize(v)[0] for v in z]
+    with pytest.raises(ValueError):
+        VALUE_AXIS.levels([0.5, math.nan])
+
+    lattice = sq.LogLattice.from_params(0.2, [0.4, 0.3], [-0.55, -1.7],
+                                        [1.0, 0.9], "value_anchored")
+    pts = rng.uniform(lattice.lo_array, lattice.hi_array, size=(500, 2))
+    pts = np.concatenate([pts, [lattice.lo, lattice.hi]])
+    levels = lattice.quantize_many(pts)
+    assert [tuple(row) for row in levels.tolist()] == \
+           [lattice.quantize(x) for x in pts]
+    ids = lattice.cell_ids(levels)
+    cells = lattice.enumerate_cells()
+    assert [cells[i] for i in ids] == lattice.cells_of(ids)
+    assert lattice.cell_ids(np.array(cells)).tolist() == list(range(len(cells)))

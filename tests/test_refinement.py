@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import symquant as sq
+from symquant.abstraction import SymbolicModel
 from symquant.errors import ConfigError
 
 
@@ -52,14 +53,18 @@ def test_determinism_given_seed(pendulum_scenario):
 
 
 def test_detects_removed_successor(pendulum_scenario):
-    sys_, lattice, _ = pendulum_scenario
-    model = sq.build_abstraction(sys_, lattice, sq.InputApproxConfig(0.002, 51))
+    sys_, lattice, real = pendulum_scenario
     # corrupt one cell: point every enabled input of the deadzone cell at a
     # single far-away successor
-    sid = model.state_id((0, 0))
-    wrong = (model.state_id((2, 2)),)
-    for uid in model.enabled_ids(sid):
-        model._succ[(sid, uid)] = wrong
+    succ = {(s, u): real.successor_ids(s, u)
+            for s in range(real.n_states) for u in real.enabled_ids(s)}
+    sid = real.state_id((0, 0))
+    wrong = (real.state_id((2, 2)),)
+    for uid in real.enabled_ids(sid):
+        succ[(sid, uid)] = wrong
+    model = SymbolicModel.from_tables(
+        real.cells, real.inputs, succ, lattice=lattice, tau=real.tau,
+        eta=real.eta, mu=real.mu, lipschitz=real.lipschitz, system=sys_)
     report = sq.check_feedback_refinement(model, sys_, 3000, seed=0)
     assert not report.passed
     assert all(w.source == (0, 0) for w in report.violations)
@@ -68,6 +73,59 @@ def test_detects_removed_successor(pendulum_scenario):
     replayed = sq.successor(sys_, witness.x, witness.u)
     assert sq.relate(replayed, lattice) == witness.observed
     assert witness.observed not in witness.expected
+
+
+def _loop_reference(model, sys_, sample_count, seed):
+    """The per-sample loop the vectorized check replaced: the same draws in
+    the same order, then one quantize and membership test per sample."""
+    lattice = model.lattice
+    nonblocking = [sid for sid in range(model.n_states)
+                   if model.enabled_ids(sid)]
+    rng = np.random.default_rng(seed)
+    boxes = [lattice.cell_box(model.cells[sid]) for sid in nonblocking]
+    picks = rng.integers(len(nonblocking), size=sample_count)
+    xs = rng.uniform(np.stack([boxes[p].lo for p in picks]),
+                     np.stack([boxes[p].hi for p in picks]))
+    uids = []
+    for k in range(sample_count):
+        enabled = model.enabled_ids(nonblocking[picks[k]])
+        uids.append(enabled[rng.integers(len(enabled))])
+    succ = sq.successor_many(sys_, xs, model.inputs[uids])
+    violations = []
+    for k in range(sample_count):
+        cell = model.cells[nonblocking[picks[k]]]
+        try:
+            observed = sq.relate(succ[k], lattice)
+        except ValueError:
+            observed = None
+        expected = model.successors(cell, uids[k])
+        if observed not in expected:
+            violations.append((cell, uids[k], tuple(xs[k]), observed,
+                               expected))
+    return sorted(violations)
+
+
+def test_vectorized_check_matches_loop_reference(pendulum_scenario):
+    # the blocking outer cells get a self-loop under every input, so some
+    # samples leave the bounds; the deadzone cell points at a far cell
+    sys_, lattice, real = pendulum_scenario
+    succ = {(s, u): real.successor_ids(s, u)
+            for s in range(real.n_states) for u in real.enabled_ids(s)}
+    for sid, cell in enumerate(real.cells):
+        if real.is_blocking(cell):
+            succ.update({(sid, u): (sid,) for u in range(real.n_inputs)})
+    zero = real.state_id((0, 0))
+    for uid in real.enabled_ids(zero):
+        succ[(zero, uid)] = (real.state_id((2, 2)),)
+    model = SymbolicModel.from_tables(
+        real.cells, real.inputs, succ, lattice=lattice, tau=real.tau,
+        eta=real.eta, mu=real.mu, lipschitz=real.lipschitz)
+    report = sq.check_feedback_refinement(model, sys_, 3000, seed=3)
+    got = [(w.source, w.input_index, tuple(w.x), w.observed, w.expected)
+           for w in report.violations]
+    assert got == _loop_reference(model, sys_, 3000, seed=3)
+    assert any(w.observed is None for w in report.violations)
+    assert any(w.source == (0, 0) for w in report.violations)
 
 
 def test_detects_growth_bound_breach():
