@@ -5,16 +5,16 @@ quantizer-based controller refinement."""
 from .errors import (ConfigError, DivergenceError, OutOfDomainError,
                      PlanningError)
 from .quantizer import (Box, LogLattice, LogQuantizerAxis, QuantizerVariant,
-                        cell_bounds, cell_center, enumerate_cells,
-                        format_cell, levels_overlapping_interval, parse_cell,
+                        cell_bounds, enumerate_cells, format_cell,
+                        levels_overlapping_interval, parse_cell,
                         scalar_quantize, vector_quantize)
 from .dynamics import (SampledSystem, Trajectory, growth_radius,
                        linear_system, make_system, pendulum_system,
                        register_system, successor, successor_many)
 from .abstraction import (InputApproxConfig, SymbolicModel,
                           approximate_inputs, build_abstraction,
-                          enabled_inputs, input_grid, load_abstraction,
-                          save_abstraction, transition_targets)
+                          input_grid, load_abstraction, save_abstraction,
+                          transition_targets)
 from .refinement import (AbstractSafeSet, RefinementReport,
                          RefinementWitness, abstract_safe_set,
                          check_feedback_refinement, relate)

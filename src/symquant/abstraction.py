@@ -15,9 +15,9 @@ intersects the inflated box.  If the box leaves the lattice bounds the input
 is disabled for that cell (no stored successors), so enabled inputs can never
 drive the quantized closed loop out of the working box.
 
-Models are built eagerly (every successor set in one vectorized pass) or
-lazily (the sets of a cell on the first query of that cell); see
-:class:`SymbolicModel` for the array layout of the relation.
+A built model computes every successor set in one vectorized pass on the
+first query that needs them; see :class:`SymbolicModel` for the array layout
+of the relation.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ __all__ = [
     "approximate_inputs",
     "transition_targets",
     "build_abstraction",
-    "enabled_inputs",
     "save_abstraction",
     "load_abstraction",
 ]
@@ -208,9 +207,8 @@ class SymbolicModel:
     is not stored.
 
     ``relation`` gives the successor sets up front.  Without it they are
-    computed from the pairs' ``nominal`` successors and the states' cell
-    ``centers``: all at once by :meth:`materialize`, or a cell at a time on
-    first query.
+    computed, all at once by :meth:`materialize` on the first query, from
+    the pairs' ``nominal`` successors and the states' cell ``centers``.
     """
 
     def __init__(self, cells, inputs, pair_ptr, pair_input, lattice=None,
@@ -242,7 +240,6 @@ class SymbolicModel:
         self._relation = relation
         self._centers = centers
         self._nominal = nominal
-        self._blocks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     # -- identifiers ---------------------------------------------------
 
@@ -262,47 +259,37 @@ class SymbolicModel:
 
     # -- transition queries --------------------------------------------
 
-    def _compute(self, rows: np.ndarray):
-        return _targets_many(self.lattice, self._centers[self.pair_state[rows]],
-                             self._nominal[rows], self.lipschitz, self.tau)
-
-    def _block(self, sid: int):
-        """CSR ``(offsets, targets)`` of one state's candidate pairs."""
-        a, b = self.pair_ptr[sid], self.pair_ptr[sid + 1]
+    def materialize(self):
+        """Compute every successor set in one pass (no-op when complete)."""
         if self._relation is not None:
-            ptr, targets = self._relation
-            return ptr[a:b + 1] - ptr[a], targets[ptr[a]:ptr[b]]
-        if sid not in self._blocks:
-            self._blocks[sid] = self._compute(np.arange(a, b))
-        return self._blocks[sid]
+            return
+        start = time.perf_counter()
+        self._relation = _targets_many(
+            self.lattice, self._centers[self.pair_state], self._nominal,
+            self.lipschitz, self.tau)
+        self._centers = self._nominal = None
+        logger.info("targets: %d pairs, %d transitions, %.3f s",
+                    len(self.pair_input), len(self._relation[1]),
+                    time.perf_counter() - start)
 
-    def relation(self, sids=None):
-        """Successor sets as ``(rows, offsets, targets)``: pair ``rows[k]``
-        leads to ``targets[offsets[k]:offsets[k + 1]]``.
-
-        The rows hold every pair of the states ``sids``, and every pair of
-        the model when ``sids`` is None or the model is complete.  A lazy
-        model computes the pairs of ``sids`` in one pass without keeping
-        them.
-        """
-        if sids is None:
+    def relation(self):
+        """Successor sets as ``(offsets, targets)``: pair k leads to
+        ``targets[offsets[k]:offsets[k + 1]]``."""
+        if self._relation is None:
             self.materialize()
-        if self._relation is not None:
-            return (np.arange(len(self.pair_input)), *self._relation)
-        rows = np.flatnonzero(np.isin(self.pair_state, sids))
-        return (rows, *self._compute(rows))
+        return self._relation
 
     def enabled_ids(self, sid: int) -> tuple[int, ...]:
-        ptr, _ = self._block(sid)
-        pairs = self.pair_input[self.pair_ptr[sid]:self.pair_ptr[sid + 1]]
-        return tuple(pairs[ptr[1:] > ptr[:-1]].tolist())
+        ptr, _ = self.relation()
+        a, b = self.pair_ptr[sid], self.pair_ptr[sid + 1]
+        return tuple(self.pair_input[a:b][ptr[a + 1:b + 1] > ptr[a:b]].tolist())
 
     def successor_ids(self, sid: int, uid: int) -> tuple[int, ...]:
-        pairs = self.pair_input[self.pair_ptr[sid]:self.pair_ptr[sid + 1]]
-        j = int(np.searchsorted(pairs, uid))
-        if j == len(pairs) or pairs[j] != uid:
+        ptr, targets = self.relation()
+        a, b = self.pair_ptr[sid], self.pair_ptr[sid + 1]
+        j = a + int(np.searchsorted(self.pair_input[a:b], uid))
+        if j == b or self.pair_input[j] != uid:
             return ()
-        ptr, targets = self._block(sid)
         return tuple(targets[ptr[j]:ptr[j + 1]].tolist())
 
     def enabled_inputs(self, cell) -> tuple[int, ...]:
@@ -319,29 +306,18 @@ class SymbolicModel:
     def is_blocking(self, cell) -> bool:
         return not self.enabled_inputs(cell)
 
-    def materialize(self):
-        """Compute every successor set in one pass (no-op when complete)."""
-        if self._relation is not None:
-            return
-        start = time.perf_counter()
-        self._relation = self._compute(np.arange(len(self.pair_input)))
-        self._blocks.clear()
-        logger.info("targets: %d pairs, %d transitions, %.3f s",
-                    len(self.pair_input), len(self._relation[1]),
-                    time.perf_counter() - start)
-
     def _triples(self):
         """Source, target and input id of every transition, sorted."""
-        _, ptr, targets = self.relation()
+        ptr, targets = self.relation()
         counts = np.diff(ptr)
         return (np.repeat(self.pair_state, counts), targets,
                 np.repeat(self.pair_input, counts))
 
     def transition_count(self) -> int:
-        return len(self.relation()[2])
+        return len(self.relation()[1])
 
     def iter_transitions(self):
-        """Yield (src id, dst id, input id) sorted; materializes the model."""
+        """Yield (src id, dst id, input id) sorted."""
         yield from zip(*(a.tolist() for a in self._triples()))
 
     def summary(self) -> dict:
@@ -376,26 +352,14 @@ class SymbolicModel:
     def save(self, path):
         save_abstraction(self, path)
 
-    @classmethod
-    def load(cls, path, system=None) -> "SymbolicModel":
-        return load_abstraction(path, system=system)
-
-
-def enabled_inputs(model: SymbolicModel, cell) -> tuple[int, ...]:
-    """Input indices enabled at a cell (empty iff the cell is blocking)."""
-    return model.enabled_inputs(cell)
-
 
 def build_abstraction(sys: SampledSystem, lattice: LogLattice,
-                      cfg: InputApproxConfig, lazy: bool = False,
-                      threads: int | None = None) -> SymbolicModel:
+                      cfg: InputApproxConfig) -> SymbolicModel:
     """Build the symbolic model of a sampled system over a lattice.
 
-    The result is deterministic.  ``threads`` is accepted for compatibility
-    and has no effect: the build is vectorized, and a thread pool measured
-    slower.  With ``lazy=True`` the per-cell abstract input sets are still
-    computed up front (one batched integration), but successor sets are left
-    to be computed on first query.
+    The result is deterministic.  The abstract input sets are computed here
+    (one batched integration); the successor sets are left to the model's
+    first query that needs them.
     """
     if sys.dim_x != lattice.dim:
         raise ConfigError(f"system dimension {sys.dim_x} does not match "
@@ -428,8 +392,6 @@ def build_abstraction(sys: SampledSystem, lattice: LogLattice,
     logger.info("dedup: %d cells x %d input samples, %d candidate pairs, "
                 "%d inputs, %.3f s", n_cells, n_grid, len(rows), len(used),
                 time.perf_counter() - start)
-    if not lazy:
-        model.materialize()
     return model
 
 

@@ -34,8 +34,6 @@ EXIT_BUILD = 3
 EXIT_VERIFY = 4
 EXIT_PLAN = 5
 
-logger = logging.getLogger(__name__)
-
 
 def _resolve_config(value: str) -> str:
     """Accept a path or the bare name of a bundled scenario."""
@@ -61,9 +59,8 @@ def _build_or_load(args, cfg: ScenarioConfig):
     if getattr(args, "infile", None):
         model = abstraction.load_abstraction(args.infile, system=sys_)
         return model, sys_
-    lazy = cfg.lazy or bool(getattr(args, "lazy", False))
     model = abstraction.build_abstraction(sys_, cfg.build_lattice(),
-                                          cfg.approx_config(), lazy=lazy)
+                                          cfg.approx_config())
     return model, sys_
 
 
@@ -130,7 +127,7 @@ def _cmd_simulate(args, cfg: ScenarioConfig) -> int:
     # configuration (deterministic)
     sys_ = cfg.build_system()
     model = abstraction.build_abstraction(sys_, cfg.build_lattice(),
-                                          cfg.approx_config(), lazy=True)
+                                          cfg.approx_config())
     if cfg.sim_x0 is None:
         raise ConfigError(f"{cfg.path}: [simulate] x0 is required")
     if cfg.sim_policy == "controller":
@@ -177,7 +174,7 @@ scenario file keys (section.key = default):
   quantizer.variant = value_anchored   quantizer.eta (required, in (0,1))
   quantizer.scale (required, per axis) quantizer.state_lo/_hi (required)
   abstraction.mu (required, in (0,1))  abstraction.input_samples = 51
-  abstraction.lazy = false
+  abstraction.lazy (accepted, no effect)
   synthesis.safe_lo/_hi = state box
   verify.samples = 10000        verify.seed = 0
   run.threads (accepted, no effect)
@@ -211,14 +208,14 @@ def _parser() -> argparse.ArgumentParser:
         cmd.add_argument("--in", dest="infile",
                          help="input file (abstraction, controller or plan)")
         cmd.add_argument("--threads", type=int, default=None,
-                         help="accepted, no effect (the model build is "
-                              "vectorized)")
+                         help="accepted, no effect")
         cmd.add_argument("--seed", type=int, default=None,
                          help="override the configured random seed")
         cmd.add_argument("--samples", type=int, default=None,
                          help="override the configured sample count")
         cmd.add_argument("--lazy", action="store_true",
-                         help="build the model lazily (successors on demand)")
+                         help="accepted, no effect (successor sets are "
+                              "always computed on first use)")
         cmd.add_argument("--verbose", action="store_true",
                          help="log the count and time of each phase to stderr")
     return parser
@@ -230,9 +227,24 @@ _NEEDS_IN = {"simulate"}
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s")
+    # the package logger writes to this run's stderr, whatever the host's
+    # root logger holds; its settings are restored on return
+    log = logging.getLogger("symquant")
+    handler = logging.StreamHandler(_sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    level, propagate = log.level, log.propagate
+    log.setLevel(logging.INFO if args.verbose else logging.WARNING)
+    log.propagate = False
+    log.addHandler(handler)
+    try:
+        return _run(args)
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
+        log.propagate = propagate
+
+
+def _run(args) -> int:
     try:
         if args.command in _NEEDS_OUT and not args.out:
             raise ConfigError(f"{args.command} requires --out")

@@ -14,13 +14,14 @@ Format, by example::
 Lines are ``key = value`` pairs inside ``[section]`` headers; ``#`` starts a
 comment.  Every value can be overridden by an environment variable named
 ``SYMQUANT_<SECTION>__<KEY>`` (uppercase).  Numeric constraints of the owning
-modules are re-validated at parse time and reported with file and line.
+modules are re-validated at parse time, and unknown sections and keys are
+rejected, each reported with file and line.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .abstraction import InputApproxConfig
 from .dynamics import SampledSystem, make_system
@@ -38,6 +39,8 @@ class _RawConfig:
     def __init__(self, path: str):
         self.path = path
         self.values: dict[tuple[str, str], tuple[str, int]] = {}
+        self.headers: list[tuple[str, int]] = []
+        self.read: set[tuple[str, str]] = set()
         section = ""
         with open(path) as fh:
             for lineno, raw in enumerate(fh, start=1):
@@ -46,6 +49,7 @@ class _RawConfig:
                     continue
                 if line.startswith("[") and line.endswith("]"):
                     section = line[1:-1].strip().lower()
+                    self.headers.append((section, lineno))
                     continue
                 if "=" not in line:
                     raise ConfigError(
@@ -60,6 +64,7 @@ class _RawConfig:
         return f"{self.path}:{entry[1]}: [{section}] {key}"
 
     def get(self, section: str, key: str, default=None):
+        self.read.add((section, key))
         env = os.environ.get(f"{ENV_PREFIX}{section.upper()}__{key.upper()}")
         if env is not None:
             return env
@@ -80,6 +85,18 @@ class _RawConfig:
         except (ValueError, KeyError) as exc:
             raise ConfigError(
                 f"{self.location(section, key)}: {exc}") from None
+
+    def reject_unknown(self):
+        """Raise on the first section or key that no reader asked for."""
+        known = {section for section, _ in self.read}
+        unknown = [(line, f"section [{name}]") for name, line in self.headers
+                   if name not in known]
+        unknown += [(line, f"key [{section}] {key}")
+                    for (section, key), (_, line) in self.values.items()
+                    if (section, key) not in self.read]
+        if unknown:
+            line, what = min(unknown)
+            raise ConfigError(f"{self.path}:{line}: unknown {what}")
 
     def get_float(self, section, key, default=None, required=False):
         return self._parse(section, key, float, default, required)
@@ -124,12 +141,10 @@ class ScenarioConfig:
     state_hi: tuple[float, ...]
     mu: float
     input_samples: int
-    lazy: bool
     safe_lo: tuple[float, ...]
     safe_hi: tuple[float, ...]
     seed: int
     samples: int
-    threads: int | None
     plan_start: tuple[int, ...] | None
     plan_goals: tuple[tuple[int, ...], ...]
     plan_relaxed: bool
@@ -138,7 +153,6 @@ class ScenarioConfig:
     sim_x0: tuple[float, ...] | None
     sim_max_steps: int
     sim_policy: str
-    extras: dict = field(default_factory=dict)
 
     def build_system(self) -> SampledSystem:
         try:
@@ -221,7 +235,6 @@ def parse_config(path) -> ScenarioConfig:
 
     mu = raw.get_float("abstraction", "mu", required=True)
     input_samples = raw.get_int("abstraction", "input_samples", default=51)
-    lazy = raw.get_bool("abstraction", "lazy", default=False)
     if not (0.0 < mu < 1.0):
         raise ConfigError(f"{raw.location('abstraction', 'mu')}: "
                           "mu must lie in (0, 1)")
@@ -241,18 +254,16 @@ def parse_config(path) -> ScenarioConfig:
         raise ConfigError(f"{raw.location('verify', 'samples')}: "
                           "samples must be nonnegative")
 
-    threads = raw.get_int("run", "threads", default=None)
-    if threads is not None and threads < 1:
+    # accepted with no effect, but still checked
+    raw.get_bool("abstraction", "lazy")
+    if (raw.get_int("run", "threads") or 1) < 1:
         raise ConfigError(f"{raw.location('run', 'threads')}: "
                           "threads must be positive")
-
-    def conv_cell(text):
-        return parse_cell(text)
 
     def conv_cells(text):
         return tuple(parse_cell(part) for part in text.split(";") if part.strip())
 
-    plan_start = raw._parse("plan", "start", conv_cell, None, False)
+    plan_start = raw._parse("plan", "start", parse_cell, None, False)
     plan_goals = raw._parse("plan", "goals", conv_cells, (), False)
     plan_relaxed = raw.get_bool("plan", "relaxed", default=False)
     plan_grid = raw.get_float("plan", "grid_resolution", default=0.02)
@@ -270,15 +281,15 @@ def parse_config(path) -> ScenarioConfig:
     if sim_policy not in ("controller", "plan"):
         raise ConfigError(f"{raw.location('simulate', 'policy')}: "
                           "policy must be 'controller' or 'plan'")
+    raw.reject_unknown()
 
     return ScenarioConfig(
         path=str(path), system_name=system_name, tau=tau, lipschitz=lipschitz,
         integrator_steps=integrator_steps, input_lo=input_lo,
         input_hi=input_hi, variant=variant, eta=eta, scale=scale,
         state_lo=state_lo, state_hi=state_hi, mu=mu,
-        input_samples=input_samples, lazy=lazy, safe_lo=safe_lo,
-        safe_hi=safe_hi, seed=seed, samples=samples, threads=threads,
-        plan_start=plan_start, plan_goals=plan_goals,
-        plan_relaxed=plan_relaxed, plan_grid=plan_grid,
+        input_samples=input_samples, safe_lo=safe_lo, safe_hi=safe_hi,
+        seed=seed, samples=samples, plan_start=plan_start,
+        plan_goals=plan_goals, plan_relaxed=plan_relaxed, plan_grid=plan_grid,
         plan_max_steps=plan_max_steps, sim_x0=sim_x0,
         sim_max_steps=sim_max_steps, sim_policy=sim_policy)

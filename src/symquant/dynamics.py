@@ -85,11 +85,6 @@ class SampledSystem:
         """Copy with replaced fields (tau, integrator_steps, ...)."""
         return replace(self, **kwargs)
 
-    def input_box_contains(self, u) -> bool:
-        u = np.atleast_1d(np.asarray(u, float))
-        return bool((u >= np.array(self.input_lo)).all()
-                    and (u <= np.array(self.input_hi)).all())
-
 
 def _eval_field(sys: SampledSystem, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     if sys.vectorized:

@@ -45,7 +45,6 @@ __all__ = [
     "scalar_quantize",
     "vector_quantize",
     "cell_bounds",
-    "cell_center",
     "levels_overlapping_interval",
     "enumerate_cells",
     "format_cell",
@@ -319,14 +318,10 @@ class LogLattice:
         """Valid signed levels on axis i, ascending."""
         return range(-self._neg_max[i], self._pos_max[i] + 1)
 
-    def is_valid(self, idx) -> bool:
-        if len(idx) != self.dim:
-            return False
-        return all(-self._neg_max[i] <= m <= self._pos_max[i]
-                   for i, m in enumerate(idx))
-
     def check_index(self, idx):
-        if not self.is_valid(idx):
+        if len(idx) != self.dim or not all(
+                -self._neg_max[i] <= m <= self._pos_max[i]
+                for i, m in enumerate(idx)):
             raise OutOfDomainError(f"invalid cell index {idx!r} for this lattice")
 
     def center(self, idx) -> np.ndarray:
@@ -442,11 +437,6 @@ def vector_quantize(x, lattice: LogLattice) -> tuple[int, ...]:
 def cell_bounds(idx, lattice: LogLattice) -> Box:
     """Clipped box of a cell, with half-open side metadata."""
     return lattice.cell_box(idx)
-
-
-def cell_center(idx, lattice: LogLattice) -> np.ndarray:
-    """Lattice point (quantized value) of a cell."""
-    return lattice.center(idx)
 
 
 def levels_overlapping_interval(a: float, b: float,

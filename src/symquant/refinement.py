@@ -121,7 +121,7 @@ def check_feedback_refinement(model: SymbolicModel, sys: SampledSystem,
         return report
 
     lattice = model.lattice
-    _, ptr, targets = model.relation()
+    ptr, targets = model.relation()
     enabled = np.flatnonzero(ptr[1:] > ptr[:-1])  # pair rows, state-major
     per_state = np.bincount(model.pair_state[enabled],
                             minlength=model.n_states)

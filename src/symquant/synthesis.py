@@ -56,15 +56,15 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 
-def _controllable(model: SymbolicModel, relation, target: np.ndarray):
-    """One cpre sweep over ``relation = (rows, offsets, targets)``: the
-    state mask of cells with a pair whose successors are nonempty and all
-    inside the state mask ``target``, and the mask of those pairs."""
-    rows, ptr, targets = relation
+def _controllable(model: SymbolicModel, target: np.ndarray):
+    """One cpre sweep: the state mask of cells with a pair whose successors
+    are nonempty and all inside the state mask ``target``, and the mask of
+    those pairs."""
+    ptr, targets = model.relation()
     outside = np.concatenate(([0], np.cumsum(~target[targets])))
     good = (ptr[1:] > ptr[:-1]) & (outside[ptr[1:]] == outside[ptr[:-1]])
     found = np.zeros(model.n_states, bool)
-    found[model.pair_state[rows[good]]] = True
+    found[model.pair_state[good]] = True
     return found, good
 
 
@@ -73,7 +73,7 @@ def cpre(model: SymbolicModel, target) -> set[tuple[int, ...]]:
     every successor into ``target``.  Blocking cells are never members."""
     mask = np.zeros(model.n_states, bool)
     mask[[model.state_id(c) for c in target]] = True
-    found, _ = _controllable(model, model.relation(), mask)
+    found, _ = _controllable(model, mask)
     return {model.cells[sid] for sid in np.flatnonzero(found)}
 
 
@@ -109,12 +109,10 @@ def safety_fixpoint(model: SymbolicModel, safe: AbstractSafeSet) -> SafetyContro
 
     An empty domain is a legal outcome (the safe set is not controllable at
     this coarseness), not an error.  Each sweep is one cpre over the
-    successor sets of the safe cells; a lazy model computes those sets in
-    one pass and never expands a cell outside the safe set.
+    model's successor sets.
     """
     start = time.perf_counter()
     safe_ids = sorted({model.state_id(cell) for cell in safe.cells})
-    relation = model.relation(safe_ids)
     safe_mask = np.zeros(model.n_states, bool)
     safe_mask[safe_ids] = True
     current = safe_mask
@@ -122,7 +120,7 @@ def safety_fixpoint(model: SymbolicModel, safe: AbstractSafeSet) -> SafetyContro
     iterations = 0
     while True:
         iterations += 1
-        found, good = _controllable(model, relation, current)
+        found, good = _controllable(model, current)
         nxt = found & safe_mask
         history.append(int(nxt.sum()))
         if (nxt == current).all():
@@ -133,7 +131,7 @@ def safety_fixpoint(model: SymbolicModel, safe: AbstractSafeSet) -> SafetyContro
 
     # at the fixed point, the good pairs of domain cells are the admissible
     admissible: dict[tuple[int, ...], tuple[int, ...]] = {}
-    kept = relation[0][good]
+    kept = np.flatnonzero(good)
     kept = kept[current[model.pair_state[kept]]]
     for sid, uid in zip(model.pair_state[kept].tolist(),
                         model.pair_input[kept].tolist()):
@@ -192,10 +190,7 @@ class Plan:
         arr.setflags(write=False)
         object.__setattr__(self, "inputs", arr)
         for uid, hold in self.steps:
-            if hold < 1:
-                raise ValueError("hold counts must be positive")
-            if not (0 <= uid < len(arr)):
-                raise ValueError(f"input index {uid} out of range")
+            _check_step(uid, hold, len(arr))
 
     @property
     def total_steps(self) -> int:
@@ -206,6 +201,18 @@ class Plan:
         for uid, hold in self.steps:
             for _ in range(hold):
                 yield uid
+
+
+def _check_input_id(uid: int, n_inputs: int, where: str = ""):
+    if not 0 <= uid < n_inputs:
+        raise ValueError(f"{where}input index {uid} out of range "
+                         f"({n_inputs} inputs)")
+
+
+def _check_step(uid: int, hold: int, n_inputs: int, where: str = ""):
+    if hold < 1:
+        raise ValueError(f"{where}hold counts must be positive")
+    _check_input_id(uid, n_inputs, where)
 
 
 def _compress(uids) -> tuple[tuple[int, int], ...]:
@@ -439,7 +446,11 @@ def save_controller(ctrl: SafetyController, path):
 
 
 def load_controller(path, inputs) -> SafetyController:
-    """Read a controller file; ``inputs`` supplies the input-vector table."""
+    """Read a controller file; ``inputs`` supplies the input-vector table.
+
+    A line with no input ids, an id outside the table or a cell seen before
+    raises a ValueError naming the file and line.
+    """
     admissible: dict[tuple[int, ...], tuple[int, ...]] = {}
     with open(path) as fh:
         first = fh.readline().strip()
@@ -453,9 +464,17 @@ def load_controller(path, inputs) -> SafetyController:
                 _, rest = line.split(" ", 1)
                 levels, ids = rest.split(":")
                 cell = parse_cell(levels.strip())
-                admissible[cell] = tuple(int(v) for v in ids.split())
+                uids = tuple(int(v) for v in ids.split())
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: malformed line") from exc
+            where = f"{path}:{lineno}: "
+            if not uids:
+                raise ValueError(f"{where}no input ids")
+            if cell in admissible:
+                raise ValueError(f"{where}cell {format_cell(cell)} repeated")
+            for uid in uids:
+                _check_input_id(uid, len(inputs), where)
+            admissible[cell] = uids
     domain = tuple(sorted(admissible))
     return SafetyController(domain=domain, admissible=admissible,
                             inputs=np.asarray(inputs, float), iterations=0,
@@ -470,6 +489,7 @@ def save_plan(plan: Plan, path):
 
 
 def load_plan(path, inputs) -> Plan:
+    """Read a plan file; a bad line raises a ValueError naming it."""
     steps = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -477,8 +497,9 @@ def load_plan(path, inputs) -> Plan:
             if not line or line.startswith("#"):
                 continue
             try:
-                uid, hold = line.split()
-                steps.append((int(uid), int(hold)))
+                uid, hold = (int(v) for v in line.split())
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: malformed line") from exc
+            _check_step(uid, hold, len(inputs), f"{path}:{lineno}: ")
+            steps.append((uid, hold))
     return Plan(steps=tuple(steps), inputs=np.asarray(inputs, float))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import symquant as sq
+from symquant import abstraction
 from symquant.abstraction import SymbolicModel, _targets_many
 from symquant.errors import ConfigError, OutOfDomainError
 from conftest import targets_oracle
@@ -202,7 +203,7 @@ def test_vectorized_dedup_matches_scalar_signatures():
     # coarse mu several grid inputs share a class in every cell
     sys_ = sq.pendulum_system()
     cfg = sq.InputApproxConfig(mu=0.3, input_samples=51)
-    model = sq.build_abstraction(sys_, EDGE_LATTICE, cfg, lazy=True)
+    model = sq.build_abstraction(sys_, EDGE_LATTICE, cfg)
     grid = sq.input_grid(sys_, cfg.input_samples)
     mu_axis = cfg.mu_axis()
     pairs = 0
@@ -253,38 +254,45 @@ def test_inputs_stay_in_input_box(pendulum_scenario):
     assert (model.inputs >= lo).all() and (model.inputs <= hi).all()
 
 
-def test_lazy_equals_eager(pendulum_scenario):
-    sys_, lattice, eager = pendulum_scenario
-    lazy = sq.build_abstraction(sys_, lattice,
-                                sq.InputApproxConfig(0.002, 51), lazy=True)
-    # query a few cells first, then exhaustively
-    assert lazy.enabled_inputs((0, 0)) == eager.enabled_inputs((0, 0))
-    # the pairs of some cells, computed in one lazy pass, equal the eager
-    # arrays pair by pair
-    rows, ptr, targets = lazy.relation([0, 7, 12])
-    _, eager_ptr, eager_targets = eager.relation()
-    assert len(rows) > 0
-    for k, row in enumerate(rows):
-        assert np.array_equal(targets[ptr[k]:ptr[k + 1]],
-                              eager_targets[eager_ptr[row]:eager_ptr[row + 1]])
-    lazy.materialize()
-    for got, want in zip(lazy.relation(), eager.relation()):
-        assert np.array_equal(got, want)
-    assert np.array_equal(lazy.pair_ptr, eager.pair_ptr)
-    assert np.array_equal(lazy.pair_input, eager.pair_input)
-    assert lazy.cells == eager.cells
-    assert (lazy.inputs == eager.inputs).all()
-    for sid in range(eager.n_states):
-        assert lazy.enabled_ids(sid) == eager.enabled_ids(sid)
-        for uid in eager.enabled_ids(sid):
-            assert lazy.successor_ids(sid, uid) == eager.successor_ids(sid, uid)
+def test_lazy_equals_eager(pendulum_scenario, tmp_path):
+    # a fresh model computes its successor sets on the first query; its
+    # saved-and-loaded copy is given them; both answer every query alike
+    sys_, lattice, built = pendulum_scenario
+    built.save(tmp_path / "m.abs")
+    given = sq.load_abstraction(tmp_path / "m.abs")
+    computed = sq.build_abstraction(sys_, lattice,
+                                    sq.InputApproxConfig(0.002, 51))
+    assert computed.enabled_inputs((0, 0)) == given.enabled_inputs((0, 0))
+    assert computed.cells == given.cells
+    assert (computed.inputs == given.inputs).all()
+    assert list(computed.iter_transitions()) == list(given.iter_transitions())
+    assert computed.transition_count() == given.transition_count()
+    for sid in range(given.n_states):
+        assert computed.enabled_ids(sid) == given.enabled_ids(sid)
+        for uid in range(given.n_inputs):
+            assert (computed.successor_ids(sid, uid)
+                    == given.successor_ids(sid, uid))
 
 
-def test_threaded_build_matches_serial(pendulum_scenario):
-    sys_, lattice, serial = pendulum_scenario
-    threaded = sq.build_abstraction(sys_, lattice,
-                                    sq.InputApproxConfig(0.002, 51), threads=4)
-    assert list(threaded.iter_transitions()) == list(serial.iter_transitions())
+def test_successor_sets_computed_once_on_first_use(contracting_scenario,
+                                                   monkeypatch):
+    sys_, lattice, _ = contracting_scenario
+    passes = []
+
+    def counted(lattice, centers, nominal, lipschitz, tau):
+        passes.append(len(nominal))
+        return _targets_many(lattice, centers, nominal, lipschitz, tau)
+
+    monkeypatch.setattr(abstraction, "_targets_many", counted)
+    model = sq.build_abstraction(sys_, lattice,
+                                 sq.InputApproxConfig(0.002, 21))
+    assert passes == []
+    model.enabled_inputs((0, 0))
+    assert passes == [len(model.pair_input)]  # one pass over every pair
+    safe = sq.abstract_safe_set([-0.7, -0.7], [0.7, 0.7], lattice, model)
+    sq.safety_fixpoint(model, safe)
+    model.transition_count()
+    assert passes == [len(model.pair_input)]
 
 
 def test_containment_sampled(pendulum_scenario):

@@ -1,5 +1,7 @@
 """Scenario parsing, environment overrides, CLI workflows and exit codes."""
 
+import io
+import logging
 import os
 import re
 import subprocess
@@ -60,6 +62,26 @@ def test_config_errors_cite_location(tmp_path):
     with pytest.raises(ConfigError) as info:
         parse_config(malformed)
     assert "malformed.cfg:2" in str(info.value)
+
+
+def test_unknown_section_or_key_rejected(tmp_path, capsys):
+    with open(BUNDLED) as fh:
+        lines = fh.read().splitlines()
+    good = tmp_path / "good.cfg"  # with a known key of no effect
+    good.write_text("\n".join(lines + ["[run]", "threads = 2"]) + "\n")
+    assert parse_config(good).samples == 10000
+    typo = lines.index("samples = 10000")
+    for at, line in [(typo, "sample = 5"), (len(lines), "[verfy]"),
+                     (0, "tau = 0.2")]:
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("\n".join(lines[:at] + [line] + lines[at:]) + "\n")
+        with pytest.raises(ConfigError, match=rf"bad\.cfg:{at + 1}: unknown"):
+            parse_config(bad)
+    # the CLI names the typo and exits 2 instead of running 10k samples
+    bad.write_text("\n".join(lines[:typo] + ["sample = 5"] + lines[typo + 1:]))
+    assert cli.main(["verify", "--config", str(bad)]) == cli.EXIT_CONFIG
+    assert (f"bad.cfg:{typo + 1}: unknown key [verify] sample"
+            in capsys.readouterr().err)
 
 
 def _fast_cfg(tmp_path, **overrides):
@@ -236,8 +258,7 @@ def test_cli_rejects_bad_model_file(tmp_path, capsys, case):
 
 
 def test_cli_verbose_logs_phases(tmp_path):
-    # a fresh process: under pytest the root logger already has handlers,
-    # so the CLI's logging set-up would not take effect in-process
+    # the ``python -m symquant.cli`` entry point in a fresh process
     cfg = _fast_cfg(tmp_path)
     src = os.path.dirname(os.path.dirname(sq.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -257,6 +278,37 @@ def test_cli_verbose_logs_phases(tmp_path):
     assert re.search(r"^INFO symquant\.abstraction: targets: \d+ pairs, "
                      r"\d+ transitions, \d+\.\d+ s$", verbose_log, re.M)
     assert "symquant.abstraction: save: " in verbose_log
+
+
+def test_cli_verbose_in_process(tmp_path, capsys):
+    # a host whose root logger has a handler, and repeated calls
+    cfg = _fast_cfg(tmp_path)
+    host = logging.StreamHandler(io.StringIO())
+    logging.getLogger().addHandler(host)
+    try:
+        for flags in (["--verbose"], ["--verbose"], []):
+            assert cli.main(["abstract", "--config", cfg, "--out",
+                             str(tmp_path / "m.abs"), *flags]) == 0
+            err = capsys.readouterr().err
+            assert err.count("INFO symquant.abstraction: save: ") == len(flags)
+    finally:
+        logging.getLogger().removeHandler(host)
+    assert logging.getLogger("symquant").handlers == []
+
+
+def test_cli_lazy_and_threads_flags_change_nothing(tmp_path):
+    cfg = _fast_cfg(tmp_path)
+    runs = []
+    for flags in ([], ["--lazy", "--threads", "2"]):
+        files = {}
+        for command in ("abstract", "synthesize", "plan"):
+            out = tmp_path / command
+            assert cli.main([command, "--config", cfg, "--out", str(out),
+                             *flags]) == 0
+            files[command] = out.read_bytes()
+        files["summary"] = (tmp_path / "synthesize.summary").read_bytes()
+        runs.append(files)
+    assert runs[0] == runs[1]
 
 
 def test_cli_config_error_exit_code(tmp_path):
@@ -328,3 +380,37 @@ def test_cli_simulate_controller_mode(tmp_path):
     for line in lines[1:]:
         _, x1, x2 = line.split(",")[:3]
         assert abs(float(x1)) <= 0.7 and abs(float(x2)) <= 0.7
+
+
+@pytest.mark.parametrize("case", ["input_99", "input_minus_1", "no_inputs",
+                                  "repeated_cell", "plan_hold_0",
+                                  "plan_input_99"])
+def test_cli_simulate_rejects_bad_policy_file(tmp_path, capsys, case):
+    if case.startswith("plan"):
+        cfg = _fast_cfg(tmp_path)
+        path = tmp_path / "plan.txt"
+        assert cli.main(["plan", "--config", cfg, "--out", str(path)]) == 0
+        lines = path.read_text().splitlines()
+        uid, hold = lines[0].split()
+        lines[0] = f"{uid} 0" if case == "plan_hold_0" else f"99 {hold}"
+        at = 1
+    else:
+        cfg = _contracting_cfg(tmp_path)
+        path = tmp_path / "ctrl.txt"
+        assert cli.main(["synthesize", "--config", cfg, "--out",
+                         str(path)]) == 0
+        lines = path.read_text().splitlines()
+        cell = lines[1].split(":")[0]
+        if case == "repeated_cell":
+            lines.append(lines[1])
+            at = len(lines)
+        else:
+            ids = {"input_99": " 99", "input_minus_1": " -1", "no_inputs": ""}
+            lines[1] = cell + ":" + ids[case]
+            at = 2
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = cli.main(["simulate", "--config", cfg, "--in", str(path),
+                     "--out", str(tmp_path / "run.csv")])
+    assert code == cli.EXIT_BUILD
+    assert f"{path.name}:{at}: " in capsys.readouterr().err

@@ -116,16 +116,22 @@ def test_fixpoint_equals_oracle_on_random_models():
         assert set(ctrl.domain) == max_controlled_invariant(model, keep)
 
 
-def test_fixpoint_lazy_model_on_demand(pendulum_scenario):
-    sys_, lattice, eager = pendulum_scenario
-    lazy = sq.build_abstraction(sys_, lattice, sq.InputApproxConfig(0.002, 51),
-                                lazy=True)
-    safe = sq.abstract_safe_set([-1, -1], [1, 1], lattice, lazy)
-    ctrl = sq.safety_fixpoint(lazy, safe)
+def test_fixpoint_lazy_model_on_demand(pendulum_scenario, tmp_path):
+    # a fresh model, which computes its successor sets on the first query,
+    # and its saved-and-loaded copy, which is given them, reach the same
+    # fixed point
+    sys_, lattice, built = pendulum_scenario
+    built.save(tmp_path / "m.abs")
+    given = sq.load_abstraction(tmp_path / "m.abs")
+    fresh = sq.build_abstraction(sys_, lattice,
+                                 sq.InputApproxConfig(0.002, 51))
+    ctrl = sq.safety_fixpoint(
+        fresh, sq.abstract_safe_set([-1, -1], [1, 1], lattice, fresh))
     reference = sq.safety_fixpoint(
-        eager, sq.abstract_safe_set([-1, -1], [1, 1], lattice, eager))
+        given, sq.abstract_safe_set([-1, -1], [1, 1], lattice, given))
     assert ctrl.domain == reference.domain
     assert ctrl.history == reference.history
+    assert ctrl.admissible == reference.admissible
 
 
 def test_refine_controller_semantics(contracting_scenario):
