@@ -154,9 +154,7 @@ def _targets_many(lattice: LogLattice, centers: np.ndarray,
     radius = growth_radius(centers, lattice.shared_eta, lipschitz, tau)
     box_lo = nominal - radius
     box_hi = nominal + radius
-    ok = (np.isfinite(nominal).all(axis=1)
-          & (box_lo >= lattice.lo_array).all(axis=1)
-          & (box_hi <= lattice.hi_array).all(axis=1))
+    ok = lattice.contains_many(box_lo) & lattice.contains_many(box_hi)
     first = lattice.quantize_many(box_lo[ok])
     sizes = np.zeros(nominal.shape, np.int64)
     sizes[ok] = lattice.quantize_many(box_hi[ok]) - first + 1
@@ -372,7 +370,7 @@ def build_abstraction(sys: SampledSystem, lattice: LogLattice,
     start = time.perf_counter()
     grid = input_grid(sys, cfg.input_samples)
     n_cells, n_grid = len(cells), len(grid)
-    centers = np.array([lattice.center(c) for c in cells])
+    centers = lattice.geometry()[0]
 
     # one batched integration for every (cell center, grid input) pair
     stacked_x = np.repeat(centers, n_grid, axis=0)

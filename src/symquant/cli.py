@@ -23,7 +23,7 @@ import sys as _sys
 from importlib import resources
 
 from . import abstraction, refinement, synthesis
-from .config import ScenarioConfig, parse_config
+from .config import KEYS, REQUIRED, ScenarioConfig, check_value, parse_config
 from .errors import ConfigError, OutOfDomainError, PlanningError
 from .quantizer import format_cell
 
@@ -93,9 +93,11 @@ def _cmd_synthesize(args, cfg: ScenarioConfig) -> int:
 
 
 def _cmd_verify(args, cfg: ScenarioConfig) -> int:
-    model, sys_ = _build_or_load(args, cfg)
+    check_value("verify", "samples", args.samples, "--samples")
+    check_value("verify", "seed", args.seed, "--seed")
     samples = args.samples if args.samples is not None else cfg.samples
     seed = args.seed if args.seed is not None else cfg.seed
+    model, sys_ = _build_or_load(args, cfg)
     report = refinement.check_feedback_refinement(model, sys_, samples, seed)
     summary = "\n".join(report.summary_lines())
     if args.out:
@@ -131,7 +133,8 @@ def _cmd_simulate(args, cfg: ScenarioConfig) -> int:
     if cfg.sim_x0 is None:
         raise ConfigError(f"{cfg.path}: [simulate] x0 is required")
     if cfg.sim_policy == "controller":
-        controller = synthesis.load_controller(args.infile, model.inputs)
+        controller = synthesis.load_controller(args.infile, model.inputs,
+                                               model.lattice)
         policy = synthesis.refine_controller(controller, model.lattice)
     else:
         policy = synthesis.load_plan(args.infile, model.inputs)
@@ -166,31 +169,29 @@ _COMMANDS = {
 }
 
 
-_CONFIG_REFERENCE = """\
-scenario file keys (section.key = default):
-  system.name = pendulum        system.tau = 0.2
-  system.lipschitz = <system>   system.integrator_steps = 10
-  system.input_lo/_hi = <system>
-  quantizer.variant = value_anchored   quantizer.eta (required, in (0,1))
-  quantizer.scale (required, per axis) quantizer.state_lo/_hi (required)
-  abstraction.mu (required, in (0,1))  abstraction.input_samples = 51
-  abstraction.lazy (accepted, no effect)
-  synthesis.safe_lo/_hi = state box
-  verify.samples = 10000        verify.seed = 0
-  run.threads (accepted, no effect)
-  plan.start, plan.goals (cells as comma-separated levels; goals ;-separated)
-  plan.relaxed = false          plan.grid_resolution = 0.02
-  plan.max_segment_steps = 200
-  simulate.x0, simulate.max_steps = 100, simulate.policy = controller
-environment overrides: SYMQUANT_<SECTION>__<KEY>
-"""
+def _config_reference() -> str:
+    """The --help epilog: every scenario key with its default."""
+    def shown(row):
+        if row.field is None:
+            return "(accepted, no effect)"
+        if row.default is REQUIRED:
+            return "(required)"
+        if row.default in (None, ()):
+            return "(unset)"
+        return str(getattr(row.default, "value", row.default)).lower()
+    return "\n".join(
+        ["scenario file keys (section.key = default):"]
+        + [f"  {row.section}.{row.key} = {shown(row)}" for row in KEYS]
+        + ["(unset): the system's own lipschitz and input box, the state box "
+           "for the safe box, else no value",
+           "environment overrides: SYMQUANT_<SECTION>__<KEY>"]) + "\n"
 
 
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="symquant",
         formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog=_CONFIG_REFERENCE,
+        epilog=_config_reference(),
         description="Symbolic abstraction and safety synthesis for sampled "
                     "nonlinear systems via logarithmic quantization.")
     sub = parser.add_subparsers(dest="command", required=True)

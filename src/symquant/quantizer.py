@@ -180,11 +180,15 @@ class LogQuantizerAxis:
         return np.where(z < 0, -m, m)
 
 
+def _frozen(values) -> np.ndarray:
+    arr = np.array(values, float)
+    arr.setflags(write=False)
+    return arr
+
+
 @functools.lru_cache(maxsize=256)
 def _boundary_table(axis: LogQuantizerAxis, count: int) -> np.ndarray:
-    table = np.array([axis.boundary(m) for m in range(1, count + 1)])
-    table.setflags(write=False)
-    return table
+    return _frozen([axis.boundary(m) for m in range(1, count + 1)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,12 +276,17 @@ class LogLattice:
             neg_max.append(self._max_level(axis, -lo[i]))
         object.__setattr__(self, "_pos_max", tuple(pos_max))
         object.__setattr__(self, "_neg_max", tuple(neg_max))
-        lo_arr = np.array(lo, float)
-        hi_arr = np.array(hi, float)
-        lo_arr.setflags(write=False)
-        hi_arr.setflags(write=False)
-        object.__setattr__(self, "lo_array", lo_arr)
-        object.__setattr__(self, "hi_array", hi_arr)
+        object.__setattr__(self, "lo_array", _frozen(lo))
+        object.__setattr__(self, "hi_array", _frozen(hi))
+        # per axis, the values of the valid levels -n..p and the edges of
+        # their clipped cells, [lo, -b(n), ..., -b(1), b(1), ..., b(p), hi]
+        object.__setattr__(self, "_centers", tuple(
+            _frozen([axis.level_value(m) for m in range(-n, p + 1)])
+            for axis, n, p in zip(axes, neg_max, pos_max)))
+        object.__setattr__(self, "_edges", tuple(
+            _frozen([a, *(-axis.boundary(m) for m in range(n, 0, -1)),
+                     *(axis.boundary(m) for m in range(1, p + 1)), b])
+            for axis, n, p, a, b in zip(axes, neg_max, pos_max, lo, hi)))
 
     @staticmethod
     def _max_level(axis: LogQuantizerAxis, limit: float) -> int:
@@ -327,32 +336,36 @@ class LogLattice:
     def center(self, idx) -> np.ndarray:
         """Quantized value (lattice point) of a cell."""
         self.check_index(idx)
-        return np.array([axis.level_value(m) for axis, m in zip(self.axes, idx)])
+        return np.array([values[m + n] for values, m, n
+                         in zip(self._centers, idx, self._neg_max)])
 
     def cell_box(self, idx) -> Box:
-        """Clipped cell geometry with per-face openness metadata."""
+        """Clipped cell geometry with per-face openness metadata: positive
+        levels are left-open, negative ones right-open, the deadzone
+        closed."""
         self.check_index(idx)
-        lo, hi, lo_open, hi_open = [], [], [], []
-        for i, (axis, m) in enumerate(zip(self.axes, idx)):
-            pos_max, neg_max = self._pos_max[i], self._neg_max[i]
-            if m == 0:
-                dz = axis.deadzone
-                lo.append(-dz if neg_max > 0 else self.lo[i])
-                hi.append(dz if pos_max > 0 else self.hi[i])
-                lo_open.append(False)
-                hi_open.append(False)
-            elif m > 0:
-                lo.append(axis.boundary(m))
-                hi.append(axis.boundary(m + 1) if m < pos_max else self.hi[i])
-                lo_open.append(True)
-                hi_open.append(False)
-            else:
-                mm = -m
-                lo.append(-axis.boundary(mm + 1) if mm < neg_max else self.lo[i])
-                hi.append(-axis.boundary(mm))
-                lo_open.append(False)
-                hi_open.append(True)
-        return Box(lo, hi, lo_open, hi_open)
+        j = [m + n for m, n in zip(idx, self._neg_max)]
+        levels = np.asarray(idx)
+        return Box([e[k] for e, k in zip(self._edges, j)],
+                   [e[k + 1] for e, k in zip(self._edges, j)],
+                   levels > 0, levels < 0)
+
+    def geometry(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Centers, lower corners and upper corners of every cell, as
+        ``(cells, dim)`` arrays in :meth:`enumerate_cells` order; row k
+        equals ``center(c)``, ``cell_box(c).lo`` and ``cell_box(c).hi`` of
+        the k-th cell."""
+        j = np.indices(self.shape).reshape(self.dim, -1)
+        return tuple(np.column_stack([table[i][j[i] + shift]
+                                      for i in range(self.dim)])
+                     for table, shift in ((self._centers, 0), (self._edges, 0),
+                                          (self._edges, 1)))
+
+    def contains_many(self, pts) -> np.ndarray:
+        """Whether each row of ``pts`` lies in the closed bounds box; rows
+        holding NaN or an infinity never do."""
+        pts = np.asarray(pts, float)
+        return ((pts >= self.lo_array) & (pts <= self.hi_array)).all(axis=1)
 
     def quantize(self, x) -> tuple[int, ...]:
         """Cell index of a point inside the bounds box.

@@ -132,13 +132,9 @@ def check_feedback_refinement(model: SymbolicModel, sys: SampledSystem,
     first_enabled = np.cumsum(per_state) - per_state
 
     rng = np.random.default_rng(seed)
-    boxes = [lattice.cell_box(model.cells[sid]) for sid in nonblocking]
-    box_lo = np.array([box.lo for box in boxes])
-    box_hi = np.array([box.hi for box in boxes])
-
-    picks = rng.integers(len(nonblocking), size=sample_count)
-    xs = rng.uniform(box_lo[picks], box_hi[picks])
-    sids = nonblocking[picks]
+    _, box_lo, box_hi = lattice.geometry()  # state ids are lattice cell ids
+    sids = nonblocking[rng.integers(len(nonblocking), size=sample_count)]
+    xs = rng.uniform(box_lo[sids], box_hi[sids])
     # one draw per sample, in sample order, as a loop of scalar draws would
     pairs = enabled[first_enabled[sids] + rng.integers(per_state[sids])]
     uids = model.pair_input[pairs]
@@ -151,9 +147,7 @@ def check_feedback_refinement(model: SymbolicModel, sys: SampledSystem,
     report.condition1_failures = [
         (model.cells[sid], uid)
         for sid, uid in zip(sids[~in_box].tolist(), uids[~in_box].tolist())]
-    inside = (np.isfinite(succ).all(axis=1)
-              & (succ >= lattice.lo_array).all(axis=1)
-              & (succ <= lattice.hi_array).all(axis=1))
+    inside = lattice.contains_many(succ)
     levels = lattice.quantize_many(np.where(inside[:, None], succ, 0.0))
     # a pair's targets ascend, so the (pair, target) keys are sorted
     n = model.n_states
@@ -204,11 +198,11 @@ def abstract_safe_set(safe_lo, safe_hi, lattice: LogLattice,
     safe_hi = np.atleast_1d(np.asarray(safe_hi, float))
     if safe_lo.shape != (lattice.dim,) or safe_hi.shape != (lattice.dim,):
         raise ValueError("safe box dimension does not match the lattice")
-    cells = []
-    inputs: set[int] = set()
-    for cell in model.cells:
-        box = lattice.cell_box(cell)
-        if (box.lo >= safe_lo).all() and (box.hi <= safe_hi).all():
-            cells.append(cell)
-            inputs.update(model.enabled_inputs(cell))
-    return AbstractSafeSet(cells=tuple(cells), inputs=tuple(sorted(inputs)))
+    _, lo, hi = lattice.geometry()
+    ids = lattice.cell_ids(model.cells)
+    inside = (lo[ids] >= safe_lo).all(axis=1) & (hi[ids] <= safe_hi).all(axis=1)
+    ptr, _ = model.relation()
+    enabled = (ptr[1:] > ptr[:-1]) & inside[model.pair_state]
+    return AbstractSafeSet(
+        cells=tuple(model.cells[sid] for sid in np.flatnonzero(inside)),
+        inputs=tuple(np.unique(model.pair_input[enabled]).tolist()))

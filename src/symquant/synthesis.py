@@ -298,10 +298,7 @@ def _rollout_segment(sys: SampledSystem, lattice: LogLattice,
         stacked_x = np.repeat(frontier, n_inputs, axis=0)
         stacked_u = np.tile(inputs, (n_front, 1))
         succ = successor_many(sys, stacked_x, stacked_u)
-        ok = (np.isfinite(succ).all(axis=1)
-              & (succ >= lattice.lo_array).all(axis=1)
-              & (succ <= lattice.hi_array).all(axis=1))
-        rows = np.nonzero(ok)[0]
+        rows = np.nonzero(lattice.contains_many(succ))[0]
         if rows.size == 0:
             return None
         codes = dedup.codes(succ[rows])
@@ -407,8 +404,7 @@ def simulate_closed_loop(sys: SampledSystem, policy, x0, max_steps: int,
             states.append(x.copy())
         dim_u = sys.dim_u
     elif isinstance(policy, Plan):
-        if lattice is not None and not (
-                (x >= lattice.lo_array).all() and (x <= lattice.hi_array).all()):
+        if lattice is not None and not lattice.contains_many(x[None])[0]:
             raise OutOfDomainError(f"initial state {x!r} outside the lattice bounds")
         full = list(policy.input_indices())
         schedule = full[:max_steps]
@@ -418,8 +414,7 @@ def simulate_closed_loop(sys: SampledSystem, policy, x0, max_steps: int,
             x = successor(sys, x, u)
             applied.append(np.atleast_1d(u))
             states.append(x.copy())
-            if lattice is not None and not (
-                    (x >= lattice.lo_array).all() and (x <= lattice.hi_array).all()):
+            if lattice is not None and not lattice.contains_many(x[None])[0]:
                 terminated = "out_of_domain"
                 break
         dim_u = policy.inputs.shape[1]
@@ -445,11 +440,12 @@ def save_controller(ctrl: SafetyController, path):
             fh.write(f"cell {format_cell(cell)} : {ids}\n")
 
 
-def load_controller(path, inputs) -> SafetyController:
-    """Read a controller file; ``inputs`` supplies the input-vector table.
+def load_controller(path, inputs, lattice: LogLattice) -> SafetyController:
+    """Read a controller file over an input table and a lattice.
 
-    A line with no input ids, an id outside the table or a cell seen before
-    raises a ValueError naming the file and line.
+    A line with no input ids, ids not strictly ascending, an id outside the
+    table, a cell not of the lattice or a cell seen before raises a
+    ValueError naming the file and line.
     """
     admissible: dict[tuple[int, ...], tuple[int, ...]] = {}
     with open(path) as fh:
@@ -470,8 +466,14 @@ def load_controller(path, inputs) -> SafetyController:
             where = f"{path}:{lineno}: "
             if not uids:
                 raise ValueError(f"{where}no input ids")
+            if any(a >= b for a, b in zip(uids, uids[1:])):
+                raise ValueError(f"{where}input ids must strictly ascend")
             if cell in admissible:
                 raise ValueError(f"{where}cell {format_cell(cell)} repeated")
+            try:
+                lattice.check_index(cell)
+            except OutOfDomainError as exc:
+                raise ValueError(f"{where}{exc}") from None
             for uid in uids:
                 _check_input_id(uid, len(inputs), where)
             admissible[cell] = uids

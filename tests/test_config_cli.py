@@ -383,8 +383,9 @@ def test_cli_simulate_controller_mode(tmp_path):
 
 
 @pytest.mark.parametrize("case", ["input_99", "input_minus_1", "no_inputs",
-                                  "repeated_cell", "plan_hold_0",
-                                  "plan_input_99"])
+                                  "ids_descending", "ids_repeated",
+                                  "not_a_cell", "repeated_cell",
+                                  "plan_hold_0", "plan_input_99"])
 def test_cli_simulate_rejects_bad_policy_file(tmp_path, capsys, case):
     if case.startswith("plan"):
         cfg = _fast_cfg(tmp_path)
@@ -404,8 +405,12 @@ def test_cli_simulate_rejects_bad_policy_file(tmp_path, capsys, case):
         if case == "repeated_cell":
             lines.append(lines[1])
             at = len(lines)
+        elif case == "not_a_cell":
+            lines[1] = "cell 99,99 : 0"
+            at = 2
         else:
-            ids = {"input_99": " 99", "input_minus_1": " -1", "no_inputs": ""}
+            ids = {"input_99": " 99", "input_minus_1": " -1", "no_inputs": "",
+                   "ids_descending": " 1 0", "ids_repeated": " 2 2"}
             lines[1] = cell + ":" + ids[case]
             at = 2
     path.write_text("\n".join(lines) + "\n")
@@ -414,3 +419,72 @@ def test_cli_simulate_rejects_bad_policy_file(tmp_path, capsys, case):
                      "--out", str(tmp_path / "run.csv")])
     assert code == cli.EXIT_BUILD
     assert f"{path.name}:{at}: " in capsys.readouterr().err
+
+
+def _with_line(path, section, line):
+    """Rewrite a scenario so that ``line`` sets its key in ``section``
+    (replacing the key's line, or right after the header); returns the
+    1-based number of that line."""
+    lines = open(path).read().splitlines()
+    key = line.split("=")[0].strip()
+    at = lines.index(f"[{section}]") + 1
+    while at < len(lines) and not lines[at].startswith("["):
+        if lines[at].split("=")[0].strip() == key:
+            break
+        at += 1
+    else:
+        at = lines.index(f"[{section}]") + 1
+        lines.insert(at, "")
+    lines[at] = line
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return at + 1
+
+
+@pytest.mark.parametrize("section,line", [
+    ("plan", "max_segment_steps = 0"),
+    ("plan", "max_segment_steps = -3"),
+    ("verify", "seed = -1"),
+    ("simulate", "x0 = 0.1"),
+    ("simulate", "x0 = 0.1 0.2 0.3"),
+    ("plan", "start = -1"),
+    ("plan", "goals = 0,0 ; -1,0,0"),
+])
+def test_config_rejects_values_that_fail_later(tmp_path, capsys, section,
+                                               line):
+    cfg = _fast_cfg(tmp_path)
+    at = _with_line(cfg, section, line)
+    for command in ("abstract", "plan", "verify"):
+        code = cli.main([command, "--config", cfg, "--out",
+                         str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        assert f"scenario.cfg:{at}: [{section}] " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [("--samples", "-5"), ("--seed", "-2")])
+def test_cli_verify_rejects_negative_flag(tmp_path, capsys, flag, value):
+    cfg = _fast_cfg(tmp_path)
+    code = cli.main(["verify", "--config", cfg, flag, value])
+    assert code == cli.EXIT_CONFIG
+    assert f"configuration error: {flag}: " in capsys.readouterr().err
+    # zero stays valid for both
+    assert cli.main(["verify", "--config", cfg, flag, "0"]) == 0
+
+
+def test_readme_and_help_list_every_key(capsys):
+    from symquant.config import KEYS
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                          "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    table = text[text.index("| Section | Key |"):].split("\n\n")[0]
+    listed = [(section.strip(), key.strip())
+              for row in table.splitlines()[2:]
+              for section, keys in [row.strip("|").split("|")[:2]]
+              for key in keys.split("/")]
+    assert sorted(listed) == sorted((row.section, row.key) for row in KEYS)
+    with pytest.raises(SystemExit):
+        cli.main(["--help"])
+    printed = capsys.readouterr().out
+    for row in KEYS:
+        assert f"  {row.section}.{row.key} = " in printed

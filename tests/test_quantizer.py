@@ -261,3 +261,44 @@ def test_vectorized_levels_match_scalar_quantize():
     cells = lattice.enumerate_cells()
     assert [cells[i] for i in ids] == lattice.cells_of(ids)
     assert lattice.cell_ids(np.array(cells)).tolist() == list(range(len(cells)))
+
+
+def test_geometry_tables_match_per_cell_geometry():
+    dz = VALUE_AXIS.deadzone  # the first level's value is 0.4
+    lattices = [
+        edge_lattice_2d(),  # the bundled scenario's lattice
+        sq.LogLattice.from_params(0.2, [0.4, 0.3], [-0.55, -1.7], [1.0, 0.9],
+                                  "value_anchored"),
+        # no negative levels on axis 0, no positive levels on axis 1
+        sq.LogLattice.from_params(0.2, [0.4, 0.4], [-0.35, -1.0], [1.0, 0.35],
+                                  "value_anchored"),
+        sq.LogLattice.from_params(0.2, [0.4], [-dz], [dz], "value_anchored"),
+        sq.LogLattice.from_params(0.25, [0.2] * 3, [-1] * 3, [0.6, 1, 0.3],
+                                  "edge_anchored"),
+    ]
+    for lattice in lattices:
+        centers, lo, hi = lattice.geometry()
+        cells = lattice.enumerate_cells()
+        assert centers.shape == lo.shape == hi.shape == (len(cells),
+                                                         lattice.dim)
+        for k, cell in enumerate(cells):
+            box = lattice.cell_box(cell)
+            assert centers[k].tolist() == lattice.center(cell).tolist()
+            assert lo[k].tolist() == box.lo.tolist()
+            assert hi[k].tolist() == box.hi.tolist()
+            levels = np.array(cell)
+            assert (box.lo_open == (levels > 0)).all()
+            assert (box.hi_open == (levels < 0)).all()
+        # the outer cells reach the bounds
+        assert lo.min(axis=0).tolist() == list(lattice.lo)
+        assert hi.max(axis=0).tolist() == list(lattice.hi)
+    assert list(lattices[2].axis_levels(0))[0] == 0
+    assert list(lattices[2].axis_levels(1))[-1] == 0
+
+
+def test_contains_many_rejects_nonfinite_rows():
+    lattice = edge_lattice_2d()
+    pts = np.array([[0.0, 0.0], [1.0, -1.0], [1.0, 1.5], [math.nan, 0.0],
+                    [0.0, math.inf], [-math.inf, 0.0], [math.nan, math.nan]])
+    assert lattice.contains_many(pts).tolist() == [True, True, False, False,
+                                                   False, False, False]

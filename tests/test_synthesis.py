@@ -279,7 +279,7 @@ def test_controller_save_load_roundtrip(contracting_scenario, tmp_path):
     ctrl = sq.safety_fixpoint(model, safe)
     path = tmp_path / "controller.txt"
     sq.save_controller(ctrl, path)
-    loaded = sq.load_controller(path, model.inputs)
+    loaded = sq.load_controller(path, model.inputs, lattice)
     assert loaded.domain == ctrl.domain
     assert loaded.admissible == ctrl.admissible
 
