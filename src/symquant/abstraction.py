@@ -22,7 +22,6 @@ of the relation.
 
 from __future__ import annotations
 
-import io
 import itertools
 import logging
 import time
@@ -49,7 +48,8 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 FORMAT_VERSION = 1
-_SAVE_ROWS = 1 << 14
+_CHUNK = 1 << 14  # transitions per chunk of enumeration, saving and walks
+_BLOCK = 1 << 14  # characters per block of a model file read
 
 
 @dataclass(frozen=True)
@@ -141,6 +141,16 @@ def transition_targets(cell, u, sys: SampledSystem,
     return tuple(lattice.cells_of(ids))
 
 
+def _pair_chunks(ptr):
+    """Consecutive pair ranges ``(a, b)`` of the CSR offsets ``ptr``, each
+    with at most ``_CHUNK`` transitions; a larger pair is a range alone."""
+    a = 0
+    while a < len(ptr) - 1:
+        b = max(a + 1, int(np.searchsorted(ptr, ptr[a] + _CHUNK, "right")) - 1)
+        yield a, b
+        a = b
+
+
 def _targets_many(lattice: LogLattice, centers: np.ndarray,
                   nominal: np.ndarray, lipschitz: float, tau: float):
     """Successor sets of many (cell center, nominal successor) rows as CSR
@@ -158,36 +168,50 @@ def _targets_many(lattice: LogLattice, centers: np.ndarray,
     first = lattice.quantize_many(box_lo[ok])
     sizes = np.zeros(nominal.shape, np.int64)
     sizes[ok] = lattice.quantize_many(box_hi[ok]) - first + 1
+    base = np.zeros(len(nominal), np.int64)
+    base[ok] = lattice.cell_ids(first)
     counts = sizes.prod(axis=1)
     offsets = np.concatenate(([0], np.cumsum(counts)))
-    # mixed-radix walk over each box: the last axis varies fastest
-    local = np.arange(offsets[-1]) - np.repeat(offsets[:-1], counts)
-    ids = np.repeat(lattice.cell_ids(first), counts[ok])
-    stride = 1
-    for i in reversed(range(lattice.dim)):
-        size = np.repeat(sizes[ok, i], counts[ok])
-        ids += local % size * stride
-        local //= size
-        stride *= lattice.shape[i]
+    ids = np.empty(offsets[-1], np.int64)
+    # mixed-radix walk over each box, the last axis varying fastest, one
+    # chunk of pairs at a time
+    for a, b in _pair_chunks(offsets):
+        n = counts[a:b]
+        out = ids[offsets[a]:offsets[b]]
+        out[:] = np.repeat(base[a:b], n)
+        local = np.arange(len(out)) - np.repeat(offsets[a:b] - offsets[a], n)
+        stride = 1
+        for i in reversed(range(lattice.dim)):
+            size = np.repeat(sizes[a:b, i], n)
+            out += local % size * stride
+            local //= size
+            stride *= lattice.shape[i]
     return offsets, ids
 
 
-def _pack(src, uid, dst, n_states: int, n_inputs: int):
-    """Candidate pairs and CSR relation of explicit transitions: returns
-    ``(pair_ptr, pair_input, (offsets, targets))``.  Repeated transitions
-    count once."""
-    src, uid, dst = (np.asarray(a, np.int64) for a in (src, uid, dst))
-    if ((src < 0) | (src >= n_states) | (dst < 0) | (dst >= n_states)
-            | (uid < 0) | (uid >= n_inputs)).any():
-        raise ValueError("transition names an unknown state or input")
-    key = (src * n_inputs + uid) * n_states + dst
-    if not (np.diff(key) > 0).all():
+def _key(table, n_states: int, n_inputs: int):
+    """Keys ``(src * n_inputs + uid) * n_states + dst`` of ``src dst uid``
+    rows, and the first row that names an unknown state or input, or -1."""
+    bad = np.flatnonzero(((table < 0) | (table >= [n_states, n_states,
+                                                   n_inputs])).any(axis=1))
+    key = (table[:, 0] * n_inputs + table[:, 2]) * n_states + table[:, 1]
+    return key, (int(bad[0]) if bad.size else -1)
+
+
+def _pack(key, n_states: int, n_inputs: int):
+    """Candidate pairs and CSR relation of transition keys (see
+    :func:`_key`): returns ``(pair_ptr, pair_input, (offsets, targets))``.
+    Repeated transitions count once; the targets overwrite ``key``."""
+    if not (key[1:] > key[:-1]).all():
         key = np.unique(key)
-    pair_key, dst = np.divmod(key, n_states)
-    starts = np.flatnonzero(np.diff(pair_key, prepend=-1))
+    pair_key = key // n_states
+    np.remainder(key, n_states, out=key)
+    new = np.ones(len(key), bool)
+    np.not_equal(pair_key[1:], pair_key[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
     pair_state, pair_input = np.divmod(pair_key[starts], n_inputs)
     pair_ptr = np.searchsorted(pair_state, np.arange(n_states + 1))
-    return pair_ptr, pair_input, (np.append(starts, len(key)), dst)
+    return pair_ptr, pair_input, (np.append(starts, len(key)), key)
 
 
 class SymbolicModel:
@@ -304,19 +328,23 @@ class SymbolicModel:
     def is_blocking(self, cell) -> bool:
         return not self.enabled_inputs(cell)
 
-    def _triples(self):
-        """Source, target and input id of every transition, sorted."""
+    def _transitions(self):
+        """Source, target and input ids of every transition, sorted, in
+        chunks of about ``_CHUNK``."""
         ptr, targets = self.relation()
-        counts = np.diff(ptr)
-        return (np.repeat(self.pair_state, counts), targets,
-                np.repeat(self.pair_input, counts))
+        for a, b in _pair_chunks(ptr):
+            counts = np.diff(ptr[a:b + 1])
+            yield (np.repeat(self.pair_state[a:b], counts),
+                   targets[ptr[a]:ptr[b]],
+                   np.repeat(self.pair_input[a:b], counts))
 
     def transition_count(self) -> int:
         return len(self.relation()[1])
 
     def iter_transitions(self):
         """Yield (src id, dst id, input id) sorted."""
-        yield from zip(*(a.tolist() for a in self._triples()))
+        for chunk in self._transitions():
+            yield from zip(*(a.tolist() for a in chunk))
 
     def summary(self) -> dict:
         return {
@@ -337,10 +365,12 @@ class SymbolicModel:
         stored successors, so loaded/hand-built models have
         enabled == candidates.
         """
-        triples = np.array([(s, u, d) for (s, u), dsts in successors.items()
-                            for d in dsts], np.int64).reshape(-1, 3)
-        pair_ptr, pair_input, relation = _pack(*triples.T, len(cells),
-                                               len(inputs))
+        table = np.array([(s, d, u) for (s, u), dsts in successors.items()
+                          for d in dsts], np.int64).reshape(-1, 3)
+        key, bad = _key(table, len(cells), len(inputs))
+        if bad >= 0:
+            raise ValueError("transition names an unknown state or input")
+        pair_ptr, pair_input, relation = _pack(key, len(cells), len(inputs))
         return cls(cells, inputs, pair_ptr, pair_input, lattice=lattice,
                    tau=tau, eta=eta, mu=mu, lipschitz=lipschitz,
                    system=system, relation=relation)
@@ -406,7 +436,6 @@ def save_abstraction(model: SymbolicModel, path):
     if len(variants) != 1:
         raise ValueError("mixed-variant lattices are not serializable")
     variant = next(iter(variants)).value
-    table = np.column_stack(model._triples())
     start = time.perf_counter()
     with open(path, "w") as fh:
         fh.write(f"#version {FORMAT_VERSION}\n")
@@ -418,24 +447,88 @@ def save_abstraction(model: SymbolicModel, path):
             repr(float(model.tau)), repr(float(model.eta)),
             repr(float(model.mu)), repr(float(model.lipschitz))))
         # one format operation per chunk bounds the transient Python ints
-        for chunk in np.split(table, range(_SAVE_ROWS, len(table), _SAVE_ROWS)):
-            fh.write(("%d %d %d\n" * len(chunk)) % tuple(chunk.ravel().tolist()))
+        for chunk in model._transitions():
+            fh.write(("%d %d %d\n" * len(chunk[0]))
+                     % tuple(np.column_stack(chunk).ravel().tolist()))
         for uid in range(model.n_inputs):
             fh.write("input %d %s\n" % (uid, " ".join(
                 repr(float(v)) for v in model.inputs[uid])))
         for sid, cell in enumerate(model.cells):
             fh.write(f"state {sid} {format_cell(cell)}\n")
-    logger.info("save: %d transitions, %.3f s", len(table),
+    logger.info("save: %d transitions, %.3f s", model.transition_count(),
                 time.perf_counter() - start)
 
 
-def _malformed(line: str) -> bool:
-    """Whether a transition line is not three int64 values."""
+def _table(lines):
+    """The int64 table of ``src dst uid`` lines; None if one is malformed."""
+    if not any(map(str.strip, lines)):
+        return None  # all blank, which np.loadtxt would warn about
     try:
-        values = [int(part) for part in line.split()]
+        table = np.loadtxt(lines, np.int64, comments=None, ndmin=2)
     except ValueError:
-        return True
-    return len(values) != 3 or any(abs(v) >= 2 ** 63 for v in values)
+        return None
+    return table if table.shape == (len(lines), 3) else None
+
+
+def _blocks(fh, carry=""):
+    """The rest of an open file after ``carry``, in blocks of whole lines of
+    about ``_BLOCK`` characters, each ending in a newline."""
+    while read := fh.read(_BLOCK):
+        block = carry + read
+        cut = block.rfind("\n") + 1
+        block, carry = block[:cut], block[cut:]
+        if block:
+            yield block
+    if carry:
+        yield carry.rstrip("\n") + "\n"
+
+
+def _scan(path):
+    """The header lines of a model file, its number of transition lines and
+    the lines from the first that starts with ``input `` or ``state ``."""
+    head, n_body, tail = [], 0, []
+    with open(path) as fh:
+        line = fh.readline()
+        while line.startswith("#"):
+            head.append(line.rstrip("\n"))
+            line = fh.readline()
+        for block in _blocks(fh, line):
+            if not tail:
+                found = [i for i in map(("\n" + block).find,
+                                        ("\ninput ", "\nstate ")) if i >= 0]
+                end = min(found, default=len(block))
+                n_body += block.count("\n", 0, end)
+                block = block[end:]
+            tail += block.splitlines()
+    return head, n_body, tail
+
+
+def _read_transitions(path, n_head: int, n_body: int, n_states: int,
+                      n_inputs: int):
+    """Keys (see :func:`_key`) of a model file's transition lines, parsed a
+    block at a time, and the index of the first line that names an unknown
+    state or input (-1 if none); a malformed line raises."""
+    keys = np.empty(n_body, np.int64)
+    done, bad = 0, -1
+    with open(path) as fh:
+        for _ in range(n_head):
+            fh.readline()
+        for block in _blocks(fh):
+            lines = block[:-1].split("\n")[:n_body - done]
+            if not lines:
+                break
+            table = _table(lines)
+            if table is None:
+                k = next((k for k, line in enumerate(lines)
+                          if _table([line]) is None), 0)
+                raise ValueError(f"{path}:{n_head + done + k + 1}: malformed "
+                                 f"line {lines[k]!r}")
+            keys[done:done + len(lines)], row = _key(table, n_states,
+                                                     n_inputs)
+            if bad < 0 <= row:
+                bad = done + row
+            done += len(lines)
+    return keys, bad
 
 
 def load_abstraction(path, system=None) -> SymbolicModel:
@@ -444,24 +537,16 @@ def load_abstraction(path, system=None) -> SymbolicModel:
     The file holds ``#`` header lines, one ``src dst uid`` line per
     transition, then the ``input`` and ``state`` lines with ids counting up
     from 0.  Malformed or inconsistent content raises a ValueError naming
-    the file and, where one line is at fault, the line.
+    the file and, where one line is at fault, the line.  The file is read
+    twice, a block at a time: for its header, size and tables, then for its
+    transitions.
     """
     start = time.perf_counter()
-    with open(path) as fh:
-        text = fh.read()
-    # header lines, then transitions up to the first input or state line
-    ends = [i + 1 for i in (text.find("\ninput "), text.find("\nstate "))
-            if i >= 0]
-    tail = min(ends, default=len(text))
+    head, n_body, tail = _scan(path)
     header: dict[str, str] = {}
     lattice_spec: dict[str, str] = {}
     version = None
-    pos = n_head = 0
-    while text.startswith("#", pos):
-        end = text.find("\n", pos)
-        end = len(text) if end < 0 else end
-        line = text[pos:end]
-        pos, n_head = end + 1, n_head + 1
+    for lineno, line in enumerate(head, start=1):
         try:
             if line.startswith("#version"):
                 version = int(line.split()[1])
@@ -474,27 +559,17 @@ def load_abstraction(path, system=None) -> SymbolicModel:
                 for key, value in zip(tokens[0::2], tokens[1::2]):
                     header[key.lstrip("#")] = value
         except (ValueError, IndexError):
-            raise ValueError(f"{path}:{n_head}: malformed line {line!r}") from None
+            raise ValueError(f"{path}:{lineno}: malformed line {line!r}") from None
     if version != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported abstraction format {version!r}")
 
-    body = text[pos:tail]
-    n_body = body.count("\n") + (body[-1:] not in ("", "\n"))
-    try:
-        table = (np.loadtxt(io.StringIO(body), dtype=np.int64,
-                            comments=None, ndmin=2)
-                 if body.strip() else np.empty((0, 3), np.int64))
-        if table.shape != (n_body, 3):
-            raise ValueError("not one transition per line")
-    except ValueError:
-        bad, line = next(((k, line) for k, line in enumerate(body.split("\n"))
-                          if _malformed(line)), (0, ""))
-        raise ValueError(f"{path}:{n_head + bad + 1}: malformed line "
-                         f"{line!r}") from None
-
+    # ids count up from 0, so these are the table sizes if the tables are
+    # valid; if not, a fault in them is raised after the transitions
+    keys, bad = _read_transitions(path, len(head), n_body, *(
+        sum(line.split()[:1] == [kind] for line in tail)
+        for kind in ("state", "input")))
     rows: dict[str, list] = {"input": [], "state": []}
-    for lineno, line in enumerate(text[tail:].splitlines(),
-                                  start=n_head + len(table) + 1):
+    for lineno, line in enumerate(tail, start=len(head) + n_body + 1):
         if not line.strip():
             continue
         try:
@@ -513,11 +588,9 @@ def load_abstraction(path, system=None) -> SymbolicModel:
                              f"{len(value)} components, not {len(seen[0])}")
         seen.append(value)
     cells, inputs = rows["state"], rows["input"]
-    bad = np.flatnonzero(((table < 0) | (table >= [len(cells), len(cells),
-                                                    len(inputs)])).any(axis=1))
-    if bad.size:
+    if bad >= 0:
         raise ValueError(
-            f"{path}:{n_head + bad[0] + 1}: transition to or from an unknown "
+            f"{path}:{len(head) + bad + 1}: transition to or from an unknown "
             f"state or input ({len(cells)} states, {len(inputs)} inputs)")
 
     try:
@@ -528,8 +601,7 @@ def load_abstraction(path, system=None) -> SymbolicModel:
             hi=[float(v) for v in lattice_spec["hi"].split(",")],
             variant=QuantizerVariant(lattice_spec["variant"])) \
             if lattice_spec else None
-        pair_ptr, pair_input, relation = _pack(
-            table[:, 0], table[:, 2], table[:, 1], len(cells), len(inputs))
+        pair_ptr, pair_input, relation = _pack(keys, len(cells), len(inputs))
         model = SymbolicModel(
             cells, inputs, pair_ptr, pair_input, lattice=lattice,
             tau=float(header.get("tau", 0.0)), eta=float(header.get("eta", 0.5)),
@@ -540,6 +612,5 @@ def load_abstraction(path, system=None) -> SymbolicModel:
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     logger.info("load: %d states, %d inputs, %d transitions, %.3f s",
-                len(cells), len(inputs), len(table),
-                time.perf_counter() - start)
+                len(cells), len(inputs), n_body, time.perf_counter() - start)
     return model

@@ -24,6 +24,7 @@ error names the file and line.
 
 from __future__ import annotations
 
+import math
 import os
 from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple
@@ -49,8 +50,15 @@ def _bool(text):
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text.strip()!r}")
+    return value
+
+
 def _floats(text):
-    return tuple(float(v) for v in text.replace(",", " ").split())
+    return tuple(_float(v) for v in text.replace(",", " ").split())
 
 
 def _variant(text):
@@ -73,9 +81,9 @@ class _Key(NamedTuple):
 
 KEYS = (
     _Key("system_name", "system", "name", str, "pendulum"),
-    _Key("tau", "system", "tau", float, 0.2, lambda v: v <= 0,
+    _Key("tau", "system", "tau", _float, 0.2, lambda v: v <= 0,
          "tau must be positive"),
-    _Key("lipschitz", "system", "lipschitz", float, None, lambda v: v <= 0,
+    _Key("lipschitz", "system", "lipschitz", _float, None, lambda v: v <= 0,
          "lipschitz must be positive"),
     _Key("integrator_steps", "system", "integrator_steps", int, 10,
          lambda v: v < 1, "need at least one substep"),
@@ -83,13 +91,13 @@ KEYS = (
     _Key("input_hi", "system", "input_hi", _floats),
     _Key("variant", "quantizer", "variant", _variant,
          QuantizerVariant.VALUE_ANCHORED),
-    _Key("eta", "quantizer", "eta", float, REQUIRED,
+    _Key("eta", "quantizer", "eta", _float, REQUIRED,
          lambda v: not 0.0 < v < 1.0, "eta must lie in (0, 1)"),
     _Key("scale", "quantizer", "scale", _floats, REQUIRED,
          lambda v: any(s <= 0 for s in v), "scales must be positive"),
     _Key("state_lo", "quantizer", "state_lo", _floats, REQUIRED),
     _Key("state_hi", "quantizer", "state_hi", _floats, REQUIRED),
-    _Key("mu", "abstraction", "mu", float, REQUIRED,
+    _Key("mu", "abstraction", "mu", _float, REQUIRED,
          lambda v: not 0.0 < v < 1.0, "mu must lie in (0, 1)"),
     _Key("input_samples", "abstraction", "input_samples", int, 51,
          lambda v: v < 1, "need at least one sample"),
@@ -100,12 +108,12 @@ KEYS = (
          "seed must be nonnegative"),
     _Key("samples", "verify", "samples", int, 10000, lambda v: v < 0,
          "samples must be nonnegative"),
-    _Key(None, "run", "threads", int, None, lambda v: v < 0,
+    _Key(None, "run", "threads", int, None, lambda v: v < 1,
          "threads must be positive"),
     _Key("plan_start", "plan", "start", parse_cell),
     _Key("plan_goals", "plan", "goals", _cells, ()),
     _Key("plan_relaxed", "plan", "relaxed", _bool, False),
-    _Key("plan_grid", "plan", "grid_resolution", float, 0.02,
+    _Key("plan_grid", "plan", "grid_resolution", _float, 0.02,
          lambda v: v <= 0, "grid resolution must be positive"),
     _Key("plan_max_steps", "plan", "max_segment_steps", int, 200,
          lambda v: v < 1, "max_segment_steps must be positive"),

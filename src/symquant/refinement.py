@@ -149,12 +149,15 @@ def check_feedback_refinement(model: SymbolicModel, sys: SampledSystem,
         for sid, uid in zip(sids[~in_box].tolist(), uids[~in_box].tolist())]
     inside = lattice.contains_many(succ)
     levels = lattice.quantize_many(np.where(inside[:, None], succ, 0.0))
-    # a pair's targets ascend, so the (pair, target) keys are sorted
-    n = model.n_states
-    keys = np.repeat(np.arange(len(ptr) - 1), np.diff(ptr)) * n + targets
-    query = pairs * n + lattice.cell_ids(levels)
-    found = np.searchsorted(keys, query)
-    member = inside & (keys[np.minimum(found, len(keys) - 1)] == query)
+    # bisection for the last target not above the observed cell id inside
+    # each sample's successor set, which ascends and is nonempty
+    want = lattice.cell_ids(levels)
+    first, size = ptr[pairs], ptr[pairs + 1] - ptr[pairs]
+    while (size > 1).any():
+        half = size // 2
+        first += half * (targets[first + half] <= want)
+        size -= half
+    member = inside & (targets[first] == want)
 
     violations = []
     for k in np.flatnonzero(~member):

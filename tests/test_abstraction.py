@@ -1,6 +1,7 @@
 """Symbolic model construction: input approximation, transitions, storage."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -135,8 +136,8 @@ def _batched_targets_match_oracle(sys_, lattice, model):
     return sizes
 
 
-def test_batched_targets_match_oracle_on_every_pair(pendulum_scenario,
-                                                    contracting_scenario):
+def _cube():
+    """A contracting field on a 3-D lattice."""
     def cube_field(x, u):
         x = np.asarray(x, float)
         u = np.asarray(u, float)
@@ -145,14 +146,20 @@ def test_batched_targets_match_oracle_on_every_pair(pendulum_scenario,
     cube = sq.SampledSystem(dim_x=3, dim_u=1, field=cube_field,
                             lipschitz=1.0, tau=0.5, input_lo=(-1.0,),
                             input_hi=(1.0,), vectorized=True)
-    cube_lattice = sq.LogLattice.from_params(0.3, [0.3] * 3, [-1] * 3,
-                                             [1] * 3, "edge_anchored")
-    line = sq.linear_system(tau=0.3)
-    line_lattice = sq.LogLattice.from_params(0.25, [0.2], [-0.8], [1.3],
-                                             "value_anchored")
+    return cube, sq.LogLattice.from_params(0.3, [0.3] * 3, [-1] * 3, [1] * 3,
+                                           "edge_anchored")
+
+
+def _line():
+    """The linear system on a small 1-D lattice."""
+    return sq.linear_system(tau=0.3), sq.LogLattice.from_params(
+        0.25, [0.2], [-0.8], [1.3], "value_anchored")
+
+
+def test_batched_targets_match_oracle_on_every_pair(pendulum_scenario,
+                                                    contracting_scenario):
     scenarios = [pendulum_scenario, contracting_scenario]
-    for sys_, lattice, samples in ((line, line_lattice, 15),
-                                   (cube, cube_lattice, 3)):
+    for (sys_, lattice), samples in ((_line(), 15), (_cube(), 3)):
         model = sq.build_abstraction(sys_, lattice,
                                      sq.InputApproxConfig(0.002, samples))
         scenarios.append((sys_, lattice, model))
@@ -381,3 +388,108 @@ def test_sparse_map_iteration_consistency(pendulum_scenario):
         for uid in range(model.n_inputs)
         for dst in model.successor_ids(sid, uid))
     assert by_state == by_pair
+
+
+def _same_model(a, b) -> bool:
+    ptr_a, targets_a = a.relation()
+    ptr_b, targets_b = b.relation()
+    return (a.cells == b.cells and np.array_equal(a.inputs, b.inputs)
+            and np.array_equal(a.pair_ptr, b.pair_ptr)
+            and np.array_equal(a.pair_input, b.pair_input)
+            and np.array_equal(ptr_a, ptr_b)
+            and np.array_equal(targets_a, targets_b)
+            and (a.tau, a.eta, a.mu, a.lipschitz)
+            == (b.tau, b.eta, b.mu, b.lipschitz)
+            and (a.lattice is None) == (b.lattice is None))
+
+
+def test_chunked_paths_match_default_run(pendulum_scenario, tmp_path,
+                                         monkeypatch):
+    # one transition per chunk, and blocks of a few characters or cut right
+    # at the start of the transitions or of the input and state tables
+    pendulum, lattice, _ = pendulum_scenario
+    for (sys_, lattice), samples in (((pendulum, lattice), 51),
+                                     (_cube(), 3)):
+        cfg = sq.InputApproxConfig(0.002, samples)
+        default = sq.build_abstraction(sys_, lattice, cfg)
+        default.save(tmp_path / "default.abs")
+        loaded = sq.load_abstraction(tmp_path / "default.abs")
+        text = (tmp_path / "default.abs").read_text()
+        body = len("".join(text.splitlines(True)[:3]))  # after the header
+        tail = text.index("\ninput ") + 1
+        with monkeypatch.context() as patch:
+            patch.setattr(abstraction, "_CHUNK", 1)
+            chunked = sq.build_abstraction(sys_, lattice, cfg)
+            for got, want in zip(chunked.relation(), default.relation()):
+                assert np.array_equal(got, want)
+            chunked.save(tmp_path / "chunked.abs")
+            assert (tmp_path / "chunked.abs").read_bytes() == \
+                (tmp_path / "default.abs").read_bytes()
+            assert list(chunked.iter_transitions()) == \
+                list(default.iter_transitions())
+            for block in (1, 7, body, tail - 1, tail, tail + 1):
+                patch.setattr(abstraction, "_BLOCK", block)
+                assert _same_model(
+                    sq.load_abstraction(tmp_path / "default.abs"), loaded)
+        assert list(loaded.iter_transitions()) == \
+            list(default.iter_transitions())
+
+
+_NUMBERS = ("-1", "999999", "abc", "1.5", "9223372036854775808")
+
+
+def _mutations(lines):
+    """Each line of a file under each mutation: yields (line index,
+    mutation name, mutated lines).  The replaced number is chosen by the
+    line index among the numbers of the line."""
+    for k, line in enumerate(lines):
+        fields = line.split()
+        variants = {"delete": [], "duplicate": [line, line], "blank": [""],
+                    "swap": [" ".join(fields[1::-1] + fields[2:])],
+                    "append": [line + " 0"]}
+        numbers = list(re.finditer(r"-?\d+(?:\.\d+)?", line))
+        if numbers:
+            at = numbers[k % len(numbers)]
+            for value in _NUMBERS:
+                variants[value] = [line[:at.start()] + value
+                                   + line[at.end():]]
+        for name, new in variants.items():
+            yield k, name, lines[:k] + new + lines[k + 1:]
+
+
+def _load_outcome(path):
+    """The loaded model, or the message of the ValueError it raised."""
+    try:
+        return sq.load_abstraction(path)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_model_file_fuzz(tmp_path, monkeypatch):
+    # every mutation either loads or names the file (and the line where one
+    # is at fault), alike at the default and at a tiny block size
+    sys_, lattice = _line()
+    path = tmp_path / "m.abs"
+    sq.build_abstraction(sys_, lattice,
+                         sq.InputApproxConfig(0.002, 2)).save(path)
+    original = sq.load_abstraction(path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines))  # no newline after the last line
+    assert _same_model(sq.load_abstraction(path), original)
+    body = range(3, lines.index("input 0 -1.0"))
+    for k, name, mutated in _mutations(lines):
+        path.write_text("\n".join(mutated) + "\n")
+        outcomes = [_load_outcome(path)]
+        with monkeypatch.context() as patch:
+            patch.setattr(abstraction, "_BLOCK", 5)
+            outcomes.append(_load_outcome(path))
+        got, tiny = outcomes
+        if isinstance(got, str):
+            assert got == tiny and got.startswith(f"{path}:"), (k, name)
+            if k in body and name not in ("delete", "duplicate", "swap"):
+                assert got.startswith(f"{path}:{k + 1}: "), (k, name, got)
+        else:
+            assert _same_model(got, tiny), (k, name)
+            assert k not in body or name not in ("blank", "append", *_NUMBERS)
+            if k in body and name == "duplicate":
+                assert _same_model(got, original)

@@ -423,9 +423,11 @@ def test_cli_simulate_rejects_bad_policy_file(tmp_path, capsys, case):
 
 def _with_line(path, section, line):
     """Rewrite a scenario so that ``line`` sets its key in ``section``
-    (replacing the key's line, or right after the header); returns the
-    1-based number of that line."""
+    (replacing the key's line, or right after the header, which is appended
+    if missing); returns the 1-based number of that line."""
     lines = open(path).read().splitlines()
+    if f"[{section}]" not in lines:
+        lines.append(f"[{section}]")
     key = line.split("=")[0].strip()
     at = lines.index(f"[{section}]") + 1
     while at < len(lines) and not lines[at].startswith("["):
@@ -449,6 +451,21 @@ def _with_line(path, section, line):
     ("simulate", "x0 = 0.1 0.2 0.3"),
     ("plan", "start = -1"),
     ("plan", "goals = 0,0 ; -1,0,0"),
+    ("run", "threads = 0"),
+    # non-finite values, in every real-valued key
+    ("system", "tau = inf"),
+    ("system", "lipschitz = nan"),
+    ("system", "input_lo = -inf"),
+    ("system", "input_hi = nan"),
+    ("quantizer", "eta = nan"),
+    ("quantizer", "scale = 0.4 inf"),
+    ("quantizer", "state_lo = nan -1"),
+    ("quantizer", "state_hi = 1 inf"),
+    ("abstraction", "mu = nan"),
+    ("synthesis", "safe_lo = -inf -1"),
+    ("synthesis", "safe_hi = nan 1"),
+    ("plan", "grid_resolution = nan"),
+    ("simulate", "x0 = inf 0"),
 ])
 def test_config_rejects_values_that_fail_later(tmp_path, capsys, section,
                                                line):
@@ -459,6 +476,26 @@ def test_config_rejects_values_that_fail_later(tmp_path, capsys, section,
                          str(tmp_path / "out")])
         assert code == cli.EXIT_CONFIG
         assert f"scenario.cfg:{at}: [{section}] " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,variable,value", [
+    ("abstract", "SYSTEM__INPUT_HI", "nan"),
+    ("plan", "PLAN__GRID_RESOLUTION", "nan"),
+    ("abstract", "QUANTIZER__STATE_HI", "1 inf"),
+    ("synthesize", "SYNTHESIS__SAFE_HI", "nan 1"),
+])
+def test_config_rejects_non_finite_environment_values(tmp_path, capsys,
+                                                      monkeypatch, command,
+                                                      variable, value):
+    # each of these once ran on: exit 0 with no inputs or an empty domain,
+    # exit 5 after a numpy warning, or a raw OverflowError traceback
+    cfg = _fast_cfg(tmp_path)
+    monkeypatch.setenv("SYMQUANT_" + variable, value)
+    code = cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_CONFIG
+    section, key = variable.lower().split("__")
+    assert (f"[{section}] {key}: not a finite number"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("flag,value", [("--samples", "-5"), ("--seed", "-2")])

@@ -75,6 +75,62 @@ def test_detects_removed_successor(pendulum_scenario):
     assert witness.observed not in witness.expected
 
 
+def _key_search_reference(model, sys_, sample_count, seed):
+    """Violations by the search the per-pair bisection replaced: the check's
+    draws, then one sorted key per (pair, target) and a global
+    searchsorted of each sample's (pair, observed cell) key."""
+    lattice = model.lattice
+    ptr, targets = model.relation()
+    enabled = np.flatnonzero(ptr[1:] > ptr[:-1])
+    per_state = np.bincount(model.pair_state[enabled],
+                            minlength=model.n_states)
+    nonblocking = np.flatnonzero(per_state)
+    first_enabled = np.cumsum(per_state) - per_state
+    rng = np.random.default_rng(seed)
+    _, box_lo, box_hi = lattice.geometry()
+    sids = nonblocking[rng.integers(len(nonblocking), size=sample_count)]
+    xs = rng.uniform(box_lo[sids], box_hi[sids])
+    pairs = enabled[first_enabled[sids] + rng.integers(per_state[sids])]
+    succ = sq.successor_many(sys_, xs, model.inputs[model.pair_input[pairs]])
+    inside = lattice.contains_many(succ)
+    levels = lattice.quantize_many(np.where(inside[:, None], succ, 0.0))
+    n = model.n_states
+    keys = np.repeat(np.arange(len(ptr) - 1), np.diff(ptr)) * n + targets
+    query = pairs * n + lattice.cell_ids(levels)
+    found = np.searchsorted(keys, query)
+    member = inside & (keys[np.minimum(found, len(keys) - 1)] == query)
+    return sorted(
+        (model.cells[sids[k]], int(model.pair_input[pairs[k]]),
+         tuple(xs[k]), tuple(levels[k].tolist()) if inside[k] else None,
+         tuple(model.cells[t] for t in targets[ptr[pairs[k]]:
+                                               ptr[pairs[k] + 1]]))
+        for k in np.flatnonzero(~member))
+
+
+def test_bisection_matches_key_search_on_removed_successor(
+        pendulum_scenario):
+    # drop the middle successor of every set of two cells, so the observed
+    # cell is missing from sets of several sizes and at several positions
+    sys_, lattice, real = pendulum_scenario
+    succ = {(s, u): real.successor_ids(s, u)
+            for s in range(real.n_states) for u in real.enabled_ids(s)}
+    for cell in ((0, 0), (1, 1)):
+        sid = real.state_id(cell)
+        for uid in real.enabled_ids(sid):
+            dsts = succ[(sid, uid)]
+            if len(dsts) > 1:
+                succ[(sid, uid)] = dsts[:len(dsts) // 2] + \
+                    dsts[len(dsts) // 2 + 1:]
+    model = SymbolicModel.from_tables(
+        real.cells, real.inputs, succ, lattice=lattice, tau=real.tau,
+        eta=real.eta, mu=real.mu, lipschitz=real.lipschitz, system=sys_)
+    for seed in (0, 5):
+        report = sq.check_feedback_refinement(model, sys_, 3000, seed=seed)
+        got = [(w.source, w.input_index, tuple(w.x), w.observed, w.expected)
+               for w in report.violations]
+        assert got and got == _key_search_reference(model, sys_, 3000, seed)
+
+
 def _loop_reference(model, sys_, sample_count, seed):
     """The per-sample loop the vectorized check replaced: the same draws in
     the same order, then one quantize and membership test per sample."""
