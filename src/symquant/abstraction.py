@@ -30,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import SampledSystem, growth_radius, successor, successor_many
-from .errors import ConfigError, DivergenceError, OutOfDomainError
+from .errors import (ConfigError, DivergenceError, OutOfDomainError,
+                     located_decoding)
 from .quantizer import (LogLattice, LogQuantizerAxis, QuantizerVariant,
                         format_cell, parse_cell)
 
@@ -531,6 +532,7 @@ def _read_transitions(path, n_head: int, n_body: int, n_states: int,
     return keys, bad
 
 
+@located_decoding
 def load_abstraction(path, system=None) -> SymbolicModel:
     """Read an abstraction file written by :func:`save_abstraction`.
 

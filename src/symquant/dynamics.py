@@ -95,11 +95,19 @@ def _eval_field(sys: SampledSystem, x: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def _rk4_step(sys: SampledSystem, x: np.ndarray, u: np.ndarray,
               h: float) -> np.ndarray:
+    # x + (h/6)(k1 + 2 k2 + 2 k3 + k4), rounded in that order, in five fresh
+    # temporaries: a field may return its argument, so none it sees is written
     k1 = _eval_field(sys, x, u)
-    k2 = _eval_field(sys, x + (h / 2.0) * k1, u)
-    k3 = _eval_field(sys, x + (h / 2.0) * k2, u)
-    k4 = _eval_field(sys, x + h * k3, u)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = _eval_field(sys, np.add(t := k1 * (h / 2.0), x, out=t), u)
+    k3 = _eval_field(sys, np.add(t := k2 * (h / 2.0), x, out=t), u)
+    k4 = _eval_field(sys, np.add(t := k3 * h, x, out=t), u)
+    acc = k2 * 2.0
+    acc += k1
+    acc += k3 * 2.0
+    acc += k4
+    acc *= h / 6.0
+    acc += x
+    return acc
 
 
 def successor_many(sys: SampledSystem, x0: np.ndarray, u: np.ndarray,
@@ -132,6 +140,10 @@ def successor(sys: SampledSystem, x0, u, steps: int | None = None) -> np.ndarray
     """
     x = np.asarray(x0, float).reshape(1, sys.dim_x)
     uu = np.atleast_1d(np.asarray(u, float)).reshape(1, sys.dim_u)
+    y = successor_many(sys, x, uu, steps)
+    if np.isfinite(y).all():
+        return y[0]
+    # non-finite stays non-finite: re-run substep by substep to find the first
     steps = sys.integrator_steps if steps is None else int(steps)
     h = sys.tau / steps
     with np.errstate(all="ignore"):
@@ -231,11 +243,12 @@ def pendulum_system(tau: float = 0.2, lipschitz: float = 6.0,
     def field(x, u):
         x = np.asarray(x, float)
         u = np.asarray(u, float)
-        return np.stack(
-            [x[..., 1],
-             -gravity_ratio * np.sin(x[..., 0]) - friction_ratio * x[..., 1]
-             + u[..., 0]],
-            axis=-1)
+        dv = (-gravity_ratio * np.sin(x[..., 0]) - friction_ratio * x[..., 1]
+              + u[..., 0])
+        out = np.empty(dv.shape + (2,))
+        out[..., 0] = x[..., 1]
+        out[..., 1] = dv
+        return out
 
     return SampledSystem(dim_x=2, dim_u=1, field=field, lipschitz=lipschitz,
                          tau=tau, input_lo=(-2.5,), input_hi=(2.5,),

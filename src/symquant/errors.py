@@ -1,5 +1,8 @@
 """Shared exception types."""
 
+import functools
+import re
+
 
 class OutOfDomainError(ValueError):
     """A point lies outside the lattice bounds, or a cell index is invalid."""
@@ -22,3 +25,20 @@ class ConfigError(ValueError):
 
 class PlanningError(RuntimeError):
     """No plan satisfying the requested goal sequence was found."""
+
+
+def located_decoding(load):
+    """Decorate a loader of a path: a UnicodeDecodeError becomes a
+    ValueError naming the file and the line of its first non-UTF-8 byte."""
+    @functools.wraps(load)
+    def loader(path, *args, **kwargs):
+        try:
+            return load(path, *args, **kwargs)
+        except UnicodeDecodeError as exc:
+            # the loaders' lines, with each undecodable byte as a surrogate
+            with open(path, errors="surrogateescape") as fh:
+                at = next((f"{n}:" for n, line in enumerate(fh, start=1)
+                           if re.search("[\udc80-\udcff]", line)), "")
+            raise ValueError(f"{path}:{at} not UTF-8 ({exc.reason})") from None
+
+    return loader

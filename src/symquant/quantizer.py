@@ -226,14 +226,6 @@ class Box:
         below = np.where(self.hi_open, pts < self.hi, pts <= self.hi)
         return (above & below).all(axis=1)
 
-    def __repr__(self):  # pragma: no cover - debugging aid
-        sides = []
-        for i in range(self.dim):
-            lb = "(" if self.lo_open[i] else "["
-            rb = ")" if self.hi_open[i] else "]"
-            sides.append(f"{lb}{self.lo[i]:g}, {self.hi[i]:g}{rb}")
-        return "Box(" + " x ".join(sides) + ")"
-
 
 @dataclass(frozen=True, eq=False)
 class LogLattice:

@@ -26,6 +26,7 @@ validated by simulation.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import time
 from dataclasses import dataclass
@@ -34,7 +35,7 @@ import numpy as np
 
 from .abstraction import SymbolicModel
 from .dynamics import SampledSystem, Trajectory, successor, successor_many
-from .errors import OutOfDomainError, PlanningError
+from .errors import OutOfDomainError, PlanningError, located_decoding
 from .quantizer import LogLattice, format_cell, parse_cell
 from .refinement import AbstractSafeSet
 
@@ -61,8 +62,11 @@ def _controllable(model: SymbolicModel, target: np.ndarray):
     are nonempty and all inside the state mask ``target``, and the mask of
     those pairs."""
     ptr, targets = model.relation()
-    outside = np.concatenate(([0], np.cumsum(~target[targets])))
-    good = (ptr[1:] > ptr[:-1]) & (outside[ptr[1:]] == outside[ptr[:-1]])
+    nonempty = ptr[1:] > ptr[:-1]
+    good = np.zeros(len(nonempty), bool)
+    # consecutive starts of nonempty pairs bound exactly one pair's targets
+    good[nonempty] = ~np.logical_or.reduceat((~target)[targets],
+                                             ptr[:-1][nonempty])
     found = np.zeros(model.n_states, bool)
     found[model.pair_state[good]] = True
     return found, good
@@ -131,8 +135,7 @@ def safety_fixpoint(model: SymbolicModel, safe: AbstractSafeSet) -> SafetyContro
 
     # at the fixed point, the good pairs of domain cells are the admissible
     admissible: dict[tuple[int, ...], tuple[int, ...]] = {}
-    kept = np.flatnonzero(good)
-    kept = kept[current[model.pair_state[kept]]]
+    kept = np.flatnonzero(good & current[model.pair_state])
     for sid, uid in zip(model.pair_state[kept].tolist(),
                         model.pair_input[kept].tolist()):
         cell = model.cells[sid]
@@ -216,13 +219,7 @@ def _check_step(uid: int, hold: int, n_inputs: int, where: str = ""):
 
 
 def _compress(uids) -> tuple[tuple[int, int], ...]:
-    out: list[list[int]] = []
-    for uid in uids:
-        if out and out[-1][0] == uid:
-            out[-1][1] += 1
-        else:
-            out.append([uid, 1])
-    return tuple((uid, hold) for uid, hold in out)
+    return tuple((uid, len(list(run))) for uid, run in itertools.groupby(uids))
 
 
 def _singleton_segment(model: SymbolicModel, start_id: int,
@@ -270,15 +267,12 @@ class _GridDedup:
             raise PlanningError(
                 f"dedup grid of {total} cells is too large; increase the "
                 "grid resolution")
-        self.strides = np.ones(len(self.shape), np.int64)
-        for i in range(len(self.shape) - 2, -1, -1):
-            self.strides[i] = self.strides[i + 1] * self.shape[i + 1]
         self.visited = np.zeros(total, bool)
 
     def codes(self, pts: np.ndarray) -> np.ndarray:
+        """Row-major index of each point's grid cell, clipped into the grid."""
         idx = ((pts - self.lo) / self.res).astype(np.int64) + 1
-        idx = np.clip(idx, 0, self.shape - 1)
-        return idx @ self.strides
+        return np.ravel_multi_index(tuple(idx.T), self.shape, mode="clip")
 
 
 def _rollout_segment(sys: SampledSystem, lattice: LogLattice,
@@ -298,19 +292,19 @@ def _rollout_segment(sys: SampledSystem, lattice: LogLattice,
         stacked_x = np.repeat(frontier, n_inputs, axis=0)
         stacked_u = np.tile(inputs, (n_front, 1))
         succ = successor_many(sys, stacked_x, stacked_u)
-        rows = np.nonzero(lattice.contains_many(succ))[0]
-        if rows.size == 0:
-            return None
+        rows = np.flatnonzero(lattice.contains_many(succ))
         codes = dedup.codes(succ[rows])
         fresh = ~dedup.visited[codes]
-        rows = rows[fresh]
-        codes = codes[fresh]
-        # keep the first row (frontier-order, then input-order) per grid cell
-        _, first = np.unique(codes, return_index=True)
-        rows = np.sort(rows[first])
+        rows, codes = rows[fresh], codes[fresh]
+        # keep the first row (frontier-order, then input-order) per grid
+        # cell: the keys code * n + position sort by cell, then by row
+        n = len(codes)
+        cell, pos = np.divmod(np.sort(codes * n + np.arange(n)), n)
+        head = np.diff(cell, prepend=-1) != 0
+        rows = rows[np.sort(pos[head])]
         if rows.size == 0:
             return None
-        dedup.visited[dedup.codes(succ[rows])] = True
+        dedup.visited[cell[head]] = True
         layers.append((rows // n_inputs, rows % n_inputs))
         frontier = succ[rows]
         hits = goal_box.contains_many(frontier)
@@ -406,9 +400,9 @@ def simulate_closed_loop(sys: SampledSystem, policy, x0, max_steps: int,
     elif isinstance(policy, Plan):
         if lattice is not None and not lattice.contains_many(x[None])[0]:
             raise OutOfDomainError(f"initial state {x!r} outside the lattice bounds")
-        full = list(policy.input_indices())
-        schedule = full[:max_steps]
-        terminated = "plan_complete" if len(schedule) == len(full) else "max_steps"
+        schedule = list(itertools.islice(policy.input_indices(), max_steps))
+        terminated = ("plan_complete" if len(schedule) == policy.total_steps
+                      else "max_steps")
         for uid in schedule:
             u = policy.inputs[uid]
             x = successor(sys, x, u)
@@ -440,6 +434,7 @@ def save_controller(ctrl: SafetyController, path):
             fh.write(f"cell {format_cell(cell)} : {ids}\n")
 
 
+@located_decoding
 def load_controller(path, inputs, lattice: LogLattice) -> SafetyController:
     """Read a controller file over an input table and a lattice.
 
@@ -490,6 +485,7 @@ def save_plan(plan: Plan, path):
             fh.write(f"{uid} {hold}\n")
 
 
+@located_decoding
 def load_plan(path, inputs) -> Plan:
     """Read a plan file; a bad line raises a ValueError naming it."""
     steps = []

@@ -1,5 +1,7 @@
 """Shared fixtures and independent oracles for the test suite."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -99,3 +101,25 @@ def random_model(rng, max_states=50, max_inputs=5):
             succ[(sid, uid)] = tuple(dsts)
     inputs = np.arange(k, dtype=float).reshape(k, 1)
     return SymbolicModel.from_tables(cells, inputs, succ)
+
+
+MUTATED_NUMBERS = ("-1", "999999", "abc", "1.5", "9223372036854775808")
+
+
+def line_mutations(lines):
+    """Each line of a file under each mutation: yields (line index,
+    mutation name, mutated lines).  The replaced number is chosen by the
+    line index among the numbers of the line."""
+    for k, line in enumerate(lines):
+        fields = line.split()
+        variants = {"delete": [], "duplicate": [line, line], "blank": [""],
+                    "swap": [" ".join(fields[1::-1] + fields[2:])],
+                    "append": [line + " 0"]}
+        numbers = list(re.finditer(r"-?\d+(?:\.\d+)?", line))
+        if numbers:
+            at = numbers[k % len(numbers)]
+            for value in MUTATED_NUMBERS:
+                variants[value] = [line[:at.start()] + value
+                                   + line[at.end():]]
+        for name, new in variants.items():
+            yield k, name, lines[:k] + new + lines[k + 1:]

@@ -1,7 +1,6 @@
 """Symbolic model construction: input approximation, transitions, storage."""
 
 import itertools
-import re
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ import symquant as sq
 from symquant import abstraction
 from symquant.abstraction import SymbolicModel, _targets_many
 from symquant.errors import ConfigError, OutOfDomainError
-from conftest import targets_oracle
+from conftest import MUTATED_NUMBERS, line_mutations, targets_oracle
 
 EDGE_LATTICE = sq.LogLattice.from_params(0.2, [0.4, 0.4], [-1, -1], [1, 1],
                                          "edge_anchored")
@@ -435,28 +434,6 @@ def test_chunked_paths_match_default_run(pendulum_scenario, tmp_path,
             list(default.iter_transitions())
 
 
-_NUMBERS = ("-1", "999999", "abc", "1.5", "9223372036854775808")
-
-
-def _mutations(lines):
-    """Each line of a file under each mutation: yields (line index,
-    mutation name, mutated lines).  The replaced number is chosen by the
-    line index among the numbers of the line."""
-    for k, line in enumerate(lines):
-        fields = line.split()
-        variants = {"delete": [], "duplicate": [line, line], "blank": [""],
-                    "swap": [" ".join(fields[1::-1] + fields[2:])],
-                    "append": [line + " 0"]}
-        numbers = list(re.finditer(r"-?\d+(?:\.\d+)?", line))
-        if numbers:
-            at = numbers[k % len(numbers)]
-            for value in _NUMBERS:
-                variants[value] = [line[:at.start()] + value
-                                   + line[at.end():]]
-        for name, new in variants.items():
-            yield k, name, lines[:k] + new + lines[k + 1:]
-
-
 def _load_outcome(path):
     """The loaded model, or the message of the ValueError it raised."""
     try:
@@ -477,7 +454,7 @@ def test_model_file_fuzz(tmp_path, monkeypatch):
     path.write_text("\n".join(lines))  # no newline after the last line
     assert _same_model(sq.load_abstraction(path), original)
     body = range(3, lines.index("input 0 -1.0"))
-    for k, name, mutated in _mutations(lines):
+    for k, name, mutated in line_mutations(lines):
         path.write_text("\n".join(mutated) + "\n")
         outcomes = [_load_outcome(path)]
         with monkeypatch.context() as patch:
@@ -490,6 +467,7 @@ def test_model_file_fuzz(tmp_path, monkeypatch):
                 assert got.startswith(f"{path}:{k + 1}: "), (k, name, got)
         else:
             assert _same_model(got, tiny), (k, name)
-            assert k not in body or name not in ("blank", "append", *_NUMBERS)
+            assert k not in body or name not in ("blank", "append",
+                                                 *MUTATED_NUMBERS)
             if k in body and name == "duplicate":
                 assert _same_model(got, original)

@@ -14,6 +14,7 @@ import symquant as sq
 from symquant import cli
 from symquant.config import parse_config
 from symquant.errors import ConfigError
+from conftest import line_mutations
 
 BUNDLED = os.path.join(os.path.dirname(sq.__file__), "scenarios",
                        "pendulum.cfg")
@@ -419,6 +420,40 @@ def test_cli_simulate_rejects_bad_policy_file(tmp_path, capsys, case):
                      "--out", str(tmp_path / "run.csv")])
     assert code == cli.EXIT_BUILD
     assert f"{path.name}:{at}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["model", "controller", "plan"])
+@pytest.mark.parametrize("fault", ["not_utf8", "mutated"])
+def test_cli_rejects_faulty_input_file(tmp_path, capsys, kind, fault):
+    # a saved file with bytes that are not UTF-8 appended, or one line
+    # fuzzed, exits 3 with the file and line and without a traceback
+    if kind == "controller":
+        cfg = _contracting_cfg(tmp_path)
+        command, path, first = "synthesize", tmp_path / "ctrl.txt", 1
+    else:
+        cfg = _fast_cfg(tmp_path)
+        command, path, first = (("abstract", tmp_path / "m.abs", 3)
+                                if kind == "model"
+                                else ("plan", tmp_path / "plan.txt", 0))
+    assert cli.main([command, "--config", cfg, "--out", str(path)]) == 0
+    lines = path.read_text().splitlines()
+    if fault == "not_utf8":
+        with open(path, "ab") as fh:
+            fh.write(b"\xff\xfe junk")
+        at, message = len(lines) + 1, "not UTF-8 (invalid start byte)"
+    else:
+        mutated = next(new for k, name, new in line_mutations(lines)
+                       if k == first and name == "abc")
+        path.write_text("\n".join(mutated) + "\n")
+        at, message = first + 1, "malformed line"
+    capsys.readouterr()
+    use = "synthesize" if kind == "model" else "simulate"
+    code = cli.main([use, "--config", cfg, "--in", str(path),
+                     "--out", str(tmp_path / "out.txt")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_BUILD
+    assert f"error: {path}:{at}: {message}" in err
+    assert "Traceback" not in err
 
 
 def _with_line(path, section, line):

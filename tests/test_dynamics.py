@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import symquant as sq
+from symquant import dynamics
 from symquant.dynamics import PENDULUM_CONSTANTS
 from symquant.errors import DivergenceError
 
@@ -156,3 +157,103 @@ def test_trajectory_validation_and_csv(tmp_path):
         sq.Trajectory(times=times, states=states, inputs=np.array([[1.0]]))
     with pytest.raises(ValueError):
         sq.Trajectory(times=times[::-1], states=states, inputs=inputs)
+
+
+def _rk4_step_reference(sys_, x, u, h):
+    """The RK4 substep written plainly, one fresh array per operation; the
+    kernel must match it bit for bit."""
+    k1 = dynamics._eval_field(sys_, x, u)
+    k2 = dynamics._eval_field(sys_, x + (h / 2.0) * k1, u)
+    k3 = dynamics._eval_field(sys_, x + (h / 2.0) * k2, u)
+    k4 = dynamics._eval_field(sys_, x + h * k3, u)
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _system(field, dim_x, vectorized=True, tau=0.2, steps=10):
+    return sq.SampledSystem(dim_x=dim_x, dim_u=1, field=field, lipschitz=1.0,
+                            tau=tau, input_lo=(-1.0,), input_hi=(1.0,),
+                            integrator_steps=steps, vectorized=vectorized)
+
+
+def _field_3d(x, u):
+    return np.stack([x[..., 1] * x[..., 2] - x[..., 0],
+                     np.sin(x[..., 0]) + u[..., 0],
+                     -x[..., 2] + x[..., 0] * u[..., 0]], axis=-1)
+
+
+def _field_rowwise(x, u):
+    return np.array([x[1], -np.sin(x[0]) - 0.5 * x[1] + u[0]])
+
+
+@pytest.mark.parametrize("case, rows", [
+    ("pendulum", 1), ("pendulum", 64), ("pendulum", 5000), ("linear", 300),
+    ("field_3d", 500), ("rowwise", 50), ("identity", 200), ("view", 200),
+    ("square", 200)])
+def test_kernel_matches_reference_bitwise(monkeypatch, case, rows):
+    rng = np.random.default_rng(rows)
+    scale = 3.0
+    if case == "pendulum":
+        sys_ = sq.pendulum_system()
+    elif case == "linear":
+        sys_ = sq.linear_system()
+    elif case == "field_3d":
+        sys_ = _system(_field_3d, 3)
+    elif case == "rowwise":
+        sys_ = _system(_field_rowwise, 2, vectorized=False)
+    elif case == "identity":  # the field returns its own argument
+        sys_ = _system(lambda x, u: x, 2, tau=5.0)
+        # the odd rows start near 1e306, and most of them overflow
+        scale = np.where(np.arange(rows)[:, None] % 2, 1e306, 3.0)
+    elif case == "view":  # the field returns a view of its argument
+        sys_ = _system(lambda x, u: x[..., ::-1], 2)
+    else:
+        sys_ = _system(lambda x, u: x * x, 1, tau=1.0, steps=4)
+    x = rng.uniform(-scale, scale, size=(rows, sys_.dim_x))
+    u = rng.uniform(-1.0, 1.0, size=(rows, 1))
+    got = sq.successor_many(sys_, x, u)
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "_rk4_step", _rk4_step_reference)
+        want = sq.successor_many(sys_, x, u)
+    finite = np.isfinite(want).all(axis=1)
+    assert np.array_equal(np.isfinite(got).all(axis=1), finite)
+    assert got[finite].tobytes() == want[finite].tobytes()
+    if case in ("identity", "square"):
+        assert 0 < finite.sum() < rows  # both finite and diverging rows
+
+
+def test_kernel_never_writes_what_the_field_sees():
+    seen = []
+
+    def field(x, u):
+        seen.append((x, x.copy()))
+        return x  # returning the argument invites in-place reuse
+
+    sq.successor_many(_system(field, 2), np.ones((3, 2)), np.zeros((3, 1)))
+    assert len(seen) == 40
+    assert all(np.array_equal(arr, copy) for arr, copy in seen)
+
+
+def test_divergence_substep_is_the_first_non_finite_one():
+    sys_ = _system(lambda x, u: x * x, 1, tau=1.0, steps=10)
+    x0, u = np.array([[3.0]]), np.array([[0.0]])
+    x, expected = x0, None
+    with np.errstate(all="ignore"):
+        for k in range(sys_.integrator_steps):
+            x = _rk4_step_reference(sys_, x, u, sys_.tau / 10)
+            if not np.isfinite(x).all():
+                expected = k
+                break
+    assert expected is not None and expected >= 2
+    with pytest.raises(DivergenceError) as info:
+        sq.successor(sys_, x0[0], u[0])
+    assert info.value.substep == expected
+
+
+def test_pendulum_field_broadcasts_one_state_over_inputs():
+    sys_ = sq.pendulum_system()
+    x = np.array([0.3, -0.7])
+    u = np.linspace(-2.5, 2.5, 5)[:, None]
+    got = sys_.field(x, u)
+    assert got.shape == (5, 2)
+    rows = np.array([sys_.field(x, u[k]) for k in range(5)])
+    assert got.tobytes() == rows.tobytes()

@@ -1,13 +1,16 @@
 """Fixed-point synthesis, controller refinement, planning, simulation."""
 
+import re
+
 import numpy as np
 import pytest
 
 import symquant as sq
+from symquant import synthesis
 from symquant.abstraction import SymbolicModel
 from symquant.errors import OutOfDomainError, PlanningError
 from symquant.refinement import AbstractSafeSet
-from conftest import max_controlled_invariant, random_model
+from conftest import line_mutations, max_controlled_invariant, random_model
 
 
 def chain_model():
@@ -202,6 +205,62 @@ def test_relaxed_plan_pendulum_cycle(pendulum_scenario):
     assert start in cells[hit_mid:]
 
 
+
+def _rollout_layers(sys_, lattice, inputs, x, res, depth):
+    """Breadth-first layers of (state, input sequence), one state at a time:
+    a successor is kept when it lies in the bounds and its grid cell is
+    unvisited.  A search for a goal stops at the first state in its box."""
+    shape = ((lattice.hi_array - lattice.lo_array) / res).astype(int) + 3
+
+    def code(p):
+        idx = ((p - lattice.lo_array) / res).astype(np.int64) + 1
+        return np.ravel_multi_index(tuple(np.clip(idx, 0, shape - 1)), shape)
+
+    visited, layers = {code(x)}, [[(x, [])]]
+    for _ in range(depth):
+        layer = []
+        for state, seq in layers[-1]:
+            succ = sq.successor_many(sys_, np.repeat(state[None], len(inputs),
+                                                     axis=0), inputs)
+            for uid, nxt in enumerate(succ):
+                if lattice.contains_many(nxt[None])[0] and (
+                        code(nxt) not in visited):
+                    visited.add(code(nxt))
+                    layer.append((nxt, seq + [uid]))
+        layers.append(layer)
+    return layers
+
+
+@pytest.mark.parametrize("res", [0.05, 0.13])
+def test_rollout_matches_one_state_at_a_time_search(pendulum_scenario, res):
+    sys_, lattice, model = pendulum_scenario
+    x = lattice.center((-1, 0))
+    layers = _rollout_layers(sys_, lattice, model.inputs, x, res, 40)
+    reached = 0
+    for goal in lattice.enumerate_cells():
+        box = lattice.cell_box(goal)
+        got = synthesis._rollout_segment(sys_, lattice, model.inputs, x, box,
+                                         res, 40)
+        want = next(([seq, state] for layer in layers for state, seq in layer
+                     if box.contains(state)), None)
+        assert (got is None) == (want is None), goal
+        if got is not None:
+            assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
+            reached += 1
+    assert reached >= 3
+
+
+def test_grid_codes_are_row_major_indices():
+    lattice = sq.LogLattice.from_params(0.3, [0.2, 0.3, 0.5], [-1, -2, -0.7],
+                                        [1.5, 1, 0.9])
+    dedup = synthesis._GridDedup(lattice, 0.1)
+    assert len(set(dedup.shape)) == 3
+    pts = np.random.default_rng(3).uniform(-3, 3, size=(500, 3))
+    idx = ((pts - lattice.lo_array) / 0.1).astype(np.int64) + 1
+    idx = np.clip(idx, 0, dedup.shape - 1)
+    want = np.ravel_multi_index(tuple(idx.T), tuple(dedup.shape))
+    assert np.array_equal(dedup.codes(pts), want)
+
 def test_relaxed_plan_requires_system(pendulum_scenario):
     _, _, model = pendulum_scenario
     stripped = SymbolicModel.from_tables(
@@ -291,3 +350,70 @@ def test_plan_save_load_roundtrip(tmp_path):
     loaded = sq.load_plan(path, plan.inputs)
     assert loaded.steps == plan.steps
     assert list(loaded.input_indices()) == [3, 3, 0, 0, 0, 0, 0]
+
+
+def _line_of(message, path):
+    """The line number a ValueError message names, 0 for a file-level one."""
+    found = re.match(rf"{re.escape(str(path))}:(\d+)?:? ", message)
+    assert found, message
+    return int(found.group(1) or 0)
+
+
+def test_controller_file_fuzz(contracting_scenario, tmp_path):
+    # each line of a saved controller under each mutation: the controller
+    # the lines mean, or a ValueError naming the file and the faulty line
+    _, lattice, model = contracting_scenario
+    safe = sq.abstract_safe_set([-0.7, -0.7], [0.7, 0.7], lattice, model)
+    ctrl = sq.safety_fixpoint(model, safe)
+    path = tmp_path / "ctrl.txt"
+    sq.save_controller(ctrl, path)
+    lines = path.read_text().splitlines()
+    assert len(lines) == 10
+    for k, name, mutated in line_mutations(lines):
+        path.write_text("\n".join(mutated) + "\n")
+        try:
+            got = sq.load_controller(path, model.inputs, lattice)
+        except ValueError as exc:
+            at = _line_of(str(exc), path)
+            if k == 0:
+                assert str(exc) == f"{path}: not a controller file", name
+            elif "repeated" in str(exc):
+                assert at >= k + 1, (k, name, str(exc))
+            else:
+                assert at == k + 1, (k, name, str(exc))
+            continue
+        expected = dict(ctrl.admissible)
+        if k > 0:
+            del expected[ctrl.domain[k - 1]]
+        for line in mutated[k:k + len(mutated) - len(lines) + 1]:
+            if line.startswith("cell "):
+                levels, ids = line[5:].split(":")
+                expected[sq.parse_cell(levels)] = tuple(map(int, ids.split()))
+        assert got.admissible == expected, (k, name)
+        assert got.domain == tuple(sorted(expected))
+        for cell, uids in got.admissible.items():
+            lattice.check_index(cell)
+            assert list(uids) == sorted(set(uids))
+            assert 0 <= uids[0] and uids[-1] < model.n_inputs
+
+
+def test_plan_file_fuzz(tmp_path):
+    # each line of a saved plan under each mutation: the plan the lines
+    # mean, or a ValueError naming the file and the mutated line
+    inputs = np.linspace(-1, 1, 5)[:, None]
+    plan = sq.Plan(steps=((3, 2), (0, 5), (4, 1), (1, 12)), inputs=inputs)
+    path = tmp_path / "plan.txt"
+    sq.save_plan(plan, path)
+    lines = path.read_text().splitlines()
+    for k, name, mutated in line_mutations(lines):
+        path.write_text("\n".join(mutated) + "\n")
+        try:
+            got = sq.load_plan(path, inputs)
+        except ValueError as exc:
+            assert _line_of(str(exc), path) == k + 1, (k, name, str(exc))
+            continue
+        new = [tuple(map(int, line.split()))
+               for line in mutated[k:k + len(mutated) - len(lines) + 1]
+               if line]
+        assert got.steps == plan.steps[:k] + tuple(new) + plan.steps[k + 1:]
+        assert all(len(e) == 2 and 0 <= e[0] < 5 and e[1] >= 1 for e in new)
