@@ -558,7 +558,7 @@ def load_abstraction(path, system=None) -> SymbolicModel:
                     lattice_spec[key] = value
             else:
                 tokens = line.split()
-                for key, value in zip(tokens[0::2], tokens[1::2]):
+                for key, value in zip(tokens[0::2], tokens[1::2], strict=True):
                     header[key.lstrip("#")] = value
         except (ValueError, IndexError):
             raise ValueError(f"{path}:{lineno}: malformed line {line!r}") from None

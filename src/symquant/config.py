@@ -31,7 +31,7 @@ from typing import Any, Callable, NamedTuple
 
 from .abstraction import InputApproxConfig
 from .dynamics import SampledSystem, make_system
-from .errors import ConfigError
+from .errors import ConfigError, located_decoding
 from .quantizer import LogLattice, QuantizerVariant, parse_cell
 
 __all__ = ["ScenarioConfig", "parse_config", "check_value", "KEYS",
@@ -228,7 +228,7 @@ class ScenarioConfig(SimpleNamespace):
 
 def parse_config(path) -> ScenarioConfig:
     """Parse and validate a scenario file (see the module docstring)."""
-    raw = _RawConfig(str(path))
+    raw = located_decoding(_RawConfig, ConfigError)(str(path))
     values = {row.field: raw.parse(row) for row in KEYS}
     del values[None]  # the keys accepted with no effect
     cfg = ScenarioConfig(path=str(path), **values)

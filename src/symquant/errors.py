@@ -27,9 +27,9 @@ class PlanningError(RuntimeError):
     """No plan satisfying the requested goal sequence was found."""
 
 
-def located_decoding(load):
-    """Decorate a loader of a path: a UnicodeDecodeError becomes a
-    ValueError naming the file and the line of its first non-UTF-8 byte."""
+def located_decoding(load, error=ValueError):
+    """Decorate a loader of a path: a UnicodeDecodeError becomes an
+    ``error`` naming the file and the line of its first non-UTF-8 byte."""
     @functools.wraps(load)
     def loader(path, *args, **kwargs):
         try:
@@ -39,6 +39,6 @@ def located_decoding(load):
             with open(path, errors="surrogateescape") as fh:
                 at = next((f"{n}:" for n, line in enumerate(fh, start=1)
                            if re.search("[\udc80-\udcff]", line)), "")
-            raise ValueError(f"{path}:{at} not UTF-8 ({exc.reason})") from None
+            raise error(f"{path}:{at} not UTF-8 ({exc.reason})") from None
 
     return loader

@@ -14,14 +14,14 @@ The abstract controller refines to a concrete one by composing with the
 quantizer: query a state's cell, return that cell's admissible inputs.  Two
 states in one cell always receive identical answers.
 
-Planning works on the abstract graph.  The default mode uses only
-transitions with singleton successor sets (executable open loop on the
-abstraction) and fails if no such path exists.  The relaxed mode instead
-searches the deterministic nominal rollout of the sampled dynamics under the
-model's input set, restricted to the lattice bounds, deduplicating visited
-states on a fine grid; its plans replay exactly in closed loop from the same
-start state but carry no abstraction-level guarantee, so they are meant to be
-validated by simulation.
+Planning is one breadth-first search with two expansions.  The default one
+follows only transitions with singleton successor sets (executable open
+loop on the abstraction), and planning fails if no such path exists.  The
+relaxed one follows the deterministic nominal rollout of the sampled
+dynamics under the model's input set inside the lattice bounds, with visited
+states deduplicated on a fine grid; its plans replay exactly in closed loop
+from the same start state but carry no abstraction-level guarantee, so they
+are meant to be validated by simulation.
 """
 
 from __future__ import annotations
@@ -218,105 +218,108 @@ def _check_step(uid: int, hold: int, n_inputs: int, where: str = ""):
     _check_input_id(uid, n_inputs, where)
 
 
-def _compress(uids) -> tuple[tuple[int, int], ...]:
-    return tuple((uid, len(list(run))) for uid, run in itertools.groupby(uids))
-
-
-def _singleton_segment(model: SymbolicModel, start_id: int,
-                       goal_id: int) -> list[int] | None:
-    """Shortest input sequence using only singleton transitions; ties are
-    broken by expanding inputs in ascending index order."""
-    if start_id == goal_id:
-        return []
-    parent: dict[int, tuple[int, int]] = {start_id: (-1, -1)}
-    frontier = [start_id]
-    while frontier:
-        nxt = []
-        for sid in frontier:
-            for uid in model.enabled_ids(sid):
-                succ = model.successor_ids(sid, uid)
-                if len(succ) != 1:
-                    continue
-                dst = succ[0]
-                if dst in parent:
-                    continue
-                parent[dst] = (sid, uid)
-                if dst == goal_id:
-                    seq = []
-                    node = dst
-                    while node != start_id:
-                        prev, used = parent[node]
-                        seq.append(used)
-                        node = prev
-                    return list(reversed(seq))
-                nxt.append(dst)
-        frontier = nxt
+def _search(root, expand, visit, is_goal, max_depth: int):
+    """Breadth-first search from the one-node array ``root`` to a node that
+    ``is_goal`` marks: (input sequence, arrival as a one-node array) or None.
+    ``expand(frontier)`` gives a layer's successors in frontier order, then
+    input order, as arrays (frontier position, input id, node, key); one is
+    kept if its key is its layer's first and unmarked in the bool mask
+    ``visit(root)``, which marks the root's key."""
+    if is_goal(root)[0]:
+        return [], root
+    visited = visit(root)
+    frontier = root
+    layers: list[tuple[np.ndarray, np.ndarray]] = []
+    for _ in range(max_depth):
+        parents, uids, nodes, keys = expand(frontier)
+        fresh = np.flatnonzero(~visited[keys])
+        # keep the first row (frontier-order, then input-order) per key:
+        # the values key * n + position sort by key, then by row
+        n = len(fresh)
+        key, pos = np.divmod(np.sort(keys[fresh] * n + np.arange(n)), n)
+        head = np.diff(key, prepend=-1) != 0
+        rows = fresh[np.sort(pos[head])]
+        if rows.size == 0:
+            return None
+        visited[key[head]] = True
+        layers.append((parents[rows], uids[rows]))
+        frontier = nodes[rows]
+        hits = np.flatnonzero(is_goal(frontier))
+        if hits.size:
+            node = int(hits[0])
+            seq = []
+            for parents, uids in reversed(layers):
+                seq.append(int(uids[node]))
+                node = int(parents[node])
+            return seq[::-1], frontier[hits[0]:hits[0] + 1]
     return None
 
 
+def _singleton_expansion(model: SymbolicModel):
+    """Search expansion over the pairs whose successor set is one state;
+    nodes and keys are state ids.  Returns ``(expand, visit)``."""
+    ptr, targets = model.relation()
+    single = np.flatnonzero(np.diff(ptr) == 1)
+    uids, dst = model.pair_input[single], targets[ptr[single]]
+    # these pairs ascend by state, then by input
+    bounds = np.searchsorted(model.pair_state[single],
+                             np.arange(model.n_states + 1))
+
+    def expand(frontier):
+        lo, counts = bounds[frontier], bounds[frontier + 1] - bounds[frontier]
+        parents = np.repeat(np.arange(len(frontier)), counts)
+        first = np.cumsum(counts) - counts  # each state's first candidate
+        rows = lo[parents] + np.arange(len(parents)) - first[parents]
+        return parents, uids[rows], dst[rows], dst[rows]
+
+    return expand, lambda root: np.arange(model.n_states) == root
+
+
 class _GridDedup:
-    """Flat visited-set over a uniform grid covering the lattice bounds."""
+    """Visited sets over a uniform grid covering the lattice bounds."""
 
     def __init__(self, lattice: LogLattice, resolution: float):
         self.lo = lattice.lo_array
         self.res = float(resolution)
         spans = lattice.hi_array - lattice.lo_array
         self.shape = np.maximum((spans / self.res).astype(np.int64) + 3, 1)
-        total = int(np.prod(self.shape))
-        if total > 50_000_000:
-            raise PlanningError(
-                f"dedup grid of {total} cells is too large; increase the "
-                "grid resolution")
-        self.visited = np.zeros(total, bool)
+        self.size = int(np.prod(self.shape))
 
     def codes(self, pts: np.ndarray) -> np.ndarray:
         """Row-major index of each point's grid cell, clipped into the grid."""
         idx = ((pts - self.lo) / self.res).astype(np.int64) + 1
         return np.ravel_multi_index(tuple(idx.T), self.shape, mode="clip")
 
+    def visit(self, pts: np.ndarray) -> np.ndarray:
+        """Visited mask marking the cells of ``pts`` and the key past the grid."""
+        if self.size > 50_000_000:
+            raise PlanningError(
+                f"dedup grid of {self.size} cells is too large; increase the "
+                "grid resolution")
+        visited = np.zeros(self.size + 1, bool)
+        visited[self.codes(pts)] = True
+        visited[self.size] = True
+        return visited
 
-def _rollout_segment(sys: SampledSystem, lattice: LogLattice,
-                     inputs: np.ndarray, x_start: np.ndarray, goal_box,
-                     resolution: float, max_depth: int):
-    """Breadth-first search over nominal rollouts, states deduplicated on a
-    uniform grid; returns (input sequence, arrival state) or None."""
-    if goal_box.contains(x_start):
-        return [], x_start
-    dedup = _GridDedup(lattice, resolution)
-    frontier = x_start[None, :].copy()
-    dedup.visited[dedup.codes(frontier)] = True
+
+def _rollout_expansion(sys: SampledSystem, lattice: LogLattice,
+                       inputs: np.ndarray, resolution: float):
+    """Search expansion over nominal rollouts inside the lattice bounds;
+    nodes are states, keys their grid cells.  Returns ``(expand, visit)``."""
+    grid = _GridDedup(lattice, resolution)
     n_inputs = len(inputs)
-    layers: list[tuple[np.ndarray, np.ndarray]] = []
-    for _ in range(max_depth):
-        n_front = len(frontier)
-        stacked_x = np.repeat(frontier, n_inputs, axis=0)
-        stacked_u = np.tile(inputs, (n_front, 1))
-        succ = successor_many(sys, stacked_x, stacked_u)
-        rows = np.flatnonzero(lattice.contains_many(succ))
-        codes = dedup.codes(succ[rows])
-        fresh = ~dedup.visited[codes]
-        rows, codes = rows[fresh], codes[fresh]
-        # keep the first row (frontier-order, then input-order) per grid
-        # cell: the keys code * n + position sort by cell, then by row
-        n = len(codes)
-        cell, pos = np.divmod(np.sort(codes * n + np.arange(n)), n)
-        head = np.diff(cell, prepend=-1) != 0
-        rows = rows[np.sort(pos[head])]
-        if rows.size == 0:
-            return None
-        dedup.visited[cell[head]] = True
-        layers.append((rows // n_inputs, rows % n_inputs))
-        frontier = succ[rows]
-        hits = goal_box.contains_many(frontier)
-        if hits.any():
-            node = int(np.nonzero(hits)[0][0])
-            arrival = frontier[node].copy()
-            seq = []
-            for parents, uids in reversed(layers):
-                seq.append(int(uids[node]))
-                node = int(parents[node])
-            return list(reversed(seq)), arrival
-    return None
+
+    def expand(frontier):
+        succ = successor_many(sys, np.repeat(frontier, n_inputs, axis=0),
+                              np.tile(inputs, (len(frontier), 1)))
+        # a successor outside the bounds gets the key visit marks up front
+        keys = np.full(len(succ), grid.size)
+        inside = np.flatnonzero(lattice.contains_many(succ))
+        keys[inside] = grid.codes(succ[inside])
+        parents, uids = np.divmod(np.arange(len(succ)), n_inputs)
+        return parents, uids, succ, keys
+
+    return expand, grid.visit
 
 
 def plan_reach(model: SymbolicModel, start, goals, relaxed: bool = False,
@@ -335,37 +338,33 @@ def plan_reach(model: SymbolicModel, start, goals, relaxed: bool = False,
     goal_ids = [model.state_id(g) for g in goals]
 
     if not relaxed:
-        here = start_id
-        sequence: list[int] = []
-        for gid in goal_ids:
-            segment = _singleton_segment(model, here, gid)
-            if segment is None:
-                raise PlanningError(
-                    f"goal {format_cell(model.cells[gid])} unreachable via "
-                    "singleton transitions; retry with relaxed=True")
-            sequence.extend(segment)
-            here = gid
-        return Plan(steps=_compress(sequence), inputs=model.inputs)
+        expand, visit = _singleton_expansion(model)
+        node, max_depth = np.array([start_id]), model.n_states
+        reason = "unreachable via singleton transitions; retry with relaxed=True"
+        goal_tests = [lambda nodes, gid=gid: nodes == gid for gid in goal_ids]
+    else:
+        if model.system is None:
+            raise PlanningError("relaxed planning needs the model's source system")
+        if model.lattice is None:
+            raise PlanningError("relaxed planning needs the lattice geometry")
+        expand, visit = _rollout_expansion(model.system, model.lattice,
+                                           model.inputs, grid_resolution)
+        node = model.lattice.center(model.cells[start_id])[None]
+        max_depth = max_segment_steps
+        reason = f"unreachable within {max_segment_steps} steps"
+        goal_tests = [model.lattice.cell_box(model.cells[gid]).contains_many
+                      for gid in goal_ids]
 
-    if model.system is None:
-        raise PlanningError("relaxed planning needs the model's source system")
-    if model.lattice is None:
-        raise PlanningError("relaxed planning needs the lattice geometry")
-    sys = model.system
-    lattice = model.lattice
-    x = lattice.center(model.cells[start_id])
-    sequence = []
-    for gid in goal_ids:
-        goal_box = lattice.cell_box(model.cells[gid])
-        result = _rollout_segment(sys, lattice, model.inputs, x, goal_box,
-                                  grid_resolution, max_segment_steps)
-        if result is None:
-            raise PlanningError(
-                f"goal {format_cell(model.cells[gid])} unreachable within "
-                f"{max_segment_steps} steps")
-        segment, x = result
+    sequence: list[int] = []
+    for gid, is_goal in zip(goal_ids, goal_tests):
+        found = _search(node, expand, visit, is_goal, max_depth)
+        if found is None:
+            raise PlanningError(f"goal {format_cell(model.cells[gid])} {reason}")
+        segment, node = found
         sequence.extend(segment)
-    return Plan(steps=_compress(sequence), inputs=model.inputs)
+    return Plan(steps=tuple((uid, len(list(run)))
+                            for uid, run in itertools.groupby(sequence)),
+                inputs=model.inputs)
 
 
 def simulate_closed_loop(sys: SampledSystem, policy, x0, max_steps: int,

@@ -234,7 +234,8 @@ def test_cli_export_roundtrips_transition_count(tmp_path):
 
 
 @pytest.mark.parametrize("case", ["unknown_state", "unknown_input",
-                                  "noncontiguous_states"])
+                                  "noncontiguous_states",
+                                  "unpaired_header_token"])
 def test_cli_rejects_bad_model_file(tmp_path, capsys, case):
     cfg = _fast_cfg(tmp_path)
     path = tmp_path / "m.abs"
@@ -245,6 +246,9 @@ def test_cli_rejects_bad_model_file(tmp_path, capsys, case):
         at, lines[3] = 4, f"{src} 999 {uid}"
     elif case == "unknown_input":
         at, lines[3] = 4, f"{src} {dst} 9999"
+    elif case == "unpaired_header_token":
+        assert lines[2].startswith("#tau ")
+        at, lines[2] = 3, lines[2] + " junk"
     else:
         at = lines.index(next(ln for ln in lines if ln.startswith("state 5 ")))
         lines[at] = lines[at].replace("state 5 ", "state 7 ")
@@ -317,6 +321,20 @@ def test_cli_config_error_exit_code(tmp_path):
                      "--out", str(tmp_path / "m.abs")]) == cli.EXIT_CONFIG
     cfg = _fast_cfg(tmp_path)
     assert cli.main(["abstract", "--config", cfg]) == cli.EXIT_CONFIG  # no --out
+
+
+def test_cli_rejects_scenario_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "pendulum.cfg"
+    with open(BUNDLED, "rb") as fh:
+        path.write_bytes(fh.read() + b"\xff\xfe junk")
+    at = path.read_bytes().count(b"\n") + 1
+    code = cli.main(["abstract", "--config", str(path), "--out",
+                     str(tmp_path / "m.abs")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG
+    assert (f"configuration error: {path}:{at}: not UTF-8 (invalid start "
+            "byte)") in err
+    assert "Traceback" not in err
 
 
 def _contracting_cfg(tmp_path):

@@ -1,5 +1,6 @@
 """Fixed-point synthesis, controller refinement, planning, simulation."""
 
+import itertools
 import re
 
 import numpy as np
@@ -236,16 +237,18 @@ def test_rollout_matches_one_state_at_a_time_search(pendulum_scenario, res):
     sys_, lattice, model = pendulum_scenario
     x = lattice.center((-1, 0))
     layers = _rollout_layers(sys_, lattice, model.inputs, x, res, 40)
+    expand, visit = synthesis._rollout_expansion(sys_, lattice, model.inputs,
+                                                 res)
     reached = 0
     for goal in lattice.enumerate_cells():
         box = lattice.cell_box(goal)
-        got = synthesis._rollout_segment(sys_, lattice, model.inputs, x, box,
-                                         res, 40)
+        got = synthesis._search(x[None], expand, visit, box.contains_many, 40)
         want = next(([seq, state] for layer in layers for state, seq in layer
                      if box.contains(state)), None)
         assert (got is None) == (want is None), goal
         if got is not None:
-            assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
+            (arrival,) = got[1]
+            assert got[0] == want[0] and arrival.tobytes() == want[1].tobytes()
             reached += 1
     assert reached >= 3
 
@@ -260,6 +263,10 @@ def test_grid_codes_are_row_major_indices():
     idx = np.clip(idx, 0, dedup.shape - 1)
     want = np.ravel_multi_index(tuple(idx.T), tuple(dedup.shape))
     assert np.array_equal(dedup.codes(pts), want)
+    # a search's visited mask starts with the cells of its root marked, and
+    # the key past the grid, which the successors outside the bounds get
+    assert np.array_equal(np.flatnonzero(dedup.visit(pts)),
+                          np.append(np.unique(want), dedup.size))
 
 def test_relaxed_plan_requires_system(pendulum_scenario):
     _, _, model = pendulum_scenario
@@ -270,6 +277,93 @@ def test_relaxed_plan_requires_system(pendulum_scenario):
         lattice=model.lattice)
     with pytest.raises(PlanningError):
         sq.plan_reach(stripped, (-1, 0), [(0, 0)], relaxed=True)
+
+
+def test_relaxed_plan_requires_lattice(pendulum_scenario):
+    sys_, _, model = pendulum_scenario
+    bare = SymbolicModel.from_tables(
+        model.cells, model.inputs, {(0, 0): (0,)}, system=sys_)
+    with pytest.raises(PlanningError, match="needs the lattice geometry"):
+        sq.plan_reach(bare, (-1, 0), [(0, 0)], relaxed=True)
+
+
+def test_relaxed_plan_stops_at_max_segment_steps(pendulum_scenario):
+    _, _, model = pendulum_scenario
+    steps = sq.plan_reach(model, (-1, 0), [(0, 0)], relaxed=True).total_steps
+    assert steps > 1
+    with pytest.raises(PlanningError) as info:
+        sq.plan_reach(model, (-1, 0), [(0, 0)], relaxed=True,
+                      max_segment_steps=steps - 1)
+    assert str(info.value) == f"goal 0,0 unreachable within {steps - 1} steps"
+
+
+def _singleton_segment(model, start_id, goal_id):
+    """Reference search, one state at a time: the shortest input sequence
+    using only singleton transitions; ties are broken by expanding inputs in
+    ascending index order."""
+    if start_id == goal_id:
+        return []
+    parent = {start_id: (-1, -1)}
+    frontier = [start_id]
+    while frontier:
+        nxt = []
+        for sid in frontier:
+            for uid in model.enabled_ids(sid):
+                succ = model.successor_ids(sid, uid)
+                if len(succ) != 1:
+                    continue
+                dst = succ[0]
+                if dst in parent:
+                    continue
+                parent[dst] = (sid, uid)
+                if dst == goal_id:
+                    seq = []
+                    node = dst
+                    while node != start_id:
+                        prev, used = parent[node]
+                        seq.append(used)
+                        node = prev
+                    return list(reversed(seq))
+                nxt.append(dst)
+        frontier = nxt
+    return None
+
+
+def _singleton_plan(model, start, goals):
+    """The default mode of plan_reach over the reference search: the plan's
+    steps, or the text of its PlanningError."""
+    here, sequence = model.state_id(start), []
+    for goal in goals:
+        gid = model.state_id(goal)
+        segment = _singleton_segment(model, here, gid)
+        if segment is None:
+            return (f"goal {sq.format_cell(goal)} unreachable via singleton "
+                    "transitions; retry with relaxed=True")
+        sequence.extend(segment)
+        here = gid
+    return tuple((uid, len(list(run)))
+                 for uid, run in itertools.groupby(sequence))
+
+
+def test_singleton_plans_match_reference_search():
+    # identical plans, or identical errors, from 1-3 goals on 300 models
+    rng = np.random.default_rng(21)
+    errors = plans = 0
+    for trial in range(300):
+        model = random_model(rng, max_states=int(rng.integers(2, 20)),
+                             max_inputs=8)
+        start = model.cells[rng.integers(model.n_states)]
+        goals = [model.cells[g] for g in
+                 rng.integers(model.n_states, size=rng.integers(1, 4))]
+        want = _singleton_plan(model, start, goals)
+        try:
+            got = sq.plan_reach(model, start, goals).steps
+        except PlanningError as exc:
+            got = str(exc)
+        assert got == want, trial
+        errors += isinstance(want, str)
+        plans += bool(want) and not isinstance(want, str)
+    assert errors >= 50 and plans >= 50, (errors, plans)
 
 
 def test_simulate_equilibrium_constant():
@@ -292,6 +386,47 @@ def test_simulate_rejects_out_of_domain_start(contracting_scenario):
     concrete = sq.refine_controller(sq.safety_fixpoint(model, safe), lattice)
     with pytest.raises(OutOfDomainError):
         sq.simulate_closed_loop(sys_, concrete, [0.95, 0.95], 10)
+
+
+def test_simulate_controller_stops_on_leaving_domain(contracting_scenario):
+    # a one-cell controller whose input drives the state out of that cell
+    sys_, lattice, _ = contracting_scenario
+    ctrl = sq.SafetyController(domain=((0, 0),), admissible={(0, 0): (0,)},
+                               inputs=np.array([[1.0]]), iterations=1,
+                               history=(1, 1), safe_cells=((0, 0),))
+    concrete = sq.refine_controller(ctrl, lattice)
+    trajectory = sq.simulate_closed_loop(sys_, concrete, [0.0, 0.0], 10)
+    assert trajectory.terminated == "out_of_domain"
+    assert 0 < trajectory.steps < 10
+    assert trajectory.inputs.tolist() == [[1.0]] * trajectory.steps
+    *kept, before, exited = trajectory.states
+    assert all(concrete.in_domain(x) for x in (*kept, before))
+    assert not concrete.in_domain(exited)
+    assert exited.tobytes() == sq.successor(sys_, before, [1.0]).tobytes()
+
+
+def test_simulate_plan_stops_on_leaving_bounds(pendulum_scenario):
+    sys_, lattice, model = pendulum_scenario
+    plan = sq.Plan(steps=((model.n_inputs - 1, 20),), inputs=model.inputs)
+    trajectory = sq.simulate_closed_loop(sys_, plan, [0.9, 0.9], 50,
+                                         lattice=lattice)
+    assert trajectory.terminated == "out_of_domain"
+    assert 0 < trajectory.steps < 20
+    inside = lattice.contains_many(trajectory.states)
+    assert inside[:-1].all() and not inside[-1]
+
+
+def test_simulate_plan_rejects_start_outside_bounds(pendulum_scenario):
+    sys_, lattice, model = pendulum_scenario
+    plan = sq.Plan(steps=((0, 3),), inputs=model.inputs)
+    with pytest.raises(OutOfDomainError, match="outside the lattice bounds"):
+        sq.simulate_closed_loop(sys_, plan, [1.5, 0.0], 10, lattice=lattice)
+
+
+def test_simulate_rejects_unsupported_policy(pendulum_scenario):
+    sys_, _, _ = pendulum_scenario
+    with pytest.raises(TypeError, match="unsupported policy type"):
+        sq.simulate_closed_loop(sys_, object(), [0.0, 0.0], 10)
 
 
 def test_simulate_plan_mode_truncates_at_max_steps(pendulum_scenario):
