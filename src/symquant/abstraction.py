@@ -204,7 +204,8 @@ def _pack(key, n_states: int, n_inputs: int):
     :func:`_key`): returns ``(pair_ptr, pair_input, (offsets, targets))``.
     Repeated transitions count once; the targets overwrite ``key``."""
     if not (key[1:] > key[:-1]).all():
-        key = np.unique(key)
+        key = np.sort(key)
+        key = key[np.append(True, key[1:] != key[:-1])]
     pair_key = key // n_states
     np.remainder(key, n_states, out=key)
     new = np.ones(len(key), bool)
@@ -329,23 +330,40 @@ class SymbolicModel:
     def is_blocking(self, cell) -> bool:
         return not self.enabled_inputs(cell)
 
-    def _transitions(self):
-        """Source, target and input ids of every transition, sorted, in
-        chunks of about ``_CHUNK``."""
-        ptr, targets = self.relation()
-        for a, b in _pair_chunks(ptr):
-            counts = np.diff(ptr[a:b + 1])
-            yield (np.repeat(self.pair_state[a:b], counts),
-                   targets[ptr[a]:ptr[b]],
-                   np.repeat(self.pair_input[a:b], counts))
-
     def transition_count(self) -> int:
         return len(self.relation()[1])
 
     def iter_transitions(self):
         """Yield (src id, dst id, input id) sorted."""
-        for chunk in self._transitions():
-            yield from zip(*(a.tolist() for a in chunk))
+        ptr, targets = self.relation()
+        for a, b in _pair_chunks(ptr):
+            counts = np.diff(ptr[a:b + 1])
+            yield from zip(np.repeat(self.pair_state[a:b], counts).tolist(),
+                           targets[ptr[a]:ptr[b]].tolist(),
+                           np.repeat(self.pair_input[a:b], counts).tolist())
+
+    def transition_text(self, head: str, tail: str):
+        """Every transition as text, sorted, one string per chunk of pairs
+        (see :func:`_pair_chunks`): ``src dst uid`` reads
+        ``head % src + dst + tail % uid``, each id in decimal.
+
+        The lines of one successor set differ only in ``dst``, so each set
+        is one ``str.join`` over a table of decimal names.
+        """
+        ptr, targets = self.relation()
+        names = [str(i) for i in range(max(self.n_states, self.n_inputs))]
+        for a, b in _pair_chunks(ptr):
+            dst = list(map(names.__getitem__,
+                           targets[ptr[a]:ptr[b]].tolist()))
+            ends = (ptr[a:b + 1] - ptr[a]).tolist()
+            text = []
+            for src, uid, i, j in zip(self.pair_state[a:b].tolist(),
+                                      self.pair_input[a:b].tolist(),
+                                      ends, ends[1:]):
+                if i < j:
+                    first, last = head % names[src], tail % names[uid]
+                    text.append(first + (last + first).join(dst[i:j]) + last)
+            yield "".join(text)
 
     def summary(self) -> dict:
         return {
@@ -412,7 +430,7 @@ def build_abstraction(sys: SampledSystem, lattice: LogLattice,
     # global input table: union of representatives; grid rows are in
     # lexicographic order, so ascending sample index is ascending input
     pair_state, sample = np.divmod(rows, n_grid)
-    used = np.unique(sample)
+    used = np.flatnonzero(np.bincount(sample, minlength=n_grid))
     model = SymbolicModel(
         cells, grid[used], np.searchsorted(pair_state, np.arange(n_cells + 1)),
         np.searchsorted(used, sample), lattice=lattice, tau=sys.tau, eta=eta,
@@ -447,10 +465,8 @@ def save_abstraction(model: SymbolicModel, path):
         fh.write("#tau %s #eta %s #mu %s #L %s\n" % (
             repr(float(model.tau)), repr(float(model.eta)),
             repr(float(model.mu)), repr(float(model.lipschitz))))
-        # one format operation per chunk bounds the transient Python ints
-        for chunk in model._transitions():
-            fh.write(("%d %d %d\n" * len(chunk[0]))
-                     % tuple(np.column_stack(chunk).ravel().tolist()))
+        for text in model.transition_text("%s ", " %s\n"):
+            fh.write(text)
         for uid in range(model.n_inputs):
             fh.write("input %d %s\n" % (uid, " ".join(
                 repr(float(v)) for v in model.inputs[uid])))
@@ -458,6 +474,40 @@ def save_abstraction(model: SymbolicModel, path):
             fh.write(f"state {sid} {format_cell(cell)}\n")
     logger.info("save: %d transitions, %.3f s", model.transition_count(),
                 time.perf_counter() - start)
+
+
+# the keys of a model file's parameter header line, as model attributes;
+# a key that is missing keeps the model's default
+_PARAMS = {"#tau": "tau", "#eta": "eta", "#mu": "mu", "#L": "lipschitz"}
+_LATTICE = ("variant", "eta", "scale", "lo", "hi")
+
+
+def _number(name: str, text: str) -> float:
+    """``text`` as a finite float; ``name`` labels the error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not np.isfinite(value):
+        raise ValueError(f"{name} is not a finite number: {text!r}")
+    return value
+
+
+def _lattice(fields) -> LogLattice:
+    """The lattice of the ``key=value`` fields of a ``#lattice`` line."""
+    spec = {}
+    for field in fields:
+        key, sep, value = field.partition("=")
+        if not sep or key not in _LATTICE:
+            raise ValueError(f"unknown #lattice field {field!r}")
+        spec[key] = value
+    for key in _LATTICE:
+        if key not in spec:
+            raise ValueError(f"the #lattice line lacks {key!r}")
+    scale, lo, hi = ([_number(key, v) for v in spec[key].split(",")]
+                     for key in ("scale", "lo", "hi"))
+    return LogLattice.from_params(_number("eta", spec["eta"]), scale, lo, hi,
+                                  QuantizerVariant(spec["variant"]))
 
 
 def _table(lines):
@@ -545,25 +595,28 @@ def load_abstraction(path, system=None) -> SymbolicModel:
     """
     start = time.perf_counter()
     head, n_body, tail = _scan(path)
-    header: dict[str, str] = {}
-    lattice_spec: dict[str, str] = {}
-    version = None
+    params, lattice, version = {}, None, None
     for lineno, line in enumerate(head, start=1):
+        tokens = line.split()
         try:
-            if line.startswith("#version"):
-                version = int(line.split()[1])
-            elif line.startswith("#lattice"):
-                for token in line.split()[1:]:
-                    key, _, value = token.partition("=")
-                    lattice_spec[key] = value
+            if tokens[0] == "#lattice":
+                lattice = _lattice(tokens[1:])
+            elif tokens[0] == "#version" and len(tokens) == 2:
+                version = tokens[1]
+                if version != str(FORMAT_VERSION):
+                    raise ValueError(
+                        f"unsupported abstraction format {version!r}")
+            elif len(tokens) % 2:
+                raise ValueError(f"malformed line {line!r}")
             else:
-                tokens = line.split()
-                for key, value in zip(tokens[0::2], tokens[1::2], strict=True):
-                    header[key.lstrip("#")] = value
-        except (ValueError, IndexError):
-            raise ValueError(f"{path}:{lineno}: malformed line {line!r}") from None
-    if version != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported abstraction format {version!r}")
+                for key, value in zip(tokens[0::2], tokens[1::2]):
+                    if key not in _PARAMS:
+                        raise ValueError(f"unknown header key {key!r}")
+                    params[_PARAMS[key]] = _number(key, value)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+    if version is None:
+        raise ValueError(f"{path}: no #version line")
 
     # ids count up from 0, so these are the table sizes if the tables are
     # valid; if not, a fault in them is raised after the transitions
@@ -596,21 +649,10 @@ def load_abstraction(path, system=None) -> SymbolicModel:
             f"state or input ({len(cells)} states, {len(inputs)} inputs)")
 
     try:
-        lattice = LogLattice.from_params(
-            eta=float(lattice_spec["eta"]),
-            scales=[float(v) for v in lattice_spec["scale"].split(",")],
-            lo=[float(v) for v in lattice_spec["lo"].split(",")],
-            hi=[float(v) for v in lattice_spec["hi"].split(",")],
-            variant=QuantizerVariant(lattice_spec["variant"])) \
-            if lattice_spec else None
         pair_ptr, pair_input, relation = _pack(keys, len(cells), len(inputs))
-        model = SymbolicModel(
-            cells, inputs, pair_ptr, pair_input, lattice=lattice,
-            tau=float(header.get("tau", 0.0)), eta=float(header.get("eta", 0.5)),
-            mu=float(header.get("mu", 0.5)), lipschitz=float(header.get("L", 1.0)),
-            system=system, relation=relation)
-    except KeyError as exc:
-        raise ValueError(f"{path}: the #lattice line lacks {exc}") from None
+        model = SymbolicModel(cells, inputs, pair_ptr, pair_input,
+                              lattice=lattice, system=system,
+                              relation=relation, **params)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     logger.info("load: %d states, %d inputs, %d transitions, %.3f s",

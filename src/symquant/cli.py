@@ -152,8 +152,8 @@ def _cmd_export(args, cfg: ScenarioConfig) -> int:
         fh.write("digraph abstraction {\n")
         for sid, cell in enumerate(model.cells):
             fh.write(f'  s{sid} [label="{format_cell(cell)}"];\n')
-        for sid, dst, uid in model.iter_transitions():
-            fh.write(f'  s{sid} -> s{dst} [label="{uid}"];\n')
+        for text in model.transition_text("  s%s -> s", ' [label="%s"];\n'):
+            fh.write(text)
         fh.write("}\n")
     print(f"wrote {model.transition_count()} edges")
     return EXIT_OK

@@ -243,8 +243,14 @@ def pendulum_system(tau: float = 0.2, lipschitz: float = 6.0,
     def field(x, u):
         x = np.asarray(x, float)
         u = np.asarray(u, float)
-        dv = (-gravity_ratio * np.sin(x[..., 0]) - friction_ratio * x[..., 1]
-              + u[..., 0])
+        # -(g/l) sin(x1) - (k/m) x2 + u in place, with the same roundings
+        dv = np.sin(x[..., 0])
+        dv *= -gravity_ratio
+        dv -= friction_ratio * x[..., 1]
+        if dv.shape == u.shape[:-1]:
+            dv += u[..., 0]
+        else:  # one state against many inputs: broadcast
+            dv = dv + u[..., 0]
         out = np.empty(dv.shape + (2,))
         out[..., 0] = x[..., 1]
         out[..., 1] = dv

@@ -208,4 +208,5 @@ def abstract_safe_set(safe_lo, safe_hi, lattice: LogLattice,
     enabled = (ptr[1:] > ptr[:-1]) & inside[model.pair_state]
     return AbstractSafeSet(
         cells=tuple(model.cells[sid] for sid in np.flatnonzero(inside)),
-        inputs=tuple(np.unique(model.pair_input[enabled]).tolist()))
+        inputs=tuple(np.flatnonzero(np.bincount(
+            model.pair_input[enabled], minlength=model.n_inputs)).tolist()))

@@ -367,6 +367,79 @@ def test_save_load_roundtrip(pendulum_scenario, tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def _reference_file(model) -> bytes:
+    """The model file as the writer formatted it before it joined whole
+    successor sets: one ``%d`` conversion per id of every transition."""
+    lat = model.lattice
+    ptr, targets = model.relation()
+    counts = np.diff(ptr)
+    table = np.column_stack((np.repeat(model.pair_state, counts), targets,
+                             np.repeat(model.pair_input, counts)))
+
+    def floats(values):
+        return ",".join(repr(float(v)) for v in values)
+
+    text = ["#version 1\n",
+            "#lattice variant=%s eta=%s scale=%s lo=%s hi=%s\n" % (
+                lat.axes[0].variant.value, repr(model.eta),
+                floats(axis.scale for axis in lat.axes), floats(lat.lo),
+                floats(lat.hi)),
+            "#tau %s #eta %s #mu %s #L %s\n" % (
+                repr(model.tau), repr(model.eta), repr(model.mu),
+                repr(model.lipschitz)),
+            ("%d %d %d\n" * len(table)) % tuple(table.ravel().tolist())]
+    text += ["input %d %s\n" % (uid, " ".join(repr(float(v)) for v in row))
+             for uid, row in enumerate(model.inputs)]
+    text += [f"state {sid} {sq.format_cell(cell)}\n"
+             for sid, cell in enumerate(model.cells)]
+    return "".join(text).encode()
+
+
+def _wide_models():
+    """Models on a 121-cell lattice with 150 inputs, so state and input ids
+    cross 9 -> 10 and 99 -> 100: one from tables, and one built directly
+    whose pairs include empty successor sets."""
+    lattice = sq.LogLattice.from_params(0.25, [0.1, 0.1], [-1, -1], [1, 1],
+                                        "edge_anchored")
+    cells = lattice.enumerate_cells()
+    n, k = len(cells), 150
+    inputs = np.linspace(-1.0, 1.0, k)[:, None]
+    rng = np.random.default_rng(7)
+    succ = {(s, u): sorted(set(rng.integers(0, n, rng.integers(1, 5))
+                               .tolist()))
+            for s in range(n) for u in rng.choice(k, 3, replace=False)
+            if s % 5}
+    tables = SymbolicModel.from_tables(cells, inputs, succ, lattice=lattice,
+                                       tau=0.2, eta=0.25, mu=0.002,
+                                       lipschitz=6.0)
+    pair_ptr, pair_input, sets = [0], [], []
+    for s in range(n):
+        uids = np.sort(rng.choice(k, int(rng.integers(0, 4)), replace=False))
+        pair_input += uids.tolist()
+        pair_ptr.append(len(pair_input))
+        sets += [np.unique(rng.integers(0, n, rng.integers(0, 4)))
+                 for _ in uids]
+    offsets = np.cumsum([0] + [len(t) for t in sets])
+    direct = SymbolicModel(cells, inputs, pair_ptr, pair_input,
+                           lattice=lattice, tau=0.2, eta=0.25, mu=0.002,
+                           relation=(offsets, np.concatenate(sets)))
+    assert (np.diff(offsets) == 0).any()
+    return tables, direct
+
+
+def test_saved_text_matches_per_transition_reference(pendulum_scenario,
+                                                     tmp_path, monkeypatch):
+    # the bundled model has more inputs than states and disabled pairs
+    models = [pendulum_scenario[2], *_wide_models()]
+    for model in models:
+        want = _reference_file(model)
+        for chunk in (abstraction._CHUNK, 3):
+            with monkeypatch.context() as patch:
+                patch.setattr(abstraction, "_CHUNK", chunk)
+                model.save(tmp_path / "m.abs")
+            assert (tmp_path / "m.abs").read_bytes() == want, chunk
+
+
 def test_from_tables_hand_model():
     cells = [(0,), (1,), (2,)]
     succ = {(0, 0): (1,), (1, 0): (2,), (2, 0): (2,)}
@@ -461,13 +534,61 @@ def test_model_file_fuzz(tmp_path, monkeypatch):
             patch.setattr(abstraction, "_BLOCK", 5)
             outcomes.append(_load_outcome(path))
         got, tiny = outcomes
+        located = (k in body and name not in ("delete", "duplicate", "swap")
+                   or k < 3 and name in ("append", "abc"))
         if isinstance(got, str):
             assert got == tiny and got.startswith(f"{path}:"), (k, name)
-            if k in body and name not in ("delete", "duplicate", "swap"):
+            if located:
                 assert got.startswith(f"{path}:{k + 1}: "), (k, name, got)
         else:
             assert _same_model(got, tiny), (k, name)
-            assert k not in body or name not in ("blank", "append",
-                                                 *MUTATED_NUMBERS)
+            assert not located and (
+                k not in body or name not in ("blank", "append",
+                                              *MUTATED_NUMBERS)), (k, name)
             if k in body and name == "duplicate":
                 assert _same_model(got, original)
+
+
+@pytest.mark.parametrize("at, old, new, message", [
+    (3, " #L 1.0", " #L 1.0 #Lx 9", "unknown header key '#Lx'"),
+    (2, " hi=1.3", " hi=1.3 foo=1", "unknown #lattice field 'foo=1'"),
+    (2, " hi=1.3", " hi=1.3 eta", "unknown #lattice field 'eta'"),
+    (2, " hi=1.3", "", "the #lattice line lacks 'hi'"),
+    (3, "#tau 0.3", "#tau abc", "#tau is not a finite number: 'abc'"),
+    (3, "#L 1.0", "#L nan", "#L is not a finite number: 'nan'"),
+    (2, "eta=0.25", "eta=abc", "eta is not a finite number: 'abc'"),
+    (2, "lo=-0.8", "lo=-0.8,inf", "lo is not a finite number: 'inf'"),
+    (2, "eta=0.25", "eta=1.5", "eta must lie in (0, 1)"),
+    (2, "value_anchored", "bogus", "'bogus' is not a valid QuantizerVariant"),
+    (1, "#version 1", "#version 2", "unsupported abstraction format '2'"),
+])
+def test_model_file_header_checked_at_its_line(tmp_path, at, old, new,
+                                               message):
+    sys_, lattice = _line()
+    path = tmp_path / "m.abs"
+    sq.build_abstraction(sys_, lattice,
+                         sq.InputApproxConfig(0.002, 2)).save(path)
+    lines = path.read_text().splitlines(True)
+    assert old in lines[at - 1]
+    lines[at - 1] = lines[at - 1].replace(old, new)
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError) as info:
+        sq.load_abstraction(path)
+    assert str(info.value).startswith(f"{path}:{at}: {message}")
+
+
+def test_model_file_header_keys_default_when_missing(tmp_path):
+    sys_, lattice = _line()
+    path = tmp_path / "m.abs"
+    sq.build_abstraction(sys_, lattice,
+                         sq.InputApproxConfig(0.002, 2)).save(path)
+    lines = path.read_text().splitlines(True)
+    assert lines[2] == "#tau 0.3 #eta 0.25 #mu 0.002 #L 1.0\n"
+    path.write_text("".join(lines).replace(" #mu 0.002", ""))
+    model = sq.load_abstraction(path)
+    assert (model.tau, model.eta, model.mu, model.lipschitz) == \
+        (0.3, 0.25, 0.5, 1.0)
+    path.write_text("".join(lines[:2] + lines[3:]))
+    model = sq.load_abstraction(path)
+    assert (model.tau, model.eta, model.mu, model.lipschitz) == \
+        (0.0, 0.5, 0.5, 1.0)

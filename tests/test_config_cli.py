@@ -220,6 +220,44 @@ def test_cli_plan_failure_exit_code(tmp_path):
     assert code == cli.EXIT_PLAN
 
 
+def test_cli_export_matches_per_transition_reference(tmp_path):
+    # the DOT text as written one f-string per transition
+    out = tmp_path / "g.dot"
+    assert cli.main(["export", "--config", "pendulum", "--out", str(out)]) == 0
+    cfg = parse_config(BUNDLED)
+    model = sq.build_abstraction(cfg.build_system(), cfg.build_lattice(),
+                                 cfg.approx_config())
+    want = ["digraph abstraction {\n"]
+    want += [f'  s{sid} [label="{sq.format_cell(cell)}"];\n'
+             for sid, cell in enumerate(model.cells)]
+    want += [f'  s{sid} -> s{dst} [label="{uid}"];\n'
+             for sid, dst, uid in model.iter_transitions()]
+    assert out.read_bytes() == ("".join(want) + "}\n").encode()
+
+
+def test_cli_pipeline_never_imports_numpy_ma(tmp_path):
+    # numpy.ma costs about 10 ms to import; np.unique is one way in
+    script = f"""
+import sys
+from symquant import cli
+d = {str(tmp_path)!r} + "/"
+for argv in (["abstract", "--out", d + "m.abs"],
+             ["synthesize", "--in", d + "m.abs", "--out", d + "c.txt"],
+             ["verify", "--in", d + "m.abs", "--out", d + "v.txt"],
+             ["plan", "--out", d + "p.txt"],
+             ["simulate", "--in", d + "p.txt", "--out", d + "t.csv"],
+             ["export", "--in", d + "m.abs", "--out", d + "g.dot"]):
+    assert cli.main(argv + ["--config", "pendulum"]) == 0, argv
+assert "numpy.ma" not in sys.modules
+"""
+    src = os.path.dirname(os.path.dirname(sq.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_cli_export_roundtrips_transition_count(tmp_path):
     cfg = _fast_cfg(tmp_path)
     model_path = tmp_path / "m.abs"
@@ -235,7 +273,9 @@ def test_cli_export_roundtrips_transition_count(tmp_path):
 
 @pytest.mark.parametrize("case", ["unknown_state", "unknown_input",
                                   "noncontiguous_states",
-                                  "unpaired_header_token"])
+                                  "unpaired_header_token",
+                                  "unknown_header_key",
+                                  "non_numeric_header_value"])
 def test_cli_rejects_bad_model_file(tmp_path, capsys, case):
     cfg = _fast_cfg(tmp_path)
     path = tmp_path / "m.abs"
@@ -249,6 +289,12 @@ def test_cli_rejects_bad_model_file(tmp_path, capsys, case):
     elif case == "unpaired_header_token":
         assert lines[2].startswith("#tau ")
         at, lines[2] = 3, lines[2] + " junk"
+    elif case == "unknown_header_key":
+        at, lines[2] = 3, lines[2] + " #Lx 9"
+    elif case == "non_numeric_header_value":
+        assert lines[1].startswith("#lattice ") and " eta=" in lines[1]
+        at = 2
+        lines[1] = re.sub(r" eta=\S+", " eta=abc", lines[1])
     else:
         at = lines.index(next(ln for ln in lines if ln.startswith("state 5 ")))
         lines[at] = lines[at].replace("state 5 ", "state 7 ")

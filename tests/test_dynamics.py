@@ -251,9 +251,10 @@ def test_divergence_substep_is_the_first_non_finite_one():
 
 def test_pendulum_field_broadcasts_one_state_over_inputs():
     sys_ = sq.pendulum_system()
-    x = np.array([0.3, -0.7])
     u = np.linspace(-2.5, 2.5, 5)[:, None]
-    got = sys_.field(x, u)
-    assert got.shape == (5, 2)
-    rows = np.array([sys_.field(x, u[k]) for k in range(5)])
-    assert got.tobytes() == rows.tobytes()
+    for x in (np.array([0.3, -0.7]), np.array([[0.3, -0.7]])):
+        got = sys_.field(x, u)
+        assert got.shape == (5, 2)
+        rows = np.array([sys_.field(x[0] if x.ndim == 2 else x, u[k])
+                         for k in range(5)])
+        assert got.tobytes() == rows.tobytes()
