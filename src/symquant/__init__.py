@@ -1,26 +1,49 @@
 """Symbolic abstractions of sampled nonlinear control systems via
 logarithmic quantization, with safety controller synthesis and
-quantizer-based controller refinement."""
+quantizer-based controller refinement.
 
-from .errors import (ConfigError, DivergenceError, OutOfDomainError,
-                     PlanningError)
-from .quantizer import (Box, LogLattice, LogQuantizerAxis, QuantizerVariant,
-                        cell_bounds, enumerate_cells, format_cell,
-                        levels_overlapping_interval, parse_cell,
-                        scalar_quantize, vector_quantize)
-from .dynamics import (SampledSystem, Trajectory, growth_radius,
-                       linear_system, make_system, pendulum_system,
-                       register_system, successor, successor_many)
-from .abstraction import (InputApproxConfig, SymbolicModel,
-                          approximate_inputs, build_abstraction,
-                          input_grid, load_abstraction, save_abstraction,
-                          transition_targets)
-from .refinement import (AbstractSafeSet, RefinementReport,
-                         RefinementWitness, abstract_safe_set,
-                         check_feedback_refinement, relate)
-from .synthesis import (ConcreteController, Plan, SafetyController, cpre,
-                        load_controller, load_plan, plan_reach,
-                        refine_controller, safety_fixpoint, save_controller,
-                        save_plan, simulate_closed_loop)
+Submodules load on first use: ``import symquant`` loads none of them, and
+the first access to a public name imports the submodule that owns it.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+# public name -> the submodule that defines it
+_OWNERS = {name: module for module, names in [
+    ("errors", "ConfigError DivergenceError OutOfDomainError PlanningError"),
+    ("quantizer", "Box LogLattice LogQuantizerAxis QuantizerVariant "
+                  "cell_bounds enumerate_cells format_cell "
+                  "levels_overlapping_interval parse_cell scalar_quantize "
+                  "vector_quantize"),
+    ("dynamics", "SampledSystem Trajectory growth_radius linear_system "
+                 "make_system pendulum_system register_system successor "
+                 "successor_many"),
+    ("abstraction", "InputApproxConfig SymbolicModel approximate_inputs "
+                    "build_abstraction input_grid load_abstraction "
+                    "save_abstraction transition_targets"),
+    ("refinement", "AbstractSafeSet RefinementReport RefinementWitness "
+                   "abstract_safe_set check_feedback_refinement relate"),
+    ("synthesis", "ConcreteController Plan SafetyController cpre "
+                  "load_controller load_plan plan_reach refine_controller "
+                  "safety_fixpoint save_controller save_plan "
+                  "simulate_closed_loop"),
+] for name in names.split()}
+
+__all__ = sorted(_OWNERS)
+
+
+def __getattr__(name: str):
+    if name in _OWNERS:
+        value = getattr(import_module(f".{_OWNERS[name]}", __name__), name)
+    elif name in _OWNERS.values():
+        value = import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_OWNERS.values()})

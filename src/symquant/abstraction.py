@@ -595,13 +595,21 @@ def load_abstraction(path, system=None) -> SymbolicModel:
     """
     start = time.perf_counter()
     head, n_body, tail = _scan(path)
-    params, lattice, version = {}, None, None
+    params, lattice, version, seen = {}, None, None, set()
+
+    def once(key):
+        if key in seen:
+            raise ValueError(f"repeated header key {key!r}")
+        seen.add(key)
+
     for lineno, line in enumerate(head, start=1):
         tokens = line.split()
         try:
             if tokens[0] == "#lattice":
+                once("#lattice")
                 lattice = _lattice(tokens[1:])
             elif tokens[0] == "#version" and len(tokens) == 2:
+                once("#version")
                 version = tokens[1]
                 if version != str(FORMAT_VERSION):
                     raise ValueError(
@@ -612,11 +620,14 @@ def load_abstraction(path, system=None) -> SymbolicModel:
                 for key, value in zip(tokens[0::2], tokens[1::2]):
                     if key not in _PARAMS:
                         raise ValueError(f"unknown header key {key!r}")
+                    once(key)
                     params[_PARAMS[key]] = _number(key, value)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
     if version is None:
         raise ValueError(f"{path}: no #version line")
+    if lattice is None:
+        raise ValueError(f"{path}: no #lattice line")
 
     # ids count up from 0, so these are the table sizes if the tables are
     # valid; if not, a fault in them is raised after the transitions

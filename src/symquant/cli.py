@@ -22,7 +22,8 @@ import os
 import sys as _sys
 from importlib import resources
 
-from . import abstraction, refinement, synthesis
+# each command imports the pipeline stages (abstraction, refinement,
+# synthesis) it runs, so that start-up compiles no stage it does not need
 from .config import KEYS, REQUIRED, ScenarioConfig, check_value, parse_config
 from .errors import ConfigError, OutOfDomainError, PlanningError
 from .quantizer import format_cell
@@ -55,6 +56,8 @@ def _prepare_out(path: str) -> str:
 
 
 def _build_or_load(args, cfg: ScenarioConfig):
+    from . import abstraction
+
     sys_ = cfg.build_system()
     if getattr(args, "infile", None):
         model = abstraction.load_abstraction(args.infile, system=sys_)
@@ -74,6 +77,8 @@ def _cmd_abstract(args, cfg: ScenarioConfig) -> int:
 
 
 def _cmd_synthesize(args, cfg: ScenarioConfig) -> int:
+    from . import refinement, synthesis
+
     model, _ = _build_or_load(args, cfg)
     safe = refinement.abstract_safe_set(cfg.safe_lo, cfg.safe_hi,
                                         model.lattice, model)
@@ -93,6 +98,8 @@ def _cmd_synthesize(args, cfg: ScenarioConfig) -> int:
 
 
 def _cmd_verify(args, cfg: ScenarioConfig) -> int:
+    from . import refinement
+
     check_value("verify", "samples", args.samples, "--samples")
     check_value("verify", "seed", args.seed, "--seed")
     samples = args.samples if args.samples is not None else cfg.samples
@@ -112,6 +119,8 @@ def _cmd_verify(args, cfg: ScenarioConfig) -> int:
 
 
 def _cmd_plan(args, cfg: ScenarioConfig) -> int:
+    from . import synthesis
+
     model, _ = _build_or_load(args, cfg)
     if cfg.plan_start is None or not cfg.plan_goals:
         raise ConfigError(f"{cfg.path}: [plan] start and goals are required")
@@ -125,6 +134,8 @@ def _cmd_plan(args, cfg: ScenarioConfig) -> int:
 
 
 def _cmd_simulate(args, cfg: ScenarioConfig) -> int:
+    from . import abstraction, synthesis
+
     # --in names the policy file, so the model is always rebuilt from the
     # configuration (deterministic)
     sys_ = cfg.build_system()

@@ -29,7 +29,6 @@ import os
 from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple
 
-from .abstraction import InputApproxConfig
 from .dynamics import SampledSystem, make_system
 from .errors import ConfigError, located_decoding
 from .quantizer import LogLattice, QuantizerVariant, parse_cell
@@ -222,7 +221,10 @@ class ScenarioConfig(SimpleNamespace):
         except ValueError as exc:
             raise ConfigError(f"{self.path}: [quantizer]: {exc}") from None
 
-    def approx_config(self) -> InputApproxConfig:
+    def approx_config(self):
+        # imported here: reading a scenario loads no pipeline stage
+        from .abstraction import InputApproxConfig
+
         return InputApproxConfig(mu=self.mu, input_samples=self.input_samples)
 
 

@@ -437,9 +437,9 @@ def save_controller(ctrl: SafetyController, path):
 def load_controller(path, inputs, lattice: LogLattice) -> SafetyController:
     """Read a controller file over an input table and a lattice.
 
-    A line with no input ids, ids not strictly ascending, an id outside the
-    table, a cell not of the lattice or a cell seen before raises a
-    ValueError naming the file and line.
+    A line that does not start with ``cell``, has no input ids, ids not
+    strictly ascending, an id outside the table, a cell not of the lattice
+    or a cell seen before raises a ValueError naming the file and line.
     """
     admissible: dict[tuple[int, ...], tuple[int, ...]] = {}
     with open(path) as fh:
@@ -451,8 +451,9 @@ def load_controller(path, inputs, lattice: LogLattice) -> SafetyController:
             if not line or line.startswith("#"):
                 continue
             try:
-                _, rest = line.split(" ", 1)
-                levels, ids = rest.split(":")
+                if not line.startswith("cell "):
+                    raise ValueError("no cell keyword")
+                levels, ids = line[5:].split(":")
                 cell = parse_cell(levels.strip())
                 uids = tuple(int(v) for v in ids.split())
             except ValueError as exc:

@@ -536,12 +536,20 @@ def test_model_file_fuzz(tmp_path, monkeypatch):
         got, tiny = outcomes
         located = (k in body and name not in ("delete", "duplicate", "swap")
                    or k < 3 and name in ("append", "abc"))
+        # a header line read twice is at fault at its second copy, and the
+        # #version and #lattice lines are required
+        repeated = k < 3 and name == "duplicate"
         if isinstance(got, str):
             assert got == tiny and got.startswith(f"{path}:"), (k, name)
             if located:
                 assert got.startswith(f"{path}:{k + 1}: "), (k, name, got)
+            if repeated:
+                assert got.startswith(f"{path}:{k + 2}: repeated header key")
+            if k == 1 and name == "delete":
+                assert got == f"{path}: no #lattice line"
         else:
             assert _same_model(got, tiny), (k, name)
+            assert not repeated and not (k < 2 and name == "delete")
             assert not located and (
                 k not in body or name not in ("blank", "append",
                                               *MUTATED_NUMBERS)), (k, name)
@@ -575,6 +583,30 @@ def test_model_file_header_checked_at_its_line(tmp_path, at, old, new,
     with pytest.raises(ValueError) as info:
         sq.load_abstraction(path)
     assert str(info.value).startswith(f"{path}:{at}: {message}")
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda h: [h[0], h[1], h[2] + " #tau 0.7"],
+     ":3: repeated header key '#tau'"),
+    (lambda h: [h[0], h[1], h[2], "#L 2.0"], ":4: repeated header key '#L'"),
+    (lambda h: [h[0], h[1], h[1].replace("eta=0.25", "eta=0.5"), h[2]],
+     ":3: repeated header key '#lattice'"),
+    (lambda h: [h[0], h[0], h[1], h[2]], ":2: repeated header key '#version'"),
+    (lambda h: [h[0], h[2]], ": no #lattice line"),
+], ids=["tau", "L_own_line", "lattice", "version", "no_lattice"])
+def test_model_file_header_keys_appear_once(tmp_path, edit, message):
+    # a repeated key is rejected at the line that repeats it, not read with
+    # the last value winning; #lattice is required like #version
+    sys_, lattice = _line()
+    path = tmp_path / "m.abs"
+    sq.build_abstraction(sys_, lattice,
+                         sq.InputApproxConfig(0.002, 2)).save(path)
+    lines = path.read_text().splitlines()
+    assert lines[2].startswith("#tau ") and " #L " in lines[2]
+    path.write_text("\n".join(edit(lines[:3]) + lines[3:]) + "\n")
+    with pytest.raises(ValueError) as info:
+        sq.load_abstraction(path)
+    assert str(info.value) == f"{path}{message}"
 
 
 def test_model_file_header_keys_default_when_missing(tmp_path):

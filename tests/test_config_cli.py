@@ -275,7 +275,8 @@ def test_cli_export_roundtrips_transition_count(tmp_path):
                                   "noncontiguous_states",
                                   "unpaired_header_token",
                                   "unknown_header_key",
-                                  "non_numeric_header_value"])
+                                  "non_numeric_header_value",
+                                  "repeated_header_key", "no_lattice_line"])
 def test_cli_rejects_bad_model_file(tmp_path, capsys, case):
     cfg = _fast_cfg(tmp_path)
     path = tmp_path / "m.abs"
@@ -295,17 +296,25 @@ def test_cli_rejects_bad_model_file(tmp_path, capsys, case):
         assert lines[1].startswith("#lattice ") and " eta=" in lines[1]
         at = 2
         lines[1] = re.sub(r" eta=\S+", " eta=abc", lines[1])
+    elif case == "repeated_header_key":
+        at, lines[2] = 3, lines[2] + " #tau 0.7"
+    elif case == "no_lattice_line":
+        assert lines[1].startswith("#lattice ")
+        at = None
+        del lines[1]
     else:
         at = lines.index(next(ln for ln in lines if ln.startswith("state 5 ")))
         lines[at] = lines[at].replace("state 5 ", "state 7 ")
         at += 1
     path.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
-    for command in ("synthesize", "verify"):
+    where = "m.abs: no #lattice line" if at is None else f"m.abs:{at}: "
+    for command in ("synthesize", "verify", "export"):
         code = cli.main([command, "--config", cfg, "--in", str(path),
                          "--out", str(tmp_path / "out.txt")])
         assert code == cli.EXIT_BUILD
-        assert f"m.abs:{at}: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert where in err and "Traceback" not in err, command
 
 
 def test_cli_verbose_logs_phases(tmp_path):
@@ -450,6 +459,7 @@ def test_cli_simulate_controller_mode(tmp_path):
 @pytest.mark.parametrize("case", ["input_99", "input_minus_1", "no_inputs",
                                   "ids_descending", "ids_repeated",
                                   "not_a_cell", "repeated_cell",
+                                  "no_cell_keyword",
                                   "plan_hold_0", "plan_input_99"])
 def test_cli_simulate_rejects_bad_policy_file(tmp_path, capsys, case):
     if case.startswith("plan"):
@@ -472,6 +482,9 @@ def test_cli_simulate_rejects_bad_policy_file(tmp_path, capsys, case):
             at = len(lines)
         elif case == "not_a_cell":
             lines[1] = "cell 99,99 : 0"
+            at = 2
+        elif case == "no_cell_keyword":
+            lines[1:] = ["foo" + line[len("cell"):] for line in lines[1:]]
             at = 2
         else:
             ids = {"input_99": " 99", "input_minus_1": " -1", "no_inputs": "",

@@ -1,0 +1,86 @@
+"""The package's import graph: each entry point loads only the submodules
+it runs.  pytest's own process already holds every module, so each check
+runs in a fresh interpreter."""
+
+import os
+import subprocess
+import sys
+
+import symquant as sq
+
+STAGES = ("abstraction", "refinement", "synthesis")
+
+
+def _run(script):
+    src = os.path.dirname(os.path.dirname(sq.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_import_loads_no_pipeline_stage():
+    _run(f"""
+import sys
+def loaded():
+    return {{m for m in sys.modules if m.startswith("symquant")}}
+import symquant
+assert loaded() == {{"symquant"}}, loaded()
+import symquant.cli
+assert loaded() == {{"symquant." + m for m in ("errors", "quantizer",
+                    "dynamics", "config", "cli")}} | {{"symquant"}}, loaded()
+assert symquant.__version__ == {sq.__version__!r}
+""")
+
+
+def test_each_command_loads_only_its_stages(tmp_path):
+    _run(f"""
+import sys
+from symquant import cli
+def loaded():
+    return {{m for m in {STAGES!r} if "symquant." + m in sys.modules}}
+d = {str(tmp_path)!r} + "/"
+for argv, stages in (
+        (["abstract", "--out", d + "m.abs"], {{"abstraction"}}),
+        (["export", "--in", d + "m.abs", "--out", d + "g.dot"],
+         {{"abstraction"}}),
+        (["verify", "--in", d + "m.abs", "--out", d + "v.txt"],
+         {{"abstraction", "refinement"}})):
+    assert cli.main(argv + ["--config", "pendulum"]) == 0, argv
+    assert loaded() == stages, (argv, loaded())
+""")
+
+
+def test_public_names_resolve_on_first_use():
+    # each name is the object its defining submodule holds, and is listed
+    _run("""
+import importlib
+import symquant
+names = set(dir(symquant))
+for name in symquant.__all__:
+    value = getattr(symquant, name)
+    owner = importlib.import_module(value.__module__)
+    assert owner.__name__.startswith("symquant."), name
+    assert getattr(owner, name) is value, name
+    assert name in names, name
+star = {}
+exec("from symquant import *", star)
+assert set(symquant.__all__) <= set(star)
+""")
+
+
+def test_submodule_and_unknown_name_after_bare_import():
+    _run("""
+import sys
+import symquant
+assert symquant.abstraction is sys.modules["symquant.abstraction"]
+assert "abstraction" in dir(symquant)
+assert "symquant.refinement" not in sys.modules
+try:
+    symquant.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc)
+else:
+    raise AssertionError("an unknown name resolved")
+""")

@@ -530,6 +530,12 @@ def test_controller_file_fuzz(contracting_scenario, tmp_path):
             lattice.check_index(cell)
             assert list(uids) == sorted(set(uids))
             assert 0 <= uids[0] and uids[-1] < model.n_inputs
+    for k in range(1, len(lines)):  # a cell line under another keyword
+        mutated = lines[:k] + ["foo" + lines[k][len("cell"):]] + lines[k + 1:]
+        path.write_text("\n".join(mutated) + "\n")
+        with pytest.raises(ValueError) as info:
+            sq.load_controller(path, model.inputs, lattice)
+        assert str(info.value) == f"{path}:{k + 1}: malformed line"
 
 
 def test_plan_file_fuzz(tmp_path):
