@@ -8,16 +8,15 @@ distinct image under a fine auxiliary logarithmic quantizer (parameter
 mu-region are interchangeable at this resolution, and the lexicographically
 smallest one is kept.
 
-A transition (cell, input) -> targets is computed by integrating the cell
-center one period, inflating the nominal successor by the growth radius
-(see :func:`symquant.dynamics.growth_radius`), and collecting every cell that
-intersects the inflated box.  If the box leaves the lattice bounds the input
-is disabled for that cell (no stored successors), so enabled inputs can never
-drive the quantized closed loop out of the working box.
-
-A built model computes every successor set in one vectorized pass on the
-first query that needs them; see :class:`SymbolicModel` for the array layout
-of the relation.
+A transition (cell, input) -> targets leads to every cell that meets the
+pair's successor box.  :func:`_paper_boxes` forms the boxes (the cell
+center's nominal successor inflated by the paper's growth radius, see
+:func:`symquant.dynamics.growth_radius` for where it falls short), and
+:func:`_targets_many` enumerates the cells of any boxes.  A box that leaves
+the lattice bounds disables the input at that cell (no stored successors),
+so enabled inputs never drive the quantized closed loop out of the working
+box.  A built model keeps one box per candidate pair and enumerates every
+successor set in one pass on the first query that needs them.
 """
 
 from __future__ import annotations
@@ -137,9 +136,16 @@ def transition_targets(cell, u, sys: SampledSystem,
         logger.warning("divergence from cell %s under input %s: %s",
                        cell, u, exc)
         return ()
-    _, ids = _targets_many(lattice, center[None], nominal[None],
-                           sys.lipschitz, sys.tau)
+    _, ids = _targets_many(lattice, *_paper_boxes(sys, lattice, center[None],
+                                                  nominal[None]))
     return tuple(lattice.cells_of(ids))
+
+
+def _paper_boxes(sys: SampledSystem, lattice: LogLattice, centers, nominal):
+    """Paper successor boxes ``(nominal - r, nominal + r)`` of (cell
+    center, nominal successor) rows, ``r = growth_radius(center)``."""
+    radius = growth_radius(centers, lattice.shared_eta, sys.lipschitz, sys.tau)
+    return nominal - radius, nominal + radius
 
 
 def _pair_chunks(ptr):
@@ -152,24 +158,20 @@ def _pair_chunks(ptr):
         a = b
 
 
-def _targets_many(lattice: LogLattice, centers: np.ndarray,
-                  nominal: np.ndarray, lipschitz: float, tau: float):
-    """Successor sets of many (cell center, nominal successor) rows as CSR
-    ``(offsets, ids)``: row k leads to the ascending state ids
-    ``ids[offsets[k]:offsets[k + 1]]``.
+def _targets_many(lattice: LogLattice, box_lo: np.ndarray, box_hi: np.ndarray):
+    """The cells that meet many closed boxes ``[box_lo[k], box_hi[k]]``
+    (``box_lo <= box_hi``), as CSR ``(offsets, ids)``: box k meets the
+    ascending state ids ``ids[offsets[k]:offsets[k + 1]]``.
 
-    A set is the product of the per-axis level ranges that the inflated box
-    meets, enumerated in raveled order; it is empty when the box leaves the
-    lattice bounds or the nominal successor is not finite.
+    A set is the product of the per-axis level ranges that the box meets,
+    enumerated in raveled order; it is empty when the box leaves the lattice
+    bounds or is not finite.
     """
-    radius = growth_radius(centers, lattice.shared_eta, lipschitz, tau)
-    box_lo = nominal - radius
-    box_hi = nominal + radius
     ok = lattice.contains_many(box_lo) & lattice.contains_many(box_hi)
     first = lattice.quantize_many(box_lo[ok])
-    sizes = np.zeros(nominal.shape, np.int64)
+    sizes = np.zeros(box_lo.shape, np.int64)
     sizes[ok] = lattice.quantize_many(box_hi[ok]) - first + 1
-    base = np.zeros(len(nominal), np.int64)
+    base = np.zeros(len(box_lo), np.int64)
     base[ok] = lattice.cell_ids(first)
     counts = sizes.prod(axis=1)
     offsets = np.concatenate(([0], np.cumsum(counts)))
@@ -230,14 +232,15 @@ class SymbolicModel:
     enabled inputs is blocking.  The output map is the identity on cells and
     is not stored.
 
-    ``relation`` gives the successor sets up front.  Without it they are
-    computed, all at once by :meth:`materialize` on the first query, from
-    the pairs' ``nominal`` successors and the states' cell ``centers``.
+    ``relation`` gives the successor sets up front.  Without it,
+    ``boxes = (lo, hi)`` gives one closed successor box per candidate pair,
+    and :meth:`materialize` enumerates the cells that meet them all at once
+    on the first query.  How a box was formed is the builder's concern.
     """
 
     def __init__(self, cells, inputs, pair_ptr, pair_input, lattice=None,
                  tau=0.0, eta=0.5, mu=0.5, lipschitz=1.0, system=None,
-                 relation=None, centers=None, nominal=None):
+                 relation=None, boxes=None):
         self.cells = [tuple(int(m) for m in c) for c in cells]
         self._id = {c: i for i, c in enumerate(self.cells)}
         if len(self._id) != len(self.cells):
@@ -262,8 +265,7 @@ class SymbolicModel:
         self.pair_state = np.repeat(np.arange(len(self.cells)),
                                     np.diff(self.pair_ptr))
         self._relation = relation
-        self._centers = centers
-        self._nominal = nominal
+        self._boxes = boxes
 
     # -- identifiers ---------------------------------------------------
 
@@ -288,10 +290,8 @@ class SymbolicModel:
         if self._relation is not None:
             return
         start = time.perf_counter()
-        self._relation = _targets_many(
-            self.lattice, self._centers[self.pair_state], self._nominal,
-            self.lipschitz, self.tau)
-        self._centers = self._nominal = None
+        self._relation = _targets_many(self.lattice, *self._boxes)
+        self._boxes = None
         logger.info("targets: %d pairs, %d transitions, %.3f s",
                     len(self.pair_input), len(self._relation[1]),
                     time.perf_counter() - start)
@@ -404,27 +404,22 @@ def build_abstraction(sys: SampledSystem, lattice: LogLattice,
                       cfg: InputApproxConfig) -> SymbolicModel:
     """Build the symbolic model of a sampled system over a lattice.
 
-    The result is deterministic.  The abstract input sets are computed here
-    (one batched integration); the successor sets are left to the model's
-    first query that needs them.
+    The result is deterministic.  The abstract input sets and each pair's
+    successor box are computed here (one batched integration); the
+    successor sets are left to the model's first query that needs them.
     """
     if sys.dim_x != lattice.dim:
         raise ConfigError(f"system dimension {sys.dim_x} does not match "
                           f"lattice dimension {lattice.dim}")
-    eta = lattice.shared_eta
     cells = lattice.enumerate_cells()
-    if not cells:
-        raise ConfigError("lattice has no cells")
-
     start = time.perf_counter()
     grid = input_grid(sys, cfg.input_samples)
     n_cells, n_grid = len(cells), len(grid)
     centers = lattice.geometry()[0]
 
     # one batched integration for every (cell center, grid input) pair
-    stacked_x = np.repeat(centers, n_grid, axis=0)
-    stacked_u = np.tile(grid, (n_cells, 1))
-    nominal_all = successor_many(sys, stacked_x, stacked_u)
+    nominal_all = successor_many(sys, np.repeat(centers, n_grid, axis=0),
+                                 np.tile(grid, (n_cells, 1)))
     rows = _dedup(nominal_all.reshape(n_cells, n_grid, -1), grid, cells, cfg)
 
     # global input table: union of representatives; grid rows are in
@@ -433,9 +428,10 @@ def build_abstraction(sys: SampledSystem, lattice: LogLattice,
     used = np.flatnonzero(np.bincount(sample, minlength=n_grid))
     model = SymbolicModel(
         cells, grid[used], np.searchsorted(pair_state, np.arange(n_cells + 1)),
-        np.searchsorted(used, sample), lattice=lattice, tau=sys.tau, eta=eta,
-        mu=cfg.mu, lipschitz=sys.lipschitz, system=sys, centers=centers,
-        nominal=nominal_all[rows])
+        np.searchsorted(used, sample), lattice=lattice, tau=sys.tau,
+        eta=lattice.shared_eta, mu=cfg.mu, lipschitz=sys.lipschitz, system=sys,
+        boxes=_paper_boxes(sys, lattice, centers[pair_state],
+                           nominal_all[rows]))
     logger.info("dedup: %d cells x %d input samples, %d candidate pairs, "
                 "%d inputs, %.3f s", n_cells, n_grid, len(rows), len(used),
                 time.perf_counter() - start)

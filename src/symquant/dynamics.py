@@ -155,13 +155,13 @@ def successor(sys: SampledSystem, x0, u, steps: int | None = None) -> np.ndarray
 
 
 def growth_radius(q_center, eta: float, lipschitz: float, tau: float) -> np.ndarray:
-    """Per-axis inflation radius ``theta * exp(L*tau) * qbar`` around the
-    nominal successor of a cell center.
+    """The paper's per-axis radius ``theta * exp(L*tau) * qbar`` around the
+    nominal successor of a cell center ``q``: ``theta = eta / (1 - eta)``,
+    ``qbar_i = |q_i|``, or 1 where ``q_i = 0``.
 
-    ``theta = eta / (1 - eta)`` and ``qbar_i = |q_i|`` for nonzero components,
-    1 for zero components, so the box covers the successor of every point of
-    the cell whenever the Lipschitz bound holds.
-    """
+    Not a sound bound: the Lipschitz bound gives only ``exp(L*tau) *
+    max_j |x_j - q_j|``, and the box can miss true successors of deadzone
+    cells, of clipped outer cells and under coupling between axes."""
     q = np.atleast_1d(np.asarray(q_center, float))
     if not (0.0 < eta < 1.0):
         raise ValueError(f"eta must lie in (0, 1), got {eta!r}")

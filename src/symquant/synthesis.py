@@ -30,6 +30,7 @@ import itertools
 import logging
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -37,7 +38,9 @@ from .abstraction import SymbolicModel
 from .dynamics import SampledSystem, Trajectory, successor, successor_many
 from .errors import OutOfDomainError, PlanningError, located_decoding
 from .quantizer import LogLattice, format_cell, parse_cell
-from .refinement import AbstractSafeSet
+
+if TYPE_CHECKING:  # annotations only: plan and simulate never load it
+    from .refinement import AbstractSafeSet
 
 __all__ = [
     "SafetyController",

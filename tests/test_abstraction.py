@@ -9,7 +9,8 @@ import symquant as sq
 from symquant import abstraction
 from symquant.abstraction import SymbolicModel, _targets_many
 from symquant.errors import ConfigError, OutOfDomainError
-from conftest import MUTATED_NUMBERS, line_mutations, targets_oracle
+from conftest import (MUTATED_NUMBERS, box_intersects, line_mutations,
+                      targets_oracle)
 
 EDGE_LATTICE = sq.LogLattice.from_params(0.2, [0.4, 0.4], [-1, -1], [1, 1],
                                          "edge_anchored")
@@ -118,8 +119,10 @@ def _batched_targets_match_oracle(sys_, lattice, model):
     centers = np.array([lattice.center(c) for c in model.cells])
     xs = np.repeat(centers, model.n_inputs, axis=0)
     us = np.tile(model.inputs, (model.n_states, 1))
-    ptr, ids = _targets_many(lattice, xs, sq.successor_many(sys_, xs, us),
-                             sys_.lipschitz, sys_.tau)
+    nominal = sq.successor_many(sys_, xs, us)
+    radius = sq.growth_radius(xs, lattice.shared_eta, sys_.lipschitz,
+                              sys_.tau)
+    ptr, ids = _targets_many(lattice, nominal - radius, nominal + radius)
     sizes = set()
     pairs = itertools.product(range(model.n_states), range(model.n_inputs))
     for k, (sid, uid) in enumerate(pairs):
@@ -196,12 +199,46 @@ def test_targets_when_box_edge_is_a_boundary():
         nominal = _landing(edge, offset)
         lo, hi = nominal - radius, nominal + radius
         assert edge in (lo, hi)
-        _, ids = _targets_many(lattice, center[None], np.array([[nominal]]),
-                               1.0, 0.1)
+        _, ids = _targets_many(lattice, np.array([[lo]]), np.array([[hi]]))
         got = [c[0] for c in lattice.cells_of(ids)]
         assert got and got == lattice.levels_in_interval(0, lo, hi)
         if touching is not None:
             assert got[-1 if edge == hi else 0] == touching
+
+
+@pytest.mark.parametrize("lattice", [
+    sq.LogLattice.from_params(0.3, [0.2, 0.5], [-1.0, -0.8], [1.5, 1.0],
+                              "value_anchored"),
+    sq.LogLattice.from_params(0.25, [0.3, 0.4, 0.2], [-1.0, -1.0, -0.6],
+                              [1.0, 0.9, 1.2], "edge_anchored"),
+], ids=["2d", "3d"])
+def test_box_enumerator_matches_brute_force(lattice):
+    # random closed boxes, each end on each axis either uniform over a
+    # margin around the bounds or exactly on a cell face or bound, plus two
+    # boxes that are not finite; each is tested against every cell box
+    rng = np.random.default_rng(21)
+    n, dim = 300, lattice.dim
+    cell_boxes = [lattice.cell_box(c) for c in lattice.enumerate_cells()]
+    _, edge_lo, edge_hi = lattice.geometry()
+    ends = rng.uniform(lattice.lo_array - 0.5, lattice.hi_array + 0.5,
+                       size=(2, n, dim))
+    for i in range(dim):
+        faces = np.union1d(edge_lo[:, i], edge_hi[:, i])
+        on_face = rng.random((2, n)) < 0.4
+        ends[on_face, i] = rng.choice(faces, size=on_face.sum())
+    box_lo = np.vstack([ends.min(axis=0), np.full(dim, np.nan),
+                        np.full(dim, -np.inf)])
+    box_hi = np.vstack([ends.max(axis=0), np.zeros(dim), np.zeros(dim)])
+    inside = ((box_lo >= lattice.lo_array)
+              & (box_hi <= lattice.hi_array)).all(axis=1)
+    assert 0.2 < inside.mean() < 0.8
+    ptr, ids = _targets_many(lattice, box_lo, box_hi)
+    assert len(ptr) == len(box_lo) + 1
+    for k in range(len(box_lo)):
+        want = [sid for sid, box in enumerate(cell_boxes)
+                if box_intersects(box, box_lo[k], box_hi[k])] if inside[k] \
+            else []
+        assert ids[ptr[k]:ptr[k + 1]].tolist() == want, (box_lo[k], box_hi[k])
 
 
 def test_vectorized_dedup_matches_scalar_signatures():
@@ -285,9 +322,9 @@ def test_successor_sets_computed_once_on_first_use(contracting_scenario,
     sys_, lattice, _ = contracting_scenario
     passes = []
 
-    def counted(lattice, centers, nominal, lipschitz, tau):
-        passes.append(len(nominal))
-        return _targets_many(lattice, centers, nominal, lipschitz, tau)
+    def counted(lattice, box_lo, box_hi):
+        passes.append(len(box_lo))
+        return _targets_many(lattice, box_lo, box_hi)
 
     monkeypatch.setattr(abstraction, "_targets_many", counted)
     model = sq.build_abstraction(sys_, lattice,

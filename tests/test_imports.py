@@ -35,20 +35,26 @@ assert symquant.__version__ == {sq.__version__!r}
 
 
 def test_each_command_loads_only_its_stages(tmp_path):
-    _run(f"""
+    # a stage once loaded stays loaded, so each command runs in a fresh
+    # interpreter; earlier rows write the files that later rows read
+    d = str(tmp_path) + "/"
+    for argv, stages in (
+            (["abstract", "--out", d + "m.abs"], {"abstraction"}),
+            (["export", "--in", d + "m.abs", "--out", d + "g.dot"],
+             {"abstraction"}),
+            (["verify", "--in", d + "m.abs", "--out", d + "v.txt"],
+             {"abstraction", "refinement"}),
+            (["synthesize", "--in", d + "m.abs", "--out", d + "c.txt"],
+             set(STAGES)),
+            (["plan", "--out", d + "p.txt"], {"abstraction", "synthesis"}),
+            (["simulate", "--in", d + "p.txt", "--out", d + "t.csv"],
+             {"abstraction", "synthesis"})):
+        _run(f"""
 import sys
 from symquant import cli
-def loaded():
-    return {{m for m in {STAGES!r} if "symquant." + m in sys.modules}}
-d = {str(tmp_path)!r} + "/"
-for argv, stages in (
-        (["abstract", "--out", d + "m.abs"], {{"abstraction"}}),
-        (["export", "--in", d + "m.abs", "--out", d + "g.dot"],
-         {{"abstraction"}}),
-        (["verify", "--in", d + "m.abs", "--out", d + "v.txt"],
-         {{"abstraction", "refinement"}})):
-    assert cli.main(argv + ["--config", "pendulum"]) == 0, argv
-    assert loaded() == stages, (argv, loaded())
+assert cli.main({argv + ["--config", "pendulum"]!r}) == 0
+loaded = {{m for m in {STAGES!r} if "symquant." + m in sys.modules}}
+assert loaded == {stages!r}, ({argv[0]!r}, loaded)
 """)
 
 

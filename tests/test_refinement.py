@@ -44,6 +44,28 @@ def test_pendulum_model_refines(pendulum_scenario):
         assert report.passed, report.summary_lines()
 
 
+def test_paper_radius_misses_expanding_outer_cells():
+    # a known gap of the paper radius theta * e^(L tau) * |q| (clipped
+    # outer cells): on dx/dt = x the outer cells span 0.27 <= |x| <= 1
+    # around centers at |q| = 0.4, so the far points' successors leave the
+    # box around the center's successor; the counts pin the paper boxes on
+    # this adversarial system
+    def field(x, u):
+        return np.array(x, float)
+
+    sys_ = sq.SampledSystem(dim_x=1, dim_u=1, field=field, lipschitz=1.0,
+                            tau=0.2, input_lo=(-1.0,), input_hi=(1.0,),
+                            vectorized=True, name="expanding")
+    lattice = sq.LogLattice.from_params(0.5, [0.4], [-1], [1],
+                                        "value_anchored")
+    model = sq.build_abstraction(sys_, lattice, sq.InputApproxConfig(0.002, 3))
+    report = sq.check_feedback_refinement(model, sys_, 5000, 0)
+    assert not report.condition1_failures
+    assert len(report.violations) == 1284
+    assert {(w.source, w.input_index) for w in report.violations} == \
+        {((-1,), 0), ((1,), 0)}
+
+
 def test_determinism_given_seed(pendulum_scenario):
     sys_, _, model = pendulum_scenario
     a = sq.check_feedback_refinement(model, sys_, 500, seed=42)
