@@ -13,10 +13,11 @@ pair's successor box.  :func:`_paper_boxes` forms the boxes (the cell
 center's nominal successor inflated by the paper's growth radius, see
 :func:`symquant.dynamics.growth_radius` for where it falls short), and
 :func:`_targets_many` enumerates the cells of any boxes.  A box that leaves
-the lattice bounds disables the input at that cell (no stored successors),
-so enabled inputs never drive the quantized closed loop out of the working
-box.  A built model keeps one box per candidate pair and enumerates every
-successor set in one pass on the first query that needs them.
+the lattice bounds, or is inverted, disables the input at that cell (no
+stored successors), so enabled inputs never drive the quantized closed loop
+out of the working box.  A built model keeps one box per candidate pair and
+enumerates every successor set in one pass on the first query that needs
+them.
 """
 
 from __future__ import annotations
@@ -159,15 +160,17 @@ def _pair_chunks(ptr):
 
 
 def _targets_many(lattice: LogLattice, box_lo: np.ndarray, box_hi: np.ndarray):
-    """The cells that meet many closed boxes ``[box_lo[k], box_hi[k]]``
-    (``box_lo <= box_hi``), as CSR ``(offsets, ids)``: box k meets the
-    ascending state ids ``ids[offsets[k]:offsets[k + 1]]``.
+    """The cells that meet many closed boxes ``[box_lo[k], box_hi[k]]``, as
+    CSR ``(offsets, ids)``: box k meets the ascending state ids
+    ``ids[offsets[k]:offsets[k + 1]]``.
 
     A set is the product of the per-axis level ranges that the box meets,
     enumerated in raveled order; it is empty when the box leaves the lattice
-    bounds or is not finite.
+    bounds, is not finite or is inverted (``box_lo > box_hi`` on some axis),
+    so such a box disables its pair.
     """
-    ok = lattice.contains_many(box_lo) & lattice.contains_many(box_hi)
+    ok = ((box_lo <= box_hi).all(axis=1) & lattice.contains_many(box_lo)
+          & lattice.contains_many(box_hi))
     first = lattice.quantize_many(box_lo[ok])
     sizes = np.zeros(box_lo.shape, np.int64)
     sizes[ok] = lattice.quantize_many(box_hi[ok]) - first + 1

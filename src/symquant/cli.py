@@ -59,12 +59,10 @@ def _build_or_load(args, cfg: ScenarioConfig):
     from . import abstraction
 
     sys_ = cfg.build_system()
-    if getattr(args, "infile", None):
-        model = abstraction.load_abstraction(args.infile, system=sys_)
-        return model, sys_
-    model = abstraction.build_abstraction(sys_, cfg.build_lattice(),
-                                          cfg.approx_config())
-    return model, sys_
+    if args.infile:
+        return abstraction.load_abstraction(args.infile, system=sys_), sys_
+    return abstraction.build_abstraction(sys_, cfg.build_lattice(),
+                                         cfg.approx_config()), sys_
 
 
 def _cmd_abstract(args, cfg: ScenarioConfig) -> int:
@@ -170,13 +168,20 @@ def _cmd_export(args, cfg: ScenarioConfig) -> int:
     return EXIT_OK
 
 
+# name: (function, help line, needs --out, needs --in)
 _COMMANDS = {
-    "abstract": _cmd_abstract,
-    "synthesize": _cmd_synthesize,
-    "verify": _cmd_verify,
-    "plan": _cmd_plan,
-    "simulate": _cmd_simulate,
-    "export": _cmd_export,
+    "abstract": (_cmd_abstract, "build the symbolic model and write it to "
+                 "--out", True, False),
+    "synthesize": (_cmd_synthesize, "synthesize a safety controller (writes "
+                   "summary too)", True, False),
+    "verify": (_cmd_verify, "sample-check the refinement relation", False,
+               False),
+    "plan": (_cmd_plan, "search an input schedule for the configured goal "
+             "cells", True, False),
+    "simulate": (_cmd_simulate, "run the closed loop under a controller or "
+                 "plan file", True, True),
+    "export": (_cmd_export, "emit the transition graph in DOT form", True,
+               False),
 }
 
 
@@ -204,37 +209,28 @@ def _parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog=_config_reference(),
         description="Symbolic abstraction and safety synthesis for sampled "
-                    "nonlinear systems via logarithmic quantization.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-            ("abstract", "build the symbolic model and write it to --out"),
-            ("synthesize", "synthesize a safety controller (writes summary too)"),
-            ("verify", "sample-check the refinement relation"),
-            ("plan", "search an input schedule for the configured goal cells"),
-            ("simulate", "run the closed loop under a controller or plan file"),
-            ("export", "emit the transition graph in DOT form")]:
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--config", required=True,
-                         help="scenario file, or the name of a bundled scenario")
-        cmd.add_argument("--out", help="output file path")
-        cmd.add_argument("--in", dest="infile",
-                         help="input file (abstraction, controller or plan)")
-        cmd.add_argument("--threads", type=int, default=None,
-                         help="accepted, no effect")
-        cmd.add_argument("--seed", type=int, default=None,
-                         help="override the configured random seed")
-        cmd.add_argument("--samples", type=int, default=None,
-                         help="override the configured sample count")
-        cmd.add_argument("--lazy", action="store_true",
-                         help="accepted, no effect (successor sets are "
-                              "always computed on first use)")
-        cmd.add_argument("--verbose", action="store_true",
-                         help="log the count and time of each phase to stderr")
+                    "nonlinear systems via logarithmic quantization.\n\n"
+                    "commands:\n" + "\n".join(
+                        f"  {name:<12}{row[1]}"
+                        for name, row in _COMMANDS.items()))
+    parser.add_argument("command", choices=_COMMANDS, metavar="command",
+                        help="the command to run (see the list above)")
+    parser.add_argument("--config", required=True,
+                        help="scenario file, or the name of a bundled scenario")
+    parser.add_argument("--out", help="output file path")
+    parser.add_argument("--in", dest="infile",
+                        help="input file (abstraction, controller or plan)")
+    parser.add_argument("--threads", type=int, help="accepted, no effect")
+    parser.add_argument("--seed", type=int,
+                        help="override the configured random seed")
+    parser.add_argument("--samples", type=int,
+                        help="override the configured sample count")
+    parser.add_argument("--lazy", action="store_true",
+                        help="accepted, no effect (successor sets are always "
+                             "computed on first use)")
+    parser.add_argument("--verbose", action="store_true",
+                        help="log the count and time of each phase to stderr")
     return parser
-
-
-_NEEDS_OUT = {"abstract", "synthesize", "plan", "simulate", "export"}
-_NEEDS_IN = {"simulate"}
 
 
 def main(argv=None) -> int:
@@ -258,12 +254,13 @@ def main(argv=None) -> int:
 
 def _run(args) -> int:
     try:
-        if args.command in _NEEDS_OUT and not args.out:
+        run, _, needs_out, needs_in = _COMMANDS[args.command]
+        if needs_out and not args.out:
             raise ConfigError(f"{args.command} requires --out")
-        if args.command in _NEEDS_IN and not args.infile:
+        if needs_in and not args.infile:
             raise ConfigError(f"{args.command} requires --in")
         cfg = parse_config(_resolve_config(args.config))
-        return _COMMANDS[args.command](args, cfg)
+        return run(args, cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=_sys.stderr)
         return EXIT_CONFIG

@@ -45,8 +45,9 @@ class SampledSystem:
     """Sampled control system: vector field plus integration settings.
 
     ``field(x, u)`` must be deterministic.  If ``vectorized`` is set the
-    field must accept stacked arguments of shape (..., dim_x) / (..., dim_u)
-    and broadcast; otherwise batched evaluation falls back to a row loop.
+    field must accept stacked arguments of shape (..., dim_x) / (..., dim_u),
+    broadcast, and return a float array of shape (..., dim_x); otherwise
+    batched evaluation falls back to a row loop.
 
     Immutable after construction; successor evaluation is pure, so concurrent
     use from many workers is safe.
@@ -86,21 +87,22 @@ class SampledSystem:
         return replace(self, **kwargs)
 
 
-def _eval_field(sys: SampledSystem, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _field(sys: SampledSystem):
+    """The vector field over stacked rows: ``sys.field`` itself, or a loop
+    over its rows when it is not vectorized."""
     if sys.vectorized:
-        return np.asarray(sys.field(x, u), float)
-    return np.stack([np.asarray(sys.field(x[k], u[k]), float)
-                     for k in range(x.shape[0])])
+        return sys.field
+    return lambda x, u: np.stack([np.asarray(sys.field(xk, uk), float)
+                                  for xk, uk in zip(x, u)])
 
 
-def _rk4_step(sys: SampledSystem, x: np.ndarray, u: np.ndarray,
-              h: float) -> np.ndarray:
+def _rk4_step(f, x: np.ndarray, u: np.ndarray, h: float) -> np.ndarray:
     # x + (h/6)(k1 + 2 k2 + 2 k3 + k4), rounded in that order, in five fresh
     # temporaries: a field may return its argument, so none it sees is written
-    k1 = _eval_field(sys, x, u)
-    k2 = _eval_field(sys, np.add(t := k1 * (h / 2.0), x, out=t), u)
-    k3 = _eval_field(sys, np.add(t := k2 * (h / 2.0), x, out=t), u)
-    k4 = _eval_field(sys, np.add(t := k3 * h, x, out=t), u)
+    k1 = f(x, u)
+    k2 = f(np.add(t := k1 * (h / 2.0), x, out=t), u)
+    k3 = f(np.add(t := k2 * (h / 2.0), x, out=t), u)
+    k4 = f(np.add(t := k3 * h, x, out=t), u)
     acc = k2 * 2.0
     acc += k1
     acc += k3 * 2.0
@@ -126,9 +128,10 @@ def successor_many(sys: SampledSystem, x0: np.ndarray, u: np.ndarray,
         raise ValueError(f"expected inputs of shape (N, {sys.dim_u})")
     steps = sys.integrator_steps if steps is None else int(steps)
     h = sys.tau / steps
+    f = _field(sys)
     with np.errstate(all="ignore"):
         for _ in range(steps):
-            x = _rk4_step(sys, x, u, h)
+            x = _rk4_step(f, x, u, h)
     return x
 
 
@@ -146,9 +149,10 @@ def successor(sys: SampledSystem, x0, u, steps: int | None = None) -> np.ndarray
     # non-finite stays non-finite: re-run substep by substep to find the first
     steps = sys.integrator_steps if steps is None else int(steps)
     h = sys.tau / steps
+    f = _field(sys)
     with np.errstate(all="ignore"):
         for k in range(steps):
-            x = _rk4_step(sys, x, uu, h)
+            x = _rk4_step(f, x, uu, h)
             if not np.isfinite(x).all():
                 raise DivergenceError(k)
     return x[0]

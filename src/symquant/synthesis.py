@@ -175,9 +175,6 @@ class ConcreteController:
     def in_domain(self, x) -> bool:
         return bool(self.query(x))
 
-    def input_vector(self, index: int) -> np.ndarray:
-        return self.controller.inputs[index]
-
 
 def refine_controller(ctrl: SafetyController, lattice: LogLattice) -> ConcreteController:
     """Concrete-state controller obtained by composing with the quantizer."""
@@ -370,6 +367,34 @@ def plan_reach(model: SymbolicModel, start, goals, relaxed: bool = False,
                 inputs=model.inputs)
 
 
+def _controller_ids(policy: ConcreteController, x, max_steps: int):
+    """Yields the lowest admissible input index of the state's cell and is
+    sent the next state; returns the reason it stops, before a step."""
+    if not policy.in_domain(x):
+        raise OutOfDomainError(
+            f"initial state {x!r} outside the controller domain")
+    for _ in range(max_steps):
+        admissible = policy.query(x)
+        if not admissible:
+            return "out_of_domain"
+        x = yield admissible[0]
+    return "max_steps"
+
+
+def _plan_ids(policy: Plan, x, max_steps: int, lattice: LogLattice | None):
+    """Yields the schedule's next input index and is sent the next state;
+    returns the reason it stops, after a step that leaves the bounds."""
+    def outside(x):
+        return lattice is not None and not lattice.contains_many(x[None])[0]
+
+    if outside(x):
+        raise OutOfDomainError(f"initial state {x!r} outside the lattice bounds")
+    for uid in itertools.islice(policy.input_indices(), max_steps):
+        if outside((yield uid)):
+            return "out_of_domain"
+    return "plan_complete" if max_steps >= policy.total_steps else "max_steps"
+
+
 def simulate_closed_loop(sys: SampledSystem, policy, x0, max_steps: int,
                          lattice: LogLattice | None = None) -> Trajectory:
     """Run the sampled closed loop under a controller or a plan.
@@ -378,49 +403,31 @@ def simulate_closed_loop(sys: SampledSystem, policy, x0, max_steps: int,
     and stops when the state leaves the controller domain; plan mode applies
     the scheduled inputs (with hold counts) and stops on completion or, when
     a lattice is supplied, on leaving its bounds.  Raises
-    :class:`OutOfDomainError` if the initial state is already outside.
+    :class:`OutOfDomainError` if the initial state is already outside, and
+    :class:`DivergenceError` if a step diverges.
     """
     x = np.atleast_1d(np.asarray(x0, float))
-    states = [x.copy()]
-    applied: list[np.ndarray] = []
-    terminated = "max_steps"
-
     if isinstance(policy, ConcreteController):
-        if not policy.in_domain(x):
-            raise OutOfDomainError(
-                f"initial state {x!r} outside the controller domain")
-        for _ in range(max_steps):
-            admissible = policy.query(x)
-            if not admissible:
-                terminated = "out_of_domain"
-                break
-            u = policy.input_vector(admissible[0])
-            x = successor(sys, x, u)
-            applied.append(np.atleast_1d(u))
-            states.append(x.copy())
-        dim_u = sys.dim_u
+        inputs = policy.controller.inputs
+        choices = _controller_ids(policy, x, max_steps)
     elif isinstance(policy, Plan):
-        if lattice is not None and not lattice.contains_many(x[None])[0]:
-            raise OutOfDomainError(f"initial state {x!r} outside the lattice bounds")
-        schedule = list(itertools.islice(policy.input_indices(), max_steps))
-        terminated = ("plan_complete" if len(schedule) == policy.total_steps
-                      else "max_steps")
-        for uid in schedule:
-            u = policy.inputs[uid]
-            x = successor(sys, x, u)
-            applied.append(np.atleast_1d(u))
-            states.append(x.copy())
-            if lattice is not None and not lattice.contains_many(x[None])[0]:
-                terminated = "out_of_domain"
-                break
-        dim_u = policy.inputs.shape[1]
+        inputs, choices = policy.inputs, _plan_ids(policy, x, max_steps, lattice)
     else:
         raise TypeError(f"unsupported policy type {type(policy)!r}")
-
-    inputs = (np.array(applied) if applied
-              else np.empty((0, dim_u)))
-    times = sys.tau * np.arange(len(states))
-    return Trajectory(times=times, states=np.array(states), inputs=inputs,
+    # exactly one successor call per step: bench/tracing.py times a step as
+    # the gap between two of them
+    states, ids = [x], []
+    try:
+        uid = next(choices)
+        while True:
+            x = successor(sys, x, inputs[uid])
+            ids.append(uid)
+            states.append(x)
+            uid = choices.send(x)
+    except StopIteration as stop:
+        terminated = stop.value
+    return Trajectory(times=sys.tau * np.arange(len(states)),
+                      states=np.array(states), inputs=inputs[ids],
                       terminated=terminated)
 
 

@@ -241,6 +241,18 @@ def test_box_enumerator_matches_brute_force(lattice):
         assert ids[ptr[k]:ptr[k + 1]].tolist() == want, (box_lo[k], box_hi[k])
 
 
+def test_box_enumerator_inverted_box_meets_no_cell(pendulum_scenario):
+    # the first box is inverted on axis 0, which once raised a raw numpy
+    # ValueError; now it meets no cell and leaves the other box's set as is
+    _, lattice, _ = pendulum_scenario
+    normal_lo, normal_hi = np.array([[-0.9, 0.0]]), np.array([[0.9, 0.0]])
+    _, alone = _targets_many(lattice, normal_lo, normal_hi)
+    ptr, ids = _targets_many(lattice, np.vstack([normal_hi, normal_lo]),
+                             np.vstack([normal_lo, normal_hi]))
+    assert ptr.tolist() == [0, 0, len(alone)] and len(alone) > 1
+    assert ids.tolist() == alone.tolist()
+
+
 def test_vectorized_dedup_matches_scalar_signatures():
     # reference: the per-sample loop over scalar mu signatures; at this
     # coarse mu several grid inputs share a class in every cell

@@ -159,13 +159,13 @@ def test_trajectory_validation_and_csv(tmp_path):
         sq.Trajectory(times=times[::-1], states=states, inputs=inputs)
 
 
-def _rk4_step_reference(sys_, x, u, h):
+def _rk4_step_reference(f, x, u, h):
     """The RK4 substep written plainly, one fresh array per operation; the
     kernel must match it bit for bit."""
-    k1 = dynamics._eval_field(sys_, x, u)
-    k2 = dynamics._eval_field(sys_, x + (h / 2.0) * k1, u)
-    k3 = dynamics._eval_field(sys_, x + (h / 2.0) * k2, u)
-    k4 = dynamics._eval_field(sys_, x + h * k3, u)
+    k1 = f(x, u)
+    k2 = f(x + (h / 2.0) * k1, u)
+    k3 = f(x + (h / 2.0) * k2, u)
+    k4 = f(x + h * k3, u)
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -211,9 +211,17 @@ def test_kernel_matches_reference_bitwise(monkeypatch, case, rows):
     x = rng.uniform(-scale, scale, size=(rows, sys_.dim_x))
     u = rng.uniform(-1.0, 1.0, size=(rows, 1))
     got = sq.successor_many(sys_, x, u)
+    calls = []
+
+    def reference(*args):
+        calls.append(args)
+        return _rk4_step_reference(*args)
+
     with monkeypatch.context() as patch:
-        patch.setattr(dynamics, "_rk4_step", _rk4_step_reference)
+        patch.setattr(dynamics, "_rk4_step", reference)
         want = sq.successor_many(sys_, x, u)
+    # the reference ran every substep, so it is not the kernel itself
+    assert len(calls) == sys_.integrator_steps
     finite = np.isfinite(want).all(axis=1)
     assert np.array_equal(np.isfinite(got).all(axis=1), finite)
     assert got[finite].tobytes() == want[finite].tobytes()
@@ -239,7 +247,7 @@ def test_divergence_substep_is_the_first_non_finite_one():
     x, expected = x0, None
     with np.errstate(all="ignore"):
         for k in range(sys_.integrator_steps):
-            x = _rk4_step_reference(sys_, x, u, sys_.tau / 10)
+            x = _rk4_step_reference(sys_.field, x, u, sys_.tau / 10)
             if not np.isfinite(x).all():
                 expected = k
                 break

@@ -9,7 +9,7 @@ import pytest
 import symquant as sq
 from symquant import synthesis
 from symquant.abstraction import SymbolicModel
-from symquant.errors import OutOfDomainError, PlanningError
+from symquant.errors import DivergenceError, OutOfDomainError, PlanningError
 from symquant.refinement import AbstractSafeSet
 from conftest import line_mutations, max_controlled_invariant, random_model
 
@@ -439,6 +439,37 @@ def test_simulate_plan_mode_truncates_at_max_steps(pendulum_scenario):
     trajectory = sq.simulate_closed_loop(sys_, plan, [0.0, 0.0], 0,
                                          lattice=lattice)
     assert trajectory.steps == 0 and trajectory.states.shape == (1, 2)
+
+
+@pytest.mark.parametrize("mode", ["controller", "plan"])
+def test_simulate_step_divergence_names_its_substep(mode):
+    # dx/dt = x^2 from 3 blows up at t = 1/3, inside the fourth period
+    sys_ = sq.SampledSystem(dim_x=1, dim_u=1, field=lambda x, u: x * x,
+                            lipschitz=1.0, tau=0.1, input_lo=(-1.0,),
+                            input_hi=(1.0,))
+    x, periods = np.array([3.0]), 0
+    while True:
+        try:
+            x = sq.successor(sys_, x, [0.0])
+        except DivergenceError as exc:
+            substep = exc.substep
+            break
+        periods += 1
+    assert periods == 3
+    lattice = sq.LogLattice.from_params(0.3, [1.0], [-100.0], [100.0])
+    assert lattice.contains_many(x[None])[0]
+    inputs = np.array([[0.0]])
+    if mode == "controller":
+        cells = tuple(lattice.enumerate_cells())
+        policy = sq.refine_controller(sq.SafetyController(
+            domain=cells, admissible={c: (0,) for c in cells}, inputs=inputs,
+            iterations=1, history=(len(cells),) * 2, safe_cells=cells),
+            lattice)
+    else:
+        policy = sq.Plan(steps=((0, 10),), inputs=inputs)
+    with pytest.raises(DivergenceError) as info:
+        sq.simulate_closed_loop(sys_, policy, [3.0], 10, lattice=lattice)
+    assert info.value.substep == substep
 
 
 def test_end_to_end_invariance_contracting(contracting_scenario):
