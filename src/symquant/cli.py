@@ -206,6 +206,7 @@ def _config_reference() -> str:
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="symquant",
+        allow_abbrev=False,  # a renamed flag must not parse as its prefix
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog=_config_reference(),
         description="Symbolic abstraction and safety synthesis for sampled "

@@ -38,6 +38,8 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
+_CHUNK = 1 << 11  # samples integrated, quantized and tested at once
+
 
 def relate(x, lattice: LogLattice) -> tuple[int, ...]:
     """The unique cell related to a concrete state (the quantizer map)."""
@@ -103,7 +105,9 @@ def check_feedback_refinement(model: SymbolicModel, sys: SampledSystem,
     period, and records a violation whenever the quantized successor is not
     among the stored abstract successors (or leaves the bounds box).  Also
     asserts that every applied input lies in the input box.  Deterministic
-    given the seed; violations are sorted before they are returned.
+    given the seed; violations are sorted before they are returned.  All
+    draws come first; integration, quantization and membership then run on
+    ``_CHUNK`` samples at a time, so only the draws grow with the count.
     """
     if model.lattice is None:
         raise ConfigError("model has no lattice geometry")
@@ -137,40 +141,36 @@ def check_feedback_refinement(model: SymbolicModel, sys: SampledSystem,
     xs = rng.uniform(box_lo[sids], box_hi[sids])
     # one draw per sample, in sample order, as a loop of scalar draws would
     pairs = enabled[first_enabled[sids] + rng.integers(per_state[sids])]
-    uids = model.pair_input[pairs]
-    us = model.inputs[uids]
-
-    succ = successor_many(sys, xs, us)
-
-    in_box = ((us >= np.array(sys.input_lo))
-              & (us <= np.array(sys.input_hi))).all(axis=1)
-    report.condition1_failures = [
-        (model.cells[sid], uid)
-        for sid, uid in zip(sids[~in_box].tolist(), uids[~in_box].tolist())]
-    inside = lattice.contains_many(succ)
-    levels = lattice.quantize_many(np.where(inside[:, None], succ, 0.0))
-    # bisection for the last target not above the observed cell id inside
-    # each sample's successor set, which ascends and is nonempty
-    want = lattice.cell_ids(levels)
-    first, size = ptr[pairs], ptr[pairs + 1] - ptr[pairs]
-    while (size > 1).any():
-        half = size // 2
-        first += half * (targets[first + half] <= want)
-        size -= half
-    member = inside & (targets[first] == want)
-
-    violations = []
-    for k in np.flatnonzero(~member):
-        expected = targets[ptr[pairs[k]]:ptr[pairs[k] + 1]]
-        violations.append(RefinementWitness(
-            x=xs[k].copy(), u=us[k].copy(), source=model.cells[sids[k]],
-            input_index=int(uids[k]),
-            observed=tuple(levels[k].tolist()) if inside[k] else None,
-            expected=tuple(model.cells[t] for t in expected)))
+    in_lo, in_hi = np.array(sys.input_lo), np.array(sys.input_hi)
+    violations, failures = report.violations, report.condition1_failures
+    for a in range(0, sample_count, _CHUNK):
+        s, p, x = sids[a:a + _CHUNK], pairs[a:a + _CHUNK], xs[a:a + _CHUNK]
+        uids = model.pair_input[p]
+        us = model.inputs[uids]
+        out = ~((us >= in_lo) & (us <= in_hi)).all(axis=1)
+        failures.extend((model.cells[sid], uid) for sid, uid
+                        in zip(s[out].tolist(), uids[out].tolist()))
+        succ = successor_many(sys, x, us)
+        inside = lattice.contains_many(succ)
+        levels = lattice.quantize_many(np.where(inside[:, None], succ, 0.0))
+        # bisection for the last target not above the observed cell id
+        # inside each sample's successor set, which ascends and is nonempty
+        want = lattice.cell_ids(levels)
+        first, size = ptr[p], ptr[p + 1] - ptr[p]
+        while (size > 1).any():
+            half = size // 2
+            first += half * (targets[first + half] <= want)
+            size -= half
+        for k in np.flatnonzero(~(inside & (targets[first] == want))):
+            expected = targets[ptr[p[k]]:ptr[p[k] + 1]]
+            violations.append(RefinementWitness(
+                x=x[k].copy(), u=us[k].copy(), source=model.cells[s[k]],
+                input_index=int(uids[k]),
+                observed=tuple(levels[k].tolist()) if inside[k] else None,
+                expected=tuple(model.cells[t] for t in expected)))
 
     violations.sort(key=lambda w: (w.source, w.input_index, tuple(w.x)))
     report.samples_tested = sample_count
-    report.violations = violations
     return report
 
 

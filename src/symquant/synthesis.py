@@ -403,9 +403,12 @@ def simulate_closed_loop(sys: SampledSystem, policy, x0, max_steps: int,
     and stops when the state leaves the controller domain; plan mode applies
     the scheduled inputs (with hold counts) and stops on completion or, when
     a lattice is supplied, on leaving its bounds.  Raises
-    :class:`OutOfDomainError` if the initial state is already outside, and
-    :class:`DivergenceError` if a step diverges.
+    :class:`OutOfDomainError` if the initial state is already outside,
+    :class:`DivergenceError` if a step diverges, and ValueError if
+    ``max_steps`` is negative.
     """
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be non-negative, got {max_steps!r}")
     x = np.atleast_1d(np.asarray(x0, float))
     if isinstance(policy, ConcreteController):
         inputs = policy.controller.inputs

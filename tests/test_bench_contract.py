@@ -53,3 +53,16 @@ def test_bench_scenarios_parse():
     for path in paths:
         cfg = parse_config(path)
         assert cfg.sim_x0 is not None and cfg.plan_goals, path
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--conf", "pendulum"],
+    ["verify", "--config", "pendulum", "--thread", "1"],
+])
+def test_flag_prefixes_do_not_parse(argv, capsys):
+    # a flag renamed to a longer name must not keep parsing under its old
+    # one, or the workloads above would pass a flag the CLI no longer has
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    assert "error:" in capsys.readouterr().err

@@ -590,6 +590,51 @@ def test_config_rejects_values_that_fail_later(tmp_path, capsys, section,
         assert f"scenario.cfg:{at}: [{section}] " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section,lines,key,message", [
+    ("system", ("input_hi = 1", "input_lo = -1 -1"), "input_lo",
+     "input_lo/input_hi lengths differ"),
+    ("system", ("input_hi = -1", "input_lo = 1"), "input_lo",
+     "input box is empty"),
+    ("quantizer", ("scale = 0.4",), "scale",
+     "scale/state_lo/state_hi lengths differ"),
+    ("quantizer", ("state_lo = -1 1",), "state_lo",
+     "need state_lo < state_hi per axis"),
+    ("synthesis", ("safe_lo = -1",), "safe_lo", "safe box dimension mismatch"),
+])
+def test_config_cross_key_checks_name_their_key(tmp_path, capsys, section,
+                                                lines, key, message):
+    # a check across keys names the line of one of them, `key`; that line
+    # is written last, so no later insertion moves it
+    cfg = _fast_cfg(tmp_path)
+    at = [_with_line(cfg, section, line) for line in lines][-1]
+    code = cli.main(["abstract", "--config", cfg, "--out",
+                     str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    assert (f"scenario.cfg:{at}: [{section}] {key}: {message}\n"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command,key,message", [
+    ("plan", "start", "[plan] start and goals are required"),
+    ("plan", "goals", "[plan] start and goals are required"),
+    ("simulate", "x0", "[simulate] x0 is required"),
+])
+def test_cli_command_needs_its_section_keys(tmp_path, capsys, command, key,
+                                            message):
+    cfg = _fast_cfg(tmp_path)
+    with open(cfg) as fh:
+        kept = [line for line in fh if not line.startswith(f"{key} =")]
+    with open(cfg, "w") as fh:
+        fh.writelines(kept)
+    # the check comes before --in is read, so that file need not exist
+    extra = ["--in", str(tmp_path / "absent")] if command == "simulate" else []
+    code = cli.main([command, "--config", cfg, "--out",
+                     str(tmp_path / "out"), *extra])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        f"configuration error: {cfg}: {message}\n"
+
+
 @pytest.mark.parametrize("command,variable,value", [
     ("abstract", "SYSTEM__INPUT_HI", "nan"),
     ("plan", "PLAN__GRID_RESOLUTION", "nan"),

@@ -1,9 +1,12 @@
 """Sampled refinement checking and abstract safe sets."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import symquant as sq
+from symquant import refinement
 from symquant.abstraction import SymbolicModel
 from symquant.errors import ConfigError
 
@@ -44,12 +47,8 @@ def test_pendulum_model_refines(pendulum_scenario):
         assert report.passed, report.summary_lines()
 
 
-def test_paper_radius_misses_expanding_outer_cells():
-    # a known gap of the paper radius theta * e^(L tau) * |q| (clipped
-    # outer cells): on dx/dt = x the outer cells span 0.27 <= |x| <= 1
-    # around centers at |q| = 0.4, so the far points' successors leave the
-    # box around the center's successor; the counts pin the paper boxes on
-    # this adversarial system
+def _expanding():
+    """dx/dt = x on [-1, 1], the system and its paper-radius model."""
     def field(x, u):
         return np.array(x, float)
 
@@ -58,7 +57,17 @@ def test_paper_radius_misses_expanding_outer_cells():
                             vectorized=True, name="expanding")
     lattice = sq.LogLattice.from_params(0.5, [0.4], [-1], [1],
                                         "value_anchored")
-    model = sq.build_abstraction(sys_, lattice, sq.InputApproxConfig(0.002, 3))
+    return sys_, sq.build_abstraction(sys_, lattice,
+                                      sq.InputApproxConfig(0.002, 3))
+
+
+def test_paper_radius_misses_expanding_outer_cells():
+    # a known gap of the paper radius theta * e^(L tau) * |q| (clipped
+    # outer cells): on dx/dt = x the outer cells span 0.27 <= |x| <= 1
+    # around centers at |q| = 0.4, so the far points' successors leave the
+    # box around the center's successor; the counts pin the paper boxes on
+    # this adversarial system
+    sys_, model = _expanding()
     report = sq.check_feedback_refinement(model, sys_, 5000, 0)
     assert not report.condition1_failures
     assert len(report.violations) == 1284
@@ -204,6 +213,49 @@ def test_vectorized_check_matches_loop_reference(pendulum_scenario):
     assert got == _loop_reference(model, sys_, 3000, seed=3)
     assert any(w.observed is None for w in report.violations)
     assert any(w.source == (0, 0) for w in report.violations)
+
+
+def _report_text(report):
+    return (report.summary_lines(),
+            [w.format_line() for w in report.violations],
+            report.condition1_failures)
+
+
+@pytest.mark.parametrize("case", ["expanding", "pendulum"])
+def test_chunked_check_matches_one_chunk(pendulum_scenario, monkeypatch,
+                                         case):
+    # the pendulum model is checked against a narrower input box, so the
+    # input-box failures span chunks too
+    if case == "expanding":
+        (sys_, model), count = _expanding(), 5000
+    else:
+        sys_, _, model = pendulum_scenario
+        sys_, count = sys_.with_settings(input_lo=(-1.0,),
+                                         input_hi=(1.0,)), 3000
+    runs = []
+    for chunk in (1, 7, refinement._CHUNK, count + 1):
+        monkeypatch.setattr(refinement, "_CHUNK", chunk)
+        runs.append(_report_text(
+            sq.check_feedback_refinement(model, sys_, count, seed=0)))
+    assert runs[1:] == runs[:-1]
+    _, witnesses, failures = runs[0]
+    assert len(witnesses if case == "expanding" else failures) > 1000
+
+
+def test_check_memory_is_the_draws_plus_one_chunk(pendulum_scenario):
+    # only the seeded draws (sample ids, states, pairs) are held per
+    # sample; integration, quantization and the bisection run per chunk
+    sys_, _, model = pendulum_scenario
+    sq.check_feedback_refinement(model, sys_, 10, seed=0)  # lazy caches
+    count = 200_000
+    tracemalloc.start()
+    try:
+        report = sq.check_feedback_refinement(model, sys_, count, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak <= 80 * count + (1 << 20), peak / count
 
 
 def test_detects_growth_bound_breach():

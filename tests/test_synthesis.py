@@ -442,6 +442,26 @@ def test_simulate_plan_mode_truncates_at_max_steps(pendulum_scenario):
 
 
 @pytest.mark.parametrize("mode", ["controller", "plan"])
+def test_simulate_rejects_negative_max_steps(pendulum_scenario, mode):
+    sys_, lattice, model = pendulum_scenario
+    if mode == "controller":
+        policy = sq.refine_controller(sq.SafetyController(
+            domain=((0, 0),), admissible={(0, 0): (0,)},
+            inputs=np.array([[0.0]]), iterations=1, history=(1, 1),
+            safe_cells=((0, 0),)), lattice)
+    else:
+        policy = sq.Plan(steps=((0, 4),), inputs=model.inputs)
+    with pytest.raises(ValueError,
+                       match=r"^max_steps must be non-negative, got -1$"):
+        sq.simulate_closed_loop(sys_, policy, [0.0, 0.0], -1, lattice=lattice)
+    # zero steps stays a valid, empty run for both policies
+    trajectory = sq.simulate_closed_loop(sys_, policy, [0.0, 0.0], 0,
+                                         lattice=lattice)
+    assert trajectory.steps == 0 and trajectory.terminated == "max_steps"
+    assert trajectory.states.tolist() == [[0.0, 0.0]]
+
+
+@pytest.mark.parametrize("mode", ["controller", "plan"])
 def test_simulate_step_divergence_names_its_substep(mode):
     # dx/dt = x^2 from 3 blows up at t = 1/3, inside the fourth period
     sys_ = sq.SampledSystem(dim_x=1, dim_u=1, field=lambda x, u: x * x,

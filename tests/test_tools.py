@@ -2,6 +2,7 @@
 
 import importlib.util
 import os
+import sys
 
 TOOLS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools")
 
@@ -36,3 +37,48 @@ lines"""
     assert src_size.main(["src_size.py", str(tmp_path)]) == 0
     assert capsys.readouterr().out.endswith(
         ": 2 files, 14 lines, 7 code lines\n")
+
+
+def test_src_cover_lists_statements_no_call_ran(tmp_path):
+    src_cover = _load("src_cover")
+    module = tmp_path / "m.py"
+    module.write_text('''"""Module docstring."""
+import os
+
+
+def used(a):
+    """Docstring."""
+    if a:
+        return (1 +
+                a)
+    try:
+        return os.sep
+    except OSError:
+        pass
+
+
+def unused():
+    x = 1
+    return x
+
+
+if __name__ == "__main__":  # pragma: no cover
+    unused()
+''')
+
+    def run():
+        spec = importlib.util.spec_from_file_location("m", module)
+        loaded = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(loaded)
+        assert loaded.used(0) == os.sep
+
+    before = sys.gettrace()
+    hit = src_cover.trace(tmp_path, run)
+    assert sys.gettrace() is before
+    assert list(hit) == [module.resolve()]
+    # no docstring, def or pragma line; a statement over two lines once
+    assert src_cover.statements(module) == [
+        (2, 2), (7, 9), (8, 9), (10, 13), (11, 11), (13, 13), (17, 17),
+        (18, 18)]
+    # the body of the false branch, the handler and the uncalled function
+    assert src_cover.missed(module, hit[module.resolve()]) == [8, 13, 17, 18]
