@@ -117,9 +117,8 @@ def approximate_inputs(cell, lattice: LogLattice, sys: SampledSystem,
     Representatives are the lexicographically smallest input of each image
     class; divergent samples are skipped (and logged).
     """
-    lattice.check_index(cell)
-    grid = input_grid(sys, cfg.input_samples)
     center = lattice.center(cell)
+    grid = input_grid(sys, cfg.input_samples)
     succ = successor_many(sys, np.tile(center, (len(grid), 1)), grid)
     return [grid[k] for k in _dedup(succ[None], grid, [cell], cfg)]
 
@@ -129,7 +128,6 @@ def transition_targets(cell, u, sys: SampledSystem,
     """Cells intersecting the inflated one-period successor box of a cell
     center, sorted; empty when the box leaves the lattice bounds or the
     integration diverges."""
-    lattice.check_index(cell)
     center = lattice.center(cell)
     try:
         nominal = successor(sys, center, u)
@@ -233,7 +231,8 @@ class SymbolicModel:
     over the pairs, ``(offsets, targets)`` with ascending target ids; an
     empty set means the input is disabled there, and a state without
     enabled inputs is blocking.  The output map is the identity on cells and
-    is not stored.
+    is not stored.  ``eta`` is the lattice's density, None without a
+    lattice.
 
     ``relation`` gives the successor sets up front.  Without it,
     ``boxes = (lo, hi)`` gives one closed successor box per candidate pair,
@@ -242,8 +241,8 @@ class SymbolicModel:
     """
 
     def __init__(self, cells, inputs, pair_ptr, pair_input, lattice=None,
-                 tau=0.0, eta=0.5, mu=0.5, lipschitz=1.0, system=None,
-                 relation=None, boxes=None):
+                 tau=0.0, mu=0.5, lipschitz=1.0, system=None, relation=None,
+                 boxes=None):
         self.cells = [tuple(int(m) for m in c) for c in cells]
         self._id = {c: i for i, c in enumerate(self.cells)}
         if len(self._id) != len(self.cells):
@@ -259,7 +258,7 @@ class SymbolicModel:
         self.inputs.setflags(write=False)
         self.lattice = lattice
         self.tau = float(tau)
-        self.eta = float(eta)
+        self.eta = None if lattice is None else lattice.shared_eta
         self.mu = float(mu)
         self.lipschitz = float(lipschitz)
         self.system = system
@@ -379,7 +378,7 @@ class SymbolicModel:
 
     @classmethod
     def from_tables(cls, cells, inputs, successors, lattice=None, tau=0.0,
-                    eta=0.5, mu=0.5, lipschitz=1.0, system=None):
+                    mu=0.5, lipschitz=1.0, system=None):
         """Assemble a model from explicit tables.
 
         ``successors`` maps (state id, input id) to an iterable of state ids;
@@ -394,8 +393,8 @@ class SymbolicModel:
             raise ValueError("transition names an unknown state or input")
         pair_ptr, pair_input, relation = _pack(key, len(cells), len(inputs))
         return cls(cells, inputs, pair_ptr, pair_input, lattice=lattice,
-                   tau=tau, eta=eta, mu=mu, lipschitz=lipschitz,
-                   system=system, relation=relation)
+                   tau=tau, mu=mu, lipschitz=lipschitz, system=system,
+                   relation=relation)
 
     # -- persistence ----------------------------------------------------
 
@@ -432,7 +431,7 @@ def build_abstraction(sys: SampledSystem, lattice: LogLattice,
     model = SymbolicModel(
         cells, grid[used], np.searchsorted(pair_state, np.arange(n_cells + 1)),
         np.searchsorted(used, sample), lattice=lattice, tau=sys.tau,
-        eta=lattice.shared_eta, mu=cfg.mu, lipschitz=sys.lipschitz, system=sys,
+        mu=cfg.mu, lipschitz=sys.lipschitz, system=sys,
         boxes=_paper_boxes(sys, lattice, centers[pair_state],
                            nominal_all[rows]))
     logger.info("dedup: %d cells x %d input samples, %d candidate pairs, "
@@ -450,15 +449,11 @@ def save_abstraction(model: SymbolicModel, path):
     if model.lattice is None:
         raise ValueError("cannot save a model without lattice geometry")
     lat = model.lattice
-    variants = {axis.variant for axis in lat.axes}
-    if len(variants) != 1:
-        raise ValueError("mixed-variant lattices are not serializable")
-    variant = next(iter(variants)).value
     start = time.perf_counter()
     with open(path, "w") as fh:
         fh.write(f"#version {FORMAT_VERSION}\n")
         fh.write("#lattice variant=%s eta=%s scale=%s lo=%s hi=%s\n" % (
-            variant, repr(float(model.eta)),
+            lat.axes[0].variant.value, repr(float(model.eta)),
             _format_floats(axis.scale for axis in lat.axes),
             _format_floats(lat.lo), _format_floats(lat.hi)))
         fh.write("#tau %s #eta %s #mu %s #L %s\n" % (
@@ -476,7 +471,8 @@ def save_abstraction(model: SymbolicModel, path):
 
 
 # the keys of a model file's parameter header line, as model attributes;
-# a key that is missing keeps the model's default
+# a key that is missing keeps the model's default, and #eta, if present,
+# must equal the #lattice eta
 _PARAMS = {"#tau": "tau", "#eta": "eta", "#mu": "mu", "#L": "lipschitz"}
 _LATTICE = ("variant", "eta", "scale", "lo", "hi")
 
@@ -594,12 +590,12 @@ def load_abstraction(path, system=None) -> SymbolicModel:
     """
     start = time.perf_counter()
     head, n_body, tail = _scan(path)
-    params, lattice, version, seen = {}, None, None, set()
+    params, lattice, version, seen = {}, None, None, {}
 
     def once(key):
         if key in seen:
             raise ValueError(f"repeated header key {key!r}")
-        seen.add(key)
+        seen[key] = lineno
 
     for lineno, line in enumerate(head, start=1):
         tokens = line.split()
@@ -627,6 +623,9 @@ def load_abstraction(path, system=None) -> SymbolicModel:
         raise ValueError(f"{path}: no #version line")
     if lattice is None:
         raise ValueError(f"{path}: no #lattice line")
+    if (eta := params.pop("eta", lattice.shared_eta)) != lattice.shared_eta:
+        raise ValueError(f"{path}:{seen['#eta']}: #eta {eta!r} differs from "
+                         f"the #lattice eta {lattice.shared_eta!r}")
 
     # ids count up from 0, so these are the table sizes if the tables are
     # valid; if not, a fault in them is raised after the transitions

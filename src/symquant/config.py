@@ -17,9 +17,10 @@ comment.  Every value can be overridden by an environment variable named
 key: the :class:`ScenarioConfig` attribute it fills, its parser, its default
 (or :data:`REQUIRED`) and the test that rejects a parsed value; the checks
 that relate several keys (vector lengths, box orders, the state dimension of
-``simulate.x0``, ``plan.start`` and ``plan.goals``) follow in
-:func:`parse_config`.  Unknown sections and keys are rejected, and every
-error names the file and line.
+``simulate.x0``, ``plan.start`` and ``plan.goals``, ``x0`` inside the state
+box, the plan's cells on the lattice) follow in :func:`parse_config`.
+Unknown sections and keys are rejected, and every error names the file and
+line.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Any, Callable, NamedTuple
 
 from .dynamics import SampledSystem, make_system
 from .errors import ConfigError, located_decoding
-from .quantizer import LogLattice, QuantizerVariant, parse_cell
+from .quantizer import LogLattice, QuantizerVariant, format_cell, parse_cell
 
 __all__ = ["ScenarioConfig", "parse_config", "check_value", "KEYS",
            "REQUIRED", "ENV_PREFIX"]
@@ -249,11 +250,20 @@ def parse_config(path) -> ScenarioConfig:
     dim = len(cfg.state_lo)
     if len(cfg.safe_lo) != dim or len(cfg.safe_hi) != dim:
         raw.fail("synthesis", "safe_lo", "safe box dimension mismatch")
+    if any(lo > hi for lo, hi in zip(cfg.safe_lo, cfg.safe_hi)):
+        raw.fail("synthesis", "safe_lo", "safe box is empty")
     for section, key, points in (("simulate", "x0", (cfg.sim_x0,)),
                                  ("plan", "start", (cfg.plan_start,)),
                                  ("plan", "goals", cfg.plan_goals)):
         if any(p is not None and len(p) != dim for p in points):
             raw.fail(section, key, f"need {dim} components, one per state "
                                    "axis")
+    lattice = cfg.build_lattice()
+    if cfg.sim_x0 is not None and not lattice.contains_many([cfg.sim_x0])[0]:
+        raw.fail("simulate", "x0", "x0 lies outside the state box")
+    cells = [("start", cfg.plan_start)] + [("goals", c) for c in cfg.plan_goals]
+    for key, cell in cells:
+        if cell is not None and cell not in lattice:
+            raw.fail("plan", key, f"{format_cell(cell)} is not a lattice cell")
     raw.reject_unknown()
     return cfg

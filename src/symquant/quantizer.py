@@ -231,10 +231,11 @@ class Box:
 class LogLattice:
     """Product of per-axis logarithmic quantizers clipped to a bounds box.
 
-    The bounds must contain every axis deadzone.  On each axis the valid
-    levels are 0 plus every signed level whose quantized value lies inside
-    [lo_i, hi_i]; the outermost valid cell on each side extends to the bound,
-    so the clipped cells partition the bounds box exactly.
+    The axes share one eta and one variant and may differ in scale; the
+    bounds must be finite and contain every axis deadzone.  On each axis the
+    valid levels are 0 plus every signed level whose quantized value lies
+    inside [lo_i, hi_i]; the outermost valid cell on each side extends to the
+    bound, so the clipped cells partition the bounds box exactly.
 
     Immutable after construction; all queries are pure functions.
     """
@@ -255,6 +256,10 @@ class LogLattice:
             raise ValueError("lattice needs at least one axis")
         if len(lo) != n or len(hi) != n:
             raise ValueError("bounds dimension does not match axis count")
+        if len({(axis.eta, axis.variant) for axis in axes}) != 1:
+            raise ValueError("lattice axes must share one eta and one variant")
+        if not all(map(math.isfinite, lo + hi)):
+            raise ValueError(f"bounds must be finite, got {lo} and {hi}")
         pos_max, neg_max = [], []
         for i, axis in enumerate(axes):
             if not (lo[i] < hi[i]):
@@ -283,15 +288,9 @@ class LogLattice:
     @staticmethod
     def _max_level(axis: LogQuantizerAxis, limit: float) -> int:
         # largest m >= 1 whose quantized value fits below `limit`, else 0
-        first = axis.level_value(1)
-        if limit < first:
-            return 0
-        t = math.log(limit / first) / math.log(1.0 / axis.rho)
-        m = int(t) + 1
+        m = 0
         while axis.level_value(m + 1) <= limit:
             m += 1
-        while m > 1 and axis.level_value(m) > limit:
-            m -= 1
         return m
 
     @classmethod
@@ -309,20 +308,20 @@ class LogLattice:
 
     @property
     def shared_eta(self) -> float:
-        """The single density shared by all axes (raises if heterogeneous)."""
-        etas = {axis.eta for axis in self.axes}
-        if len(etas) != 1:
-            raise ValueError("lattice axes use different eta values")
-        return next(iter(etas))
+        """The density of every axis."""
+        return self.axes[0].eta
 
     def axis_levels(self, i: int) -> range:
         """Valid signed levels on axis i, ascending."""
         return range(-self._neg_max[i], self._pos_max[i] + 1)
 
+    def __contains__(self, idx) -> bool:
+        """Whether the level tuple ``idx`` is a cell of this lattice."""
+        return len(idx) == self.dim and all(
+            -n <= m <= p for m, n, p in zip(idx, self._neg_max, self._pos_max))
+
     def check_index(self, idx):
-        if len(idx) != self.dim or not all(
-                -self._neg_max[i] <= m <= self._pos_max[i]
-                for i, m in enumerate(idx)):
+        if idx not in self:
             raise OutOfDomainError(f"invalid cell index {idx!r} for this lattice")
 
     def center(self, idx) -> np.ndarray:

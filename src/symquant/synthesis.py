@@ -39,7 +39,8 @@ from .dynamics import SampledSystem, Trajectory, successor, successor_many
 from .errors import OutOfDomainError, PlanningError, located_decoding
 from .quantizer import LogLattice, format_cell, parse_cell
 
-if TYPE_CHECKING:  # annotations only: plan and simulate never load it
+# refinement is named in annotations only: plan and simulate never load it
+if TYPE_CHECKING:  # pragma: no cover
     from .refinement import AbstractSafeSet
 
 __all__ = [
@@ -84,28 +85,35 @@ def cpre(model: SymbolicModel, target) -> set[tuple[int, ...]]:
     return {model.cells[sid] for sid in np.flatnonzero(found)}
 
 
+def _freeze_inputs(policy):
+    """Store a policy's input table as a read-only float array."""
+    inputs = np.asarray(policy.inputs, float)
+    inputs.setflags(write=False)
+    object.__setattr__(policy, "inputs", inputs)
+
+
 @dataclass(frozen=True, eq=False)
 class SafetyController:
     """Maximal safety controller on the abstraction.
 
-    ``domain`` is the greatest controlled-invariant subset of the safe cells;
     ``admissible`` maps each domain cell to the (nonempty, sorted) input
-    indices whose successors stay inside the domain.  ``iterations`` is the
-    number of fixed-point sweeps performed, ``history`` the sweep sizes
-    starting from the safe set itself.
+    indices whose successors stay inside the domain, in state order; its
+    keys are the ``domain``, the greatest controlled-invariant subset of the
+    safe cells.  ``iterations`` is the number of fixed-point sweeps
+    performed, ``history`` the sweep sizes starting from the safe set
+    itself.
     """
 
-    domain: tuple[tuple[int, ...], ...]
     admissible: dict[tuple[int, ...], tuple[int, ...]]
     inputs: np.ndarray
     iterations: int
     history: tuple[int, ...]
-    safe_cells: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        arr = np.asarray(self.inputs, float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "inputs", arr)
+    __post_init__ = _freeze_inputs
+
+    @property
+    def domain(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(self.admissible)
 
     def __contains__(self, cell) -> bool:
         return tuple(cell) in self.admissible
@@ -143,13 +151,11 @@ def safety_fixpoint(model: SymbolicModel, safe: AbstractSafeSet) -> SafetyContro
                         model.pair_input[kept].tolist()):
         cell = model.cells[sid]
         admissible[cell] = admissible.get(cell, ()) + (uid,)
-    domain = tuple(admissible)
     logger.info("fixed point: %d sweeps over %d safe cells, domain %d, "
-                "%.3f s", iterations, len(safe_ids), len(domain),
+                "%.3f s", iterations, len(safe_ids), len(admissible),
                 time.perf_counter() - start)
-    return SafetyController(domain=domain, admissible=admissible,
-                            inputs=model.inputs, iterations=iterations,
-                            history=tuple(history), safe_cells=safe.cells)
+    return SafetyController(admissible=admissible, inputs=model.inputs,
+                            iterations=iterations, history=tuple(history))
 
 
 class ConcreteController:
@@ -189,11 +195,9 @@ class Plan:
     inputs: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.inputs, float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "inputs", arr)
+        _freeze_inputs(self)
         for uid, hold in self.steps:
-            _check_step(uid, hold, len(arr))
+            _check_step(uid, hold, len(self.inputs))
 
     @property
     def total_steps(self) -> int:
@@ -372,7 +376,7 @@ def _controller_ids(policy: ConcreteController, x, max_steps: int):
     sent the next state; returns the reason it stops, before a step."""
     if not policy.in_domain(x):
         raise OutOfDomainError(
-            f"initial state {x!r} outside the controller domain")
+            f"initial state {x.tolist()} outside the controller domain")
     for _ in range(max_steps):
         admissible = policy.query(x)
         if not admissible:
@@ -388,7 +392,8 @@ def _plan_ids(policy: Plan, x, max_steps: int, lattice: LogLattice | None):
         return lattice is not None and not lattice.contains_many(x[None])[0]
 
     if outside(x):
-        raise OutOfDomainError(f"initial state {x!r} outside the lattice bounds")
+        raise OutOfDomainError(
+            f"initial state {x.tolist()} outside the lattice bounds")
     for uid in itertools.islice(policy.input_indices(), max_steps):
         if outside((yield uid)):
             return "out_of_domain"
@@ -478,17 +483,15 @@ def load_controller(path, inputs, lattice: LogLattice) -> SafetyController:
                 raise ValueError(f"{where}input ids must strictly ascend")
             if cell in admissible:
                 raise ValueError(f"{where}cell {format_cell(cell)} repeated")
-            try:
-                lattice.check_index(cell)
-            except OutOfDomainError as exc:
-                raise ValueError(f"{where}{exc}") from None
+            if cell not in lattice:
+                raise ValueError(f"{where}{format_cell(cell)} is not a lattice "
+                                 "cell")
             for uid in uids:
                 _check_input_id(uid, len(inputs), where)
             admissible[cell] = uids
-    domain = tuple(sorted(admissible))
-    return SafetyController(domain=domain, admissible=admissible,
+    return SafetyController(admissible=dict(sorted(admissible.items())),
                             inputs=np.asarray(inputs, float), iterations=0,
-                            history=(), safe_cells=domain)
+                            history=())
 
 
 def save_plan(plan: Plan, path):

@@ -459,8 +459,7 @@ def _wide_models():
             for s in range(n) for u in rng.choice(k, 3, replace=False)
             if s % 5}
     tables = SymbolicModel.from_tables(cells, inputs, succ, lattice=lattice,
-                                       tau=0.2, eta=0.25, mu=0.002,
-                                       lipschitz=6.0)
+                                       tau=0.2, mu=0.002, lipschitz=6.0)
     pair_ptr, pair_input, sets = [0], [], []
     for s in range(n):
         uids = np.sort(rng.choice(k, int(rng.integers(0, 4)), replace=False))
@@ -470,7 +469,7 @@ def _wide_models():
                  for _ in uids]
     offsets = np.cumsum([0] + [len(t) for t in sets])
     direct = SymbolicModel(cells, inputs, pair_ptr, pair_input,
-                           lattice=lattice, tau=0.2, eta=0.25, mu=0.002,
+                           lattice=lattice, tau=0.2, mu=0.002,
                            relation=(offsets, np.concatenate(sets)))
     assert (np.diff(offsets) == 0).any()
     return tables, direct
@@ -487,6 +486,62 @@ def test_saved_text_matches_per_transition_reference(pendulum_scenario,
                 patch.setattr(abstraction, "_CHUNK", chunk)
                 model.save(tmp_path / "m.abs")
             assert (tmp_path / "m.abs").read_bytes() == want, chunk
+
+
+def test_from_tables_model_saves_a_file_that_reloads(tmp_path):
+    # the model's eta is its lattice's, so both header lines carry it
+    lattice = sq.LogLattice.from_params(0.2, [0.4], [-1], [1])
+    cells = lattice.enumerate_cells()
+    model = SymbolicModel.from_tables(cells, [[0.0], [1.0]],
+                                      {(0, 1): (1, 2), (2, 0): (2,)},
+                                      lattice=lattice, tau=0.2, mu=0.01)
+    assert model.eta == 0.2
+    model.save(tmp_path / "m.abs")
+    lines = (tmp_path / "m.abs").read_text().splitlines()
+    assert " eta=0.2 " in lines[1] and " #eta 0.2 " in lines[2]
+    assert _same_model(sq.load_abstraction(tmp_path / "m.abs"), model)
+    assert SymbolicModel.from_tables([(0,)], [[0.0]], {}).eta is None
+
+
+def test_model_argument_checks(tmp_path):
+    bare = SymbolicModel.from_tables([(0,), (1,)], [0.0, 1.0],
+                                     {(0, 1): (1,)})
+    assert bare.inputs.shape == (2, 1)
+    assert SymbolicModel.from_tables([(0,)], [], {}).inputs.shape == (0, 1)
+    with pytest.raises(ValueError, match="unknown state or input"):
+        SymbolicModel.from_tables([(0,)], [[0.0]], {(0, 0): (1,)})
+    with pytest.raises(ValueError, match="without lattice geometry"):
+        bare.save(tmp_path / "m.abs")
+    relation = bare.relation()
+    bare.materialize()  # complete already: nothing is recomputed
+    assert bare.relation() is relation
+
+
+def _blow_up():
+    """dx/dt = x^2, which leaves every float within a period from the
+    cell of 6, and a lattice around it."""
+    sys_ = sq.SampledSystem(dim_x=1, dim_u=1, field=lambda x, u: x * x,
+                            lipschitz=1.0, tau=1.0, input_lo=(-1.0,),
+                            input_hi=(1.0,), vectorized=True)
+    lattice = sq.LogLattice.from_params(0.3, [1.0], [-10.0], [10.0])
+    return sys_, lattice, lattice.quantize([6.0])
+
+
+def test_diverging_pair_has_no_targets(caplog):
+    sys_, lattice, cell = _blow_up()
+    with caplog.at_level("WARNING", logger="symquant.abstraction"):
+        assert sq.transition_targets(cell, [0.0], sys_, lattice) == ()
+    assert "divergence from cell" in caplog.text
+    assert sq.transition_targets((0,), [0.0], sys_, lattice) != ()
+
+
+def test_cell_whose_every_sample_diverges_has_no_inputs(caplog):
+    sys_, lattice, cell = _blow_up()
+    cfg = sq.InputApproxConfig(mu=0.01, input_samples=3)
+    with caplog.at_level("WARNING", logger="symquant.abstraction"):
+        assert sq.approximate_inputs(cell, lattice, sys_, cfg) == []
+    assert caplog.text.count("skipping divergent input sample") == 3
+    assert len(sq.approximate_inputs((0,), lattice, sys_, cfg)) >= 1
 
 
 def test_from_tables_hand_model():
@@ -616,6 +671,7 @@ def test_model_file_fuzz(tmp_path, monkeypatch):
     (2, "eta=0.25", "eta=abc", "eta is not a finite number: 'abc'"),
     (2, "lo=-0.8", "lo=-0.8,inf", "lo is not a finite number: 'inf'"),
     (2, "eta=0.25", "eta=1.5", "eta must lie in (0, 1)"),
+    (3, "#eta 0.25", "#eta 0.5", "#eta 0.5 differs from the #lattice eta 0.25"),
     (2, "value_anchored", "bogus", "'bogus' is not a valid QuantizerVariant"),
     (1, "#version 1", "#version 2", "unsupported abstraction format '2'"),
 ])
@@ -669,7 +725,11 @@ def test_model_file_header_keys_default_when_missing(tmp_path):
     model = sq.load_abstraction(path)
     assert (model.tau, model.eta, model.mu, model.lipschitz) == \
         (0.3, 0.25, 0.5, 1.0)
+    # without its parameter line, the model takes the lattice's eta and so
+    # saves a file that loads back as the same model
     path.write_text("".join(lines[:2] + lines[3:]))
     model = sq.load_abstraction(path)
     assert (model.tau, model.eta, model.mu, model.lipschitz) == \
-        (0.0, 0.5, 0.5, 1.0)
+        (0.0, 0.25, 0.5, 1.0)
+    model.save(tmp_path / "again.abs")
+    assert _same_model(sq.load_abstraction(tmp_path / "again.abs"), model)

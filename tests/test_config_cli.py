@@ -1,6 +1,7 @@
 """Scenario parsing, environment overrides, CLI workflows and exit codes."""
 
 import io
+import itertools
 import logging
 import os
 import re
@@ -276,7 +277,8 @@ def test_cli_export_roundtrips_transition_count(tmp_path):
                                   "unpaired_header_token",
                                   "unknown_header_key",
                                   "non_numeric_header_value",
-                                  "repeated_header_key", "no_lattice_line"])
+                                  "repeated_header_key", "no_lattice_line",
+                                  "eta_not_the_lattice_eta"])
 def test_cli_rejects_bad_model_file(tmp_path, capsys, case):
     cfg = _fast_cfg(tmp_path)
     path = tmp_path / "m.abs"
@@ -298,6 +300,9 @@ def test_cli_rejects_bad_model_file(tmp_path, capsys, case):
         lines[1] = re.sub(r" eta=\S+", " eta=abc", lines[1])
     elif case == "repeated_header_key":
         at, lines[2] = 3, lines[2] + " #tau 0.7"
+    elif case == "eta_not_the_lattice_eta":
+        assert " #eta 0.2 " in lines[2]
+        at, lines[2] = 3, lines[2].replace(" #eta 0.2 ", " #eta 0.5 ")
     elif case == "no_lattice_line":
         assert lines[1].startswith("#lattice ")
         at = None
@@ -376,6 +381,32 @@ def test_cli_config_error_exit_code(tmp_path):
                      "--out", str(tmp_path / "m.abs")]) == cli.EXIT_CONFIG
     cfg = _fast_cfg(tmp_path)
     assert cli.main(["abstract", "--config", cfg]) == cli.EXIT_CONFIG  # no --out
+
+
+def test_cli_simulate_requires_in(tmp_path, capsys):
+    cfg = _fast_cfg(tmp_path)
+    code = cli.main(["simulate", "--config", cfg, "--out",
+                     str(tmp_path / "t.csv")])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        "configuration error: simulate requires --in\n"
+    assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("section,line,message", [
+    ("system", "name = no_such_system", "unknown system 'no_such_system'"),
+    ("quantizer", "state_lo = -0.3 -1", "[quantizer]: axis 0: bounds"),
+])
+def test_config_rejects_what_its_builders_reject(tmp_path, capsys, section,
+                                                 line, message):
+    # the system is built by each command, the lattice already when the
+    # scenario is read; neither failure has one line to name
+    cfg = _fast_cfg(tmp_path)
+    _with_line(cfg, section, line)
+    code = cli.main(["abstract", "--config", cfg, "--out",
+                     str(tmp_path / "m.abs")])
+    assert code == cli.EXIT_CONFIG
+    assert f"configuration error: {cfg}: {message}" in capsys.readouterr().err
 
 
 def test_cli_rejects_scenario_that_is_not_utf8(tmp_path, capsys):
@@ -578,6 +609,7 @@ def _with_line(path, section, line):
     ("synthesis", "safe_hi = nan 1"),
     ("plan", "grid_resolution = nan"),
     ("simulate", "x0 = inf 0"),
+    ("plan", "relaxed = maybe"),
 ])
 def test_config_rejects_values_that_fail_later(tmp_path, capsys, section,
                                                line):
@@ -600,6 +632,11 @@ def test_config_rejects_values_that_fail_later(tmp_path, capsys, section,
     ("quantizer", ("state_lo = -1 1",), "state_lo",
      "need state_lo < state_hi per axis"),
     ("synthesis", ("safe_lo = -1",), "safe_lo", "safe box dimension mismatch"),
+    ("synthesis", ("safe_hi = -1 1", "safe_lo = 1 -1"), "safe_lo",
+     "safe box is empty"),
+    ("simulate", ("x0 = 5 0",), "x0", "x0 lies outside the state box"),
+    ("plan", ("start = 9,9",), "start", "9,9 is not a lattice cell"),
+    ("plan", ("goals = 0,0 ; 0,-3",), "goals", "0,-3 is not a lattice cell"),
 ])
 def test_config_cross_key_checks_name_their_key(tmp_path, capsys, section,
                                                 lines, key, message):
@@ -682,3 +719,49 @@ def test_readme_and_help_list_every_key(capsys):
     printed = capsys.readouterr().out
     for row in KEYS:
         assert f"  {row.section}.{row.key} = " in printed
+
+
+def _non_finite(lines):
+    """Each line with its first number replaced by a value that is not a
+    finite float: yields (line index, value, mutated lines)."""
+    for k, line in enumerate(lines):
+        number = re.search(r"-?\d+(?:\.\d+)?", line)
+        for value in ("nan", "inf", "-inf", "1e400") if number else ():
+            new = line[:number.start()] + value + line[number.end():]
+            yield k, value, lines[:k] + [new] + lines[k + 1:]
+
+
+SCENARIOS = [BUNDLED] + sorted(
+    os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench",
+                 "scenarios", name) for name in ("cube3d_lazy.cfg",
+                                                 "pendulum_fine.cfg"))
+
+
+@pytest.mark.parametrize("source", SCENARIOS, ids=os.path.basename)
+def test_scenario_file_fuzz(tmp_path, source):
+    # each line of a scenario under each mutation either fails with an
+    # error naming the file, or parses to a config whose plan cells are
+    # lattice cells, whose x0 lies in the state box and whose safe box is
+    # not inverted
+    with open(source) as fh:
+        lines = fh.read().splitlines()
+    path = tmp_path / os.path.basename(source)
+    cases = 0
+    for k, name, mutated in itertools.chain(line_mutations(lines),
+                                            _non_finite(lines)):
+        cases += 1
+        path.write_text("\n".join(mutated) + "\n")
+        try:
+            cfg = parse_config(path)
+        except ConfigError as exc:
+            assert str(exc).startswith(str(path)), (k, name, str(exc))
+            continue
+        lattice = cfg.build_lattice()
+        for cell in [cfg.plan_start, *cfg.plan_goals]:
+            if cell is not None:
+                lattice.check_index(cell)
+        if cfg.sim_x0 is not None:
+            assert lattice.contains_many([cfg.sim_x0])[0], (k, name)
+        assert all(lo <= hi for lo, hi in zip(cfg.safe_lo, cfg.safe_hi)), \
+            (k, name)
+    assert cases > 300

@@ -71,6 +71,9 @@ def test_growth_radius_examples():
     assert np.allclose(got, [0.25, 0.25])
     with pytest.raises(ValueError):
         sq.growth_radius([1.0], 1.5, 6.0, 0.2)
+    for lipschitz, tau in ((0.0, 0.2), (6.0, -0.1)):
+        with pytest.raises(ValueError, match="need lipschitz > 0"):
+            sq.growth_radius([1.0], 0.2, lipschitz, tau)
 
 
 def test_growth_bound_soundness_sampled():
@@ -138,6 +141,19 @@ def test_system_validation():
         sq.SampledSystem(dim_x=1, dim_u=1, field=lambda x, u: -x,
                          lipschitz=1.0, tau=0.1, input_lo=(1.0,),
                          input_hi=(-1.0,))
+    base = dict(dim_x=1, dim_u=1, field=lambda x, u: -x, lipschitz=1.0,
+                tau=0.1, input_lo=(-1.0,), input_hi=(1.0,))
+    for change, message in (({"dim_x": 0}, "dimensions must be positive"),
+                            ({"lipschitz": 0.0}, "lipschitz must be positive"),
+                            ({"integrator_steps": 0}, "at least 1"),
+                            ({"input_hi": (1.0, 2.0)}, "does not match dim_u")):
+        with pytest.raises(ValueError, match=message):
+            sq.SampledSystem(**{**base, **change})
+    sys_ = sq.SampledSystem(**base)
+    with pytest.raises(ValueError, match=r"states of shape \(N, 1\)"):
+        sq.successor_many(sys_, np.zeros((2, 2)), np.zeros((2, 1)))
+    with pytest.raises(ValueError, match=r"inputs of shape \(N, 1\)"):
+        sq.successor_many(sys_, np.zeros((2, 1)), np.zeros((3, 1)))
 
 
 def test_trajectory_validation_and_csv(tmp_path):
@@ -157,6 +173,11 @@ def test_trajectory_validation_and_csv(tmp_path):
         sq.Trajectory(times=times, states=states, inputs=np.array([[1.0]]))
     with pytest.raises(ValueError):
         sq.Trajectory(times=times[::-1], states=states, inputs=inputs)
+    with pytest.raises(ValueError, match="lengths do not match"):
+        sq.Trajectory(times=times[:2], states=states, inputs=inputs)
+    with pytest.raises(ValueError, match="non-finite states"):
+        sq.Trajectory(times=times, states=states * [[np.nan], [1], [1]],
+                      inputs=inputs)
 
 
 def _rk4_step_reference(f, x, u, h):

@@ -302,3 +302,69 @@ def test_contains_many_rejects_nonfinite_rows():
                     [0.0, math.inf], [-math.inf, 0.0], [math.nan, math.nan]])
     assert lattice.contains_many(pts).tolist() == [True, True, False, False,
                                                    False, False, False]
+
+
+def test_lattice_axes_share_one_eta_and_variant():
+    edge = sq.LogQuantizerAxis(0.2, 0.4, sq.QuantizerVariant.EDGE_ANCHORED)
+    for other in (sq.LogQuantizerAxis(0.25, 0.4,
+                                      sq.QuantizerVariant.EDGE_ANCHORED),
+                  sq.LogQuantizerAxis(0.2, 0.4)):
+        with pytest.raises(ValueError,
+                           match="must share one eta and one variant"):
+            sq.LogLattice((edge, other), (-1, -1), (1, 1))
+    # the scales may differ, and the one eta is the lattice's
+    lattice = sq.LogLattice((edge, sq.LogQuantizerAxis(
+        0.2, 0.3, "edge_anchored")), (-1, -1), (1, 1))
+    assert lattice.shared_eta == 0.2
+    assert lattice.axes[1].variant is sq.QuantizerVariant.EDGE_ANCHORED
+
+
+def test_lattice_rejects_non_finite_bounds():
+    # rejected before the levels are counted: an infinite bound once
+    # overflowed the level estimate, and would never end a count
+    for lo, hi in (([-math.inf], [1.0]), ([-1.0], [math.inf]),
+                   ([-math.inf], [math.inf]), ([math.nan], [1.0])):
+        with pytest.raises(ValueError, match="bounds must be finite"):
+            sq.LogLattice.from_params(0.2, [0.4], lo, hi)
+
+
+def test_lattice_level_count_matches_brute_force():
+    # the outermost level on a side is the last whose quantized value lies
+    # inside the bound, also when the bound is exactly a level value or
+    # its float neighbour
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        eta = float(rng.uniform(0.02, 0.95))
+        variant = sq.QuantizerVariant(rng.choice(["value_anchored",
+                                                  "edge_anchored"]))
+        axis = sq.LogQuantizerAxis(eta, float(10 ** rng.uniform(-4, 1)),
+                                   variant)
+        values = [axis.level_value(1)]
+        while values[-1] <= 1e4 * axis.deadzone:
+            values.append(axis.level_value(len(values) + 1))
+        pick = values[int(rng.integers(0, len(values) - 1))]
+        limits = [float(10 ** rng.uniform(0, 3)) * axis.deadzone, pick,
+                  np.nextafter(pick, 0.0), np.nextafter(pick, np.inf)]
+        limits = [v for v in limits if v >= axis.deadzone]
+        for hi, lo in zip(limits, limits[::-1]):
+            lattice = sq.LogLattice((axis,), (-lo,), (hi,))
+            want_pos = sum(v <= hi for v in values)
+            want_neg = sum(v <= lo for v in values)
+            assert lattice.axis_levels(0) == range(-want_neg, want_pos + 1)
+
+
+def test_quantizer_argument_checks():
+    assert sq.LogQuantizerAxis(0.2, 0.4, "edge_anchored").variant is \
+        sq.QuantizerVariant.EDGE_ANCHORED
+    with pytest.raises(ValueError, match="interval endpoints must be finite"):
+        VALUE_AXIS.levels_overlapping(0.0, math.inf)
+    with pytest.raises(ValueError, match="at least one axis"):
+        sq.LogLattice((), (), ())
+    with pytest.raises(ValueError, match="bounds dimension"):
+        sq.LogLattice((VALUE_AXIS,), (-1, -1), (1, 1))
+    lattice = edge_lattice_2d()
+    with pytest.raises(ValueError, match="expected a point of dimension 2"):
+        lattice.quantize([0.0])
+    # an interval that misses the bounds meets no cell
+    assert lattice.levels_in_interval(0, 1.5, 2.0) == []
+    assert (0, 0) in lattice and (3, 0) not in lattice and (0,) not in lattice

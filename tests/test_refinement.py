@@ -39,6 +39,33 @@ def test_zero_samples_vacuous_pass(pendulum_scenario, caplog):
     assert any("zero samples" in message for message in caplog.messages)
 
 
+def test_every_cell_blocking_samples_nothing(pendulum_scenario, caplog):
+    sys_, lattice, real = pendulum_scenario
+    model = SymbolicModel.from_tables(
+        real.cells, real.inputs, {}, lattice=lattice, tau=real.tau,
+        mu=real.mu, lipschitz=real.lipschitz)
+    with caplog.at_level("WARNING"):
+        report = sq.check_feedback_refinement(model, sys_, 100, seed=0)
+    assert report.samples_tested == 0 and report.passed
+    assert "every cell is blocking; nothing to sample" in caplog.messages
+
+
+def test_check_argument_checks(pendulum_scenario):
+    sys_, lattice, real = pendulum_scenario
+    bare = SymbolicModel.from_tables(real.cells, real.inputs, {},
+                                     tau=real.tau, lipschitz=real.lipschitz)
+    with pytest.raises(ConfigError, match="no lattice geometry"):
+        sq.check_feedback_refinement(bare, sys_, 10, seed=0)
+    line = sq.LogLattice.from_params(0.2, [0.4], [-1], [1])
+    one_axis = SymbolicModel.from_tables(line.enumerate_cells(), real.inputs,
+                                         {}, lattice=line, tau=real.tau,
+                                         lipschitz=real.lipschitz)
+    with pytest.raises(ConfigError, match="dimensions differ"):
+        sq.check_feedback_refinement(one_axis, sys_, 10, seed=0)
+    with pytest.raises(ValueError, match="safe box dimension"):
+        sq.abstract_safe_set([-1], [1], lattice, real)
+
+
 def test_pendulum_model_refines(pendulum_scenario):
     sys_, _, model = pendulum_scenario
     for seed in (0, 1, 2):
@@ -95,7 +122,7 @@ def test_detects_removed_successor(pendulum_scenario):
         succ[(sid, uid)] = wrong
     model = SymbolicModel.from_tables(
         real.cells, real.inputs, succ, lattice=lattice, tau=real.tau,
-        eta=real.eta, mu=real.mu, lipschitz=real.lipschitz, system=sys_)
+        mu=real.mu, lipschitz=real.lipschitz, system=sys_)
     report = sq.check_feedback_refinement(model, sys_, 3000, seed=0)
     assert not report.passed
     assert all(w.source == (0, 0) for w in report.violations)
@@ -154,7 +181,7 @@ def test_bisection_matches_key_search_on_removed_successor(
                     dsts[len(dsts) // 2 + 1:]
     model = SymbolicModel.from_tables(
         real.cells, real.inputs, succ, lattice=lattice, tau=real.tau,
-        eta=real.eta, mu=real.mu, lipschitz=real.lipschitz, system=sys_)
+        mu=real.mu, lipschitz=real.lipschitz, system=sys_)
     for seed in (0, 5):
         report = sq.check_feedback_refinement(model, sys_, 3000, seed=seed)
         got = [(w.source, w.input_index, tuple(w.x), w.observed, w.expected)
@@ -206,7 +233,7 @@ def test_vectorized_check_matches_loop_reference(pendulum_scenario):
         succ[(zero, uid)] = (real.state_id((2, 2)),)
     model = SymbolicModel.from_tables(
         real.cells, real.inputs, succ, lattice=lattice, tau=real.tau,
-        eta=real.eta, mu=real.mu, lipschitz=real.lipschitz)
+        mu=real.mu, lipschitz=real.lipschitz)
     report = sq.check_feedback_refinement(model, sys_, 3000, seed=3)
     got = [(w.source, w.input_index, tuple(w.x), w.observed, w.expected)
            for w in report.violations]
@@ -304,6 +331,8 @@ def test_abstract_safe_set_partial_box(pendulum_scenario):
     expected = {c for c in model.cells
                 if abs(c[0]) <= 1 and abs(c[1]) <= 1}
     assert set(safe.cells) == expected
+    assert [c for c in model.cells if c in safe] == list(safe.cells)
+    assert [1, -1] in safe and (2, 0) not in safe
     # inputs are the union of enabled inputs over the kept cells
     union = set()
     for cell in safe.cells:

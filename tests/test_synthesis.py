@@ -287,6 +287,13 @@ def test_relaxed_plan_requires_lattice(pendulum_scenario):
         sq.plan_reach(bare, (-1, 0), [(0, 0)], relaxed=True)
 
 
+def test_relaxed_plan_rejects_an_oversized_dedup_grid(pendulum_scenario):
+    _, _, model = pendulum_scenario
+    with pytest.raises(PlanningError, match="dedup grid of .* too large"):
+        sq.plan_reach(model, (-1, 0), [(0, 0)], relaxed=True,
+                      grid_resolution=1e-5)
+
+
 def test_relaxed_plan_stops_at_max_segment_steps(pendulum_scenario):
     _, _, model = pendulum_scenario
     steps = sq.plan_reach(model, (-1, 0), [(0, 0)], relaxed=True).total_steps
@@ -370,10 +377,9 @@ def test_simulate_equilibrium_constant():
     sys_ = sq.pendulum_system()
     lattice = sq.LogLattice.from_params(0.2, [0.4, 0.4], [-1, -1], [1, 1],
                                         "edge_anchored")
-    ctrl = sq.SafetyController(domain=((0, 0),),
-                               admissible={(0, 0): (0,)},
+    ctrl = sq.SafetyController(admissible={(0, 0): (0,)},
                                inputs=np.array([[0.0]]), iterations=1,
-                               history=(1, 1), safe_cells=((0, 0),))
+                               history=(1, 1))
     concrete = sq.refine_controller(ctrl, lattice)
     trajectory = sq.simulate_closed_loop(sys_, concrete, [0.0, 0.0], 5)
     assert (trajectory.states == 0.0).all()
@@ -384,16 +390,18 @@ def test_simulate_rejects_out_of_domain_start(contracting_scenario):
     sys_, lattice, model = contracting_scenario
     safe = sq.abstract_safe_set([-0.7, -0.7], [0.7, 0.7], lattice, model)
     concrete = sq.refine_controller(sq.safety_fixpoint(model, safe), lattice)
-    with pytest.raises(OutOfDomainError):
+    with pytest.raises(OutOfDomainError) as info:
         sq.simulate_closed_loop(sys_, concrete, [0.95, 0.95], 10)
+    assert str(info.value) == \
+        "initial state [0.95, 0.95] outside the controller domain"
 
 
 def test_simulate_controller_stops_on_leaving_domain(contracting_scenario):
     # a one-cell controller whose input drives the state out of that cell
     sys_, lattice, _ = contracting_scenario
-    ctrl = sq.SafetyController(domain=((0, 0),), admissible={(0, 0): (0,)},
+    ctrl = sq.SafetyController(admissible={(0, 0): (0,)},
                                inputs=np.array([[1.0]]), iterations=1,
-                               history=(1, 1), safe_cells=((0, 0),))
+                               history=(1, 1))
     concrete = sq.refine_controller(ctrl, lattice)
     trajectory = sq.simulate_closed_loop(sys_, concrete, [0.0, 0.0], 10)
     assert trajectory.terminated == "out_of_domain"
@@ -419,8 +427,10 @@ def test_simulate_plan_stops_on_leaving_bounds(pendulum_scenario):
 def test_simulate_plan_rejects_start_outside_bounds(pendulum_scenario):
     sys_, lattice, model = pendulum_scenario
     plan = sq.Plan(steps=((0, 3),), inputs=model.inputs)
-    with pytest.raises(OutOfDomainError, match="outside the lattice bounds"):
+    with pytest.raises(OutOfDomainError) as info:
         sq.simulate_closed_loop(sys_, plan, [1.5, 0.0], 10, lattice=lattice)
+    assert str(info.value) == \
+        "initial state [1.5, 0.0] outside the lattice bounds"
 
 
 def test_simulate_rejects_unsupported_policy(pendulum_scenario):
@@ -446,9 +456,8 @@ def test_simulate_rejects_negative_max_steps(pendulum_scenario, mode):
     sys_, lattice, model = pendulum_scenario
     if mode == "controller":
         policy = sq.refine_controller(sq.SafetyController(
-            domain=((0, 0),), admissible={(0, 0): (0,)},
-            inputs=np.array([[0.0]]), iterations=1, history=(1, 1),
-            safe_cells=((0, 0),)), lattice)
+            admissible={(0, 0): (0,)}, inputs=np.array([[0.0]]),
+            iterations=1, history=(1, 1)), lattice)
     else:
         policy = sq.Plan(steps=((0, 4),), inputs=model.inputs)
     with pytest.raises(ValueError,
@@ -482,9 +491,8 @@ def test_simulate_step_divergence_names_its_substep(mode):
     if mode == "controller":
         cells = tuple(lattice.enumerate_cells())
         policy = sq.refine_controller(sq.SafetyController(
-            domain=cells, admissible={c: (0,) for c in cells}, inputs=inputs,
-            iterations=1, history=(len(cells),) * 2, safe_cells=cells),
-            lattice)
+            admissible={c: (0,) for c in cells}, inputs=inputs,
+            iterations=1, history=(len(cells),) * 2), lattice)
     else:
         policy = sq.Plan(steps=((0, 10),), inputs=inputs)
     with pytest.raises(DivergenceError) as info:
@@ -527,6 +535,30 @@ def test_controller_save_load_roundtrip(contracting_scenario, tmp_path):
     loaded = sq.load_controller(path, model.inputs, lattice)
     assert loaded.domain == ctrl.domain
     assert loaded.admissible == ctrl.admissible
+
+
+def test_controller_domain_is_its_admissible_map(contracting_scenario,
+                                                 tmp_path):
+    # the domain is the keys of the admissible map: in state order from the
+    # fixed point, in cell order from a file written in any order
+    _, lattice, model = contracting_scenario
+    safe = sq.abstract_safe_set([-0.7, -0.7], [0.7, 0.7], lattice, model)
+    ctrl = sq.safety_fixpoint(model, safe)
+    assert len(ctrl.domain) > 1 and ctrl.domain == tuple(ctrl.admissible)
+    assert list(ctrl.domain) == [c for c in model.cells if c in ctrl]
+    assert (9, 9) not in ctrl
+    path = tmp_path / "ctrl.txt"
+    sq.save_controller(ctrl, path)
+    head, *lines = path.read_text().splitlines()
+    path.write_text("\n".join([head] + lines[::-1]) + "\n")
+    loaded = sq.load_controller(path, model.inputs, lattice)
+    assert loaded.domain == tuple(loaded.admissible) == tuple(sorted(
+        ctrl.domain))
+    assert loaded.admissible == ctrl.admissible
+    for extra in ({"domain": ()}, {"safe_cells": ()}):
+        with pytest.raises(TypeError):
+            sq.SafetyController(admissible={}, inputs=model.inputs,
+                                iterations=0, history=(), **extra)
 
 
 def test_plan_save_load_roundtrip(tmp_path):
