@@ -59,10 +59,14 @@ def _build_or_load(args, cfg: ScenarioConfig):
     from . import abstraction
 
     sys_ = cfg.build_system()
-    if args.infile:
-        return abstraction.load_abstraction(args.infile, system=sys_), sys_
-    return abstraction.build_abstraction(sys_, cfg.build_lattice(),
-                                         cfg.approx_config()), sys_
+    if not args.infile:
+        return abstraction.build_abstraction(sys_, cfg.lattice,
+                                             cfg.approx_config()), sys_
+    model = abstraction.load_abstraction(args.infile, system=sys_)
+    if model.lattice != cfg.lattice:
+        raise ConfigError(f"{args.infile}: its #lattice is not the lattice "
+                          f"of {cfg.path} [quantizer]")
+    return model, sys_
 
 
 def _cmd_abstract(args, cfg: ScenarioConfig) -> int:
@@ -137,7 +141,7 @@ def _cmd_simulate(args, cfg: ScenarioConfig) -> int:
     # --in names the policy file, so the model is always rebuilt from the
     # configuration (deterministic)
     sys_ = cfg.build_system()
-    model = abstraction.build_abstraction(sys_, cfg.build_lattice(),
+    model = abstraction.build_abstraction(sys_, cfg.lattice,
                                           cfg.approx_config())
     if cfg.sim_x0 is None:
         raise ConfigError(f"{cfg.path}: [simulate] x0 is required")

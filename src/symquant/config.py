@@ -202,7 +202,8 @@ class _RawConfig:
 
 class ScenarioConfig(SimpleNamespace):
     """Validated scenario values, ``path`` plus one attribute per field of
-    :data:`KEYS`, and builders for the live objects."""
+    :data:`KEYS`, the scenario's ``lattice``, and builders for the live
+    objects."""
 
     def build_system(self) -> SampledSystem:
         overrides = {name: value for name, value in (
@@ -258,7 +259,7 @@ def parse_config(path) -> ScenarioConfig:
         if any(p is not None and len(p) != dim for p in points):
             raw.fail(section, key, f"need {dim} components, one per state "
                                    "axis")
-    lattice = cfg.build_lattice()
+    lattice = cfg.lattice = cfg.build_lattice()
     if cfg.sim_x0 is not None and not lattice.contains_many([cfg.sim_x0])[0]:
         raw.fail("simulate", "x0", "x0 lies outside the state box")
     cells = [("start", cfg.plan_start)] + [("goals", c) for c in cfg.plan_goals]

@@ -146,7 +146,8 @@ def successor(sys: SampledSystem, x0, u, steps: int | None = None) -> np.ndarray
     y = successor_many(sys, x, uu, steps)
     if np.isfinite(y).all():
         return y[0]
-    # non-finite stays non-finite: re-run substep by substep to find the first
+    # non-finite stays non-finite: re-run substep by substep to find the
+    # first, which the same kernel on the same row reaches within `steps`
     steps = sys.integrator_steps if steps is None else int(steps)
     h = sys.tau / steps
     f = _field(sys)
@@ -154,8 +155,8 @@ def successor(sys: SampledSystem, x0, u, steps: int | None = None) -> np.ndarray
         for k in range(steps):
             x = _rk4_step(f, x, uu, h)
             if not np.isfinite(x).all():
-                raise DivergenceError(k)
-    return x[0]
+                break
+    raise DivergenceError(k)
 
 
 def growth_radius(q_center, eta: float, lipschitz: float, tau: float) -> np.ndarray:

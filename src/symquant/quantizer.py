@@ -227,7 +227,7 @@ class Box:
         return (above & below).all(axis=1)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class LogLattice:
     """Product of per-axis logarithmic quantizers clipped to a bounds box.
 
@@ -237,7 +237,8 @@ class LogLattice:
     inside [lo_i, hi_i]; the outermost valid cell on each side extends to the
     bound, so the clipped cells partition the bounds box exactly.
 
-    Immutable after construction; all queries are pure functions.
+    Immutable after construction; all queries are pure functions.  A lattice
+    is a value: two compare and hash equal when their axes and bounds do.
     """
 
     axes: tuple[LogQuantizerAxis, ...]

@@ -109,6 +109,9 @@ def check_feedback_refinement(model: SymbolicModel, sys: SampledSystem,
     draws come first; integration, quantization and membership then run on
     ``_CHUNK`` samples at a time, so only the draws grow with the count.
     """
+    for name, value in (("sample_count", sample_count), ("seed", seed)):
+        if value < 0:
+            raise ValueError(f"{name} must be non-negative, got {value!r}")
     if model.lattice is None:
         raise ConfigError("model has no lattice geometry")
     if model.tau != sys.tau or model.lipschitz != sys.lipschitz:
@@ -195,15 +198,16 @@ def abstract_safe_set(safe_lo, safe_hi, lattice: LogLattice,
     A cell qualifies only when its closure is contained in the box, so every
     concrete state related to a qualifying cell is safe.  The input component
     is the union of enabled inputs over the qualifying cells.  An empty
-    result is legal.
+    result is legal.  ``lattice`` must equal ``model.lattice``.
     """
+    if lattice is None or lattice != model.lattice:
+        raise ValueError("lattice is not the model's lattice")
     safe_lo = np.atleast_1d(np.asarray(safe_lo, float))
     safe_hi = np.atleast_1d(np.asarray(safe_hi, float))
     if safe_lo.shape != (lattice.dim,) or safe_hi.shape != (lattice.dim,):
         raise ValueError("safe box dimension does not match the lattice")
-    _, lo, hi = lattice.geometry()
-    ids = lattice.cell_ids(model.cells)
-    inside = (lo[ids] >= safe_lo).all(axis=1) & (hi[ids] <= safe_hi).all(axis=1)
+    _, lo, hi = lattice.geometry()  # state ids are lattice cell ids
+    inside = (lo >= safe_lo).all(axis=1) & (hi <= safe_hi).all(axis=1)
     ptr, _ = model.relation()
     enabled = (ptr[1:] > ptr[:-1]) & inside[model.pair_state]
     return AbstractSafeSet(

@@ -410,11 +410,14 @@ def simulate_closed_loop(sys: SampledSystem, policy, x0, max_steps: int,
     a lattice is supplied, on leaving its bounds.  Raises
     :class:`OutOfDomainError` if the initial state is already outside,
     :class:`DivergenceError` if a step diverges, and ValueError if
-    ``max_steps`` is negative.
+    ``max_steps`` is negative or ``x0`` does not have ``sys.dim_x``
+    components.
     """
     if max_steps < 0:
         raise ValueError(f"max_steps must be non-negative, got {max_steps!r}")
     x = np.atleast_1d(np.asarray(x0, float))
+    if x.shape != (sys.dim_x,):
+        raise ValueError(f"x0 must have {sys.dim_x} components, got {x0!r}")
     if isinstance(policy, ConcreteController):
         inputs = policy.controller.inputs
         choices = _controller_ids(policy, x, max_steps)

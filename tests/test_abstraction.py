@@ -733,3 +733,12 @@ def test_model_file_header_keys_default_when_missing(tmp_path):
         (0.0, 0.25, 0.5, 1.0)
     model.save(tmp_path / "again.abs")
     assert _same_model(sq.load_abstraction(tmp_path / "again.abs"), model)
+
+
+def test_loaded_model_lattice_equals_the_building_one(pendulum_scenario,
+                                                      tmp_path):
+    _, lattice, model = pendulum_scenario
+    model.save(tmp_path / "m.abs")
+    loaded = sq.load_abstraction(tmp_path / "m.abs").lattice
+    assert loaded is not lattice
+    assert loaded == lattice and hash(loaded) == hash(lattice)

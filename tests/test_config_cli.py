@@ -765,3 +765,45 @@ def test_scenario_file_fuzz(tmp_path, source):
         assert all(lo <= hi for lo, hi in zip(cfg.safe_lo, cfg.safe_hi)), \
             (k, name)
     assert cases > 300
+
+
+def test_cli_refuses_a_model_on_another_lattice(tmp_path, capsys):
+    # a.abs is on the bundled 25-cell lattice, b.cfg on an 81-cell one
+    model = tmp_path / "a.abs"
+    assert cli.main(["abstract", "--config", "pendulum", "--out",
+                     str(model)]) == 0
+    text = open(BUNDLED).read()
+    assert "scale = 0.4 0.4\n" in text
+    other = tmp_path / "b.cfg"
+    other.write_text(text.replace("scale = 0.4 0.4\n", "scale = 0.2 0.2\n"))
+    capsys.readouterr()
+    for command in ("abstract", "synthesize", "verify", "plan", "export"):
+        code = cli.main([command, "--config", str(other), "--in", str(model),
+                         "--out", str(tmp_path / "out.txt")])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG, command
+        assert err == (f"configuration error: {model}: its #lattice is not "
+                       f"the lattice of {other} [quantizer]\n"), command
+    # the scenario that wrote the model still reads it
+    for command in ("abstract", "synthesize", "verify", "plan", "export"):
+        assert cli.main([command, "--config", "pendulum", "--in", str(model),
+                         "--out", str(tmp_path / "out.txt")]) == 0, command
+
+
+def test_cli_build_constructs_one_lattice(tmp_path, monkeypatch):
+    plan = tmp_path / "plan.txt"
+    assert cli.main(["plan", "--config", "pendulum", "--out", str(plan)]) == 0
+    built = []
+    post_init = sq.LogLattice.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(sq.LogLattice, "__post_init__", counted)
+    for argv in (["abstract", "--out", str(tmp_path / "m.abs")],
+                 ["simulate", "--in", str(plan), "--out",
+                  str(tmp_path / "t.csv")]):
+        built.clear()
+        assert cli.main(argv + ["--config", "pendulum"]) == 0
+        assert len(built) == 1, argv

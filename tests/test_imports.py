@@ -90,3 +90,11 @@ except AttributeError as exc:
 else:
     raise AssertionError("an unknown name resolved")
 """)
+
+
+def test_dir_lists_public_names_and_submodules():
+    # in this process, so that the tier-1 run covers __dir__ itself
+    names = dir(sq)
+    assert names == sorted(set(names))
+    assert set(sq.__all__) <= set(names)
+    assert {"errors", "quantizer", "dynamics", *STAGES} <= set(names)

@@ -368,3 +368,23 @@ def test_quantizer_argument_checks():
     # an interval that misses the bounds meets no cell
     assert lattice.levels_in_interval(0, 1.5, 2.0) == []
     assert (0, 0) in lattice and (3, 0) not in lattice and (0,) not in lattice
+
+
+def test_lattice_is_a_value():
+    params = (0.2, [0.4, 0.4], [-1, -1], [1, 1], "edge_anchored")
+    lattice = sq.LogLattice.from_params(*params)
+    same = sq.LogLattice.from_params(*params)
+    assert lattice is not same
+    assert lattice == same and hash(lattice) == hash(same)
+    assert len({lattice, same}) == 1
+    for other in (
+            sq.LogLattice.from_params(0.2, [0.2, 0.4], [-1, -1], [1, 1],
+                                      "edge_anchored"),
+            sq.LogLattice.from_params(0.2, [0.4, 0.4], [-1, -1], [1, 1],
+                                      "value_anchored"),
+            sq.LogLattice.from_params(0.25, [0.4, 0.4], [-1, -1], [1, 1],
+                                      "edge_anchored"),
+            sq.LogLattice.from_params(0.2, [0.4, 0.4], [-1, -1], [1, 1.5],
+                                      "edge_anchored")):
+        assert lattice != other
+    assert lattice != None  # noqa: E711

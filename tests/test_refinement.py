@@ -347,3 +347,37 @@ def test_abstract_safe_set_under_approximates(pendulum_scenario):
     for cell in safe.cells:
         for x in lattice.sample_in_cell(cell, rng, count=50):
             assert (x >= -0.7).all() and (x <= 0.7).all()
+
+
+def test_abstract_safe_set_needs_the_model_lattice(pendulum_scenario):
+    # the geometry is read from the lattice argument, so another lattice of
+    # the same dimension must be refused: read from the scale-0.2 lattice,
+    # all 25 cells would be safe, also those outside the box
+    _, lattice, model = pendulum_scenario
+    finer = sq.LogLattice.from_params(0.2, [0.2, 0.2], [-1, -1], [1, 1],
+                                      "edge_anchored")
+    with pytest.raises(ValueError, match="^lattice is not the model's lattice"):
+        sq.abstract_safe_set([-0.7, -0.7], [0.7, 0.7], finer, model)
+    bare = SymbolicModel.from_tables(model.cells, model.inputs, {})
+    with pytest.raises(ValueError, match="^lattice is not the model's lattice"):
+        sq.abstract_safe_set([-1, -1], [1, 1], lattice, bare)
+    with pytest.raises(ValueError, match="^lattice is not the model's lattice"):
+        sq.abstract_safe_set([-1, -1], [1, 1], None, bare)
+    # an equal lattice object is the model's lattice
+    equal = sq.LogLattice.from_params(0.2, [0.4, 0.4], [-1, -1], [1, 1],
+                                      "edge_anchored")
+    assert equal is not lattice
+    safe = sq.abstract_safe_set([-0.7, -0.7], [0.7, 0.7], equal, model)
+    assert safe == sq.abstract_safe_set([-0.7, -0.7], [0.7, 0.7], lattice,
+                                        model)
+    assert len(safe.cells) == 9
+
+
+@pytest.mark.parametrize("count, seed, name", [(-1, 0, "sample_count"),
+                                               (10, -1, "seed")])
+def test_refinement_check_rejects_negative_arguments(pendulum_scenario, count,
+                                                     seed, name):
+    sys_, _, model = pendulum_scenario
+    with pytest.raises(ValueError,
+                       match=rf"^{name} must be non-negative, got -1$"):
+        sq.check_feedback_refinement(model, sys_, count, seed)

@@ -471,6 +471,22 @@ def test_simulate_rejects_negative_max_steps(pendulum_scenario, mode):
 
 
 @pytest.mark.parametrize("mode", ["controller", "plan"])
+def test_simulate_rejects_x0_of_another_dimension(pendulum_scenario, mode):
+    # refused before the first step by both policies, not as numpy's
+    # broadcast error (plan) or a state outside the domain (controller)
+    sys_, lattice, model = pendulum_scenario
+    if mode == "controller":
+        policy = sq.refine_controller(sq.SafetyController(
+            admissible={(0, 0): (0,)}, inputs=np.array([[0.0]]),
+            iterations=1, history=(1, 1)), lattice)
+    else:
+        policy = sq.Plan(steps=((0, 4),), inputs=model.inputs)
+    for x0 in ([0.0], [0.0, 0.0, 0.0], [[0.0, 0.0]]):
+        with pytest.raises(ValueError, match=r"^x0 must have 2 components"):
+            sq.simulate_closed_loop(sys_, policy, x0, 5, lattice=lattice)
+
+
+@pytest.mark.parametrize("mode", ["controller", "plan"])
 def test_simulate_step_divergence_names_its_substep(mode):
     # dx/dt = x^2 from 3 blows up at t = 1/3, inside the fourth period
     sys_ = sq.SampledSystem(dim_x=1, dim_u=1, field=lambda x, u: x * x,
