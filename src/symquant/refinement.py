@@ -1,10 +1,10 @@
 """Quantizer-induced refinement checks and abstract safe sets.
 
 The relation between concrete states and abstract cells is the quantizer
-itself: a state is related to exactly the cell containing it.  Under that
-relation the symbolic model refines the sampled system, which makes any
-controller synthesized on the model valid for the concrete system once
-composed with the quantizer.
+itself, :meth:`LogLattice.quantize`: a state is related to exactly the cell
+containing it.  Under that relation the symbolic model refines the sampled
+system, which makes any controller synthesized on the model valid for the
+concrete system once composed with the quantizer.
 
 The concrete state set is uncountable, so the refinement conditions are
 checked here by dense seeded sampling rather than proved: samples are drawn
@@ -28,7 +28,6 @@ from .errors import ConfigError
 from .quantizer import LogLattice, format_cell
 
 __all__ = [
-    "relate",
     "RefinementWitness",
     "RefinementReport",
     "check_feedback_refinement",
@@ -39,11 +38,6 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _CHUNK = 1 << 11  # samples integrated, quantized and tested at once
-
-
-def relate(x, lattice: LogLattice) -> tuple[int, ...]:
-    """The unique cell related to a concrete state (the quantizer map)."""
-    return lattice.quantize(x)
 
 
 @dataclass(frozen=True, eq=False)

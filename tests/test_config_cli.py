@@ -656,20 +656,32 @@ def test_config_cross_key_checks_name_their_key(tmp_path, capsys, section,
     ("plan", "goals", "[plan] start and goals are required"),
     ("simulate", "x0", "[simulate] x0 is required"),
 ])
-def test_cli_command_needs_its_section_keys(tmp_path, capsys, command, key,
-                                            message):
+def test_cli_command_needs_its_section_keys(tmp_path, capsys, monkeypatch,
+                                            command, key, message):
+    from symquant import abstraction
+
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        raise RuntimeError("a model was built or loaded")
+
+    monkeypatch.setattr(abstraction, "build_abstraction", spy)
+    monkeypatch.setattr(abstraction, "load_abstraction", spy)
     cfg = _fast_cfg(tmp_path)
     with open(cfg) as fh:
         kept = [line for line in fh if not line.startswith(f"{key} =")]
     with open(cfg, "w") as fh:
         fh.writelines(kept)
-    # the check comes before --in is read, so that file need not exist
-    extra = ["--in", str(tmp_path / "absent")] if command == "simulate" else []
-    code = cli.main([command, "--config", cfg, "--out",
-                     str(tmp_path / "out"), *extra])
-    assert code == cli.EXIT_CONFIG
-    assert capsys.readouterr().err == \
-        f"configuration error: {cfg}: {message}\n"
+    # the check comes before any model is built or loaded, so the --in file
+    # need not exist
+    absent = ["--in", str(tmp_path / "absent")]
+    for infile in ([absent] if command == "simulate" else [[], absent]):
+        code = cli.main([command, "--config", cfg, "--out",
+                         str(tmp_path / "out"), *infile])
+        assert (code, calls) == (cli.EXIT_CONFIG, [])
+        assert capsys.readouterr().err == \
+            f"configuration error: {cfg}: {message}\n"
 
 
 @pytest.mark.parametrize("command,variable,value", [

@@ -62,6 +62,23 @@ def test_integrator_order():
         assert err_coarse / err_fine >= 8.0
 
 
+def test_integration_error_is_negligible_against_paper_radius():
+    # pendulum_fine's lattice and inputs: every (cell center, grid input)
+    # successor at the default 10 substeps lies within 1e-3 of the paper
+    # radius of a 320-substep reference (measured: at most 1.4e-5 of it)
+    sys_ = sq.pendulum_system(tau=0.2, lipschitz=6.0)
+    lattice = sq.LogLattice.from_params(0.15, [0.05, 0.05], [-1, -1], [1, 1],
+                                        "edge_anchored")
+    centers = lattice.geometry()[0]
+    grid = sq.input_grid(sys_, 11)
+    x = np.repeat(centers, len(grid), axis=0)
+    u = np.tile(grid, (len(centers), 1))
+    error = np.abs(sq.successor_many(sys_, x, u)
+                   - sq.successor_many(sys_, x, u, steps=320))
+    radius = sq.growth_radius(centers, 0.15, 6.0, 0.2)
+    assert (error <= 1e-3 * np.repeat(radius, len(grid), axis=0)).all()
+
+
 def test_growth_radius_examples():
     got = sq.growth_radius([0.4, 0.0], 0.2, 6.0, 0.2)
     assert np.abs(got - [0.33201, 0.83003]).max() < 1e-5

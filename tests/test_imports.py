@@ -1,10 +1,12 @@
-"""The package's import graph: each entry point loads only the submodules
-it runs.  pytest's own process already holds every module, so each check
-runs in a fresh interpreter."""
+"""The package's import graph and public names: each entry point loads
+only the submodules it runs.  pytest's own process already holds every
+module, so each check of what gets loaded runs in a fresh interpreter."""
 
 import os
 import subprocess
 import sys
+
+import pytest
 
 import symquant as sq
 
@@ -98,3 +100,15 @@ def test_dir_lists_public_names_and_submodules():
     assert names == sorted(set(names))
     assert set(sq.__all__) <= set(names)
     assert {"errors", "quantizer", "dynamics", *STAGES} <= set(names)
+
+
+
+def test_method_forwarders_stay_deleted():
+    # each forwarded to one method, which is now the operation's one name
+    from symquant import quantizer, refinement
+    for name in ("scalar_quantize", "vector_quantize", "cell_bounds",
+                 "levels_overlapping_interval", "enumerate_cells", "relate"):
+        for module in (sq, quantizer, refinement):
+            with pytest.raises(AttributeError):
+                getattr(module, name)
+        assert name not in dir(sq) and name not in sq.__all__

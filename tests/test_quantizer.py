@@ -25,31 +25,30 @@ def edge_lattice_2d():
 
 
 def test_scalar_quantize_examples():
-    assert sq.scalar_quantize(0.2, VALUE_AXIS) == (0, 0.0)
-    level, value = sq.scalar_quantize(0.45, VALUE_AXIS)
+    assert VALUE_AXIS.quantize(0.2) == (0, 0.0)
+    level, value = VALUE_AXIS.quantize(0.45)
     assert level == 1 and value == pytest.approx(0.4, abs=1e-15)
-    level, value = sq.scalar_quantize(-0.45, VALUE_AXIS)
+    level, value = VALUE_AXIS.quantize(-0.45)
     assert level == -1 and value == pytest.approx(-0.4, abs=1e-15)
-    level, value = sq.scalar_quantize(0.55, VALUE_AXIS)
+    level, value = VALUE_AXIS.quantize(0.55)
     assert level == 2 and value == pytest.approx(0.6, abs=1e-15)
 
 
 def test_deadzone_edges():
     # deadzone is closed on both sides: d/(1+eta) for the value-anchored
     # form, the scale itself for the edge-anchored form
-    assert sq.scalar_quantize(VALUE_AXIS.deadzone, VALUE_AXIS)[0] == 0
-    assert sq.scalar_quantize(-VALUE_AXIS.deadzone, VALUE_AXIS)[0] == 0
-    assert sq.scalar_quantize(np.nextafter(VALUE_AXIS.deadzone, 1.0),
-                              VALUE_AXIS)[0] == 1
+    assert VALUE_AXIS.quantize(VALUE_AXIS.deadzone)[0] == 0
+    assert VALUE_AXIS.quantize(-VALUE_AXIS.deadzone)[0] == 0
+    assert VALUE_AXIS.quantize(np.nextafter(VALUE_AXIS.deadzone, 1.0))[0] == 1
     assert EDGE_AXIS.deadzone == 0.4
-    assert sq.scalar_quantize(0.4, EDGE_AXIS)[0] == 0
-    assert sq.scalar_quantize(0.41, EDGE_AXIS) == (1, pytest.approx(0.48))
+    assert EDGE_AXIS.quantize(0.4)[0] == 0
+    assert EDGE_AXIS.quantize(0.41) == (1, pytest.approx(0.48))
 
 
 def test_rejects_nonfinite():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
-            sq.scalar_quantize(bad, VALUE_AXIS)
+            VALUE_AXIS.quantize(bad)
     with pytest.raises(ValueError):
         sq.LogQuantizerAxis(eta=1.2, scale=0.4)
     with pytest.raises(ValueError):
@@ -82,11 +81,11 @@ def test_rho_definition():
 
 
 def test_levels_overlapping_examples():
-    assert sq.levels_overlapping_interval(0.34, 0.6, VALUE_AXIS) == [1, 2]
-    assert sq.levels_overlapping_interval(0.0, 0.3, VALUE_AXIS) == [0]
-    assert sq.levels_overlapping_interval(-0.1, 0.45, VALUE_AXIS) == [0, 1]
+    assert VALUE_AXIS.levels_overlapping(0.34, 0.6) == [1, 2]
+    assert VALUE_AXIS.levels_overlapping(0.0, 0.3) == [0]
+    assert VALUE_AXIS.levels_overlapping(-0.1, 0.45) == [0, 1]
     with pytest.raises(ValueError):
-        sq.levels_overlapping_interval(1.0, 0.5, VALUE_AXIS)
+        VALUE_AXIS.levels_overlapping(1.0, 0.5)
 
 
 def test_levels_overlapping_matches_scan():
@@ -111,48 +110,48 @@ def test_levels_overlapping_matches_scan():
 
 def test_vector_quantize_examples():
     lattice = value_lattice_2d()
-    assert sq.vector_quantize([0.45, 0.1], lattice) == (1, 0)
-    assert sq.vector_quantize([0.0, 0.0], lattice) == (0, 0)
-    assert sq.vector_quantize([-0.45, 0.55], lattice) == (-1, 2)
+    assert lattice.quantize([0.45, 0.1]) == (1, 0)
+    assert lattice.quantize([0.0, 0.0]) == (0, 0)
+    assert lattice.quantize([-0.45, 0.55]) == (-1, 2)
     with pytest.raises(OutOfDomainError):
-        sq.vector_quantize([1.5, 0.0], lattice)
+        lattice.quantize([1.5, 0.0])
 
 
 def test_cell_bounds_examples():
     lattice = sq.LogLattice.from_params(0.2, [0.4], [-1], [1], "value_anchored")
-    box = sq.cell_bounds((1,), lattice)
+    box = lattice.cell_box((1,))
     assert box.lo[0] == pytest.approx(1 / 3) and box.lo_open[0]
     assert box.hi[0] == pytest.approx(0.5) and not box.hi_open[0]
-    box = sq.cell_bounds((0,), lattice)
+    box = lattice.cell_box((0,))
     assert box.lo[0] == pytest.approx(-1 / 3) and not box.lo_open[0]
     assert box.hi[0] == pytest.approx(1 / 3) and not box.hi_open[0]
     # outermost level's cell is clipped to the bound
-    box = sq.cell_bounds((3,), lattice)
+    box = lattice.cell_box((3,))
     assert box.lo[0] == pytest.approx(0.75) and box.hi[0] == 1.0
     with pytest.raises(OutOfDomainError):
-        sq.cell_bounds((4,), lattice)
+        lattice.cell_box((4,))
 
 
 def test_enumerate_cells_counts():
     edge = edge_lattice_2d()
-    assert len(sq.enumerate_cells(edge)) == 25
+    assert len(edge.enumerate_cells()) == 25
     assert list(edge.axis_levels(0)) == [-2, -1, 0, 1, 2]
 
     value = value_lattice_2d()
-    assert len(sq.enumerate_cells(value)) == 49
+    assert len(value.enumerate_cells()) == 49
     assert list(value.axis_levels(0)) == [-3, -2, -1, 0, 1, 2, 3]
 
     # bounds shrunk to the deadzone leave a single cell
     dz = VALUE_AXIS.deadzone
     tiny = sq.LogLattice.from_params(0.2, [0.4], [-dz], [dz], "value_anchored")
-    assert sq.enumerate_cells(tiny) == [(0,)]
+    assert tiny.enumerate_cells() == [(0,)]
     box = tiny.cell_box((0,))
     assert box.lo[0] == -dz and box.hi[0] == dz
 
 
 def test_enumerate_cells_order_and_count_formula():
     lattice = edge_lattice_2d()
-    cells = sq.enumerate_cells(lattice)
+    cells = lattice.enumerate_cells()
     assert cells == sorted(cells)
     assert len(cells) == lattice.cell_count()
 

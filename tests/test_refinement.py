@@ -14,19 +14,17 @@ from symquant.errors import ConfigError
 def test_relate_is_vector_quantize():
     lattice = sq.LogLattice.from_params(0.2, [0.4, 0.4], [-1, -1], [1, 1],
                                         "value_anchored")
-    assert sq.relate([0.45, 0.1], lattice) == (1, 0)
-    assert sq.relate([0.45, 0.1], lattice) == sq.vector_quantize([0.45, 0.1],
-                                                                 lattice)
+    assert lattice.quantize([0.45, 0.1]) == (1, 0)
 
 
 def test_relate_centers_and_single_valuedness(pendulum_scenario):
     _, lattice, _ = pendulum_scenario
     for cell in lattice.enumerate_cells():
-        assert sq.relate(lattice.center(cell), lattice) == cell
+        assert lattice.quantize(lattice.center(cell)) == cell
     rng = np.random.default_rng(11)
     boxes = {c: lattice.cell_box(c) for c in lattice.enumerate_cells()}
     for x in rng.uniform(-1, 1, size=(300, 2)):
-        cell = sq.relate(x, lattice)
+        cell = lattice.quantize(x)
         owners = [c for c, b in boxes.items() if b.contains(x)]
         assert owners == [cell]
 
@@ -129,7 +127,7 @@ def test_detects_removed_successor(pendulum_scenario):
     witness = report.violations[0]
     # the witness replays: integrating it reproduces the mismatch
     replayed = sq.successor(sys_, witness.x, witness.u)
-    assert sq.relate(replayed, lattice) == witness.observed
+    assert lattice.quantize(replayed) == witness.observed
     assert witness.observed not in witness.expected
 
 
@@ -209,7 +207,7 @@ def _loop_reference(model, sys_, sample_count, seed):
     for k in range(sample_count):
         cell = model.cells[nonblocking[picks[k]]]
         try:
-            observed = sq.relate(succ[k], lattice)
+            observed = lattice.quantize(succ[k])
         except ValueError:
             observed = None
         expected = model.successors(cell, uids[k])
