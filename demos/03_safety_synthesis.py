@@ -24,7 +24,7 @@ lattice = sq.LogLattice.from_params(0.2, [0.4, 0.4], [-1, -1], [1, 1],
 pendulum = sq.pendulum_system()
 model = sq.build_abstraction(pendulum, lattice,
                              sq.InputApproxConfig(mu=0.002, input_samples=51))
-safe = sq.abstract_safe_set([-1, -1], [1, 1], lattice, model)
+safe = sq.abstract_safe_set([-1, -1], [1, 1], model)
 controller = sq.safety_fixpoint(model, safe)
 print("pendulum, safe = all cells:")
 print(f"  fixed-point sweep sizes: {controller.history}")
@@ -42,7 +42,7 @@ contracting = sq.SampledSystem(dim_x=2, dim_u=1, field=field, lipschitz=1.0,
                                vectorized=True, name="contracting")
 model = sq.build_abstraction(contracting, lattice,
                              sq.InputApproxConfig(mu=0.002, input_samples=21))
-safe = sq.abstract_safe_set([-0.7, -0.7], [0.7, 0.7], lattice, model)
+safe = sq.abstract_safe_set([-0.7, -0.7], [0.7, 0.7], model)
 controller = sq.safety_fixpoint(model, safe)
 print("\ncontracting system, safe box [-0.7, 0.7]^2:")
 print(f"  {len(safe.cells)} safe cells, domain keeps {len(controller.domain)}")

@@ -220,19 +220,17 @@ def _pack(key, n_states: int, n_inputs: int):
 
 
 class SymbolicModel:
-    """Finite transition system over lattice cells.
+    """Finite transition system over the cells of a lattice.
 
-    States are cells, numbered by their position in ``cells``; with lattice
-    geometry these are the lattice's cells in enumeration order, so a state
-    id is the raveled level index.  Inputs are an indexed table of input
-    vectors.  The candidate pairs of state s are rows
-    ``pair_ptr[s]:pair_ptr[s + 1]`` of ``pair_state`` and ``pair_input``
-    (ascending input ids).  The successor sets are compressed sparse rows
-    over the pairs, ``(offsets, targets)`` with ascending target ids; an
-    empty set means the input is disabled there, and a state without
-    enabled inputs is blocking.  The output map is the identity on cells and
-    is not stored.  ``eta`` is the lattice's density, None without a
-    lattice.
+    States are the lattice's cells in enumeration order (``cells``), so a
+    state id is the cell's raveled level index, ``lattice.cell_ids``.
+    Inputs are an indexed table of input vectors.  The candidate pairs of
+    state s are rows ``pair_ptr[s]:pair_ptr[s + 1]`` of ``pair_state`` and
+    ``pair_input`` (ascending input ids).  The successor sets are
+    compressed sparse rows over the pairs, ``(offsets, targets)`` with
+    ascending target ids; an empty set means the input is disabled there,
+    and a state without enabled inputs is blocking.  The output map is the
+    identity on cells and is not stored.  ``eta`` is the lattice's density.
 
     ``relation`` gives the successor sets up front.  Without it,
     ``boxes = (lo, hi)`` gives one closed successor box per candidate pair,
@@ -240,25 +238,19 @@ class SymbolicModel:
     on the first query.  How a box was formed is the builder's concern.
     """
 
-    def __init__(self, cells, inputs, pair_ptr, pair_input, lattice=None,
+    def __init__(self, lattice: LogLattice, inputs, pair_ptr, pair_input, *,
                  tau=0.0, mu=0.5, lipschitz=1.0, system=None, relation=None,
                  boxes=None):
-        self.cells = [tuple(int(m) for m in c) for c in cells]
-        self._id = {c: i for i, c in enumerate(self.cells)}
-        if len(self._id) != len(self.cells):
-            raise ValueError("duplicate cells")
-        if lattice is not None and self.cells != lattice.enumerate_cells():
-            raise ValueError("the cells of a model with lattice geometry "
-                             "must be the lattice's cells in order")
+        self.lattice = lattice
+        self.cells = lattice.enumerate_cells()
         inputs = np.asarray(inputs, float)
         if inputs.ndim != 2:
             inputs = (inputs.reshape(len(inputs), -1) if inputs.size
                       else np.empty((0, 1)))
         self.inputs = inputs
         self.inputs.setflags(write=False)
-        self.lattice = lattice
         self.tau = float(tau)
-        self.eta = None if lattice is None else lattice.shared_eta
+        self.eta = lattice.shared_eta
         self.mu = float(mu)
         self.lipschitz = float(lipschitz)
         self.system = system
@@ -279,11 +271,17 @@ class SymbolicModel:
     def n_inputs(self) -> int:
         return self.inputs.shape[0]
 
+    def state_ids(self, cells) -> np.ndarray:
+        """State ids of cells; a cell that is not on the lattice raises
+        :class:`OutOfDomainError`."""
+        cells = list(cells)
+        for cell in cells:
+            if cell not in self.lattice:
+                raise OutOfDomainError(f"unknown cell {cell!r}")
+        return self.lattice.cell_ids(cells)
+
     def state_id(self, cell) -> int:
-        try:
-            return self._id[tuple(int(m) for m in cell)]
-        except KeyError:
-            raise OutOfDomainError(f"unknown cell {cell!r}") from None
+        return int(self.state_ids([cell])[0])
 
     # -- transition queries --------------------------------------------
 
@@ -377,8 +375,8 @@ class SymbolicModel:
     # -- construction without a builder --------------------------------
 
     @classmethod
-    def from_tables(cls, cells, inputs, successors, lattice=None, tau=0.0,
-                    mu=0.5, lipschitz=1.0, system=None):
+    def from_tables(cls, lattice: LogLattice, inputs, successors, *,
+                    tau=0.0, mu=0.5, lipschitz=1.0, system=None):
         """Assemble a model from explicit tables.
 
         ``successors`` maps (state id, input id) to an iterable of state ids;
@@ -388,18 +386,13 @@ class SymbolicModel:
         """
         table = np.array([(s, d, u) for (s, u), dsts in successors.items()
                           for d in dsts], np.int64).reshape(-1, 3)
-        key, bad = _key(table, len(cells), len(inputs))
+        n_states, n_inputs = lattice.cell_count(), len(inputs)
+        key, bad = _key(table, n_states, n_inputs)
         if bad >= 0:
             raise ValueError("transition names an unknown state or input")
-        pair_ptr, pair_input, relation = _pack(key, len(cells), len(inputs))
-        return cls(cells, inputs, pair_ptr, pair_input, lattice=lattice,
-                   tau=tau, mu=mu, lipschitz=lipschitz, system=system,
-                   relation=relation)
-
-    # -- persistence ----------------------------------------------------
-
-    def save(self, path):
-        save_abstraction(self, path)
+        pair_ptr, pair_input, relation = _pack(key, n_states, n_inputs)
+        return cls(lattice, inputs, pair_ptr, pair_input, tau=tau, mu=mu,
+                   lipschitz=lipschitz, system=system, relation=relation)
 
 
 def build_abstraction(sys: SampledSystem, lattice: LogLattice,
@@ -429,8 +422,9 @@ def build_abstraction(sys: SampledSystem, lattice: LogLattice,
     pair_state, sample = np.divmod(rows, n_grid)
     used = np.flatnonzero(np.bincount(sample, minlength=n_grid))
     model = SymbolicModel(
-        cells, grid[used], np.searchsorted(pair_state, np.arange(n_cells + 1)),
-        np.searchsorted(used, sample), lattice=lattice, tau=sys.tau,
+        lattice, grid[used],
+        np.searchsorted(pair_state, np.arange(n_cells + 1)),
+        np.searchsorted(used, sample), tau=sys.tau,
         mu=cfg.mu, lipschitz=sys.lipschitz, system=sys,
         boxes=_paper_boxes(sys, lattice, centers[pair_state],
                            nominal_all[rows]))
@@ -446,8 +440,6 @@ def _format_floats(values) -> str:
 
 def save_abstraction(model: SymbolicModel, path):
     """Write the versioned line-oriented abstraction file (lossless)."""
-    if model.lattice is None:
-        raise ValueError("cannot save a model without lattice geometry")
     lat = model.lattice
     start = time.perf_counter()
     with open(path, "w") as fh:
@@ -583,10 +575,11 @@ def load_abstraction(path, system=None) -> SymbolicModel:
 
     The file holds ``#`` header lines, one ``src dst uid`` line per
     transition, then the ``input`` and ``state`` lines with ids counting up
-    from 0.  Malformed or inconsistent content raises a ValueError naming
-    the file and, where one line is at fault, the line.  The file is read
-    twice, a block at a time: for its header, size and tables, then for its
-    transitions.
+    from 0; the ``state`` lines are the ``#lattice`` line's cells in
+    enumeration order.  Malformed or inconsistent content raises a
+    ValueError naming the file and, where one line is at fault, the line.
+    The file is read twice, a block at a time: for its header, size and
+    tables, then for its transitions.
     """
     start = time.perf_counter()
     head, n_body, tail = _scan(path)
@@ -627,11 +620,12 @@ def load_abstraction(path, system=None) -> SymbolicModel:
         raise ValueError(f"{path}:{seen['#eta']}: #eta {eta!r} differs from "
                          f"the #lattice eta {lattice.shared_eta!r}")
 
-    # ids count up from 0, so these are the table sizes if the tables are
-    # valid; if not, a fault in them is raised after the transitions
-    keys, bad = _read_transitions(path, len(head), n_body, *(
-        sum(line.split()[:1] == [kind] for line in tail)
-        for kind in ("state", "input")))
+    # the states are the lattice's cells; input ids count up from 0, so
+    # this is the input table's size if it is valid; if not, a fault in it
+    # is raised after the transitions
+    cells = lattice.enumerate_cells()
+    keys, bad = _read_transitions(path, len(head), n_body, len(cells), sum(
+        line.split()[:1] == ["input"] for line in tail))
     rows: dict[str, list] = {"input": [], "state": []}
     for lineno, line in enumerate(tail, start=len(head) + n_body + 1):
         if not line.strip():
@@ -647,23 +641,26 @@ def load_abstraction(path, system=None) -> SymbolicModel:
         if ident != len(seen):
             raise ValueError(f"{path}:{lineno}: {kind} id {ident} where "
                              f"{len(seen)} was expected")
+        if kind == "state" and cells[ident:ident + 1] != [value]:
+            raise ValueError(f"{path}:{lineno}: state {ident} "
+                             f"{format_cell(value)} is not cell {ident} of "
+                             f"the #lattice")
         if seen and len(value) != len(seen[0]):
             raise ValueError(f"{path}:{lineno}: {kind} {ident} has "
                              f"{len(value)} components, not {len(seen[0])}")
         seen.append(value)
-    cells, inputs = rows["state"], rows["input"]
+    inputs = rows["input"]
+    if len(rows["state"]) != len(cells):
+        raise ValueError(f"{path}: {len(rows['state'])} states where the "
+                         f"#lattice has {len(cells)} cells")
     if bad >= 0:
         raise ValueError(
             f"{path}:{len(head) + bad + 1}: transition to or from an unknown "
             f"state or input ({len(cells)} states, {len(inputs)} inputs)")
 
-    try:
-        pair_ptr, pair_input, relation = _pack(keys, len(cells), len(inputs))
-        model = SymbolicModel(cells, inputs, pair_ptr, pair_input,
-                              lattice=lattice, system=system,
-                              relation=relation, **params)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    pair_ptr, pair_input, relation = _pack(keys, len(cells), len(inputs))
+    model = SymbolicModel(lattice, inputs, pair_ptr, pair_input,
+                          system=system, relation=relation, **params)
     logger.info("load: %d states, %d inputs, %d transitions, %.3f s",
                 len(cells), len(inputs), n_body, time.perf_counter() - start)
     return model

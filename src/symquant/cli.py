@@ -70,8 +70,10 @@ def _build_or_load(args, cfg: ScenarioConfig):
 
 
 def _cmd_abstract(args, cfg: ScenarioConfig) -> int:
+    from . import abstraction
+
     model, _ = _build_or_load(args, cfg)
-    model.save(_prepare_out(args.out))
+    abstraction.save_abstraction(model, _prepare_out(args.out))
     info = model.summary()
     print(f"states {info['states']} inputs {info['inputs']} "
           f"transitions {info['transitions']}")
@@ -82,8 +84,7 @@ def _cmd_synthesize(args, cfg: ScenarioConfig) -> int:
     from . import refinement, synthesis
 
     model, _ = _build_or_load(args, cfg)
-    safe = refinement.abstract_safe_set(cfg.safe_lo, cfg.safe_hi,
-                                        model.lattice, model)
+    safe = refinement.abstract_safe_set(cfg.safe_lo, cfg.safe_hi, model)
     controller = synthesis.safety_fixpoint(model, safe)
     synthesis.save_controller(controller, _prepare_out(args.out))
     lines = [

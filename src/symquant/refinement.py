@@ -25,7 +25,7 @@ import numpy as np
 from .abstraction import SymbolicModel
 from .dynamics import SampledSystem, successor_many
 from .errors import ConfigError
-from .quantizer import LogLattice, format_cell
+from .quantizer import format_cell
 
 __all__ = [
     "RefinementWitness",
@@ -106,8 +106,6 @@ def check_feedback_refinement(model: SymbolicModel, sys: SampledSystem,
     for name, value in (("sample_count", sample_count), ("seed", seed)):
         if value < 0:
             raise ValueError(f"{name} must be non-negative, got {value!r}")
-    if model.lattice is None:
-        raise ConfigError("model has no lattice geometry")
     if model.tau != sys.tau or model.lipschitz != sys.lipschitz:
         raise ConfigError(
             f"model built for tau={model.tau}, L={model.lipschitz}; "
@@ -185,17 +183,17 @@ class AbstractSafeSet:
         object.__setattr__(self, "_cell_set", frozenset(self.cells))
 
 
-def abstract_safe_set(safe_lo, safe_hi, lattice: LogLattice,
+def abstract_safe_set(safe_lo, safe_hi,
                       model: SymbolicModel) -> AbstractSafeSet:
-    """Under-approximate a concrete safe box by whole cells.
+    """Under-approximate a concrete safe box by whole cells of the model's
+    lattice.
 
     A cell qualifies only when its closure is contained in the box, so every
     concrete state related to a qualifying cell is safe.  The input component
     is the union of enabled inputs over the qualifying cells.  An empty
-    result is legal.  ``lattice`` must equal ``model.lattice``.
+    result is legal.
     """
-    if lattice is None or lattice != model.lattice:
-        raise ValueError("lattice is not the model's lattice")
+    lattice = model.lattice
     safe_lo = np.atleast_1d(np.asarray(safe_lo, float))
     safe_hi = np.atleast_1d(np.asarray(safe_hi, float))
     if safe_lo.shape != (lattice.dim,) or safe_hi.shape != (lattice.dim,):

@@ -80,7 +80,7 @@ def cpre(model: SymbolicModel, target) -> set[tuple[int, ...]]:
     """Controllable predecessor: cells from which some enabled input forces
     every successor into ``target``.  Blocking cells are never members."""
     mask = np.zeros(model.n_states, bool)
-    mask[[model.state_id(c) for c in target]] = True
+    mask[model.state_ids(target)] = True
     found, _ = _controllable(model, mask)
     return {model.cells[sid] for sid in np.flatnonzero(found)}
 
@@ -127,11 +127,10 @@ def safety_fixpoint(model: SymbolicModel, safe: AbstractSafeSet) -> SafetyContro
     model's successor sets.
     """
     start = time.perf_counter()
-    safe_ids = sorted({model.state_id(cell) for cell in safe.cells})
     safe_mask = np.zeros(model.n_states, bool)
-    safe_mask[safe_ids] = True
+    safe_mask[model.state_ids(safe.cells)] = True
     current = safe_mask
-    history = [len(safe_ids)]
+    history = [int(safe_mask.sum())]
     iterations = 0
     while True:
         iterations += 1
@@ -152,7 +151,7 @@ def safety_fixpoint(model: SymbolicModel, safe: AbstractSafeSet) -> SafetyContro
         cell = model.cells[sid]
         admissible[cell] = admissible.get(cell, ()) + (uid,)
     logger.info("fixed point: %d sweeps over %d safe cells, domain %d, "
-                "%.3f s", iterations, len(safe_ids), len(admissible),
+                "%.3f s", iterations, history[0], len(admissible),
                 time.perf_counter() - start)
     return SafetyController(admissible=admissible, inputs=model.inputs,
                             iterations=iterations, history=tuple(history))
@@ -162,9 +161,10 @@ class ConcreteController:
     """Quantizer composition of an abstract safety controller.
 
     ``query(x)`` returns the admissible input indices of the cell containing
-    x, or an empty tuple when x is outside the bounds box or outside the
-    controller domain (check ``in_domain`` to distinguish).  Constant on each
-    cell by construction.
+    x, or an empty tuple when x is outside the bounds box (NaN and infinite
+    components included) or outside the controller domain (check
+    ``in_domain`` to distinguish).  A state of the wrong dimension raises
+    ValueError.  Constant on each cell by construction.
     """
 
     def __init__(self, controller: SafetyController, lattice: LogLattice):
@@ -174,7 +174,7 @@ class ConcreteController:
     def query(self, x) -> tuple[int, ...]:
         try:
             cell = self.lattice.quantize(x)
-        except (OutOfDomainError, ValueError):
+        except OutOfDomainError:
             return ()
         return self.controller.admissible.get(cell, ())
 
@@ -339,7 +339,7 @@ def plan_reach(model: SymbolicModel, start, goals, relaxed: bool = False,
     module docstring); relaxed plans must be validated in closed loop.
     """
     start_id = model.state_id(start)
-    goal_ids = [model.state_id(g) for g in goals]
+    goal_ids = model.state_ids(goals).tolist()
 
     if not relaxed:
         expand, visit = _singleton_expansion(model)
@@ -349,8 +349,6 @@ def plan_reach(model: SymbolicModel, start, goals, relaxed: bool = False,
     else:
         if model.system is None:
             raise PlanningError("relaxed planning needs the model's source system")
-        if model.lattice is None:
-            raise PlanningError("relaxed planning needs the lattice geometry")
         expand, visit = _rollout_expansion(model.system, model.lattice,
                                            model.inputs, grid_resolution)
         node = model.lattice.center(model.cells[start_id])[None]

@@ -86,11 +86,18 @@ def max_controlled_invariant(model, safe_cells):
     return {model.cells[sid] for sid in keep}
 
 
+def line_lattice(n):
+    """A 1-D lattice whose cells are (0,), ..., (n - 1,) with state ids
+    0, ..., n - 1, for hand-built graphs."""
+    axis = sq.LogQuantizerAxis(eta=0.5, scale=1.0)
+    hi = max(axis.deadzone, axis.level_value(n - 1))
+    return sq.LogLattice((axis,), (-axis.deadzone,), (hi,))
+
+
 def random_model(rng, max_states=50, max_inputs=5):
     """Random sparse transition system for fixed-point cross-checks."""
     n = int(rng.integers(2, max_states + 1))
     k = int(rng.integers(1, max_inputs + 1))
-    cells = [(i,) for i in range(n)]
     succ = {}
     for sid in range(n):
         for uid in range(k):
@@ -100,7 +107,7 @@ def random_model(rng, max_states=50, max_inputs=5):
             dsts = sorted(set(int(v) for v in rng.integers(0, n, size=size)))
             succ[(sid, uid)] = tuple(dsts)
     inputs = np.arange(k, dtype=float).reshape(k, 1)
-    return SymbolicModel.from_tables(cells, inputs, succ)
+    return SymbolicModel.from_tables(line_lattice(n), inputs, succ)
 
 
 MUTATED_NUMBERS = ("-1", "999999", "abc", "1.5", "9223372036854775808")

@@ -9,8 +9,8 @@ import symquant as sq
 from symquant import abstraction
 from symquant.abstraction import SymbolicModel, _targets_many
 from symquant.errors import ConfigError, OutOfDomainError
-from conftest import (MUTATED_NUMBERS, box_intersects, line_mutations,
-                      targets_oracle)
+from conftest import (MUTATED_NUMBERS, box_intersects, line_lattice,
+                      line_mutations, targets_oracle)
 
 EDGE_LATTICE = sq.LogLattice.from_params(0.2, [0.4, 0.4], [-1, -1], [1, 1],
                                          "edge_anchored")
@@ -313,7 +313,7 @@ def test_lazy_equals_eager(pendulum_scenario, tmp_path):
     # a fresh model computes its successor sets on the first query; its
     # saved-and-loaded copy is given them; both answer every query alike
     sys_, lattice, built = pendulum_scenario
-    built.save(tmp_path / "m.abs")
+    sq.save_abstraction(built, tmp_path / "m.abs")
     given = sq.load_abstraction(tmp_path / "m.abs")
     computed = sq.build_abstraction(sys_, lattice,
                                     sq.InputApproxConfig(0.002, 51))
@@ -344,7 +344,7 @@ def test_successor_sets_computed_once_on_first_use(contracting_scenario,
     assert passes == []
     model.enabled_inputs((0, 0))
     assert passes == [len(model.pair_input)]  # one pass over every pair
-    safe = sq.abstract_safe_set([-0.7, -0.7], [0.7, 0.7], lattice, model)
+    safe = sq.abstract_safe_set([-0.7, -0.7], [0.7, 0.7], model)
     sq.safety_fixpoint(model, safe)
     model.transition_count()
     assert passes == [len(model.pair_input)]
@@ -397,7 +397,7 @@ def test_dimension_mismatch_rejected():
 def test_save_load_roundtrip(pendulum_scenario, tmp_path):
     _, _, model = pendulum_scenario
     path = tmp_path / "model.abs"
-    model.save(path)
+    sq.save_abstraction(model, path)
     loaded = sq.load_abstraction(path)
     assert loaded.cells == model.cells
     assert (loaded.inputs == model.inputs).all()
@@ -412,7 +412,7 @@ def test_save_load_roundtrip(pendulum_scenario, tmp_path):
            [a.scale for a in model.lattice.axes]
     # saving again is byte-identical
     path2 = tmp_path / "model2.abs"
-    loaded.save(path2)
+    sq.save_abstraction(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
 
 
@@ -458,8 +458,8 @@ def _wide_models():
                                .tolist()))
             for s in range(n) for u in rng.choice(k, 3, replace=False)
             if s % 5}
-    tables = SymbolicModel.from_tables(cells, inputs, succ, lattice=lattice,
-                                       tau=0.2, mu=0.002, lipschitz=6.0)
+    tables = SymbolicModel.from_tables(lattice, inputs, succ, tau=0.2,
+                                       mu=0.002, lipschitz=6.0)
     pair_ptr, pair_input, sets = [0], [], []
     for s in range(n):
         uids = np.sort(rng.choice(k, int(rng.integers(0, 4)), replace=False))
@@ -468,9 +468,8 @@ def _wide_models():
         sets += [np.unique(rng.integers(0, n, rng.integers(0, 4)))
                  for _ in uids]
     offsets = np.cumsum([0] + [len(t) for t in sets])
-    direct = SymbolicModel(cells, inputs, pair_ptr, pair_input,
-                           lattice=lattice, tau=0.2, mu=0.002,
-                           relation=(offsets, np.concatenate(sets)))
+    direct = SymbolicModel(lattice, inputs, pair_ptr, pair_input, tau=0.2,
+                           mu=0.002, relation=(offsets, np.concatenate(sets)))
     assert (np.diff(offsets) == 0).any()
     return tables, direct
 
@@ -484,34 +483,31 @@ def test_saved_text_matches_per_transition_reference(pendulum_scenario,
         for chunk in (abstraction._CHUNK, 3):
             with monkeypatch.context() as patch:
                 patch.setattr(abstraction, "_CHUNK", chunk)
-                model.save(tmp_path / "m.abs")
+                sq.save_abstraction(model, tmp_path / "m.abs")
             assert (tmp_path / "m.abs").read_bytes() == want, chunk
 
 
 def test_from_tables_model_saves_a_file_that_reloads(tmp_path):
     # the model's eta is its lattice's, so both header lines carry it
     lattice = sq.LogLattice.from_params(0.2, [0.4], [-1], [1])
-    cells = lattice.enumerate_cells()
-    model = SymbolicModel.from_tables(cells, [[0.0], [1.0]],
+    model = SymbolicModel.from_tables(lattice, [[0.0], [1.0]],
                                       {(0, 1): (1, 2), (2, 0): (2,)},
-                                      lattice=lattice, tau=0.2, mu=0.01)
+                                      tau=0.2, mu=0.01)
     assert model.eta == 0.2
-    model.save(tmp_path / "m.abs")
+    sq.save_abstraction(model, tmp_path / "m.abs")
     lines = (tmp_path / "m.abs").read_text().splitlines()
     assert " eta=0.2 " in lines[1] and " #eta 0.2 " in lines[2]
     assert _same_model(sq.load_abstraction(tmp_path / "m.abs"), model)
-    assert SymbolicModel.from_tables([(0,)], [[0.0]], {}).eta is None
 
 
-def test_model_argument_checks(tmp_path):
-    bare = SymbolicModel.from_tables([(0,), (1,)], [0.0, 1.0],
+def test_model_argument_checks():
+    bare = SymbolicModel.from_tables(line_lattice(2), [0.0, 1.0],
                                      {(0, 1): (1,)})
     assert bare.inputs.shape == (2, 1)
-    assert SymbolicModel.from_tables([(0,)], [], {}).inputs.shape == (0, 1)
+    assert SymbolicModel.from_tables(line_lattice(1), [],
+                                     {}).inputs.shape == (0, 1)
     with pytest.raises(ValueError, match="unknown state or input"):
-        SymbolicModel.from_tables([(0,)], [[0.0]], {(0, 0): (1,)})
-    with pytest.raises(ValueError, match="without lattice geometry"):
-        bare.save(tmp_path / "m.abs")
+        SymbolicModel.from_tables(line_lattice(1), [[0.0]], {(0, 0): (1,)})
     relation = bare.relation()
     bare.materialize()  # complete already: nothing is recomputed
     assert bare.relation() is relation
@@ -545,12 +541,28 @@ def test_cell_whose_every_sample_diverges_has_no_inputs(caplog):
 
 
 def test_from_tables_hand_model():
-    cells = [(0,), (1,), (2,)]
     succ = {(0, 0): (1,), (1, 0): (2,), (2, 0): (2,)}
-    model = SymbolicModel.from_tables(cells, [[0.0]], succ)
+    model = SymbolicModel.from_tables(line_lattice(3), [[0.0]], succ)
     assert model.enabled_inputs((0,)) == (0,)
     assert model.successors((0,), 0) == ((1,),)
     assert model.transition_count() == 3
+
+
+def test_line_lattice_numbers_its_cells_from_zero():
+    for n in range(1, 51):
+        lattice = line_lattice(n)
+        cells = [(i,) for i in range(n)]
+        assert lattice.enumerate_cells() == cells
+        assert lattice.cell_ids(cells).tolist() == list(range(n))
+
+
+def test_state_ids_are_the_lattice_cell_ids(pendulum_scenario):
+    _, lattice, model = pendulum_scenario
+    assert model.cells == lattice.enumerate_cells()
+    assert model.state_ids(model.cells).tolist() == list(range(25))
+    assert model.state_ids([]).tolist() == []
+    assert [model.state_id(c) for c in model.cells] == list(range(25))
+    assert model.state_id([1, -1]) == model.state_id((1, -1))
 
 
 def test_sparse_map_iteration_consistency(pendulum_scenario):
@@ -576,7 +588,7 @@ def _same_model(a, b) -> bool:
             and np.array_equal(targets_a, targets_b)
             and (a.tau, a.eta, a.mu, a.lipschitz)
             == (b.tau, b.eta, b.mu, b.lipschitz)
-            and (a.lattice is None) == (b.lattice is None))
+            and a.lattice == b.lattice)
 
 
 def test_chunked_paths_match_default_run(pendulum_scenario, tmp_path,
@@ -588,7 +600,7 @@ def test_chunked_paths_match_default_run(pendulum_scenario, tmp_path,
                                      (_cube(), 3)):
         cfg = sq.InputApproxConfig(0.002, samples)
         default = sq.build_abstraction(sys_, lattice, cfg)
-        default.save(tmp_path / "default.abs")
+        sq.save_abstraction(default, tmp_path / "default.abs")
         loaded = sq.load_abstraction(tmp_path / "default.abs")
         text = (tmp_path / "default.abs").read_text()
         body = len("".join(text.splitlines(True)[:3]))  # after the header
@@ -598,7 +610,7 @@ def test_chunked_paths_match_default_run(pendulum_scenario, tmp_path,
             chunked = sq.build_abstraction(sys_, lattice, cfg)
             for got, want in zip(chunked.relation(), default.relation()):
                 assert np.array_equal(got, want)
-            chunked.save(tmp_path / "chunked.abs")
+            sq.save_abstraction(chunked, tmp_path / "chunked.abs")
             assert (tmp_path / "chunked.abs").read_bytes() == \
                 (tmp_path / "default.abs").read_bytes()
             assert list(chunked.iter_transitions()) == \
@@ -624,8 +636,8 @@ def test_model_file_fuzz(tmp_path, monkeypatch):
     # is at fault), alike at the default and at a tiny block size
     sys_, lattice = _line()
     path = tmp_path / "m.abs"
-    sq.build_abstraction(sys_, lattice,
-                         sq.InputApproxConfig(0.002, 2)).save(path)
+    sq.save_abstraction(sq.build_abstraction(
+        sys_, lattice, sq.InputApproxConfig(0.002, 2)), path)
     original = sq.load_abstraction(path)
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines))  # no newline after the last line
@@ -679,8 +691,8 @@ def test_model_file_header_checked_at_its_line(tmp_path, at, old, new,
                                                message):
     sys_, lattice = _line()
     path = tmp_path / "m.abs"
-    sq.build_abstraction(sys_, lattice,
-                         sq.InputApproxConfig(0.002, 2)).save(path)
+    sq.save_abstraction(sq.build_abstraction(
+        sys_, lattice, sq.InputApproxConfig(0.002, 2)), path)
     lines = path.read_text().splitlines(True)
     assert old in lines[at - 1]
     lines[at - 1] = lines[at - 1].replace(old, new)
@@ -704,8 +716,8 @@ def test_model_file_header_keys_appear_once(tmp_path, edit, message):
     # the last value winning; #lattice is required like #version
     sys_, lattice = _line()
     path = tmp_path / "m.abs"
-    sq.build_abstraction(sys_, lattice,
-                         sq.InputApproxConfig(0.002, 2)).save(path)
+    sq.save_abstraction(sq.build_abstraction(
+        sys_, lattice, sq.InputApproxConfig(0.002, 2)), path)
     lines = path.read_text().splitlines()
     assert lines[2].startswith("#tau ") and " #L " in lines[2]
     path.write_text("\n".join(edit(lines[:3]) + lines[3:]) + "\n")
@@ -714,11 +726,37 @@ def test_model_file_header_keys_appear_once(tmp_path, edit, message):
     assert str(info.value) == f"{path}{message}"
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda t: [t[0], t[1], "state 2 5", *t[3:]],
+     ":48: state 2 5 is not cell 2 of the #lattice"),
+    (lambda t: [t[0], t[1], "state 2 0", "state 3 -1", *t[4:]],
+     ":48: state 2 0 is not cell 2 of the #lattice"),
+    (lambda t: [*t, "state 8 5"], ":54: state 8 5 is not cell 8 of the "
+     "#lattice"),
+    (lambda t: [*t[:-1], "state 7 4,0"],
+     ":53: state 7 4,0 is not cell 7 of the #lattice"),
+    (lambda t: t[:-1], ": 7 states where the #lattice has 8 cells"),
+], ids=["off_lattice", "swapped", "extra", "long", "missing"])
+def test_model_file_states_are_the_lattice_cells(tmp_path, edit, message):
+    # the state lines are the #lattice line's cells in order, checked as
+    # they are read
+    sys_, lattice = _line()
+    path = tmp_path / "m.abs"
+    sq.save_abstraction(sq.build_abstraction(
+        sys_, lattice, sq.InputApproxConfig(0.002, 2)), path)
+    lines = path.read_text().splitlines()
+    assert lines[45:] == [f"state {i} {m}" for i, m in enumerate(range(-3, 5))]
+    path.write_text("\n".join(lines[:45] + edit(lines[45:])) + "\n")
+    with pytest.raises(ValueError) as info:
+        sq.load_abstraction(path)
+    assert str(info.value) == f"{path}{message}"
+
+
 def test_model_file_header_keys_default_when_missing(tmp_path):
     sys_, lattice = _line()
     path = tmp_path / "m.abs"
-    sq.build_abstraction(sys_, lattice,
-                         sq.InputApproxConfig(0.002, 2)).save(path)
+    sq.save_abstraction(sq.build_abstraction(
+        sys_, lattice, sq.InputApproxConfig(0.002, 2)), path)
     lines = path.read_text().splitlines(True)
     assert lines[2] == "#tau 0.3 #eta 0.25 #mu 0.002 #L 1.0\n"
     path.write_text("".join(lines).replace(" #mu 0.002", ""))
@@ -731,14 +769,14 @@ def test_model_file_header_keys_default_when_missing(tmp_path):
     model = sq.load_abstraction(path)
     assert (model.tau, model.eta, model.mu, model.lipschitz) == \
         (0.0, 0.25, 0.5, 1.0)
-    model.save(tmp_path / "again.abs")
+    sq.save_abstraction(model, tmp_path / "again.abs")
     assert _same_model(sq.load_abstraction(tmp_path / "again.abs"), model)
 
 
 def test_loaded_model_lattice_equals_the_building_one(pendulum_scenario,
                                                       tmp_path):
     _, lattice, model = pendulum_scenario
-    model.save(tmp_path / "m.abs")
+    sq.save_abstraction(model, tmp_path / "m.abs")
     loaded = sq.load_abstraction(tmp_path / "m.abs").lattice
     assert loaded is not lattice
     assert loaded == lattice and hash(loaded) == hash(lattice)

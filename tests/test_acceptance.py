@@ -196,7 +196,7 @@ def test_criterion_6_controlled_invariance_end_to_end(scenario):
     """
     cfg, system, lattice, model = scenario
     start = time.perf_counter()
-    safe = sq.abstract_safe_set(cfg.safe_lo, cfg.safe_hi, lattice, model)
+    safe = sq.abstract_safe_set(cfg.safe_lo, cfg.safe_hi, model)
     assert set(safe.cells) == set(model.cells)
     controller = sq.safety_fixpoint(model, safe)
     elapsed = time.perf_counter() - start

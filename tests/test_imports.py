@@ -112,3 +112,5 @@ def test_method_forwarders_stay_deleted():
             with pytest.raises(AttributeError):
                 getattr(module, name)
         assert name not in dir(sq) and name not in sq.__all__
+    # the model's forwarder to save_abstraction
+    assert not hasattr(sq.SymbolicModel, "save")

@@ -40,8 +40,8 @@ def test_zero_samples_vacuous_pass(pendulum_scenario, caplog):
 def test_every_cell_blocking_samples_nothing(pendulum_scenario, caplog):
     sys_, lattice, real = pendulum_scenario
     model = SymbolicModel.from_tables(
-        real.cells, real.inputs, {}, lattice=lattice, tau=real.tau,
-        mu=real.mu, lipschitz=real.lipschitz)
+        lattice, real.inputs, {}, tau=real.tau, mu=real.mu,
+        lipschitz=real.lipschitz)
     with caplog.at_level("WARNING"):
         report = sq.check_feedback_refinement(model, sys_, 100, seed=0)
     assert report.samples_tested == 0 and report.passed
@@ -49,19 +49,14 @@ def test_every_cell_blocking_samples_nothing(pendulum_scenario, caplog):
 
 
 def test_check_argument_checks(pendulum_scenario):
-    sys_, lattice, real = pendulum_scenario
-    bare = SymbolicModel.from_tables(real.cells, real.inputs, {},
-                                     tau=real.tau, lipschitz=real.lipschitz)
-    with pytest.raises(ConfigError, match="no lattice geometry"):
-        sq.check_feedback_refinement(bare, sys_, 10, seed=0)
+    sys_, _, real = pendulum_scenario
     line = sq.LogLattice.from_params(0.2, [0.4], [-1], [1])
-    one_axis = SymbolicModel.from_tables(line.enumerate_cells(), real.inputs,
-                                         {}, lattice=line, tau=real.tau,
+    one_axis = SymbolicModel.from_tables(line, real.inputs, {}, tau=real.tau,
                                          lipschitz=real.lipschitz)
     with pytest.raises(ConfigError, match="dimensions differ"):
         sq.check_feedback_refinement(one_axis, sys_, 10, seed=0)
     with pytest.raises(ValueError, match="safe box dimension"):
-        sq.abstract_safe_set([-1], [1], lattice, real)
+        sq.abstract_safe_set([-1], [1], real)
 
 
 def test_pendulum_model_refines(pendulum_scenario):
@@ -119,8 +114,8 @@ def test_detects_removed_successor(pendulum_scenario):
     for uid in real.enabled_ids(sid):
         succ[(sid, uid)] = wrong
     model = SymbolicModel.from_tables(
-        real.cells, real.inputs, succ, lattice=lattice, tau=real.tau,
-        mu=real.mu, lipschitz=real.lipschitz, system=sys_)
+        lattice, real.inputs, succ, tau=real.tau, mu=real.mu,
+        lipschitz=real.lipschitz, system=sys_)
     report = sq.check_feedback_refinement(model, sys_, 3000, seed=0)
     assert not report.passed
     assert all(w.source == (0, 0) for w in report.violations)
@@ -178,8 +173,8 @@ def test_bisection_matches_key_search_on_removed_successor(
                 succ[(sid, uid)] = dsts[:len(dsts) // 2] + \
                     dsts[len(dsts) // 2 + 1:]
     model = SymbolicModel.from_tables(
-        real.cells, real.inputs, succ, lattice=lattice, tau=real.tau,
-        mu=real.mu, lipschitz=real.lipschitz, system=sys_)
+        lattice, real.inputs, succ, tau=real.tau, mu=real.mu,
+        lipschitz=real.lipschitz, system=sys_)
     for seed in (0, 5):
         report = sq.check_feedback_refinement(model, sys_, 3000, seed=seed)
         got = [(w.source, w.input_index, tuple(w.x), w.observed, w.expected)
@@ -230,8 +225,8 @@ def test_vectorized_check_matches_loop_reference(pendulum_scenario):
     for uid in real.enabled_ids(zero):
         succ[(zero, uid)] = (real.state_id((2, 2)),)
     model = SymbolicModel.from_tables(
-        real.cells, real.inputs, succ, lattice=lattice, tau=real.tau,
-        mu=real.mu, lipschitz=real.lipschitz)
+        lattice, real.inputs, succ, tau=real.tau, mu=real.mu,
+        lipschitz=real.lipschitz)
     report = sq.check_feedback_refinement(model, sys_, 3000, seed=3)
     got = [(w.source, w.input_index, tuple(w.x), w.observed, w.expected)
            for w in report.violations]
@@ -312,20 +307,20 @@ def test_parameter_mismatch_rejected(pendulum_scenario):
 
 
 def test_abstract_safe_set_full_box(pendulum_scenario):
-    _, lattice, model = pendulum_scenario
-    safe = sq.abstract_safe_set([-1, -1], [1, 1], lattice, model)
+    _, _, model = pendulum_scenario
+    safe = sq.abstract_safe_set([-1, -1], [1, 1], model)
     assert set(safe.cells) == set(model.cells)
 
 
 def test_abstract_safe_set_inside_deadzone(pendulum_scenario):
-    _, lattice, model = pendulum_scenario
-    safe = sq.abstract_safe_set([-0.3, -0.3], [0.3, 0.3], lattice, model)
+    _, _, model = pendulum_scenario
+    safe = sq.abstract_safe_set([-0.3, -0.3], [0.3, 0.3], model)
     assert safe.cells == ()
 
 
 def test_abstract_safe_set_partial_box(pendulum_scenario):
-    _, lattice, model = pendulum_scenario
-    safe = sq.abstract_safe_set([-0.7, -0.7], [0.7, 0.7], lattice, model)
+    _, _, model = pendulum_scenario
+    safe = sq.abstract_safe_set([-0.7, -0.7], [0.7, 0.7], model)
     expected = {c for c in model.cells
                 if abs(c[0]) <= 1 and abs(c[1]) <= 1}
     assert set(safe.cells) == expected
@@ -340,35 +335,11 @@ def test_abstract_safe_set_partial_box(pendulum_scenario):
 
 def test_abstract_safe_set_under_approximates(pendulum_scenario):
     _, lattice, model = pendulum_scenario
-    safe = sq.abstract_safe_set([-0.7, -0.7], [0.7, 0.7], lattice, model)
+    safe = sq.abstract_safe_set([-0.7, -0.7], [0.7, 0.7], model)
     rng = np.random.default_rng(12)
     for cell in safe.cells:
         for x in lattice.sample_in_cell(cell, rng, count=50):
             assert (x >= -0.7).all() and (x <= 0.7).all()
-
-
-def test_abstract_safe_set_needs_the_model_lattice(pendulum_scenario):
-    # the geometry is read from the lattice argument, so another lattice of
-    # the same dimension must be refused: read from the scale-0.2 lattice,
-    # all 25 cells would be safe, also those outside the box
-    _, lattice, model = pendulum_scenario
-    finer = sq.LogLattice.from_params(0.2, [0.2, 0.2], [-1, -1], [1, 1],
-                                      "edge_anchored")
-    with pytest.raises(ValueError, match="^lattice is not the model's lattice"):
-        sq.abstract_safe_set([-0.7, -0.7], [0.7, 0.7], finer, model)
-    bare = SymbolicModel.from_tables(model.cells, model.inputs, {})
-    with pytest.raises(ValueError, match="^lattice is not the model's lattice"):
-        sq.abstract_safe_set([-1, -1], [1, 1], lattice, bare)
-    with pytest.raises(ValueError, match="^lattice is not the model's lattice"):
-        sq.abstract_safe_set([-1, -1], [1, 1], None, bare)
-    # an equal lattice object is the model's lattice
-    equal = sq.LogLattice.from_params(0.2, [0.4, 0.4], [-1, -1], [1, 1],
-                                      "edge_anchored")
-    assert equal is not lattice
-    safe = sq.abstract_safe_set([-0.7, -0.7], [0.7, 0.7], equal, model)
-    assert safe == sq.abstract_safe_set([-0.7, -0.7], [0.7, 0.7], lattice,
-                                        model)
-    assert len(safe.cells) == 9
 
 
 @pytest.mark.parametrize("count, seed, name", [(-1, 0, "sample_count"),

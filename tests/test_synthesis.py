@@ -11,14 +11,14 @@ from symquant import synthesis
 from symquant.abstraction import SymbolicModel
 from symquant.errors import DivergenceError, OutOfDomainError, PlanningError
 from symquant.refinement import AbstractSafeSet
-from conftest import line_mutations, max_controlled_invariant, random_model
+from conftest import (line_lattice, line_mutations, max_controlled_invariant,
+                      random_model)
 
 
 def chain_model():
     # A -> B -> C -> C (self loop), one input
-    cells = [(0,), (1,), (2,)]
     succ = {(0, 0): (1,), (1, 0): (2,), (2, 0): (2,)}
-    return SymbolicModel.from_tables(cells, [[0.0]], succ)
+    return SymbolicModel.from_tables(line_lattice(3), [[0.0]], succ)
 
 
 def test_cpre_empty_target(pendulum_scenario):
@@ -49,10 +49,10 @@ def test_fixpoint_self_loop_converges_immediately():
 
 def test_fixpoint_excludes_blocking_state_first_sweep():
     # D is safe but blocking; it must drop out at the first iteration
-    cells = [(0,), (1,), (2,), (3,)]
+    lattice = line_lattice(4)
     succ = {(0, 0): (0,), (1, 0): (1,), (2, 0): (2,)}
-    model = SymbolicModel.from_tables(cells, [[0.0]], succ)
-    safe = AbstractSafeSet(cells=tuple(cells), inputs=(0,))
+    model = SymbolicModel.from_tables(lattice, [[0.0]], succ)
+    safe = AbstractSafeSet(cells=tuple(lattice.enumerate_cells()), inputs=(0,))
     ctrl = sq.safety_fixpoint(model, safe)
     assert (3,) not in ctrl.admissible
     assert set(ctrl.domain) == {(0,), (1,), (2,)}
@@ -73,8 +73,8 @@ def test_fixpoint_pendulum_matches_bruteforce(pendulum_scenario):
     reaches them, and the brute-force maximal controlled-invariant subset is
     empty.  The fixed point must agree with the oracle and report the chain.
     """
-    _, lattice, model = pendulum_scenario
-    safe = sq.abstract_safe_set([-1, -1], [1, 1], lattice, model)
+    _, _, model = pendulum_scenario
+    safe = sq.abstract_safe_set([-1, -1], [1, 1], model)
     ctrl = sq.safety_fixpoint(model, safe)
     oracle = max_controlled_invariant(model, safe.cells)
     assert set(ctrl.domain) == oracle
@@ -83,8 +83,8 @@ def test_fixpoint_pendulum_matches_bruteforce(pendulum_scenario):
 
 
 def test_fixpoint_monotone_chain(pendulum_scenario, contracting_scenario):
-    for _, lattice, model in (pendulum_scenario, contracting_scenario):
-        safe = sq.abstract_safe_set([-1, -1], [1, 1], lattice, model)
+    for _, _, model in (pendulum_scenario, contracting_scenario):
+        safe = sq.abstract_safe_set([-1, -1], [1, 1], model)
         ctrl = sq.safety_fixpoint(model, safe)
         sizes = ctrl.history
         assert all(a >= b for a, b in zip(sizes, sizes[1:]))
@@ -95,8 +95,8 @@ def test_fixpoint_monotone_chain(pendulum_scenario, contracting_scenario):
 
 
 def test_fixpoint_controlled_invariance_exhaustive(contracting_scenario):
-    _, lattice, model = contracting_scenario
-    safe = sq.abstract_safe_set([-0.7, -0.7], [0.7, 0.7], lattice, model)
+    _, _, model = contracting_scenario
+    safe = sq.abstract_safe_set([-0.7, -0.7], [0.7, 0.7], model)
     ctrl = sq.safety_fixpoint(model, safe)
     assert ctrl.domain
     domain = set(ctrl.domain)
@@ -125,14 +125,14 @@ def test_fixpoint_lazy_model_on_demand(pendulum_scenario, tmp_path):
     # and its saved-and-loaded copy, which is given them, reach the same
     # fixed point
     sys_, lattice, built = pendulum_scenario
-    built.save(tmp_path / "m.abs")
+    sq.save_abstraction(built, tmp_path / "m.abs")
     given = sq.load_abstraction(tmp_path / "m.abs")
     fresh = sq.build_abstraction(sys_, lattice,
                                  sq.InputApproxConfig(0.002, 51))
     ctrl = sq.safety_fixpoint(
-        fresh, sq.abstract_safe_set([-1, -1], [1, 1], lattice, fresh))
+        fresh, sq.abstract_safe_set([-1, -1], [1, 1], fresh))
     reference = sq.safety_fixpoint(
-        given, sq.abstract_safe_set([-1, -1], [1, 1], lattice, given))
+        given, sq.abstract_safe_set([-1, -1], [1, 1], given))
     assert ctrl.domain == reference.domain
     assert ctrl.history == reference.history
     assert ctrl.admissible == reference.admissible
@@ -140,7 +140,7 @@ def test_fixpoint_lazy_model_on_demand(pendulum_scenario, tmp_path):
 
 def test_refine_controller_semantics(contracting_scenario):
     sys_, lattice, model = contracting_scenario
-    safe = sq.abstract_safe_set([-0.7, -0.7], [0.7, 0.7], lattice, model)
+    safe = sq.abstract_safe_set([-0.7, -0.7], [0.7, 0.7], model)
     ctrl = sq.safety_fixpoint(model, safe)
     concrete = sq.refine_controller(ctrl, lattice)
     cell = ctrl.domain[0]
@@ -156,6 +156,39 @@ def test_refine_controller_semantics(contracting_scenario):
     assert not concrete.in_domain([5.0, 5.0])
 
 
+def test_concrete_query_rejects_a_wrong_dimension_state(contracting_scenario):
+    # a state of the wrong dimension is a caller's error, not a state
+    # outside the domain; NaN and infinite states are outside the bounds
+    _, lattice, model = contracting_scenario
+    ctrl = sq.safety_fixpoint(
+        model, sq.abstract_safe_set([-0.7, -0.7], [0.7, 0.7], model))
+    concrete = sq.refine_controller(ctrl, lattice)
+    assert concrete.in_domain(lattice.center(ctrl.domain[0]))
+    for x in ([0.0], [0.0, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="dimension 2"):
+            concrete.query(x)
+        with pytest.raises(ValueError, match="dimension 2"):
+            concrete.in_domain(x)
+    for x in ([np.nan, 0.0], [0.0, np.inf], [-np.inf, 0.0]):
+        assert concrete.query(x) == () and not concrete.in_domain(x)
+
+
+@pytest.mark.parametrize("cell", [(3, 0), (0, -3), (0,), (0, 0, 0)],
+                         ids=["off_lattice", "off_lattice_negative",
+                              "short", "long"])
+def test_unknown_cell_is_out_of_domain(pendulum_scenario, cell):
+    # the 25-cell lattice has levels -2..2 on each of its two axes
+    _, _, model = pendulum_scenario
+    message = re.escape(f"unknown cell {cell!r}")
+    with pytest.raises(OutOfDomainError, match=message):
+        model.state_id(cell)
+    with pytest.raises(OutOfDomainError, match=message):
+        sq.cpre(model, [(0, 0), cell])
+    safe = AbstractSafeSet(cells=((0, 0), cell), inputs=())
+    with pytest.raises(OutOfDomainError, match=message):
+        sq.safety_fixpoint(model, safe)
+
+
 def test_plan_start_is_goal(pendulum_scenario):
     _, _, model = pendulum_scenario
     plan = sq.plan_reach(model, (0, 0), [(0, 0)])
@@ -163,26 +196,23 @@ def test_plan_start_is_goal(pendulum_scenario):
 
 
 def test_plan_error_on_disconnected_model():
-    cells = [(0,), (1,)]
     succ = {(0, 0): (0,), (1, 0): (1,)}
-    model = SymbolicModel.from_tables(cells, [[0.0]], succ)
+    model = SymbolicModel.from_tables(line_lattice(2), [[0.0]], succ)
     with pytest.raises(PlanningError):
         sq.plan_reach(model, (0,), [(1,)])
 
 
 def test_plan_singleton_path_with_hold_compression():
-    cells = [(0,), (1,), (2,)]
     succ = {(0, 0): (1,), (1, 0): (2,), (2, 0): (2,)}
-    model = SymbolicModel.from_tables(cells, [[0.5]], succ)
+    model = SymbolicModel.from_tables(line_lattice(3), [[0.5]], succ)
     plan = sq.plan_reach(model, (0,), [(2,)])
     assert plan.steps == ((0, 2),)
 
 
 def test_plan_singleton_tie_break_lowest_input():
     # two one-step routes to the goal; the lower input index must win
-    cells = [(0,), (1,)]
     succ = {(0, 0): (1,), (0, 1): (1,), (1, 0): (1,)}
-    model = SymbolicModel.from_tables(cells, [[0.0], [1.0]], succ)
+    model = SymbolicModel.from_tables(line_lattice(2), [[0.0], [1.0]], succ)
     plan = sq.plan_reach(model, (0,), [(1,)])
     assert plan.steps == ((0, 1),)
 
@@ -271,20 +301,11 @@ def test_grid_codes_are_row_major_indices():
 def test_relaxed_plan_requires_system(pendulum_scenario):
     _, _, model = pendulum_scenario
     stripped = SymbolicModel.from_tables(
-        model.cells, model.inputs,
+        model.lattice, model.inputs,
         {(s, u): model.successor_ids(s, u)
-         for s in range(model.n_states) for u in model.enabled_ids(s)},
-        lattice=model.lattice)
+         for s in range(model.n_states) for u in model.enabled_ids(s)})
     with pytest.raises(PlanningError):
         sq.plan_reach(stripped, (-1, 0), [(0, 0)], relaxed=True)
-
-
-def test_relaxed_plan_requires_lattice(pendulum_scenario):
-    sys_, _, model = pendulum_scenario
-    bare = SymbolicModel.from_tables(
-        model.cells, model.inputs, {(0, 0): (0,)}, system=sys_)
-    with pytest.raises(PlanningError, match="needs the lattice geometry"):
-        sq.plan_reach(bare, (-1, 0), [(0, 0)], relaxed=True)
 
 
 def test_relaxed_plan_rejects_an_oversized_dedup_grid(pendulum_scenario):
@@ -388,7 +409,7 @@ def test_simulate_equilibrium_constant():
 
 def test_simulate_rejects_out_of_domain_start(contracting_scenario):
     sys_, lattice, model = contracting_scenario
-    safe = sq.abstract_safe_set([-0.7, -0.7], [0.7, 0.7], lattice, model)
+    safe = sq.abstract_safe_set([-0.7, -0.7], [0.7, 0.7], model)
     concrete = sq.refine_controller(sq.safety_fixpoint(model, safe), lattice)
     with pytest.raises(OutOfDomainError) as info:
         sq.simulate_closed_loop(sys_, concrete, [0.95, 0.95], 10)
@@ -521,7 +542,7 @@ def test_end_to_end_invariance_contracting(contracting_scenario):
     and the quantized trajectory must stay inside the safe set (the
     controlled-invariance guarantee, checked empirically)."""
     sys_, lattice, model = contracting_scenario
-    safe = sq.abstract_safe_set([-0.7, -0.7], [0.7, 0.7], lattice, model)
+    safe = sq.abstract_safe_set([-0.7, -0.7], [0.7, 0.7], model)
     ctrl = sq.safety_fixpoint(model, safe)
     assert ctrl.domain
     concrete = sq.refine_controller(ctrl, lattice)
@@ -544,7 +565,7 @@ def test_refinement_clean_on_contracting(contracting_scenario):
 
 def test_controller_save_load_roundtrip(contracting_scenario, tmp_path):
     _, lattice, model = contracting_scenario
-    safe = sq.abstract_safe_set([-0.7, -0.7], [0.7, 0.7], lattice, model)
+    safe = sq.abstract_safe_set([-0.7, -0.7], [0.7, 0.7], model)
     ctrl = sq.safety_fixpoint(model, safe)
     path = tmp_path / "controller.txt"
     sq.save_controller(ctrl, path)
@@ -558,7 +579,7 @@ def test_controller_domain_is_its_admissible_map(contracting_scenario,
     # the domain is the keys of the admissible map: in state order from the
     # fixed point, in cell order from a file written in any order
     _, lattice, model = contracting_scenario
-    safe = sq.abstract_safe_set([-0.7, -0.7], [0.7, 0.7], lattice, model)
+    safe = sq.abstract_safe_set([-0.7, -0.7], [0.7, 0.7], model)
     ctrl = sq.safety_fixpoint(model, safe)
     assert len(ctrl.domain) > 1 and ctrl.domain == tuple(ctrl.admissible)
     assert list(ctrl.domain) == [c for c in model.cells if c in ctrl]
@@ -597,7 +618,7 @@ def test_controller_file_fuzz(contracting_scenario, tmp_path):
     # each line of a saved controller under each mutation: the controller
     # the lines mean, or a ValueError naming the file and the faulty line
     _, lattice, model = contracting_scenario
-    safe = sq.abstract_safe_set([-0.7, -0.7], [0.7, 0.7], lattice, model)
+    safe = sq.abstract_safe_set([-0.7, -0.7], [0.7, 0.7], model)
     ctrl = sq.safety_fixpoint(model, safe)
     path = tmp_path / "ctrl.txt"
     sq.save_controller(ctrl, path)
