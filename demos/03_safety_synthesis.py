@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Safety controller synthesis and quantizer-based refinement.
+"""Safety controller synthesis and its closed loop on concrete states.
 
 Two stories side by side:
 
@@ -9,8 +9,9 @@ Two stories side by side:
   coarseness, not a solver failure.
 
 * On a contracting system the growth bound has slack, the fixed point keeps
-  a nontrivial domain, and the refined controller provably keeps the closed
-  loop inside the safe box; 100 random runs confirm it empirically.
+  a nontrivial domain, and the controller, which quantizes each concrete
+  state it is asked about, provably keeps the closed loop inside the safe
+  box; 100 random runs confirm it empirically.
 """
 
 import numpy as np
@@ -50,15 +51,15 @@ for cell in controller.domain[:3]:
     ids = controller.admissible[cell]
     print(f"  cell {cell}: {len(ids)} admissible inputs")
 
-# Refine through the quantizer and run the closed loop from random
-# in-domain starts; the quantized trajectory must never leave the safe set.
-concrete = sq.refine_controller(controller, lattice)
+# Run the closed loop from random in-domain starts: the controller answers
+# each concrete state through its lattice's quantizer, and the quantized
+# trajectory must never leave the safe set.
 rng = np.random.default_rng(7)
 escapes = 0
 for _ in range(100):
     cell = controller.domain[rng.integers(len(controller.domain))]
     x0 = lattice.sample_in_cell(cell, rng)[0]
-    trajectory = sq.simulate_closed_loop(contracting, concrete, x0, 200)
+    trajectory = sq.simulate_closed_loop(contracting, controller, x0, 200)
     cells = {lattice.quantize(x) for x in trajectory.states}
     if not cells <= set(safe.cells):
         escapes += 1
@@ -69,5 +70,5 @@ print(f"\nclosed loop from 100 random in-domain starts, 200 steps each: "
 # same admissible set.
 cell = controller.domain[0]
 a, b = lattice.sample_in_cell(cell, rng, count=2)
-assert concrete.query(a) == concrete.query(b)
+assert controller.query(a) == controller.query(b)
 print("two states of one cell receive identical admissible inputs")

@@ -37,7 +37,8 @@ for uid, hold in plan.steps:
     print(f"  torque {model.inputs[uid][0]:+.1f} held {hold} step(s)")
 
 x0 = lattice.center(away)
-trajectory = sq.simulate_closed_loop(system, plan, x0, 400, lattice=lattice)
+# the plan stops early if the state leaves the bounds of its lattice
+trajectory = sq.simulate_closed_loop(system, plan, x0, 400)
 cells = [lattice.quantize(x) for x in trajectory.states]
 
 visited = 0

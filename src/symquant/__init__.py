@@ -23,9 +23,8 @@ _OWNERS = {name: module for module, names in [
                     "save_abstraction transition_targets"),
     ("refinement", "AbstractSafeSet RefinementReport RefinementWitness "
                    "abstract_safe_set check_feedback_refinement"),
-    ("synthesis", "ConcreteController Plan SafetyController cpre "
-                  "load_controller load_plan plan_reach refine_controller "
-                  "safety_fixpoint save_controller save_plan "
+    ("synthesis", "Plan SafetyController cpre load_controller load_plan "
+                  "plan_reach safety_fixpoint save_controller save_plan "
                   "simulate_closed_loop"),
 ] for name in names.split()}
 

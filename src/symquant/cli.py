@@ -146,15 +146,11 @@ def _cmd_simulate(args, cfg: ScenarioConfig) -> int:
     sys_ = cfg.build_system()
     model = abstraction.build_abstraction(sys_, cfg.lattice,
                                           cfg.approx_config())
-    if cfg.sim_policy == "controller":
-        controller = synthesis.load_controller(args.infile, model.inputs,
-                                               model.lattice)
-        policy = synthesis.refine_controller(controller, model.lattice)
-    else:
-        policy = synthesis.load_plan(args.infile, model.inputs)
+    load = (synthesis.load_controller if cfg.sim_policy == "controller"
+            else synthesis.load_plan)
+    policy = load(args.infile, model.inputs, model.lattice)
     trajectory = synthesis.simulate_closed_loop(sys_, policy, cfg.sim_x0,
-                                                cfg.sim_max_steps,
-                                                lattice=model.lattice)
+                                                cfg.sim_max_steps)
     trajectory.write_csv(_prepare_out(args.out))
     print(f"{trajectory.steps} steps; terminated: {trajectory.terminated}")
     return EXIT_OK

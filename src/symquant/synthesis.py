@@ -1,4 +1,4 @@
-"""Safety controller synthesis, controller refinement, planning, simulation.
+"""Safety controller synthesis, planning, simulation.
 
 Safety synthesis iterates the controllable-predecessor operator inside the
 abstract safe set until the greatest fixed point is reached:
@@ -10,9 +10,12 @@ enter the result; the returned controller maps each domain cell to every
 enabled input whose successors stay inside the domain, which makes the
 controlled abstraction non-blocking and invariant by construction.
 
-The abstract controller refines to a concrete one by composing with the
-quantizer: query a state's cell, return that cell's admissible inputs.  Two
-states in one cell always receive identical answers.
+A controller and a plan each carry the lattice they were made on.  The
+controller answers a concrete state itself, which is the abstract
+controller composed with the lattice's quantizer (the feedback refinement
+of the paper): ``query`` finds the state's cell and returns that cell's
+admissible inputs, so two states in one cell always receive identical
+answers.
 
 Planning is one breadth-first search with two expansions.  The default one
 follows only transitions with singleton successor sets (executable open
@@ -45,11 +48,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "SafetyController",
-    "ConcreteController",
     "Plan",
     "cpre",
     "safety_fixpoint",
-    "refine_controller",
     "plan_reach",
     "simulate_closed_loop",
     "save_controller",
@@ -99,13 +100,14 @@ class SafetyController:
     ``admissible`` maps each domain cell to the (nonempty, sorted) input
     indices whose successors stay inside the domain, in state order; its
     keys are the ``domain``, the greatest controlled-invariant subset of the
-    safe cells.  ``iterations`` is the number of fixed-point sweeps
-    performed, ``history`` the sweep sizes starting from the safe set
+    safe cells, of ``lattice``.  ``iterations`` is the number of fixed-point
+    sweeps performed, ``history`` the sweep sizes starting from the safe set
     itself.
     """
 
     admissible: dict[tuple[int, ...], tuple[int, ...]]
     inputs: np.ndarray
+    lattice: LogLattice
     iterations: int
     history: tuple[int, ...]
 
@@ -117,6 +119,21 @@ class SafetyController:
 
     def __contains__(self, cell) -> bool:
         return tuple(cell) in self.admissible
+
+    def query(self, x) -> tuple[int, ...]:
+        """The admissible input indices of the cell containing the concrete
+        state x, or an empty tuple when x is outside the lattice bounds (NaN
+        and infinite components included) or outside the domain (check
+        ``in_domain`` to distinguish).  A state of the wrong dimension
+        raises ValueError.  Constant on each cell by construction."""
+        try:
+            cell = self.lattice.quantize(x)
+        except OutOfDomainError:
+            return ()
+        return self.admissible.get(cell, ())
+
+    def in_domain(self, x) -> bool:
+        return bool(self.query(x))
 
 
 def safety_fixpoint(model: SymbolicModel, safe: AbstractSafeSet) -> SafetyController:
@@ -154,45 +171,18 @@ def safety_fixpoint(model: SymbolicModel, safe: AbstractSafeSet) -> SafetyContro
                 "%.3f s", iterations, history[0], len(admissible),
                 time.perf_counter() - start)
     return SafetyController(admissible=admissible, inputs=model.inputs,
-                            iterations=iterations, history=tuple(history))
-
-
-class ConcreteController:
-    """Quantizer composition of an abstract safety controller.
-
-    ``query(x)`` returns the admissible input indices of the cell containing
-    x, or an empty tuple when x is outside the bounds box (NaN and infinite
-    components included) or outside the controller domain (check
-    ``in_domain`` to distinguish).  A state of the wrong dimension raises
-    ValueError.  Constant on each cell by construction.
-    """
-
-    def __init__(self, controller: SafetyController, lattice: LogLattice):
-        self.controller = controller
-        self.lattice = lattice
-
-    def query(self, x) -> tuple[int, ...]:
-        try:
-            cell = self.lattice.quantize(x)
-        except OutOfDomainError:
-            return ()
-        return self.controller.admissible.get(cell, ())
-
-    def in_domain(self, x) -> bool:
-        return bool(self.query(x))
-
-
-def refine_controller(ctrl: SafetyController, lattice: LogLattice) -> ConcreteController:
-    """Concrete-state controller obtained by composing with the quantizer."""
-    return ConcreteController(ctrl, lattice)
+                            lattice=model.lattice, iterations=iterations,
+                            history=tuple(history))
 
 
 @dataclass(frozen=True, eq=False)
 class Plan:
-    """Open-loop input schedule: (input index, hold steps) entries."""
+    """Open-loop input schedule: (input index, hold steps) entries, run
+    inside the bounds of ``lattice``."""
 
     steps: tuple[tuple[int, int], ...]
     inputs: np.ndarray
+    lattice: LogLattice
 
     def __post_init__(self):
         _freeze_inputs(self)
@@ -279,51 +269,43 @@ def _singleton_expansion(model: SymbolicModel):
     return expand, lambda root: np.arange(model.n_states) == root
 
 
-class _GridDedup:
-    """Visited sets over a uniform grid covering the lattice bounds."""
-
-    def __init__(self, lattice: LogLattice, resolution: float):
-        self.lo = lattice.lo_array
-        self.res = float(resolution)
-        spans = lattice.hi_array - lattice.lo_array
-        self.shape = np.maximum((spans / self.res).astype(np.int64) + 3, 1)
-        self.size = int(np.prod(self.shape))
-
-    def codes(self, pts: np.ndarray) -> np.ndarray:
-        """Row-major index of each point's grid cell, clipped into the grid."""
-        idx = ((pts - self.lo) / self.res).astype(np.int64) + 1
-        return np.ravel_multi_index(tuple(idx.T), self.shape, mode="clip")
-
-    def visit(self, pts: np.ndarray) -> np.ndarray:
-        """Visited mask marking the cells of ``pts`` and the key past the grid."""
-        if self.size > 50_000_000:
-            raise PlanningError(
-                f"dedup grid of {self.size} cells is too large; increase the "
-                "grid resolution")
-        visited = np.zeros(self.size + 1, bool)
-        visited[self.codes(pts)] = True
-        visited[self.size] = True
-        return visited
-
-
 def _rollout_expansion(sys: SampledSystem, lattice: LogLattice,
                        inputs: np.ndarray, resolution: float):
     """Search expansion over nominal rollouts inside the lattice bounds;
-    nodes are states, keys their grid cells.  Returns ``(expand, visit)``."""
-    grid = _GridDedup(lattice, resolution)
+    nodes are states, keys the row-major index of their cell on a uniform
+    grid of spacing ``resolution`` over the bounds, padded by one cell per
+    side and clipped.  Returns ``(expand, visit)``."""
+    lo = lattice.lo_array
+    shape = np.maximum(((lattice.hi_array - lo) / resolution).astype(np.int64)
+                       + 3, 1)
+    size = int(np.prod(shape))
     n_inputs = len(inputs)
+
+    def codes(pts):
+        idx = ((pts - lo) / resolution).astype(np.int64) + 1
+        return np.ravel_multi_index(tuple(idx.T), shape, mode="clip")
 
     def expand(frontier):
         succ = successor_many(sys, np.repeat(frontier, n_inputs, axis=0),
                               np.tile(inputs, (len(frontier), 1)))
         # a successor outside the bounds gets the key visit marks up front
-        keys = np.full(len(succ), grid.size)
+        keys = np.full(len(succ), size)
         inside = np.flatnonzero(lattice.contains_many(succ))
-        keys[inside] = grid.codes(succ[inside])
+        keys[inside] = codes(succ[inside])
         parents, uids = np.divmod(np.arange(len(succ)), n_inputs)
         return parents, uids, succ, keys
 
-    return expand, grid.visit
+    def visit(root):
+        if size > 50_000_000:
+            raise PlanningError(
+                f"dedup grid of {size} cells is too large; increase the "
+                "grid resolution")
+        visited = np.zeros(size + 1, bool)
+        visited[codes(root)] = True
+        visited[size] = True
+        return visited
+
+    return expand, visit
 
 
 def plan_reach(model: SymbolicModel, start, goals, relaxed: bool = False,
@@ -366,10 +348,10 @@ def plan_reach(model: SymbolicModel, start, goals, relaxed: bool = False,
         sequence.extend(segment)
     return Plan(steps=tuple((uid, len(list(run)))
                             for uid, run in itertools.groupby(sequence)),
-                inputs=model.inputs)
+                inputs=model.inputs, lattice=model.lattice)
 
 
-def _controller_ids(policy: ConcreteController, x, max_steps: int):
+def _controller_ids(policy: SafetyController, x, max_steps: int):
     """Yields the lowest admissible input index of the state's cell and is
     sent the next state; returns the reason it stops, before a step."""
     if not policy.in_domain(x):
@@ -383,11 +365,11 @@ def _controller_ids(policy: ConcreteController, x, max_steps: int):
     return "max_steps"
 
 
-def _plan_ids(policy: Plan, x, max_steps: int, lattice: LogLattice | None):
+def _plan_ids(policy: Plan, x, max_steps: int):
     """Yields the schedule's next input index and is sent the next state;
     returns the reason it stops, after a step that leaves the bounds."""
     def outside(x):
-        return lattice is not None and not lattice.contains_many(x[None])[0]
+        return not policy.lattice.contains_many(x[None])[0]
 
     if outside(x):
         raise OutOfDomainError(
@@ -398,14 +380,14 @@ def _plan_ids(policy: Plan, x, max_steps: int, lattice: LogLattice | None):
     return "plan_complete" if max_steps >= policy.total_steps else "max_steps"
 
 
-def simulate_closed_loop(sys: SampledSystem, policy, x0, max_steps: int,
-                         lattice: LogLattice | None = None) -> Trajectory:
+def simulate_closed_loop(sys: SampledSystem, policy, x0,
+                         max_steps: int) -> Trajectory:
     """Run the sampled closed loop under a controller or a plan.
 
     Controller mode applies the lowest admissible input index at each step
     and stops when the state leaves the controller domain; plan mode applies
-    the scheduled inputs (with hold counts) and stops on completion or, when
-    a lattice is supplied, on leaving its bounds.  Raises
+    the scheduled inputs (with hold counts) and stops on completion or on
+    leaving the bounds of the plan's lattice.  Raises
     :class:`OutOfDomainError` if the initial state is already outside,
     :class:`DivergenceError` if a step diverges, and ValueError if
     ``max_steps`` is negative or ``x0`` does not have ``sys.dim_x``
@@ -416,13 +398,13 @@ def simulate_closed_loop(sys: SampledSystem, policy, x0, max_steps: int,
     x = np.atleast_1d(np.asarray(x0, float))
     if x.shape != (sys.dim_x,):
         raise ValueError(f"x0 must have {sys.dim_x} components, got {x0!r}")
-    if isinstance(policy, ConcreteController):
-        inputs = policy.controller.inputs
+    if isinstance(policy, SafetyController):
         choices = _controller_ids(policy, x, max_steps)
     elif isinstance(policy, Plan):
-        inputs, choices = policy.inputs, _plan_ids(policy, x, max_steps, lattice)
+        choices = _plan_ids(policy, x, max_steps)
     else:
         raise TypeError(f"unsupported policy type {type(policy)!r}")
+    inputs = policy.inputs
     # exactly one successor call per step: bench/tracing.py times a step as
     # the gap between two of them
     states, ids = [x], []
@@ -491,8 +473,8 @@ def load_controller(path, inputs, lattice: LogLattice) -> SafetyController:
                 _check_input_id(uid, len(inputs), where)
             admissible[cell] = uids
     return SafetyController(admissible=dict(sorted(admissible.items())),
-                            inputs=np.asarray(inputs, float), iterations=0,
-                            history=())
+                            inputs=np.asarray(inputs, float), lattice=lattice,
+                            iterations=0, history=())
 
 
 def save_plan(plan: Plan, path):
@@ -503,8 +485,9 @@ def save_plan(plan: Plan, path):
 
 
 @located_decoding
-def load_plan(path, inputs) -> Plan:
-    """Read a plan file; a bad line raises a ValueError naming it."""
+def load_plan(path, inputs, lattice: LogLattice) -> Plan:
+    """Read a plan file over an input table and a lattice; a bad line
+    raises a ValueError naming it."""
     steps = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -517,4 +500,5 @@ def load_plan(path, inputs) -> Plan:
                 raise ValueError(f"{path}:{lineno}: malformed line") from exc
             _check_step(uid, hold, len(inputs), f"{path}:{lineno}: ")
             steps.append((uid, hold))
-    return Plan(steps=tuple(steps), inputs=np.asarray(inputs, float))
+    return Plan(steps=tuple(steps), inputs=np.asarray(inputs, float),
+                lattice=lattice)

@@ -208,13 +208,12 @@ def test_criterion_6_controlled_invariance_end_to_end(scenario):
         "empty controller domain: no in-domain initial states exist; "
         "see this test's docstring for the analysis")
 
-    concrete = sq.refine_controller(controller, lattice)
     rng = np.random.default_rng(cfg.seed)
     safe_cells = set(safe.cells)
     for _ in range(100):
         cell = controller.domain[rng.integers(len(controller.domain))]
         x0 = lattice.sample_in_cell(cell, rng)[0]
-        trajectory = sq.simulate_closed_loop(system, concrete, x0, 200)
+        trajectory = sq.simulate_closed_loop(system, controller, x0, 200)
         for x in trajectory.states:
             assert lattice.quantize(x) in safe_cells
     assert time.perf_counter() - start < 60.0
@@ -239,8 +238,7 @@ def test_criterion_7_maneuver_reproduction(scenario):
     plan = sq.plan_reach(model, away, goals, relaxed=True)
 
     x0 = lattice.center(away)
-    trajectory = sq.simulate_closed_loop(system, plan, x0, 400,
-                                         lattice=lattice)
+    trajectory = sq.simulate_closed_loop(system, plan, x0, 400)
     cells = [lattice.quantize(x) for x in trajectory.states]
     visited = 0
     for cell in cells:

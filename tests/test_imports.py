@@ -105,7 +105,7 @@ def test_dir_lists_public_names_and_submodules():
 
 def test_method_forwarders_stay_deleted():
     # each forwarded to one method, which is now the operation's one name
-    from symquant import quantizer, refinement
+    from symquant import quantizer, refinement, synthesis
     for name in ("scalar_quantize", "vector_quantize", "cell_bounds",
                  "levels_overlapping_interval", "enumerate_cells", "relate"):
         for module in (sq, quantizer, refinement):
@@ -114,3 +114,15 @@ def test_method_forwarders_stay_deleted():
         assert name not in dir(sq) and name not in sq.__all__
     # the model's forwarder to save_abstraction
     assert not hasattr(sq.SymbolicModel, "save")
+    # a controller answers concrete states itself, and a plan carries the
+    # lattice whose bounds stop it
+    for name in ("refine_controller", "ConcreteController"):
+        for module in (sq, synthesis):
+            with pytest.raises(AttributeError):
+                getattr(module, name)
+        assert name not in dir(sq) and name not in sq.__all__
+    plan = sq.Plan(steps=((0, 1),), inputs=[[0.0]],
+                   lattice=sq.LogLattice.from_params(0.2, [1.0], [-1], [1]))
+    with pytest.raises(TypeError, match="lattice"):
+        sq.simulate_closed_loop(sq.linear_system(), plan, [0.0], 1,
+                                lattice=plan.lattice)

@@ -1,4 +1,4 @@
-"""Fixed-point synthesis, controller refinement, planning, simulation."""
+"""Fixed-point synthesis, controller queries, planning, simulation."""
 
 import itertools
 import re
@@ -138,22 +138,22 @@ def test_fixpoint_lazy_model_on_demand(pendulum_scenario, tmp_path):
     assert ctrl.admissible == reference.admissible
 
 
-def test_refine_controller_semantics(contracting_scenario):
+def test_controller_query_semantics(contracting_scenario):
     sys_, lattice, model = contracting_scenario
     safe = sq.abstract_safe_set([-0.7, -0.7], [0.7, 0.7], model)
     ctrl = sq.safety_fixpoint(model, safe)
-    concrete = sq.refine_controller(ctrl, lattice)
+    assert ctrl.lattice is model.lattice
     cell = ctrl.domain[0]
     inside = lattice.sample_in_cell(cell, np.random.default_rng(14), 5)
-    answers = {concrete.query(x) for x in inside}
+    answers = {ctrl.query(x) for x in inside}
     assert answers == {ctrl.admissible[cell]}  # constant on the cell
     # a cell outside the domain answers the empty set
     outside = [c for c in model.cells if c not in ctrl.admissible][0]
     x = lattice.center(outside)
-    assert concrete.query(x) == () and not concrete.in_domain(x)
+    assert ctrl.query(x) == () and not ctrl.in_domain(x)
     # outside the bounds: empty set and the out-of-domain flag
-    assert concrete.query([5.0, 5.0]) == ()
-    assert not concrete.in_domain([5.0, 5.0])
+    assert ctrl.query([5.0, 5.0]) == ()
+    assert not ctrl.in_domain([5.0, 5.0])
 
 
 def test_concrete_query_rejects_a_wrong_dimension_state(contracting_scenario):
@@ -162,15 +162,14 @@ def test_concrete_query_rejects_a_wrong_dimension_state(contracting_scenario):
     _, lattice, model = contracting_scenario
     ctrl = sq.safety_fixpoint(
         model, sq.abstract_safe_set([-0.7, -0.7], [0.7, 0.7], model))
-    concrete = sq.refine_controller(ctrl, lattice)
-    assert concrete.in_domain(lattice.center(ctrl.domain[0]))
+    assert ctrl.in_domain(lattice.center(ctrl.domain[0]))
     for x in ([0.0], [0.0, 0.0, 0.0]):
         with pytest.raises(ValueError, match="dimension 2"):
-            concrete.query(x)
+            ctrl.query(x)
         with pytest.raises(ValueError, match="dimension 2"):
-            concrete.in_domain(x)
+            ctrl.in_domain(x)
     for x in ([np.nan, 0.0], [0.0, np.inf], [-np.inf, 0.0]):
-        assert concrete.query(x) == () and not concrete.in_domain(x)
+        assert ctrl.query(x) == () and not ctrl.in_domain(x)
 
 
 @pytest.mark.parametrize("cell", [(3, 0), (0, -3), (0,), (0, 0, 0)],
@@ -227,9 +226,9 @@ def test_relaxed_plan_pendulum_cycle(pendulum_scenario):
     with pytest.raises(PlanningError):
         sq.plan_reach(model, start, [mid])
     plan = sq.plan_reach(model, start, [mid, start], relaxed=True)
-    assert plan.total_steps > 0
+    assert plan.total_steps > 0 and plan.lattice is model.lattice
     trajectory = sq.simulate_closed_loop(sys_, plan, lattice.center(start),
-                                         200, lattice=lattice)
+                                         200)
     assert trajectory.terminated == "plan_complete"
     cells = [lattice.quantize(x) for x in trajectory.states]
     hit_mid = cells.index(mid)
@@ -284,19 +283,34 @@ def test_rollout_matches_one_state_at_a_time_search(pendulum_scenario, res):
 
 
 def test_grid_codes_are_row_major_indices():
+    # a field of zero keeps every state where it is, so each successor's
+    # key is the grid cell of its frontier state
     lattice = sq.LogLattice.from_params(0.3, [0.2, 0.3, 0.5], [-1, -2, -0.7],
                                         [1.5, 1, 0.9])
-    dedup = synthesis._GridDedup(lattice, 0.1)
-    assert len(set(dedup.shape)) == 3
+    still = sq.SampledSystem(dim_x=3, dim_u=1,
+                             field=lambda x, u: np.zeros_like(x),
+                             lipschitz=1.0, tau=0.1, input_lo=(0.0,),
+                             input_hi=(0.0,), vectorized=True)
+    expand, visit = synthesis._rollout_expansion(still, lattice,
+                                                 np.array([[0.0]]), 0.1)
+    shape = ((lattice.hi_array - lattice.lo_array) / 0.1).astype(int) + 3
+    size = int(np.prod(shape))
+    assert len(set(shape)) == 3
     pts = np.random.default_rng(3).uniform(-3, 3, size=(500, 3))
     idx = ((pts - lattice.lo_array) / 0.1).astype(np.int64) + 1
-    idx = np.clip(idx, 0, dedup.shape - 1)
-    want = np.ravel_multi_index(tuple(idx.T), tuple(dedup.shape))
-    assert np.array_equal(dedup.codes(pts), want)
+    idx = np.clip(idx, 0, shape - 1)
+    want = np.ravel_multi_index(tuple(idx.T), tuple(shape))
     # a search's visited mask starts with the cells of its root marked, and
     # the key past the grid, which the successors outside the bounds get
-    assert np.array_equal(np.flatnonzero(dedup.visit(pts)),
-                          np.append(np.unique(want), dedup.size))
+    mask = visit(pts)
+    assert mask.shape == (size + 1,)
+    assert np.array_equal(np.flatnonzero(mask),
+                          np.append(np.unique(want), size))
+    _, _, succ, keys = expand(pts)
+    inside = lattice.contains_many(pts)
+    assert np.array_equal(succ, pts) and 0 < inside.sum() < len(pts)
+    assert np.array_equal(keys, np.where(inside, want, size))
+
 
 def test_relaxed_plan_requires_system(pendulum_scenario):
     _, _, model = pendulum_scenario
@@ -399,10 +413,9 @@ def test_simulate_equilibrium_constant():
     lattice = sq.LogLattice.from_params(0.2, [0.4, 0.4], [-1, -1], [1, 1],
                                         "edge_anchored")
     ctrl = sq.SafetyController(admissible={(0, 0): (0,)},
-                               inputs=np.array([[0.0]]), iterations=1,
-                               history=(1, 1))
-    concrete = sq.refine_controller(ctrl, lattice)
-    trajectory = sq.simulate_closed_loop(sys_, concrete, [0.0, 0.0], 5)
+                               inputs=np.array([[0.0]]), lattice=lattice,
+                               iterations=1, history=(1, 1))
+    trajectory = sq.simulate_closed_loop(sys_, ctrl, [0.0, 0.0], 5)
     assert (trajectory.states == 0.0).all()
     assert trajectory.steps == 5
 
@@ -410,9 +423,9 @@ def test_simulate_equilibrium_constant():
 def test_simulate_rejects_out_of_domain_start(contracting_scenario):
     sys_, lattice, model = contracting_scenario
     safe = sq.abstract_safe_set([-0.7, -0.7], [0.7, 0.7], model)
-    concrete = sq.refine_controller(sq.safety_fixpoint(model, safe), lattice)
+    ctrl = sq.safety_fixpoint(model, safe)
     with pytest.raises(OutOfDomainError) as info:
-        sq.simulate_closed_loop(sys_, concrete, [0.95, 0.95], 10)
+        sq.simulate_closed_loop(sys_, ctrl, [0.95, 0.95], 10)
     assert str(info.value) == \
         "initial state [0.95, 0.95] outside the controller domain"
 
@@ -421,24 +434,23 @@ def test_simulate_controller_stops_on_leaving_domain(contracting_scenario):
     # a one-cell controller whose input drives the state out of that cell
     sys_, lattice, _ = contracting_scenario
     ctrl = sq.SafetyController(admissible={(0, 0): (0,)},
-                               inputs=np.array([[1.0]]), iterations=1,
-                               history=(1, 1))
-    concrete = sq.refine_controller(ctrl, lattice)
-    trajectory = sq.simulate_closed_loop(sys_, concrete, [0.0, 0.0], 10)
+                               inputs=np.array([[1.0]]), lattice=lattice,
+                               iterations=1, history=(1, 1))
+    trajectory = sq.simulate_closed_loop(sys_, ctrl, [0.0, 0.0], 10)
     assert trajectory.terminated == "out_of_domain"
     assert 0 < trajectory.steps < 10
     assert trajectory.inputs.tolist() == [[1.0]] * trajectory.steps
     *kept, before, exited = trajectory.states
-    assert all(concrete.in_domain(x) for x in (*kept, before))
-    assert not concrete.in_domain(exited)
+    assert all(ctrl.in_domain(x) for x in (*kept, before))
+    assert not ctrl.in_domain(exited)
     assert exited.tobytes() == sq.successor(sys_, before, [1.0]).tobytes()
 
 
 def test_simulate_plan_stops_on_leaving_bounds(pendulum_scenario):
     sys_, lattice, model = pendulum_scenario
-    plan = sq.Plan(steps=((model.n_inputs - 1, 20),), inputs=model.inputs)
-    trajectory = sq.simulate_closed_loop(sys_, plan, [0.9, 0.9], 50,
-                                         lattice=lattice)
+    plan = sq.Plan(steps=((model.n_inputs - 1, 20),), inputs=model.inputs,
+                   lattice=lattice)
+    trajectory = sq.simulate_closed_loop(sys_, plan, [0.9, 0.9], 50)
     assert trajectory.terminated == "out_of_domain"
     assert 0 < trajectory.steps < 20
     inside = lattice.contains_many(trajectory.states)
@@ -447,9 +459,9 @@ def test_simulate_plan_stops_on_leaving_bounds(pendulum_scenario):
 
 def test_simulate_plan_rejects_start_outside_bounds(pendulum_scenario):
     sys_, lattice, model = pendulum_scenario
-    plan = sq.Plan(steps=((0, 3),), inputs=model.inputs)
+    plan = sq.Plan(steps=((0, 3),), inputs=model.inputs, lattice=lattice)
     with pytest.raises(OutOfDomainError) as info:
-        sq.simulate_closed_loop(sys_, plan, [1.5, 0.0], 10, lattice=lattice)
+        sq.simulate_closed_loop(sys_, plan, [1.5, 0.0], 10)
     assert str(info.value) == \
         "initial state [1.5, 0.0] outside the lattice bounds"
 
@@ -463,12 +475,10 @@ def test_simulate_rejects_unsupported_policy(pendulum_scenario):
 def test_simulate_plan_mode_truncates_at_max_steps(pendulum_scenario):
     sys_, lattice, model = pendulum_scenario
     plan = sq.Plan(steps=((model.enabled_inputs((0, 0))[0], 8),),
-                   inputs=model.inputs)
-    trajectory = sq.simulate_closed_loop(sys_, plan, [0.0, 0.0], 3,
-                                         lattice=lattice)
+                   inputs=model.inputs, lattice=lattice)
+    trajectory = sq.simulate_closed_loop(sys_, plan, [0.0, 0.0], 3)
     assert trajectory.steps == 3 and trajectory.terminated == "max_steps"
-    trajectory = sq.simulate_closed_loop(sys_, plan, [0.0, 0.0], 0,
-                                         lattice=lattice)
+    trajectory = sq.simulate_closed_loop(sys_, plan, [0.0, 0.0], 0)
     assert trajectory.steps == 0 and trajectory.states.shape == (1, 2)
 
 
@@ -476,17 +486,16 @@ def test_simulate_plan_mode_truncates_at_max_steps(pendulum_scenario):
 def test_simulate_rejects_negative_max_steps(pendulum_scenario, mode):
     sys_, lattice, model = pendulum_scenario
     if mode == "controller":
-        policy = sq.refine_controller(sq.SafetyController(
+        policy = sq.SafetyController(
             admissible={(0, 0): (0,)}, inputs=np.array([[0.0]]),
-            iterations=1, history=(1, 1)), lattice)
+            lattice=lattice, iterations=1, history=(1, 1))
     else:
-        policy = sq.Plan(steps=((0, 4),), inputs=model.inputs)
+        policy = sq.Plan(steps=((0, 4),), inputs=model.inputs, lattice=lattice)
     with pytest.raises(ValueError,
                        match=r"^max_steps must be non-negative, got -1$"):
-        sq.simulate_closed_loop(sys_, policy, [0.0, 0.0], -1, lattice=lattice)
+        sq.simulate_closed_loop(sys_, policy, [0.0, 0.0], -1)
     # zero steps stays a valid, empty run for both policies
-    trajectory = sq.simulate_closed_loop(sys_, policy, [0.0, 0.0], 0,
-                                         lattice=lattice)
+    trajectory = sq.simulate_closed_loop(sys_, policy, [0.0, 0.0], 0)
     assert trajectory.steps == 0 and trajectory.terminated == "max_steps"
     assert trajectory.states.tolist() == [[0.0, 0.0]]
 
@@ -497,14 +506,14 @@ def test_simulate_rejects_x0_of_another_dimension(pendulum_scenario, mode):
     # broadcast error (plan) or a state outside the domain (controller)
     sys_, lattice, model = pendulum_scenario
     if mode == "controller":
-        policy = sq.refine_controller(sq.SafetyController(
+        policy = sq.SafetyController(
             admissible={(0, 0): (0,)}, inputs=np.array([[0.0]]),
-            iterations=1, history=(1, 1)), lattice)
+            lattice=lattice, iterations=1, history=(1, 1))
     else:
-        policy = sq.Plan(steps=((0, 4),), inputs=model.inputs)
+        policy = sq.Plan(steps=((0, 4),), inputs=model.inputs, lattice=lattice)
     for x0 in ([0.0], [0.0, 0.0, 0.0], [[0.0, 0.0]]):
         with pytest.raises(ValueError, match=r"^x0 must have 2 components"):
-            sq.simulate_closed_loop(sys_, policy, x0, 5, lattice=lattice)
+            sq.simulate_closed_loop(sys_, policy, x0, 5)
 
 
 @pytest.mark.parametrize("mode", ["controller", "plan"])
@@ -527,13 +536,13 @@ def test_simulate_step_divergence_names_its_substep(mode):
     inputs = np.array([[0.0]])
     if mode == "controller":
         cells = tuple(lattice.enumerate_cells())
-        policy = sq.refine_controller(sq.SafetyController(
+        policy = sq.SafetyController(
             admissible={c: (0,) for c in cells}, inputs=inputs,
-            iterations=1, history=(len(cells),) * 2), lattice)
+            lattice=lattice, iterations=1, history=(len(cells),) * 2)
     else:
-        policy = sq.Plan(steps=((0, 10),), inputs=inputs)
+        policy = sq.Plan(steps=((0, 10),), inputs=inputs, lattice=lattice)
     with pytest.raises(DivergenceError) as info:
-        sq.simulate_closed_loop(sys_, policy, [3.0], 10, lattice=lattice)
+        sq.simulate_closed_loop(sys_, policy, [3.0], 10)
     assert info.value.substep == substep
 
 
@@ -545,13 +554,12 @@ def test_end_to_end_invariance_contracting(contracting_scenario):
     safe = sq.abstract_safe_set([-0.7, -0.7], [0.7, 0.7], model)
     ctrl = sq.safety_fixpoint(model, safe)
     assert ctrl.domain
-    concrete = sq.refine_controller(ctrl, lattice)
     rng = np.random.default_rng(15)
     safe_cells = set(safe.cells)
     for _ in range(100):
         cell = ctrl.domain[rng.integers(len(ctrl.domain))]
         x0 = lattice.sample_in_cell(cell, rng)[0]
-        trajectory = sq.simulate_closed_loop(sys_, concrete, x0, 200)
+        trajectory = sq.simulate_closed_loop(sys_, ctrl, x0, 200)
         assert trajectory.terminated == "max_steps"
         for x in trajectory.states:
             assert lattice.quantize(x) in safe_cells
@@ -572,6 +580,34 @@ def test_controller_save_load_roundtrip(contracting_scenario, tmp_path):
     loaded = sq.load_controller(path, model.inputs, lattice)
     assert loaded.domain == ctrl.domain
     assert loaded.admissible == ctrl.admissible
+    assert loaded.lattice is lattice
+
+
+# the contracting scenario's controller on the safe box [-0.7, 0.7]^2, as
+# its file reads; every other pinned controller file has an empty domain
+CONTRACTING_CONTROLLER = b"""#controller 1
+cell -1,-1 : 8 9 10 11 12 13 14 15 16 17 18 19 20
+cell -1,0 : 8 9 10 11 12 13 14
+cell -1,1 : 8 9 10 11 12
+cell 0,-1 : 8 9 10 11 12 13 14
+cell 0,0 : 6 7 8 9 10 11 12 13 14
+cell 0,1 : 6 7 8 9 10 11 12
+cell 1,-1 : 8 9 10 11 12
+cell 1,0 : 6 7 8 9 10 11 12
+cell 1,1 : 0 1 2 3 4 5 6 7 8 9 10 11 12
+"""
+
+
+def test_contracting_controller_file_is_pinned(contracting_scenario,
+                                               tmp_path):
+    _, lattice, model = contracting_scenario
+    safe = sq.abstract_safe_set([-0.7, -0.7], [0.7, 0.7], model)
+    path = tmp_path / "ctrl.txt"
+    sq.save_controller(sq.safety_fixpoint(model, safe), path)
+    assert path.read_bytes() == CONTRACTING_CONTROLLER
+    sq.save_controller(sq.load_controller(path, model.inputs, lattice),
+                       tmp_path / "again.txt")
+    assert (tmp_path / "again.txt").read_bytes() == CONTRACTING_CONTROLLER
 
 
 def test_controller_domain_is_its_admissible_map(contracting_scenario,
@@ -595,15 +631,17 @@ def test_controller_domain_is_its_admissible_map(contracting_scenario,
     for extra in ({"domain": ()}, {"safe_cells": ()}):
         with pytest.raises(TypeError):
             sq.SafetyController(admissible={}, inputs=model.inputs,
-                                iterations=0, history=(), **extra)
+                                lattice=lattice, iterations=0, history=(),
+                                **extra)
 
 
 def test_plan_save_load_roundtrip(tmp_path):
-    plan = sq.Plan(steps=((3, 2), (0, 5)), inputs=np.linspace(-1, 1, 5)[:, None])
+    plan = sq.Plan(steps=((3, 2), (0, 5)), inputs=np.linspace(-1, 1, 5)[:, None],
+                   lattice=line_lattice(3))
     path = tmp_path / "plan.txt"
     sq.save_plan(plan, path)
-    loaded = sq.load_plan(path, plan.inputs)
-    assert loaded.steps == plan.steps
+    loaded = sq.load_plan(path, plan.inputs, plan.lattice)
+    assert loaded.steps == plan.steps and loaded.lattice is plan.lattice
     assert list(loaded.input_indices()) == [3, 3, 0, 0, 0, 0, 0]
 
 
@@ -662,14 +700,15 @@ def test_plan_file_fuzz(tmp_path):
     # each line of a saved plan under each mutation: the plan the lines
     # mean, or a ValueError naming the file and the mutated line
     inputs = np.linspace(-1, 1, 5)[:, None]
-    plan = sq.Plan(steps=((3, 2), (0, 5), (4, 1), (1, 12)), inputs=inputs)
+    plan = sq.Plan(steps=((3, 2), (0, 5), (4, 1), (1, 12)), inputs=inputs,
+                   lattice=line_lattice(3))
     path = tmp_path / "plan.txt"
     sq.save_plan(plan, path)
     lines = path.read_text().splitlines()
     for k, name, mutated in line_mutations(lines):
         path.write_text("\n".join(mutated) + "\n")
         try:
-            got = sq.load_plan(path, inputs)
+            got = sq.load_plan(path, inputs, plan.lattice)
         except ValueError as exc:
             assert _line_of(str(exc), path) == k + 1, (k, name, str(exc))
             continue

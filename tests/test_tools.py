@@ -82,3 +82,17 @@ if __name__ == "__main__":  # pragma: no cover
         (18, 18)]
     # the body of the false branch, the handler and the uncalled function
     assert src_cover.missed(module, hit[module.resolve()]) == [8, 13, 17, 18]
+
+
+def test_src_cover_names_the_tests_that_fail(tmp_path, capsys, monkeypatch):
+    # main prepends src to sys.path and PYTHONPATH; both are restored after
+    src_cover = _load("src_cover")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.delenv("PYTHONPATH", raising=False)
+    (tmp_path / "test_traced_target.py").write_text(
+        "def test_passes():\n    assert True\n\n\n"
+        "def test_fails():\n    assert False\n")
+    assert src_cover.main(["src_cover.py", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("failed ")] == [
+        "failed under the tracer: test_traced_target.py::test_fails"]
