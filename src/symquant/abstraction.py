@@ -196,9 +196,10 @@ def _targets_many(lattice: LogLattice, box_lo: np.ndarray, box_hi: np.ndarray):
 def _key(table, n_states: int, n_inputs: int):
     """Keys ``(src * n_inputs + uid) * n_states + dst`` of ``src dst uid``
     rows, and the first row that names an unknown state or input, or -1."""
-    bad = np.flatnonzero(((table < 0) | (table >= [n_states, n_states,
-                                                   n_inputs])).any(axis=1))
-    key = (table[:, 0] * n_inputs + table[:, 2]) * n_states + table[:, 1]
+    src, dst, uid = table.T
+    bad = np.flatnonzero((src < 0) | (src >= n_states) | (dst < 0)
+                         | (dst >= n_states) | (uid < 0) | (uid >= n_inputs))
+    key = (src * n_inputs + uid) * n_states + dst
     return key, (int(bad[0]) if bad.size else -1)
 
 

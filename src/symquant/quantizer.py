@@ -22,6 +22,11 @@ the outermost kept cell on each side absorbs the remaining sliver up to the
 bound.  The clipped cells therefore partition the bounds box, every cell
 contains its own center, and quantization is a well-defined map from the box
 onto the cells.
+
+Each lattice axis keeps one table, the edges of its clipped cells; every
+lattice query reads it, from point quantization to cell geometry.  An axis
+quantizer's own cached table of region boundaries serves axes without
+bounds, such as the input quantizer that deduplicates sampled inputs.
 """
 
 from __future__ import annotations
@@ -152,17 +157,6 @@ class LogQuantizerAxis:
              / math.log(1.0 / self.rho))
         return _boundary_table(self, 1 << (int(t) + 2).bit_length())
 
-    def levels_overlapping(self, a: float, b: float) -> list[int]:
-        """All signed levels whose regions intersect the closed interval
-        [a, b], in ascending order.  The regions partition the line in level
-        order, so these run from the level of a to the level of b."""
-        a, b = float(a), float(b)
-        if not (math.isfinite(a) and math.isfinite(b)):
-            raise ValueError("interval endpoints must be finite")
-        if a > b:
-            raise ValueError(f"empty interval: a={a!r} > b={b!r}")
-        return list(range(self.quantize(a)[0], self.quantize(b)[0] + 1))
-
     def levels(self, z) -> np.ndarray:
         """Signed levels of an array of finite values, elementwise equal to
         ``quantize(v)[0]``."""
@@ -272,7 +266,8 @@ class LogLattice:
         object.__setattr__(self, "lo_array", _frozen(lo))
         object.__setattr__(self, "hi_array", _frozen(hi))
         # per axis, the values of the valid levels -n..p and the edges of
-        # their clipped cells, [lo, -b(n), ..., -b(1), b(1), ..., b(p), hi]
+        # their clipped cells, [lo, -b(n), ..., -b(1), b(1), ..., b(p), hi],
+        # which every query of this lattice reads
         object.__setattr__(self, "_centers", tuple(
             _frozen([axis.level_value(m) for m in range(-n, p + 1)])
             for axis, n, p in zip(axes, neg_max, pos_max)))
@@ -352,36 +347,51 @@ class LogLattice:
         """Whether each row of ``pts`` lies in the closed bounds box; rows
         holding NaN or an infinity never do."""
         pts = np.asarray(pts, float)
-        return ((pts >= self.lo_array) & (pts <= self.hi_array)).all(axis=1)
+        inside = np.ones(len(pts), bool)
+        for i, edges in enumerate(self._edges):
+            inside &= (pts[:, i] >= edges[0]) & (pts[:, i] <= edges[-1])
+        return inside
+
+    def _level(self, i: int, v: float) -> int:
+        """Level on axis i of the cell holding a value v inside the bounds;
+        a non-finite v raises ValueError.
+
+        An edge belongs to the cell nearer zero, the rule the open faces of
+        :meth:`cell_box` encode: the search of the edges runs from the left
+        for v >= 0 and from the right for v < 0.
+        """
+        if not math.isfinite(v):
+            raise ValueError(f"cannot quantize non-finite value {v!r}")
+        search = bisect.bisect_left if v >= 0.0 else bisect.bisect_right
+        return search(self._edges[i], v) - 1 - self._neg_max[i]
 
     def quantize(self, x) -> tuple[int, ...]:
-        """Cell index of a point inside the bounds box.
-
-        Raw per-axis levels beyond the outermost valid level are absorbed
-        into the outermost cell (whose box extends to the bound).
-        """
+        """Cell index of a point inside the bounds box."""
         x = np.asarray(x, float)
         if x.shape != (self.dim,):
             raise ValueError(f"expected a point of dimension {self.dim}")
         levels = []
-        for i, axis in enumerate(self.axes):
-            xi = float(x[i])
+        for i, xi in enumerate(x.tolist()):
             if not (self.lo[i] <= xi <= self.hi[i]):
                 raise OutOfDomainError(
                     f"component {i} = {xi!r} outside [{self.lo[i]}, {self.hi[i]}]")
-            m = axis.quantize(xi)[0]
-            levels.append(min(max(m, -self._neg_max[i]), self._pos_max[i]))
+            levels.append(self._level(i, xi))
         return tuple(levels)
 
     def quantize_many(self, pts) -> np.ndarray:
-        """Cell levels of points inside the bounds box, one row per point;
-        row k equals ``quantize(pts[k])``, whose bounds check is left to the
-        caller."""
+        """Cell levels of finite points, one row per point; row k equals
+        ``quantize(pts[k])``, whose bounds check is left to the caller:
+        the outermost cells take what lies beyond the bounds."""
         pts = np.asarray(pts, float).reshape(-1, self.dim)
+        if not np.isfinite(pts).all():
+            raise ValueError("cannot quantize non-finite values")
         out = np.empty(pts.shape, np.int64)
-        for i, axis in enumerate(self.axes):
-            out[:, i] = np.clip(axis.levels(pts[:, i]), -self._neg_max[i],
-                                self._pos_max[i])
+        for i, edges in enumerate(self._edges):
+            col = pts[:, i]
+            # the inner edges strictly below; as in _level, a negative
+            # value on an edge belongs to the cell above it
+            j = np.searchsorted(edges[1:-1], col)
+            out[:, i] = j + ((col < 0.0) & (edges[j + 1] == col)) - self._neg_max[i]
         return out
 
     def enumerate_cells(self) -> list[tuple[int, ...]]:
@@ -411,12 +421,10 @@ class LogLattice:
 
     def levels_in_interval(self, i: int, a: float, b: float) -> list[int]:
         """Valid levels on axis i whose clipped cells intersect [a, b]."""
-        a2, b2 = max(a, self.lo[i]), min(b, self.hi[i])
-        if a2 > b2:
+        a, b = max(float(a), self.lo[i]), min(float(b), self.hi[i])
+        if a > b:
             return []
-        first, last = (min(max(self.axes[i].quantize(v)[0], -self._neg_max[i]),
-                           self._pos_max[i]) for v in (a2, b2))
-        return list(range(first, last + 1))
+        return list(range(self._level(i, a), self._level(i, b) + 1))
 
     def sample_in_cell(self, idx, rng, count: int = 1) -> np.ndarray:
         """Uniform samples from a cell's box (boundary hits have measure zero)."""

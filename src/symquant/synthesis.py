@@ -319,7 +319,15 @@ def plan_reach(model: SymbolicModel, start, goals, relaxed: bool = False,
     goal.  Callers may then retry with ``relaxed=True``, which searches the
     nominal concrete rollout from the start cell's center instead (see the
     module docstring); relaxed plans must be validated in closed loop.
+    A ``grid_resolution`` that is not positive and finite, or a
+    ``max_segment_steps`` below 1, raises ValueError before any search.
     """
+    if not 0.0 < grid_resolution < np.inf:
+        raise ValueError("grid_resolution must be positive and finite, "
+                         f"got {grid_resolution!r}")
+    if max_segment_steps < 1:
+        raise ValueError(
+            f"max_segment_steps must be at least 1, got {max_segment_steps!r}")
     start_id = model.state_id(start)
     goal_ids = model.state_ids(goals).tolist()
 

@@ -70,6 +70,8 @@ def test_regions_tile_without_gaps():
         for m in range(1, 12):
             assert axis.region(m)[1] == axis.region(m + 1)[0]
         assert axis.region(1)[0] == axis.deadzone
+        assert axis.region(0) == (-axis.deadzone, axis.deadzone)
+        assert axis.region(-3) == tuple(-v for v in axis.region(3)[::-1])
         # quantized value sits strictly inside its region
         for m in range(1, 12):
             lo, hi = axis.region(m)
@@ -80,32 +82,29 @@ def test_rho_definition():
     assert VALUE_AXIS.rho == (1 - 0.2) / (1 + 0.2)
 
 
-def test_levels_overlapping_examples():
-    assert VALUE_AXIS.levels_overlapping(0.34, 0.6) == [1, 2]
-    assert VALUE_AXIS.levels_overlapping(0.0, 0.3) == [0]
-    assert VALUE_AXIS.levels_overlapping(-0.1, 0.45) == [0, 1]
-    with pytest.raises(ValueError):
-        VALUE_AXIS.levels_overlapping(1.0, 0.5)
+def test_levels_in_interval_examples():
+    lattice = sq.LogLattice((VALUE_AXIS,), (-8.0,), (8.0,))
+    assert lattice.levels_in_interval(0, 0.34, 0.6) == [1, 2]
+    assert lattice.levels_in_interval(0, 0.0, 0.3) == [0]
+    assert lattice.levels_in_interval(0, -0.1, 0.45) == [0, 1]
+    assert lattice.levels_in_interval(0, 1.0, 0.5) == []
 
 
-def test_levels_overlapping_matches_scan():
+def test_levels_in_interval_matches_scan():
+    # every cell whose clipped box, with its open faces, meets [a, b]
     rng = np.random.default_rng(1)
-    for axis in (VALUE_AXIS, EDGE_AXIS):
-        scan_levels = range(-25, 26)
+    for lattice in (sq.LogLattice((VALUE_AXIS,), (-8.0,), (8.0,)),
+                    sq.LogLattice((EDGE_AXIS,), (-8.0,), (8.0,)),
+                    sq.LogLattice((EDGE_AXIS,), (-0.55,), (5.0,))):
+        boxes = [(cell[0], lattice.cell_box(cell))
+                 for cell in lattice.enumerate_cells()]
         for _ in range(400):
-            a, b = sorted(rng.uniform(-8, 8, size=2))
-            expected = []
-            for m in scan_levels:
-                lo, hi = axis.region(m)
-                if m > 0:
-                    hit = b > lo and a <= hi
-                elif m < 0:
-                    hit = a < hi and b >= lo
-                else:
-                    hit = b >= lo and a <= hi
-                if hit:
-                    expected.append(m)
-            assert axis.levels_overlapping(a, b) == expected
+            a, b = sorted(rng.uniform(-9, 9, size=2))
+            expected = [
+                m for m, box in boxes
+                if (b > box.lo[0] if box.lo_open[0] else b >= box.lo[0])
+                and (a < box.hi[0] if box.hi_open[0] else a <= box.hi[0])]
+            assert lattice.levels_in_interval(0, a, b) == expected
 
 
 def test_vector_quantize_examples():
@@ -355,8 +354,8 @@ def test_lattice_level_count_matches_brute_force():
 def test_quantizer_argument_checks():
     assert sq.LogQuantizerAxis(0.2, 0.4, "edge_anchored").variant is \
         sq.QuantizerVariant.EDGE_ANCHORED
-    with pytest.raises(ValueError, match="interval endpoints must be finite"):
-        VALUE_AXIS.levels_overlapping(0.0, math.inf)
+    with pytest.raises(ValueError, match="non-finite value nan"):
+        edge_lattice_2d().levels_in_interval(0, 0.0, math.nan)
     with pytest.raises(ValueError, match="at least one axis"):
         sq.LogLattice((), (), ())
     with pytest.raises(ValueError, match="bounds dimension"):
@@ -387,3 +386,111 @@ def test_lattice_is_a_value():
                                       "edge_anchored")):
         assert lattice != other
     assert lattice != None  # noqa: E711
+
+
+def _reference_quantize(lattice, x):
+    # the axis quantizer, then the level clamped to the lattice's levels
+    x = np.asarray(x, float)
+    levels = []
+    for i, axis in enumerate(lattice.axes):
+        xi = float(x[i])
+        if not (lattice.lo[i] <= xi <= lattice.hi[i]):
+            raise OutOfDomainError(f"component {i} = {xi!r} outside "
+                                   f"[{lattice.lo[i]}, {lattice.hi[i]}]")
+        levels.append(_clamped(lattice, i, axis.quantize(xi)[0]))
+    return tuple(levels)
+
+
+def _clamped(lattice, i, levels):
+    valid = lattice.axis_levels(i)
+    return np.clip(levels, valid[0], valid[-1]).tolist()
+
+
+def _reference_quantize_many(lattice, pts):
+    return np.column_stack([_clamped(lattice, i, axis.levels(pts[:, i]))
+                            for i, axis in enumerate(lattice.axes)])
+
+
+def _reference_levels_in_interval(lattice, i, a, b):
+    a, b = max(a, lattice.lo[i]), min(b, lattice.hi[i])
+    if a > b:
+        return []
+    first, last = (_clamped(lattice, i, lattice.axes[i].quantize(v)[0])
+                   for v in (a, b))
+    return list(range(first, last + 1))
+
+
+def _outcome(query, *args):
+    try:
+        result = query(*args)
+    except ValueError as exc:  # OutOfDomainError included
+        return type(exc), str(exc)
+    return result.tolist() if isinstance(result, np.ndarray) else result
+
+
+def test_lattice_queries_match_axis_quantizer_reference():
+    # the lattice's edge table against each axis quantizer plus a clamp to
+    # the lattice's levels: every edge and both its float neighbours (the
+    # bounds' outer neighbours included), zeros and random values, on both
+    # variants, symmetric and asymmetric bounds and one to three axes
+    rng = np.random.default_rng(12)
+    lattices = [
+        value_lattice_2d(),
+        edge_lattice_2d(),
+        sq.LogLattice.from_params(0.2, [0.4], [-0.55], [5.0]),
+        sq.LogLattice.from_params(0.3, [0.1, 0.25, 0.05], [-2.0, -0.3, -1.0],
+                                  [0.7, 3.0, 1.0], "edge_anchored"),
+        sq.LogLattice.from_params(0.05, [0.02, 0.3], [-1.0, -0.3],
+                                  [0.4, 0.9]),
+    ]
+    for lattice in lattices:
+        _, corner_lo, corner_hi = lattice.geometry()
+        columns = []
+        for i in range(lattice.dim):
+            edges = np.unique(np.concatenate([corner_lo[:, i],
+                                              corner_hi[:, i]]))
+            columns.append(np.concatenate([
+                edges, np.nextafter(edges, -np.inf),
+                np.nextafter(edges, np.inf), [0.0, -0.0],
+                rng.uniform(lattice.lo[i], lattice.hi[i], size=200)]))
+        rows = max(map(len, columns))
+        pts = np.column_stack([
+            rng.permutation(np.concatenate([
+                col, rng.uniform(lattice.lo[i], lattice.hi[i],
+                                 size=rows - len(col))]))
+            for i, col in enumerate(columns)])
+        assert lattice.contains_many(pts).tolist() == \
+            ((pts >= lattice.lo_array) & (pts <= lattice.hi_array)).all(
+                axis=1).tolist()
+        assert lattice.quantize_many(pts).tolist() == \
+            _reference_quantize_many(lattice, pts).tolist()
+        for x in pts:
+            assert _outcome(lattice.quantize, x) == \
+                _outcome(_reference_quantize, lattice, x)
+        for i, col in enumerate(columns):
+            for a, b in zip(col, rng.permutation(col)):
+                assert _outcome(lattice.levels_in_interval, i, a, b) == \
+                    _outcome(_reference_levels_in_interval, lattice, i, a, b)
+
+        # non-finite components and endpoints, and intervals off the bounds
+        bad = [math.nan, math.inf, -math.inf]
+        for k, v in itertools.product(range(lattice.dim), bad):
+            x = np.zeros(lattice.dim)
+            x[k] = v
+            assert not lattice.contains_many(x[None])[0]
+            got = _outcome(lattice.quantize, x)
+            assert got == _outcome(_reference_quantize, lattice, x)
+            assert got[0] is OutOfDomainError
+            assert got[1].startswith(f"component {k} = {v!r} outside")
+            got = _outcome(lattice.quantize_many, x[None])
+            assert got == _outcome(_reference_quantize_many, lattice, x[None])
+            assert got == (ValueError, "cannot quantize non-finite values")
+        lo, hi = lattice.lo[0], lattice.hi[0]
+        for a, b in [*itertools.product(bad + [0.0], repeat=2),
+                     (hi + 1.0, hi + 2.0), (lo - 2.0, lo - 1.0),
+                     (lo - 1.0, hi + 1.0)]:
+            assert _outcome(lattice.levels_in_interval, 0, a, b) == \
+                _outcome(_reference_levels_in_interval, lattice, 0, a, b)
+        assert lattice.levels_in_interval(0, hi + 1.0, hi + 2.0) == []
+        with pytest.raises(ValueError, match="non-finite value nan"):
+            lattice.levels_in_interval(0, math.nan, 0.0)

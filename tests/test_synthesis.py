@@ -1,7 +1,9 @@
 """Fixed-point synthesis, controller queries, planning, simulation."""
 
 import itertools
+import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -337,6 +339,29 @@ def test_relaxed_plan_stops_at_max_segment_steps(pendulum_scenario):
         sq.plan_reach(model, (-1, 0), [(0, 0)], relaxed=True,
                       max_segment_steps=steps - 1)
     assert str(info.value) == f"goal 0,0 unreachable within {steps - 1} steps"
+
+
+@pytest.mark.parametrize("name, value", [
+    ("grid_resolution", 0.0), ("grid_resolution", -0.02),
+    ("grid_resolution", math.nan), ("grid_resolution", math.inf),
+    ("max_segment_steps", 0), ("max_segment_steps", -3)])
+def test_plan_rejects_bad_search_settings(pendulum_scenario, name, value):
+    # refused before the search; the grid values once collapsed the dedup
+    # grid to one cell and raised "goal 0,0 unreachable within 200 steps",
+    # 0.0 and nan after numpy's cast warnings
+    _, _, model = pendulum_scenario
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for relaxed in (True, False):
+            with pytest.raises(ValueError, match=f"^{name} must .*, got "
+                                                 f"{re.escape(repr(value))}$"):
+                sq.plan_reach(model, (-1, 0), [(0, 0)], relaxed=relaxed,
+                              **{name: value})
+    plan = sq.plan_reach(model, (-1, 0), [(0, 0)], relaxed=True,
+                         grid_resolution=0.02, max_segment_steps=1_000)
+    assert plan.steps == sq.plan_reach(model, (-1, 0), [(0, 0)],
+                                       relaxed=True).steps
+    assert plan.total_steps > 1
 
 
 def _singleton_segment(model, start_id, goal_id):
