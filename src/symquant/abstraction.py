@@ -13,11 +13,11 @@ pair's successor box.  :func:`_paper_boxes` forms the boxes (the cell
 center's nominal successor inflated by the paper's growth radius, see
 :func:`symquant.dynamics.growth_radius` for where it falls short), and
 :func:`_targets_many` enumerates the cells of any boxes.  A box that leaves
-the lattice bounds, or is inverted, disables the input at that cell (no
-stored successors), so enabled inputs never drive the quantized closed loop
-out of the working box.  A built model keeps one box per candidate pair and
-enumerates every successor set in one pass on the first query that needs
-them.
+the lattice bounds, or is inverted, meets no cell (:func:`_meets`), so the
+builder stores no pair for it: the input is not enabled at that cell, and
+enabled inputs never drive the quantized closed loop out of the working
+box.  A built model keeps one box per enabled pair and enumerates every
+successor set in one pass on the first query that needs them.
 """
 
 from __future__ import annotations
@@ -157,18 +157,23 @@ def _pair_chunks(ptr):
         a = b
 
 
+def _meets(lattice: LogLattice, box_lo: np.ndarray, box_hi: np.ndarray):
+    """Mask of the closed boxes ``[box_lo[k], box_hi[k]]`` that meet a cell:
+    finite, not inverted and inside the lattice bounds."""
+    return ((box_lo <= box_hi).all(axis=1) & lattice.contains_many(box_lo)
+            & lattice.contains_many(box_hi))
+
+
 def _targets_many(lattice: LogLattice, box_lo: np.ndarray, box_hi: np.ndarray):
     """The cells that meet many closed boxes ``[box_lo[k], box_hi[k]]``, as
     CSR ``(offsets, ids)``: box k meets the ascending state ids
     ``ids[offsets[k]:offsets[k + 1]]``.
 
     A set is the product of the per-axis level ranges that the box meets,
-    enumerated in raveled order; it is empty when the box leaves the lattice
-    bounds, is not finite or is inverted (``box_lo > box_hi`` on some axis),
-    so such a box disables its pair.
+    enumerated in raveled order; it is empty when the box meets no cell
+    (see :func:`_meets`).
     """
-    ok = ((box_lo <= box_hi).all(axis=1) & lattice.contains_many(box_lo)
-          & lattice.contains_many(box_hi))
+    ok = _meets(lattice, box_lo, box_hi)
     first = lattice.quantize_many(box_lo[ok])
     sizes = np.zeros(box_lo.shape, np.int64)
     sizes[ok] = lattice.quantize_many(box_hi[ok]) - first + 1
@@ -204,7 +209,7 @@ def _key(table, n_states: int, n_inputs: int):
 
 
 def _pack(key, n_states: int, n_inputs: int):
-    """Candidate pairs and CSR relation of transition keys (see
+    """Pairs and CSR relation of transition keys (see
     :func:`_key`): returns ``(pair_ptr, pair_input, (offsets, targets))``.
     Repeated transitions count once; the targets overwrite ``key``."""
     if not (key[1:] > key[:-1]).all():
@@ -225,18 +230,19 @@ class SymbolicModel:
 
     States are the lattice's cells in enumeration order (``cells``), so a
     state id is the cell's raveled level index, ``lattice.cell_ids``.
-    Inputs are an indexed table of input vectors.  The candidate pairs of
-    state s are rows ``pair_ptr[s]:pair_ptr[s + 1]`` of ``pair_state`` and
-    ``pair_input`` (ascending input ids).  The successor sets are
-    compressed sparse rows over the pairs, ``(offsets, targets)`` with
-    ascending target ids; an empty set means the input is disabled there,
-    and a state without enabled inputs is blocking.  The output map is the
-    identity on cells and is not stored.  ``eta`` is the lattice's density.
+    Inputs are an indexed table of input vectors.  The pairs of state s
+    are rows ``pair_ptr[s]:pair_ptr[s + 1]`` of ``pair_state`` and
+    ``pair_input`` (ascending input ids), and they are its enabled inputs:
+    a state without pairs is blocking.  The successor sets are compressed
+    sparse rows over the pairs, ``(offsets, targets)`` with ascending
+    target ids, none of them empty.  The output map is the identity on
+    cells and is not stored.  ``eta`` is the lattice's density.
 
     ``relation`` gives the successor sets up front.  Without it,
-    ``boxes = (lo, hi)`` gives one closed successor box per candidate pair,
-    and :meth:`materialize` enumerates the cells that meet them all at once
-    on the first query.  How a box was formed is the builder's concern.
+    ``boxes = (lo, hi)`` gives one closed successor box per pair, and
+    :meth:`materialize` enumerates the cells that meet them all at once on
+    the first query.  How a box was formed is the builder's concern.  An
+    empty set, or a box that meets no cell, raises ValueError.
     """
 
     def __init__(self, lattice: LogLattice, inputs, pair_ptr, pair_input, *,
@@ -259,6 +265,10 @@ class SymbolicModel:
         self.pair_input = np.asarray(pair_input, np.int64)
         self.pair_state = np.repeat(np.arange(len(self.cells)),
                                     np.diff(self.pair_ptr))
+        if relation is not None and (np.diff(relation[0]) == 0).any():
+            raise ValueError("a pair has an empty successor set")
+        if boxes is not None and not _meets(lattice, *boxes).all():
+            raise ValueError("a pair's successor box meets no cell")
         self._relation = relation
         self._boxes = boxes
 
@@ -305,9 +315,8 @@ class SymbolicModel:
         return self._relation
 
     def enabled_ids(self, sid: int) -> tuple[int, ...]:
-        ptr, _ = self.relation()
         a, b = self.pair_ptr[sid], self.pair_ptr[sid + 1]
-        return tuple(self.pair_input[a:b][ptr[a + 1:b + 1] > ptr[a:b]].tolist())
+        return tuple(self.pair_input[a:b].tolist())
 
     def successor_ids(self, sid: int, uid: int) -> tuple[int, ...]:
         ptr, targets = self.relation()
@@ -318,8 +327,8 @@ class SymbolicModel:
         return tuple(targets[ptr[j]:ptr[j + 1]].tolist())
 
     def enabled_inputs(self, cell) -> tuple[int, ...]:
-        """Input indices with at least one successor at this cell; an empty
-        result means the cell is blocking."""
+        """Input indices of the cell's pairs, each with at least one
+        successor; an empty result means the cell is blocking."""
         return self.enabled_ids(self.state_id(cell))
 
     def successors(self, cell, input_index: int) -> tuple[tuple[int, ...], ...]:
@@ -361,9 +370,8 @@ class SymbolicModel:
             for src, uid, i, j in zip(self.pair_state[a:b].tolist(),
                                       self.pair_input[a:b].tolist(),
                                       ends, ends[1:]):
-                if i < j:
-                    first, last = head % names[src], tail % names[uid]
-                    text.append(first + (last + first).join(dst[i:j]) + last)
+                first, last = head % names[src], tail % names[uid]
+                text.append(first + (last + first).join(dst[i:j]) + last)
             yield "".join(text)
 
     def summary(self) -> dict:
@@ -381,9 +389,8 @@ class SymbolicModel:
         """Assemble a model from explicit tables.
 
         ``successors`` maps (state id, input id) to an iterable of state ids;
-        empty entries are dropped.  Candidate inputs per state are those with
-        stored successors, so loaded/hand-built models have
-        enabled == candidates.
+        an empty entry is dropped, so a pair exists only where its input is
+        enabled.
         """
         table = np.array([(s, d, u) for (s, u), dsts in successors.items()
                           for d in dsts], np.int64).reshape(-1, 3)
@@ -401,8 +408,9 @@ def build_abstraction(sys: SampledSystem, lattice: LogLattice,
     """Build the symbolic model of a sampled system over a lattice.
 
     The result is deterministic.  The abstract input sets and each pair's
-    successor box are computed here (one batched integration); the
-    successor sets are left to the model's first query that needs them.
+    successor box are computed here (one batched integration), and a
+    representative input whose box meets no cell is not a pair of its cell;
+    the successor sets are left to the model's first query that needs them.
     """
     if sys.dim_x != lattice.dim:
         raise ConfigError(f"system dimension {sys.dim_x} does not match "
@@ -422,15 +430,18 @@ def build_abstraction(sys: SampledSystem, lattice: LogLattice,
     # lexicographic order, so ascending sample index is ascending input
     pair_state, sample = np.divmod(rows, n_grid)
     used = np.flatnonzero(np.bincount(sample, minlength=n_grid))
+    # a representative is a pair only where its box meets a cell
+    lo, hi = _paper_boxes(sys, lattice, centers[pair_state], nominal_all[rows])
+    enabled = _meets(lattice, lo, hi)
     model = SymbolicModel(
         lattice, grid[used],
-        np.searchsorted(pair_state, np.arange(n_cells + 1)),
-        np.searchsorted(used, sample), tau=sys.tau,
+        np.searchsorted(pair_state[enabled], np.arange(n_cells + 1)),
+        np.searchsorted(used, sample[enabled]), tau=sys.tau,
         mu=cfg.mu, lipschitz=sys.lipschitz, system=sys,
-        boxes=_paper_boxes(sys, lattice, centers[pair_state],
-                           nominal_all[rows]))
-    logger.info("dedup: %d cells x %d input samples, %d candidate pairs, "
-                "%d inputs, %.3f s", n_cells, n_grid, len(rows), len(used),
+        boxes=(lo[enabled], hi[enabled]))
+    logger.info("dedup: %d cells x %d input samples, %d representatives, "
+                "%d enabled pairs, %d inputs, %.3f s", n_cells, n_grid,
+                len(rows), enabled.sum(), len(used),
                 time.perf_counter() - start)
     return model
 

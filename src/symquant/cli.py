@@ -66,6 +66,12 @@ def _build_or_load(args, cfg: ScenarioConfig):
     if model.lattice != cfg.lattice:
         raise ConfigError(f"{args.infile}: its #lattice is not the lattice "
                           f"of {cfg.path} [quantizer]")
+    for key, have, want in (("#tau", model.tau, sys_.tau),
+                            ("#L", model.lipschitz, sys_.lipschitz),
+                            ("#mu", model.mu, cfg.mu)):
+        if have != want:
+            raise ConfigError(f"{args.infile}: its {key} is {have!r} where "
+                              f"{cfg.path} gives {want!r}")
     return model, sys_
 
 

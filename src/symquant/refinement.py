@@ -120,22 +120,19 @@ def check_feedback_refinement(model: SymbolicModel, sys: SampledSystem,
         return report
 
     lattice = model.lattice
-    ptr, targets = model.relation()
-    enabled = np.flatnonzero(ptr[1:] > ptr[:-1])  # pair rows, state-major
-    per_state = np.bincount(model.pair_state[enabled],
-                            minlength=model.n_states)
+    per_state = np.diff(model.pair_ptr)  # enabled inputs per state
     nonblocking = np.flatnonzero(per_state)
     if not nonblocking.size:
         logger.warning("every cell is blocking; nothing to sample")
         return report
-    first_enabled = np.cumsum(per_state) - per_state
+    ptr, targets = model.relation()
 
     rng = np.random.default_rng(seed)
     _, box_lo, box_hi = lattice.geometry()  # state ids are lattice cell ids
     sids = nonblocking[rng.integers(len(nonblocking), size=sample_count)]
     xs = rng.uniform(box_lo[sids], box_hi[sids])
     # one draw per sample, in sample order, as a loop of scalar draws would
-    pairs = enabled[first_enabled[sids] + rng.integers(per_state[sids])]
+    pairs = model.pair_ptr[sids] + rng.integers(per_state[sids])
     in_lo, in_hi = np.array(sys.input_lo), np.array(sys.input_hi)
     violations, failures = report.violations, report.condition1_failures
     for a in range(0, sample_count, _CHUNK):
@@ -149,7 +146,7 @@ def check_feedback_refinement(model: SymbolicModel, sys: SampledSystem,
         inside = lattice.contains_many(succ)
         levels = lattice.quantize_many(np.where(inside[:, None], succ, 0.0))
         # bisection for the last target not above the observed cell id
-        # inside each sample's successor set, which ascends and is nonempty
+        # inside each sample's successor set, which ascends and is not empty
         want = lattice.cell_ids(levels)
         first, size = ptr[p], ptr[p + 1] - ptr[p]
         while (size > 1).any():
@@ -200,9 +197,8 @@ def abstract_safe_set(safe_lo, safe_hi,
         raise ValueError("safe box dimension does not match the lattice")
     _, lo, hi = lattice.geometry()  # state ids are lattice cell ids
     inside = (lo >= safe_lo).all(axis=1) & (hi <= safe_hi).all(axis=1)
-    ptr, _ = model.relation()
-    enabled = (ptr[1:] > ptr[:-1]) & inside[model.pair_state]
     return AbstractSafeSet(
         cells=tuple(model.cells[sid] for sid in np.flatnonzero(inside)),
         inputs=tuple(np.flatnonzero(np.bincount(
-            model.pair_input[enabled], minlength=model.n_inputs)).tolist()))
+            model.pair_input[inside[model.pair_state]],
+            minlength=model.n_inputs)).tolist()))

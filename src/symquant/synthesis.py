@@ -64,14 +64,11 @@ logger = logging.getLogger(__name__)
 
 def _controllable(model: SymbolicModel, target: np.ndarray):
     """One cpre sweep: the state mask of cells with a pair whose successors
-    are nonempty and all inside the state mask ``target``, and the mask of
-    those pairs."""
+    are all inside the state mask ``target``, and the mask of those
+    pairs."""
     ptr, targets = model.relation()
-    nonempty = ptr[1:] > ptr[:-1]
-    good = np.zeros(len(nonempty), bool)
-    # consecutive starts of nonempty pairs bound exactly one pair's targets
-    good[nonempty] = ~np.logical_or.reduceat((~target)[targets],
-                                             ptr[:-1][nonempty])
+    # no successor set is empty, so consecutive starts bound one set each
+    good = ~np.logical_or.reduceat((~target)[targets], ptr[:-1])
     found = np.zeros(model.n_states, bool)
     found[model.pair_state[good]] = True
     return found, good
@@ -97,7 +94,7 @@ def _freeze_inputs(policy):
 class SafetyController:
     """Maximal safety controller on the abstraction.
 
-    ``admissible`` maps each domain cell to the (nonempty, sorted) input
+    ``admissible`` maps each domain cell to the (non-empty, sorted) input
     indices whose successors stay inside the domain, in state order; its
     keys are the ``domain``, the greatest controlled-invariant subset of the
     safe cells, of ``lattice``.  ``iterations`` is the number of fixed-point
@@ -274,11 +271,17 @@ def _rollout_expansion(sys: SampledSystem, lattice: LogLattice,
     """Search expansion over nominal rollouts inside the lattice bounds;
     nodes are states, keys the row-major index of their cell on a uniform
     grid of spacing ``resolution`` over the bounds, padded by one cell per
-    side and clipped.  Returns ``(expand, visit)``."""
+    side and clipped.  Returns ``(expand, visit)``; a grid of more than
+    50M cells raises :class:`PlanningError`."""
     lo = lattice.lo_array
-    shape = np.maximum(((lattice.hi_array - lo) / resolution).astype(np.int64)
-                       + 3, 1)
-    size = int(np.prod(shape))
+    # sized in floats, where a tiny resolution gives inf, not a wrapped int
+    with np.errstate(over="ignore"):
+        shape = np.floor((lattice.hi_array - lo) / resolution) + 3
+        size = float(np.prod(shape))
+    if size > 50_000_000:
+        raise PlanningError(f"dedup grid of {size:.15g} cells is too large; "
+                            "increase the grid resolution")
+    shape, size = shape.astype(np.int64), int(size)
     n_inputs = len(inputs)
 
     def codes(pts):
@@ -296,10 +299,6 @@ def _rollout_expansion(sys: SampledSystem, lattice: LogLattice,
         return parents, uids, succ, keys
 
     def visit(root):
-        if size > 50_000_000:
-            raise PlanningError(
-                f"dedup grid of {size} cells is too large; increase the "
-                "grid resolution")
         visited = np.zeros(size + 1, bool)
         visited[codes(root)] = True
         visited[size] = True

@@ -255,26 +255,33 @@ def test_box_enumerator_inverted_box_meets_no_cell(pendulum_scenario):
 
 def test_vectorized_dedup_matches_scalar_signatures():
     # reference: the per-sample loop over scalar mu signatures; at this
-    # coarse mu several grid inputs share a class in every cell
+    # coarse mu several grid inputs share a class in every cell.  The input
+    # table is the union of the representatives, and a cell's pairs are
+    # its representatives whose successor box meets a cell
     sys_ = sq.pendulum_system()
     cfg = sq.InputApproxConfig(mu=0.3, input_samples=51)
     model = sq.build_abstraction(sys_, EDGE_LATTICE, cfg)
     grid = sq.input_grid(sys_, cfg.input_samples)
     mu_axis = cfg.mu_axis()
-    pairs = 0
+    pairs, union = 0, set()
     for sid, cell in enumerate(model.cells):
         center = EDGE_LATTICE.center(cell)
         succ = sq.successor_many(sys_, np.tile(center, (len(grid), 1)), grid)
         first = {}
         for k, x in enumerate(succ):
             first.setdefault(tuple(mu_axis.quantize(v)[0] for v in x), k)
+        union.update(first.values())
         expected = grid[sorted(first.values())]
-        stored = model.pair_input[model.pair_ptr[sid]:model.pair_ptr[sid + 1]]
-        assert np.array_equal(model.inputs[stored], expected)
         reps = sq.approximate_inputs(cell, EDGE_LATTICE, sys_, cfg)
         assert np.array_equal(np.array(reps), expected)
+        enabled = [u for u in expected
+                   if sq.transition_targets(cell, u, sys_, EDGE_LATTICE)]
+        stored = model.pair_input[model.pair_ptr[sid]:model.pair_ptr[sid + 1]]
+        assert np.array_equal(model.inputs[stored],
+                              np.reshape(enabled, (-1, sys_.dim_u)))
         pairs += len(expected)
-    assert pairs < model.n_states * len(grid)
+    assert np.array_equal(model.inputs, grid[sorted(union)])
+    assert len(model.pair_input) < pairs < model.n_states * len(grid)
 
 
 def test_build_statistics(pendulum_scenario):
@@ -287,6 +294,59 @@ def test_build_statistics(pendulum_scenario):
     # self-loop transitions exist
     assert any(c in model.successors(c, u)
                for c in model.cells for u in model.enabled_inputs(c))
+
+
+def test_a_built_model_stores_only_enabled_pairs(pendulum_scenario):
+    # a representative input is a pair of its cell exactly when its
+    # successor box meets a cell, so no stored successor set is empty
+    sys_, lattice, model = pendulum_scenario
+    cfg = sq.InputApproxConfig(mu=0.002, input_samples=51)
+    assert len(model.pair_input) == 649
+    uid = {tuple(u): k for k, u in enumerate(model.inputs.tolist())}
+    for sid, cell in enumerate(model.cells):
+        reps = sq.approximate_inputs(cell, lattice, sys_, cfg)
+        enabled = {uid[tuple(u)] for u in reps
+                   if sq.transition_targets(cell, u, sys_, lattice)}
+        assert set(model.enabled_ids(sid)) == enabled
+    assert (np.diff(model.relation()[0]) > 0).all()
+
+
+def test_model_refuses_a_pair_that_is_not_enabled():
+    lattice = line_lattice(2)
+    ptr, uids = [0, 1, 1], [0]
+    SymbolicModel(lattice, [[0.0]], ptr, uids, relation=([0, 1], [1]))
+    with pytest.raises(ValueError, match="empty successor set"):
+        SymbolicModel(lattice, [[0.0]], ptr, uids, relation=([0, 0], []))
+    boxed = SymbolicModel(lattice, [[0.0]], ptr, uids,
+                          boxes=(np.array([[0.0]]), np.array([[1.0]])))
+    assert boxed.successor_ids(0, 0) == (0, 1)
+    for lo, hi in ((0.5, 9.0), (0.5, 0.0), (np.nan, 0.5)):
+        # out of bounds, inverted, not finite
+        with pytest.raises(ValueError, match="box meets no cell"):
+            SymbolicModel(lattice, [[0.0]], ptr, uids,
+                          boxes=(np.array([[lo]]), np.array([[hi]])))
+
+
+def test_enabled_queries_never_enumerate(pendulum_scenario, monkeypatch):
+    sys_, lattice, built = pendulum_scenario
+    enabled = [tuple(u for u in range(built.n_inputs)
+                     if built.successor_ids(sid, u))
+               for sid in range(built.n_states)]
+    safe = sq.abstract_safe_set([-0.7, -0.7], [0.7, 0.7], built)
+    model = sq.build_abstraction(sys_, lattice,
+                                 sq.InputApproxConfig(0.002, 51))
+
+    def refused(self):
+        raise AssertionError("successor sets enumerated")
+
+    monkeypatch.setattr(SymbolicModel, "materialize", refused)
+    for sid, cell in enumerate(model.cells):
+        assert model.enabled_ids(sid) == enabled[sid]
+        assert model.enabled_inputs(cell) == enabled[sid]
+        assert model.is_blocking(cell) == (not enabled[sid])
+    assert sq.abstract_safe_set([-0.7, -0.7], [0.7, 0.7], model) == safe
+    assert safe.inputs == tuple(sorted(set().union(
+        *(enabled[model.state_id(c)] for c in safe.cells))))
 
 
 def test_enabled_semantics(pendulum_scenario):
@@ -342,7 +402,9 @@ def test_successor_sets_computed_once_on_first_use(contracting_scenario,
     model = sq.build_abstraction(sys_, lattice,
                                  sq.InputApproxConfig(0.002, 21))
     assert passes == []
-    model.enabled_inputs((0, 0))
+    uid = model.enabled_inputs((0, 0))[0]  # read from the pairs alone
+    assert passes == []
+    model.successors((0, 0), uid)
     assert passes == [len(model.pair_input)]  # one pass over every pair
     safe = sq.abstract_safe_set([-0.7, -0.7], [0.7, 0.7], model)
     sq.safety_fixpoint(model, safe)
@@ -447,7 +509,7 @@ def _reference_file(model) -> bytes:
 def _wide_models():
     """Models on a 121-cell lattice with 150 inputs, so state and input ids
     cross 9 -> 10 and 99 -> 100: one from tables, and one built directly
-    whose pairs include empty successor sets."""
+    with blocking states."""
     lattice = sq.LogLattice.from_params(0.25, [0.1, 0.1], [-1, -1], [1, 1],
                                         "edge_anchored")
     cells = lattice.enumerate_cells()
@@ -460,23 +522,26 @@ def _wide_models():
             if s % 5}
     tables = SymbolicModel.from_tables(lattice, inputs, succ, tau=0.2,
                                        mu=0.002, lipschitz=6.0)
-    pair_ptr, pair_input, sets = [0], [], []
+    pair_state, pair_input, sets = [], [], []
     for s in range(n):
         uids = np.sort(rng.choice(k, int(rng.integers(0, 4)), replace=False))
-        pair_input += uids.tolist()
-        pair_ptr.append(len(pair_input))
-        sets += [np.unique(rng.integers(0, n, rng.integers(0, 4)))
-                 for _ in uids]
+        for uid in uids.tolist():
+            dst = np.unique(rng.integers(0, n, rng.integers(0, 4)))
+            if dst.size:  # a pair is an enabled input
+                pair_state.append(s)
+                pair_input.append(uid)
+                sets.append(dst)
+    pair_ptr = np.searchsorted(pair_state, np.arange(n + 1))
     offsets = np.cumsum([0] + [len(t) for t in sets])
     direct = SymbolicModel(lattice, inputs, pair_ptr, pair_input, tau=0.2,
                            mu=0.002, relation=(offsets, np.concatenate(sets)))
-    assert (np.diff(offsets) == 0).any()
+    assert (np.diff(pair_ptr) == 0).any()
     return tables, direct
 
 
 def test_saved_text_matches_per_transition_reference(pendulum_scenario,
                                                      tmp_path, monkeypatch):
-    # the bundled model has more inputs than states and disabled pairs
+    # the bundled model has more inputs than states and blocking states
     models = [pendulum_scenario[2], *_wide_models()]
     for model in models:
         want = _reference_file(model)

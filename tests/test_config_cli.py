@@ -802,6 +802,29 @@ def test_cli_refuses_a_model_on_another_lattice(tmp_path, capsys):
                          "--out", str(tmp_path / "out.txt")]) == 0, command
 
 
+@pytest.mark.parametrize("variable, key, have, want", [
+    ("SYSTEM__TAU", "#tau", 0.2, 0.3),
+    ("SYSTEM__LIPSCHITZ", "#L", 6.0, 1.0),
+    ("ABSTRACTION__MU", "#mu", 0.002, 0.01)])
+def test_cli_refuses_a_model_built_for_other_dynamics(tmp_path, capsys,
+                                                      monkeypatch, variable,
+                                                      key, have, want):
+    # a.abs is the bundled scenario's; the override changes one parameter
+    # its successor sets depend on, on the same lattice
+    model = tmp_path / "a.abs"
+    assert cli.main(["abstract", "--config", "pendulum", "--out",
+                     str(model)]) == 0
+    monkeypatch.setenv("SYMQUANT_" + variable, str(want))
+    capsys.readouterr()
+    for command in ("abstract", "synthesize", "verify", "plan", "export"):
+        code = cli.main([command, "--config", "pendulum", "--in", str(model),
+                         "--out", str(tmp_path / "out.txt")])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG, command
+        assert err == (f"configuration error: {model}: its {key} is {have!r} "
+                       f"where {BUNDLED} gives {want!r}\n"), command
+
+
 def test_cli_build_constructs_one_lattice(tmp_path, monkeypatch):
     plan = tmp_path / "plan.txt"
     assert cli.main(["plan", "--config", "pendulum", "--out", str(plan)]) == 0

@@ -331,6 +331,22 @@ def test_relaxed_plan_rejects_an_oversized_dedup_grid(pendulum_scenario):
                       grid_resolution=1e-5)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("resolution, cells", [
+    (1e-300, "inf"), (1e-12, "4.000000000012e+24"),
+    (1e-6, "4000012000009")])
+def test_relaxed_plan_sizes_its_dedup_grid_in_floats(pendulum_scenario,
+                                                     resolution, cells):
+    # the grid of the bounds [-1, 1]^2 has (2 / resolution + 3)^2 cells; an
+    # int64 size once overflowed at 1e-300 and wrapped at 1e-12
+    _, _, model = pendulum_scenario
+    with pytest.raises(PlanningError) as info:
+        sq.plan_reach(model, (-1, 0), [(0, 0)], relaxed=True,
+                      grid_resolution=resolution)
+    assert str(info.value) == (f"dedup grid of {cells} cells is too large; "
+                               "increase the grid resolution")
+
+
 def test_relaxed_plan_stops_at_max_segment_steps(pendulum_scenario):
     _, _, model = pendulum_scenario
     steps = sq.plan_reach(model, (-1, 0), [(0, 0)], relaxed=True).total_steps

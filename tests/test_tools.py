@@ -35,8 +35,10 @@ lines"""
     # x, def f (2 lines), s (2 lines), return; y
     assert src_size.code_lines(tmp_path / "a.py") == 6
     assert src_size.main(["src_size.py", str(tmp_path)]) == 0
-    assert capsys.readouterr().out.endswith(
-        ": 2 files, 14 lines, 7 code lines\n")
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == ["  a.py: 13 lines, 6 code lines",
+                       "  b.py: 1 lines, 1 code lines"]
+    assert out[2:] == [f"{tmp_path}: 2 files, 14 lines, 7 code lines"]
 
 
 def test_src_cover_lists_statements_no_call_ran(tmp_path):

@@ -1,7 +1,8 @@
 """Print the size of the ``symquant`` package source.
 
 Usage: ``python3 tools/src_size.py [DIR]`` (default: ``src/symquant`` next
-to this script's parent).  It prints two counts over the ``*.py`` files:
+to this script's parent).  It prints two counts for each ``*.py`` file,
+one line per file, then their sums on a last line:
 
 - total lines;
 - code lines: lines that hold a token, less docstrings, comments and blank
@@ -41,8 +42,11 @@ def main(argv) -> int:
     root = Path(argv[1]) if len(argv) > 1 else (
         Path(__file__).resolve().parent.parent / "src" / "symquant")
     files = sorted(root.glob("*.py"))
-    total = sum(len(p.read_text().splitlines()) for p in files)
-    code = sum(code_lines(p) for p in files)
+    sizes = [(len(p.read_text().splitlines()), code_lines(p)) for p in files]
+    for p, (lines, code) in zip(files, sizes):
+        print(f"  {p.name}: {lines} lines, {code} code lines")
+    total = sum(lines for lines, _ in sizes)
+    code = sum(code for _, code in sizes)
     print(f"{root}: {len(files)} files, {total} lines, {code} code lines")
     return 0
 
