@@ -14,9 +14,13 @@ import symquant as sq
 axis = sq.LogQuantizerAxis(eta=0.2, scale=0.4)
 print("density rho =", axis.rho)
 print("deadzone    = [-%.6f, %.6f]" % (axis.deadzone, axis.deadzone))
+# The regions are the cells of a 1-D lattice; its bounds lie past level 4,
+# so the cells printed here are not clipped.
+line = sq.LogLattice((axis,), (-5.0,), (5.0,))
 for m in range(1, 5):
-    lo, hi = axis.region(m)
-    print(f"level +{m}: region ({lo:.4f}, {hi:.4f}]  value {axis.level_value(m):.4f}")
+    box = line.cell_box((m,))
+    print(f"level +{m}: region ({box.lo[0]:.4f}, {box.hi[0]:.4f}]  "
+          f"value {axis.level_value(m):.4f}")
 
 print()
 for z in (0.2, 0.45, -0.45, 0.55, 5.0):

@@ -1,12 +1,14 @@
 """Finite symbolic models of sampled systems over a logarithmic lattice.
 
-The abstract state set is the lattice's cell set.  The abstract input set is
-obtained per cell by sampling the input box on a uniform grid, integrating
-one period from the cell center, and keeping one representative input per
-distinct image under a fine auxiliary logarithmic quantizer (parameter
-``mu``); two sampled inputs whose nominal successors land in the same
-mu-region are interchangeable at this resolution, and the lexicographically
-smallest one is kept.
+The abstract state set is the lattice's cell set, and the input table is
+the scenario's input grid (:func:`symquant.dynamics.input_grid`), so an
+input id is a grid sample index.  The inputs of a cell are obtained by
+integrating one period from the cell center under every grid sample and
+keeping one representative per distinct image under a fine auxiliary
+logarithmic quantizer (parameter ``mu``); two sampled inputs whose nominal
+successors land in the same mu-region are interchangeable at this
+resolution, and the lexicographically smallest one is kept.  A cell's pairs
+are its enabled representatives.
 
 A transition (cell, input) -> targets leads to every cell that meets the
 pair's successor box.  :func:`_paper_boxes` forms the boxes (the cell
@@ -22,14 +24,14 @@ successor set in one pass on the first query that needs them.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import SampledSystem, growth_radius, successor, successor_many
+from .dynamics import (SampledSystem, growth_radius, input_grid, successor,
+                       successor_many)
 from .errors import (ConfigError, DivergenceError, OutOfDomainError,
                      located_decoding)
 from .quantizer import (LogLattice, LogQuantizerAxis, QuantizerVariant,
@@ -38,7 +40,6 @@ from .quantizer import (LogLattice, LogQuantizerAxis, QuantizerVariant,
 __all__ = [
     "InputApproxConfig",
     "SymbolicModel",
-    "input_grid",
     "approximate_inputs",
     "transition_targets",
     "build_abstraction",
@@ -74,14 +75,6 @@ class InputApproxConfig:
     def mu_axis(self) -> LogQuantizerAxis:
         return LogQuantizerAxis(eta=self.mu, scale=self.mu,
                                 variant=QuantizerVariant.VALUE_ANCHORED)
-
-
-def input_grid(sys: SampledSystem, samples: int) -> np.ndarray:
-    """Uniform grid over the input box, rows in lexicographic order."""
-    axes = [np.linspace(lo, hi, samples)
-            for lo, hi in zip(sys.input_lo, sys.input_hi)]
-    rows = list(itertools.product(*axes))
-    return np.array(rows, float).reshape(len(rows), sys.dim_u)
 
 
 def _dedup(nominal: np.ndarray, grid: np.ndarray, cells,
@@ -343,15 +336,6 @@ class SymbolicModel:
     def transition_count(self) -> int:
         return len(self.relation()[1])
 
-    def iter_transitions(self):
-        """Yield (src id, dst id, input id) sorted."""
-        ptr, targets = self.relation()
-        for a, b in _pair_chunks(ptr):
-            counts = np.diff(ptr[a:b + 1])
-            yield from zip(np.repeat(self.pair_state[a:b], counts).tolist(),
-                           targets[ptr[a]:ptr[b]].tolist(),
-                           np.repeat(self.pair_input[a:b], counts).tolist())
-
     def transition_text(self, head: str, tail: str):
         """Every transition as text, sorted, one string per chunk of pairs
         (see :func:`_pair_chunks`): ``src dst uid`` reads
@@ -407,10 +391,12 @@ def build_abstraction(sys: SampledSystem, lattice: LogLattice,
                       cfg: InputApproxConfig) -> SymbolicModel:
     """Build the symbolic model of a sampled system over a lattice.
 
-    The result is deterministic.  The abstract input sets and each pair's
-    successor box are computed here (one batched integration), and a
-    representative input whose box meets no cell is not a pair of its cell;
-    the successor sets are left to the model's first query that needs them.
+    The result is deterministic.  The input table is the input grid
+    ``input_grid(sys, cfg.input_samples)``, whether or not a pair uses a
+    sample.  Each cell's representatives and each one's successor box are
+    computed here (one batched integration), and the pairs are the
+    representatives whose box meets a cell; the successor sets are left to
+    the model's first query that needs them.
     """
     if sys.dim_x != lattice.dim:
         raise ConfigError(f"system dimension {sys.dim_x} does not match "
@@ -426,23 +412,19 @@ def build_abstraction(sys: SampledSystem, lattice: LogLattice,
                                  np.tile(grid, (n_cells, 1)))
     rows = _dedup(nominal_all.reshape(n_cells, n_grid, -1), grid, cells, cfg)
 
-    # global input table: union of representatives; grid rows are in
-    # lexicographic order, so ascending sample index is ascending input
-    pair_state, sample = np.divmod(rows, n_grid)
-    used = np.flatnonzero(np.bincount(sample, minlength=n_grid))
+    # the input table is the grid, so a pair's input id is its sample index;
     # a representative is a pair only where its box meets a cell
+    pair_state, sample = np.divmod(rows, n_grid)
     lo, hi = _paper_boxes(sys, lattice, centers[pair_state], nominal_all[rows])
     enabled = _meets(lattice, lo, hi)
     model = SymbolicModel(
-        lattice, grid[used],
+        lattice, grid,
         np.searchsorted(pair_state[enabled], np.arange(n_cells + 1)),
-        np.searchsorted(used, sample[enabled]), tau=sys.tau,
-        mu=cfg.mu, lipschitz=sys.lipschitz, system=sys,
-        boxes=(lo[enabled], hi[enabled]))
+        sample[enabled], tau=sys.tau, mu=cfg.mu, lipschitz=sys.lipschitz,
+        system=sys, boxes=(lo[enabled], hi[enabled]))
     logger.info("dedup: %d cells x %d input samples, %d representatives, "
-                "%d enabled pairs, %d inputs, %.3f s", n_cells, n_grid,
-                len(rows), enabled.sum(), len(used),
-                time.perf_counter() - start)
+                "%d enabled pairs, %.3f s", n_cells, n_grid, len(rows),
+                enabled.sum(), time.perf_counter() - start)
     return model
 
 

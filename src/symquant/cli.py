@@ -25,6 +25,7 @@ from importlib import resources
 # each command imports the pipeline stages (abstraction, refinement,
 # synthesis) it runs, so that start-up compiles no stage it does not need
 from .config import KEYS, REQUIRED, ScenarioConfig, check_value, parse_config
+from .dynamics import input_grid
 from .errors import ConfigError, OutOfDomainError, PlanningError
 from .quantizer import format_cell
 
@@ -72,6 +73,10 @@ def _build_or_load(args, cfg: ScenarioConfig):
         if have != want:
             raise ConfigError(f"{args.infile}: its {key} is {have!r} where "
                               f"{cfg.path} gives {want!r}")
+    if model.inputs.tolist() != input_grid(sys_, cfg.input_samples).tolist():
+        raise ConfigError(f"{args.infile}: its input table is not the input "
+                          f"grid of {cfg.path} [system] input_lo, input_hi, "
+                          "[abstraction] input_samples")
     return model, sys_
 
 
@@ -143,18 +148,15 @@ def _cmd_plan(args, cfg: ScenarioConfig) -> int:
 
 
 def _cmd_simulate(args, cfg: ScenarioConfig) -> int:
-    from . import abstraction, synthesis
+    from . import synthesis
 
     if cfg.sim_x0 is None:
         raise ConfigError(f"{cfg.path}: [simulate] x0 is required")
-    # --in names the policy file, so the model is always rebuilt from the
-    # configuration (deterministic)
     sys_ = cfg.build_system()
-    model = abstraction.build_abstraction(sys_, cfg.lattice,
-                                          cfg.approx_config())
     load = (synthesis.load_controller if cfg.sim_policy == "controller"
             else synthesis.load_plan)
-    policy = load(args.infile, model.inputs, model.lattice)
+    policy = load(args.infile, input_grid(sys_, cfg.input_samples),
+                  cfg.lattice)
     trajectory = synthesis.simulate_closed_loop(sys_, policy, cfg.sim_x0,
                                                 cfg.sim_max_steps)
     trajectory.write_csv(_prepare_out(args.out))

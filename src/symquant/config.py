@@ -210,9 +210,13 @@ class ScenarioConfig(SimpleNamespace):
             ("lipschitz", self.lipschitz), ("input_lo", self.input_lo),
             ("input_hi", self.input_hi)) if value is not None}
         try:
-            return make_system(self.system_name).with_settings(
+            system = make_system(self.system_name).with_settings(
                 tau=self.tau, integrator_steps=self.integrator_steps,
                 **overrides)
+            if system.dim_x != self.lattice.dim:
+                raise ValueError(f"system dimension {system.dim_x} does not "
+                                 f"match lattice dimension {self.lattice.dim}")
+            return system
         except ValueError as exc:
             raise ConfigError(f"{self.path}: {exc}") from None
 

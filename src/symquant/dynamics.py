@@ -23,6 +23,7 @@ with g = 9.8, l = 5, m = 0.5, k = 3, torque bounded in [-2.5, 2.5].
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -36,6 +37,7 @@ __all__ = [
     "Trajectory",
     "successor",
     "successor_many",
+    "input_grid",
     "growth_radius",
     "pendulum_system",
     "linear_system",
@@ -164,6 +166,16 @@ def successor(sys: SampledSystem, x0, u, steps: int | None = None) -> np.ndarray
             if not np.isfinite(x).all():
                 break
     raise DivergenceError(k)
+
+
+def input_grid(sys: SampledSystem, samples: int) -> np.ndarray:
+    """Uniform grid of ``samples`` points per axis over the input box, rows
+    in lexicographic order; row k is the input of input id k in every
+    model, controller and plan of a scenario."""
+    axes = [np.linspace(lo, hi, samples)
+            for lo, hi in zip(sys.input_lo, sys.input_hi)]
+    rows = list(itertools.product(*axes))
+    return np.array(rows, float).reshape(len(rows), sys.dim_u)
 
 
 def growth_radius(q_center, eta: float, lipschitz: float, tau: float) -> np.ndarray:

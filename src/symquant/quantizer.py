@@ -114,19 +114,6 @@ class LogQuantizerAxis:
         deadzone edge and ``boundary(m + 1)`` is region m's right edge."""
         return self.deadzone * self.rho ** (1 - m)
 
-    def region(self, level: int) -> tuple[float, float]:
-        """Unclipped region of a signed level as an (lo, hi) pair.
-
-        Boundary ownership: positive regions are left-open/right-closed,
-        negative regions left-closed/right-open, the deadzone closed on both
-        sides; adjacent regions therefore never share interior points.
-        """
-        if level == 0:
-            return (-self.deadzone, self.deadzone)
-        m = abs(level)
-        lo, hi = self.boundary(m), self.boundary(m + 1)
-        return (lo, hi) if level > 0 else (-hi, -lo)
-
     def quantize(self, z: float) -> tuple[int, float]:
         """Map a finite scalar to its (signed level, quantized value).
 
@@ -204,9 +191,6 @@ class Box:
     @property
     def dim(self) -> int:
         return self.lo.shape[0]
-
-    def contains(self, x) -> bool:
-        return bool(self.contains_many(np.asarray(x, float)[None, :])[0])
 
     def contains_many(self, pts: np.ndarray) -> np.ndarray:
         """Vectorized membership respecting face openness."""

@@ -21,10 +21,11 @@ Planning is one breadth-first search with two expansions.  The default one
 follows only transitions with singleton successor sets (executable open
 loop on the abstraction), and planning fails if no such path exists.  The
 relaxed one follows the deterministic nominal rollout of the sampled
-dynamics under the model's input set inside the lattice bounds, with visited
-states deduplicated on a fine grid; its plans replay exactly in closed loop
-from the same start state but carry no abstraction-level guarantee, so they
-are meant to be validated by simulation.
+dynamics under every sample of the input grid (a built model's input table)
+inside the lattice bounds, with visited states deduplicated on a fine grid
+of states; its plans replay exactly in closed loop from the same start
+state but carry no abstraction-level guarantee, so they are meant to be
+validated by simulation.
 """
 
 from __future__ import annotations
@@ -37,13 +38,14 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .abstraction import SymbolicModel
 from .dynamics import SampledSystem, Trajectory, successor, successor_many
 from .errors import OutOfDomainError, PlanningError, located_decoding
 from .quantizer import LogLattice, format_cell, parse_cell
 
-# refinement is named in annotations only: plan and simulate never load it
+# abstraction and refinement are named in annotations only: simulate loads
+# neither, and plan never loads refinement
 if TYPE_CHECKING:  # pragma: no cover
+    from .abstraction import SymbolicModel
     from .refinement import AbstractSafeSet
 
 __all__ = [

@@ -41,6 +41,31 @@ def contracting_scenario():
     return sys_, lattice, model
 
 
+def region(axis, level):
+    """Unclipped region of a signed level of a quantizer axis as an (lo, hi)
+    pair: positive regions are left-open/right-closed, negative regions
+    left-closed/right-open, the deadzone closed on both sides."""
+    if level == 0:
+        return (-axis.deadzone, axis.deadzone)
+    m = abs(level)
+    lo, hi = axis.boundary(m), axis.boundary(m + 1)
+    return (lo, hi) if level > 0 else (-hi, -lo)
+
+
+def contains(box, x):
+    """Membership of one point in a box, respecting face openness."""
+    return bool(box.contains_many(np.asarray(x, float)[None, :])[0])
+
+
+def iter_transitions(model):
+    """(src id, dst id, input id) of every transition of a model, sorted."""
+    ptr, targets = model.relation()
+    counts = np.diff(ptr)
+    return list(zip(np.repeat(model.pair_state, counts).tolist(),
+                    targets.tolist(),
+                    np.repeat(model.pair_input, counts).tolist()))
+
+
 def box_intersects(box, lo, hi):
     """Closed box [lo, hi] vs a half-open cell box."""
     for i in range(box.dim):

@@ -9,8 +9,8 @@ import symquant as sq
 from symquant import abstraction
 from symquant.abstraction import SymbolicModel, _targets_many
 from symquant.errors import ConfigError, OutOfDomainError
-from conftest import (MUTATED_NUMBERS, box_intersects, line_lattice,
-                      line_mutations, targets_oracle)
+from conftest import (MUTATED_NUMBERS, box_intersects, iter_transitions,
+                      line_lattice, line_mutations, targets_oracle)
 
 EDGE_LATTICE = sq.LogLattice.from_params(0.2, [0.4, 0.4], [-1, -1], [1, 1],
                                          "edge_anchored")
@@ -256,8 +256,9 @@ def test_box_enumerator_inverted_box_meets_no_cell(pendulum_scenario):
 def test_vectorized_dedup_matches_scalar_signatures():
     # reference: the per-sample loop over scalar mu signatures; at this
     # coarse mu several grid inputs share a class in every cell.  The input
-    # table is the union of the representatives, and a cell's pairs are
-    # its representatives whose successor box meets a cell
+    # table is the whole grid, also the samples that represent no cell, and
+    # a cell's pairs are its representatives whose successor box meets a
+    # cell
     sys_ = sq.pendulum_system()
     cfg = sq.InputApproxConfig(mu=0.3, input_samples=51)
     model = sq.build_abstraction(sys_, EDGE_LATTICE, cfg)
@@ -280,8 +281,36 @@ def test_vectorized_dedup_matches_scalar_signatures():
         assert np.array_equal(model.inputs[stored],
                               np.reshape(enabled, (-1, sys_.dim_u)))
         pairs += len(expected)
-    assert np.array_equal(model.inputs, grid[sorted(union)])
+    assert np.array_equal(model.inputs, grid)
+    assert len(union) < len(grid)
     assert len(model.pair_input) < pairs < model.n_states * len(grid)
+
+
+def _grid_cases():
+    """(system, lattice, input config) of the bundled pendulum, of the
+    pendulum at mu 0.3, where some samples represent no cell, and of
+    :func:`_blow_up`, whose samples diverge in some cells."""
+    pendulum = sq.pendulum_system()
+    blow_up, line, _ = _blow_up()
+    return {"bundled": (pendulum, EDGE_LATTICE, sq.InputApproxConfig(0.002)),
+            "coarse_mu": (pendulum, EDGE_LATTICE, sq.InputApproxConfig(0.3)),
+            "divergent": (blow_up, line, sq.InputApproxConfig(0.01, 3))}
+
+
+@pytest.mark.parametrize("case", ["bundled", "coarse_mu", "divergent"])
+def test_a_model_inputs_are_the_input_grid(case):
+    # an input id is a grid sample index: the table is the grid, and each
+    # cell's pairs are the indices of its enabled representatives
+    sys_, lattice, cfg = _grid_cases()[case]
+    model = sq.build_abstraction(sys_, lattice, cfg)
+    grid = sq.input_grid(sys_, cfg.input_samples)
+    assert np.array_equal(model.inputs, grid)
+    for sid, cell in enumerate(model.cells):
+        reps = sq.approximate_inputs(cell, lattice, sys_, cfg)
+        ids = [int(np.flatnonzero((grid == u).all(axis=1))[0]) for u in reps
+               if sq.transition_targets(cell, u, sys_, lattice)]
+        a, b = model.pair_ptr[sid], model.pair_ptr[sid + 1]
+        assert model.pair_input[a:b].tolist() == ids, cell
 
 
 def test_build_statistics(pendulum_scenario):
@@ -380,7 +409,7 @@ def test_lazy_equals_eager(pendulum_scenario, tmp_path):
     assert computed.enabled_inputs((0, 0)) == given.enabled_inputs((0, 0))
     assert computed.cells == given.cells
     assert (computed.inputs == given.inputs).all()
-    assert list(computed.iter_transitions()) == list(given.iter_transitions())
+    assert list(iter_transitions(computed)) == list(iter_transitions(given))
     assert computed.transition_count() == given.transition_count()
     for sid in range(given.n_states):
         assert computed.enabled_ids(sid) == given.enabled_ids(sid)
@@ -465,7 +494,7 @@ def test_save_load_roundtrip(pendulum_scenario, tmp_path):
     assert (loaded.inputs == model.inputs).all()
     assert loaded.tau == model.tau and loaded.mu == model.mu
     assert loaded.eta == model.eta and loaded.lipschitz == model.lipschitz
-    assert list(loaded.iter_transitions()) == list(model.iter_transitions())
+    assert list(iter_transitions(loaded)) == list(iter_transitions(model))
     for cell in model.cells:
         assert loaded.enabled_inputs(cell) == model.enabled_inputs(cell)
     # lattice geometry survives
@@ -634,7 +663,7 @@ def test_sparse_map_iteration_consistency(pendulum_scenario):
     # walking the transitions state-major equals querying every
     # (state, input) pair directly
     _, _, model = pendulum_scenario
-    by_state = sorted(model.iter_transitions())
+    by_state = sorted(iter_transitions(model))
     by_pair = sorted(
         (sid, dst, uid)
         for sid in range(model.n_states)
@@ -678,14 +707,14 @@ def test_chunked_paths_match_default_run(pendulum_scenario, tmp_path,
             sq.save_abstraction(chunked, tmp_path / "chunked.abs")
             assert (tmp_path / "chunked.abs").read_bytes() == \
                 (tmp_path / "default.abs").read_bytes()
-            assert list(chunked.iter_transitions()) == \
-                list(default.iter_transitions())
+            assert list(iter_transitions(chunked)) == \
+                list(iter_transitions(default))
             for block in (1, 7, body, tail - 1, tail, tail + 1):
                 patch.setattr(abstraction, "_BLOCK", block)
                 assert _same_model(
                     sq.load_abstraction(tmp_path / "default.abs"), loaded)
-        assert list(loaded.iter_transitions()) == \
-            list(default.iter_transitions())
+        assert list(iter_transitions(loaded)) == \
+            list(iter_transitions(default))
 
 
 def _load_outcome(path):

@@ -15,7 +15,7 @@ import symquant as sq
 from symquant import cli
 from symquant.config import parse_config
 from symquant.errors import ConfigError
-from conftest import line_mutations
+from conftest import iter_transitions, line_mutations
 
 BUNDLED = os.path.join(os.path.dirname(sq.__file__), "scenarios",
                        "pendulum.cfg")
@@ -232,7 +232,7 @@ def test_cli_export_matches_per_transition_reference(tmp_path):
     want += [f'  s{sid} [label="{sq.format_cell(cell)}"];\n'
              for sid, cell in enumerate(model.cells)]
     want += [f'  s{sid} -> s{dst} [label="{uid}"];\n'
-             for sid, dst, uid in model.iter_transitions()]
+             for sid, dst, uid in iter_transitions(model)]
     assert out.read_bytes() == ("".join(want) + "}\n").encode()
 
 
@@ -823,6 +823,81 @@ def test_cli_refuses_a_model_built_for_other_dynamics(tmp_path, capsys,
         assert code == cli.EXIT_CONFIG, command
         assert err == (f"configuration error: {model}: its {key} is {have!r} "
                        f"where {BUNDLED} gives {want!r}\n"), command
+
+
+@pytest.mark.parametrize("variable, value", [
+    ("ABSTRACTION__INPUT_SAMPLES", "11"), ("SYSTEM__INPUT_LO", "-2")])
+def test_cli_refuses_a_model_built_on_another_input_grid(tmp_path, capsys,
+                                                        monkeypatch, variable,
+                                                        value):
+    # a.abs is the bundled scenario's and b.abs the override's: the same
+    # lattice, tau, L and mu, but input ids that name other inputs
+    models = {False: tmp_path / "a.abs", True: tmp_path / "b.abs"}
+
+    def scenario(override):
+        if override:
+            monkeypatch.setenv("SYMQUANT_" + variable, value)
+        else:
+            monkeypatch.delenv("SYMQUANT_" + variable, raising=False)
+
+    for override, model in models.items():
+        scenario(override)
+        assert cli.main(["abstract", "--config", "pendulum", "--out",
+                         str(model)]) == 0
+    capsys.readouterr()
+    for override, model in models.items():
+        scenario(not override)
+        for command in ("abstract", "synthesize", "verify", "plan", "export"):
+            code = cli.main([command, "--config", "pendulum", "--in",
+                             str(model), "--out", str(tmp_path / "out.txt")])
+            err = capsys.readouterr().err
+            assert code == cli.EXIT_CONFIG, (command, override)
+            assert err == (f"configuration error: {model}: its input table "
+                           f"is not the input grid of {BUNDLED} [system] "
+                           "input_lo, input_hi, [abstraction] "
+                           "input_samples\n"), command
+    # the scenario that wrote a model still reads it
+    for override, model in models.items():
+        scenario(override)
+        for command in ("abstract", "synthesize", "verify", "plan", "export"):
+            assert cli.main([command, "--config", "pendulum", "--in",
+                             str(model), "--out",
+                             str(tmp_path / "out.txt")]) == 0, command
+
+
+def test_cli_plan_over_another_input_grid_never_reaches_simulate(
+        tmp_path, capsys, monkeypatch):
+    # an 11-input model planned under the bundled 51-input scenario would
+    # give simulate input ids that name other inputs there
+    m11, plan = tmp_path / "m11.abs", tmp_path / "plan.txt"
+    monkeypatch.setenv("SYMQUANT_ABSTRACTION__INPUT_SAMPLES", "11")
+    assert cli.main(["abstract", "--config", "pendulum", "--out",
+                     str(m11)]) == 0
+    monkeypatch.delenv("SYMQUANT_ABSTRACTION__INPUT_SAMPLES")
+    capsys.readouterr()
+    assert cli.main(["plan", "--config", "pendulum", "--in", str(m11),
+                     "--out", str(plan)]) == cli.EXIT_CONFIG
+    assert "its input table is not the input grid" in capsys.readouterr().err
+    assert not plan.exists()
+
+
+def test_cli_refuses_a_system_of_another_dimension(tmp_path, capsys):
+    # the 1-D linear system on the bundled 2-D lattice, also in simulate,
+    # which builds no model
+    plan = tmp_path / "plan.txt"
+    assert cli.main(["plan", "--config", "pendulum", "--out", str(plan)]) == 0
+    text = open(BUNDLED).read()
+    assert "name = pendulum\n" in text
+    other = tmp_path / "linear.cfg"
+    other.write_text(text.replace("name = pendulum\n", "name = linear\n"))
+    capsys.readouterr()
+    for argv in (["abstract"], ["simulate", "--in", str(plan)]):
+        code = cli.main(argv + ["--config", str(other), "--out",
+                                str(tmp_path / "out.txt")])
+        assert code == cli.EXIT_CONFIG, argv
+        assert capsys.readouterr().err == (
+            f"configuration error: {other}: system dimension 1 does not "
+            "match lattice dimension 2\n"), argv
 
 
 def test_cli_build_constructs_one_lattice(tmp_path, monkeypatch):

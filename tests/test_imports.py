@@ -50,7 +50,7 @@ def test_each_command_loads_only_its_stages(tmp_path):
              set(STAGES)),
             (["plan", "--out", d + "p.txt"], {"abstraction", "synthesis"}),
             (["simulate", "--in", d + "p.txt", "--out", d + "t.csv"],
-             {"abstraction", "synthesis"})):
+             {"synthesis"})):
         _run(f"""
 import sys
 from symquant import cli

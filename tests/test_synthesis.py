@@ -13,8 +13,8 @@ from symquant import synthesis
 from symquant.abstraction import SymbolicModel
 from symquant.errors import DivergenceError, OutOfDomainError, PlanningError
 from symquant.refinement import AbstractSafeSet
-from conftest import (line_lattice, line_mutations, max_controlled_invariant,
-                      random_model)
+from conftest import (contains, line_lattice, line_mutations,
+                      max_controlled_invariant, random_model)
 
 
 def chain_model():
@@ -275,7 +275,7 @@ def test_rollout_matches_one_state_at_a_time_search(pendulum_scenario, res):
         box = lattice.cell_box(goal)
         got = synthesis._search(x[None], expand, visit, box.contains_many, 40)
         want = next(([seq, state] for layer in layers for state, seq in layer
-                     if box.contains(state)), None)
+                     if contains(box, state)), None)
         assert (got is None) == (want is None), goal
         if got is not None:
             (arrival,) = got[1]
