@@ -35,7 +35,7 @@ from .dynamics import (SampledSystem, growth_radius, input_grid, successor,
 from .errors import (ConfigError, DivergenceError, OutOfDomainError,
                      located_decoding)
 from .quantizer import (LogLattice, LogQuantizerAxis, QuantizerVariant,
-                        format_cell, parse_cell)
+                        _frozen, format_cell, parse_cell)
 
 __all__ = [
     "InputApproxConfig",
@@ -245,10 +245,8 @@ class SymbolicModel:
         self.cells = lattice.enumerate_cells()
         inputs = np.asarray(inputs, float)
         if inputs.ndim != 2:
-            inputs = (inputs.reshape(len(inputs), -1) if inputs.size
-                      else np.empty((0, 1)))
-        self.inputs = inputs
-        self.inputs.setflags(write=False)
+            inputs = inputs.reshape(len(inputs), -1 if inputs.size else 1)
+        self.inputs = _frozen(inputs)
         self.tau = float(tau)
         self.eta = lattice.shared_eta
         self.mu = float(mu)
@@ -536,12 +534,12 @@ def _scan(path):
 
 
 def _read_transitions(path, n_head: int, n_body: int, n_states: int,
-                      n_inputs: int):
+                      n_inputs: int) -> np.ndarray:
     """Keys (see :func:`_key`) of a model file's transition lines, parsed a
-    block at a time, and the index of the first line that names an unknown
-    state or input (-1 if none); a malformed line raises."""
+    block at a time; a malformed line, or one that names an unknown state
+    or input, raises at its line."""
     keys = np.empty(n_body, np.int64)
-    done, bad = 0, -1
+    done = 0
     with open(path) as fh:
         for _ in range(n_head):
             fh.readline()
@@ -557,10 +555,13 @@ def _read_transitions(path, n_head: int, n_body: int, n_states: int,
                                  f"line {lines[k]!r}")
             keys[done:done + len(lines)], row = _key(table, n_states,
                                                      n_inputs)
-            if bad < 0 <= row:
-                bad = done + row
+            if row >= 0:
+                raise ValueError(
+                    f"{path}:{n_head + done + row + 1}: transition to or from "
+                    f"an unknown state or input ({n_states} states, "
+                    f"{n_inputs} inputs)")
             done += len(lines)
-    return keys, bad
+    return keys
 
 
 @located_decoding
@@ -573,7 +574,9 @@ def load_abstraction(path, system=None) -> SymbolicModel:
     enumeration order.  Malformed or inconsistent content raises a
     ValueError naming the file and, where one line is at fault, the line.
     The file is read twice, a block at a time: for its header, size and
-    tables, then for its transitions.
+    tables, then for its transitions.  The header and the tables are
+    checked before the transitions, so a file with faults in both regions
+    is rejected for a fault in the header or tables.
     """
     start = time.perf_counter()
     head, n_body, tail = _scan(path)
@@ -614,12 +617,7 @@ def load_abstraction(path, system=None) -> SymbolicModel:
         raise ValueError(f"{path}:{seen['#eta']}: #eta {eta!r} differs from "
                          f"the #lattice eta {lattice.shared_eta!r}")
 
-    # the states are the lattice's cells; input ids count up from 0, so
-    # this is the input table's size if it is valid; if not, a fault in it
-    # is raised after the transitions
     cells = lattice.enumerate_cells()
-    keys, bad = _read_transitions(path, len(head), n_body, len(cells), sum(
-        line.split()[:1] == ["input"] for line in tail))
     rows: dict[str, list] = {"input": [], "state": []}
     for lineno, line in enumerate(tail, start=len(head) + n_body + 1):
         if not line.strip():
@@ -647,11 +645,8 @@ def load_abstraction(path, system=None) -> SymbolicModel:
     if len(rows["state"]) != len(cells):
         raise ValueError(f"{path}: {len(rows['state'])} states where the "
                          f"#lattice has {len(cells)} cells")
-    if bad >= 0:
-        raise ValueError(
-            f"{path}:{len(head) + bad + 1}: transition to or from an unknown "
-            f"state or input ({len(cells)} states, {len(inputs)} inputs)")
 
+    keys = _read_transitions(path, len(head), n_body, len(cells), len(inputs))
     pair_ptr, pair_input, relation = _pack(keys, len(cells), len(inputs))
     model = SymbolicModel(lattice, inputs, pair_ptr, pair_input,
                           system=system, relation=relation, **params)

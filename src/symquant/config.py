@@ -237,6 +237,7 @@ class ScenarioConfig(SimpleNamespace):
 def parse_config(path) -> ScenarioConfig:
     """Parse and validate a scenario file (see the module docstring)."""
     raw = located_decoding(_RawConfig, ConfigError)(str(path))
+    raw.reject_unknown()
     values = {row.field: raw.parse(row) for row in KEYS}
     del values[None]  # the keys accepted with no effect
     cfg = ScenarioConfig(path=str(path), **values)
@@ -270,5 +271,4 @@ def parse_config(path) -> ScenarioConfig:
     for key, cell in cells:
         if cell is not None and cell not in lattice:
             raw.fail("plan", key, f"{format_cell(cell)} is not a lattice cell")
-    raw.reject_unknown()
     return cfg

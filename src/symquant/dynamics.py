@@ -31,6 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DivergenceError
+from .quantizer import _frozen
 
 __all__ = [
     "SampledSystem",
@@ -215,9 +216,9 @@ class Trajectory:
     terminated: str = "max_steps"
 
     def __post_init__(self):
-        times = np.asarray(self.times, float)
-        states = np.asarray(self.states, float)
-        inputs = np.asarray(self.inputs, float)
+        for name in ("times", "states", "inputs"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
+        times, states, inputs = self.times, self.states, self.inputs
         if states.ndim != 2 or times.shape != (states.shape[0],):
             raise ValueError("times and states lengths do not match")
         if inputs.ndim != 2 or inputs.shape[0] != states.shape[0] - 1:
@@ -226,9 +227,6 @@ class Trajectory:
             raise ValueError("trajectory contains non-finite states")
         if len(times) > 1 and not (np.diff(times) > 0).all():
             raise ValueError("timestamps must strictly increase")
-        for name, arr in (("times", times), ("states", states), ("inputs", inputs)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
     @property
     def steps(self) -> int:

@@ -51,6 +51,11 @@ __all__ = [
     "parse_cell",
 ]
 
+# the most cells a lattice may have, far above every scenario's lattice; a
+# finer one is refused before any per-level work
+MAX_CELLS = 1 << 22
+
+
 class QuantizerVariant(Enum):
     """Which constant anchors the level geometry.
 
@@ -80,6 +85,8 @@ class LogQuantizerAxis:
             raise ValueError(f"eta must lie in (0, 1), got {self.eta!r}")
         if not (math.isfinite(self.scale) and self.scale > 0.0):
             raise ValueError(f"scale must be positive, got {self.scale!r}")
+        if self.rho == 1.0:
+            raise ValueError(f"eta {self.eta!r} is too small: rho rounds to 1")
         if not isinstance(self.variant, QuantizerVariant):
             object.__setattr__(self, "variant", QuantizerVariant(self.variant))
 
@@ -140,9 +147,14 @@ class LogQuantizerAxis:
         closed-form estimate of the level only sizes the table, with a
         margin, to a power of two so that nearby values share it.
         """
-        t = (math.log(max(z, self.deadzone) / self.deadzone)
-             / math.log(1.0 / self.rho))
-        return _boundary_table(self, 1 << (int(t) + 2).bit_length())
+        bound = self._level_bound(z)
+        return _boundary_table(self, 1 << (bound + 1).bit_length())
+
+    def _level_bound(self, z: float) -> int:
+        # the level of z >= 0 is the ceiling of the log ratio t, so at most
+        # int(t) + 1 up to rounding
+        ratio = max(z, self.deadzone) / self.deadzone
+        return int(math.log(ratio) / math.log(1.0 / self.rho)) + 1
 
     def levels(self, z) -> np.ndarray:
         """Signed levels of an array of finite values, elementwise equal to
@@ -156,8 +168,10 @@ class LogQuantizerAxis:
         return np.where(z < 0, -m, m)
 
 
-def _frozen(values) -> np.ndarray:
-    arr = np.array(values, float)
+def _frozen(values, dtype=float) -> np.ndarray:
+    """A read-only copy of ``values``; the caller's array stays writeable.
+    Every array a value object keeps is frozen here."""
+    arr = np.array(values, dtype)
     arr.setflags(write=False)
     return arr
 
@@ -184,9 +198,7 @@ class Box:
     def __post_init__(self):
         for name, dtype in (("lo", float), ("hi", float),
                             ("lo_open", bool), ("hi_open", bool)):
-            arr = np.asarray(getattr(self, name), dtype=dtype)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
 
     @property
     def dim(self) -> int:
@@ -234,7 +246,7 @@ class LogLattice:
             raise ValueError("lattice axes must share one eta and one variant")
         if not all(map(math.isfinite, lo + hi)):
             raise ValueError(f"bounds must be finite, got {lo} and {hi}")
-        pos_max, neg_max = [], []
+        size = 1
         for i, axis in enumerate(axes):
             if not (lo[i] < hi[i]):
                 raise ValueError(f"axis {i}: need lo < hi, got [{lo[i]}, {hi[i]}]")
@@ -243,10 +255,13 @@ class LogLattice:
                 raise ValueError(
                     f"axis {i}: bounds [{lo[i]}, {hi[i]}] must contain the "
                     f"deadzone [-{dz}, {dz}]")
-            pos_max.append(self._max_level(axis, hi[i]))
-            neg_max.append(self._max_level(axis, -lo[i]))
-        object.__setattr__(self, "_pos_max", tuple(pos_max))
-        object.__setattr__(self, "_neg_max", tuple(neg_max))
+            size *= 1 + axis._level_bound(hi[i]) + axis._level_bound(-lo[i])
+        if size > MAX_CELLS:
+            raise ValueError(f"too fine: up to {size} cells, over {MAX_CELLS}")
+        pos_max = tuple(self._max_level(axis, b) for axis, b in zip(axes, hi))
+        neg_max = tuple(self._max_level(axis, -a) for axis, a in zip(axes, lo))
+        object.__setattr__(self, "_pos_max", pos_max)
+        object.__setattr__(self, "_neg_max", neg_max)
         object.__setattr__(self, "lo_array", _frozen(lo))
         object.__setattr__(self, "hi_array", _frozen(hi))
         # per axis, the values of the valid levels -n..p and the edges of

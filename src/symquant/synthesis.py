@@ -40,7 +40,7 @@ import numpy as np
 
 from .dynamics import SampledSystem, Trajectory, successor, successor_many
 from .errors import OutOfDomainError, PlanningError, located_decoding
-from .quantizer import LogLattice, format_cell, parse_cell
+from .quantizer import LogLattice, _frozen, format_cell, parse_cell
 
 # abstraction and refinement are named in annotations only: simulate loads
 # neither, and plan never loads refinement
@@ -86,10 +86,8 @@ def cpre(model: SymbolicModel, target) -> set[tuple[int, ...]]:
 
 
 def _freeze_inputs(policy):
-    """Store a policy's input table as a read-only float array."""
-    inputs = np.asarray(policy.inputs, float)
-    inputs.setflags(write=False)
-    object.__setattr__(policy, "inputs", inputs)
+    """Store a read-only float copy of a policy's input table."""
+    object.__setattr__(policy, "inputs", _frozen(policy.inputs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -482,8 +480,8 @@ def load_controller(path, inputs, lattice: LogLattice) -> SafetyController:
                 _check_input_id(uid, len(inputs), where)
             admissible[cell] = uids
     return SafetyController(admissible=dict(sorted(admissible.items())),
-                            inputs=np.asarray(inputs, float), lattice=lattice,
-                            iterations=0, history=())
+                            inputs=inputs, lattice=lattice, iterations=0,
+                            history=())
 
 
 def save_plan(plan: Plan, path):
@@ -509,5 +507,4 @@ def load_plan(path, inputs, lattice: LogLattice) -> Plan:
                 raise ValueError(f"{path}:{lineno}: malformed line") from exc
             _check_step(uid, hold, len(inputs), f"{path}:{lineno}: ")
             steps.append((uid, hold))
-    return Plan(steps=tuple(steps), inputs=np.asarray(inputs, float),
-                lattice=lattice)
+    return Plan(steps=tuple(steps), inputs=inputs, lattice=lattice)

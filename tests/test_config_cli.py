@@ -79,6 +79,12 @@ def test_unknown_section_or_key_rejected(tmp_path, capsys):
         bad.write_text("\n".join(lines[:at] + [line] + lines[at:]) + "\n")
         with pytest.raises(ConfigError, match=rf"bad\.cfg:{at + 1}: unknown"):
             parse_config(bad)
+    # a misspelt required key is named at its line, not reported missing
+    eta = lines.index("eta = 0.2")
+    bad.write_text("\n".join(lines[:eta] + ["eat = 0.2"] + lines[eta + 1:]))
+    with pytest.raises(ConfigError, match=rf"bad\.cfg:{eta + 1}: unknown key "
+                                          r"\[quantizer\] eat$"):
+        parse_config(bad)
     # the CLI names the typo and exits 2 instead of running 10k samples
     bad.write_text("\n".join(lines[:typo] + ["sample = 5"] + lines[typo + 1:]))
     assert cli.main(["verify", "--config", str(bad)]) == cli.EXIT_CONFIG
@@ -278,7 +284,9 @@ def test_cli_export_roundtrips_transition_count(tmp_path):
                                   "unknown_header_key",
                                   "non_numeric_header_value",
                                   "repeated_header_key", "no_lattice_line",
-                                  "eta_not_the_lattice_eta"])
+                                  "eta_not_the_lattice_eta",
+                                  "lattice_too_fine",
+                                  "faults_in_both_regions"])
 def test_cli_rejects_bad_model_file(tmp_path, capsys, case):
     cfg = _fast_cfg(tmp_path)
     path = tmp_path / "m.abs"
@@ -303,6 +311,11 @@ def test_cli_rejects_bad_model_file(tmp_path, capsys, case):
     elif case == "eta_not_the_lattice_eta":
         assert " #eta 0.2 " in lines[2]
         at, lines[2] = 3, lines[2].replace(" #eta 0.2 ", " #eta 0.5 ")
+    elif case == "lattice_too_fine":
+        # the header alone: the lattice is refused before it is built
+        at, lines = 2, [lines[0], lines[1].replace(" eta=0.2 ", " eta=1e-07 "),
+                        lines[2].replace(" #eta 0.2 ", " #eta 1e-07 ")]
+        assert "=1e-07" in lines[1] and "#eta 1e-07" in lines[2]
     elif case == "no_lattice_line":
         assert lines[1].startswith("#lattice ")
         at = None
@@ -311,6 +324,9 @@ def test_cli_rejects_bad_model_file(tmp_path, capsys, case):
         at = lines.index(next(ln for ln in lines if ln.startswith("state 5 ")))
         lines[at] = lines[at].replace("state 5 ", "state 7 ")
         at += 1
+        if case == "faults_in_both_regions":
+            # the tables are checked before the transitions
+            lines[3] = "not a transition"
     path.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     where = "m.abs: no #lattice line" if at is None else f"m.abs:{at}: "
@@ -396,6 +412,7 @@ def test_cli_simulate_requires_in(tmp_path, capsys):
 @pytest.mark.parametrize("section,line,message", [
     ("system", "name = no_such_system", "unknown system 'no_such_system'"),
     ("quantizer", "state_lo = -0.3 -1", "[quantizer]: axis 0: bounds"),
+    ("quantizer", "eta = 1e-7", "[quantizer]: too fine: up to"),
 ])
 def test_config_rejects_what_its_builders_reject(tmp_path, capsys, section,
                                                  line, message):

@@ -1,12 +1,16 @@
 """Quantizer geometry: levels, regions, lattices, partition properties."""
 
+import inspect
 import itertools
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
 import symquant as sq
+from symquant import quantizer
+from symquant.abstraction import SymbolicModel
 from symquant.errors import OutOfDomainError
 from conftest import contains, region
 
@@ -387,6 +391,67 @@ def test_lattice_is_a_value():
                                       "edge_anchored")):
         assert lattice != other
     assert lattice != None  # noqa: E711
+
+
+def test_lattice_past_max_cells_is_refused(monkeypatch):
+    # eta = 1e-7 puts millions of levels on each side; the closed-form
+    # count refuses the lattice before a level is enumerated
+    with pytest.raises(ValueError, match=rf"too fine: up to \d+ cells, "
+                                         rf"over {quantizer.MAX_CELLS}$"):
+        sq.LogLattice.from_params(1e-7, [0.4], [-1], [1])
+    with pytest.raises(ValueError, match="rho rounds to 1"):
+        sq.LogQuantizerAxis(1e-17, 0.4)
+    # the count never falls below the true one, so no lattice with more
+    # cells than the limit is built
+    for params in ((0.2, [0.4, 0.4], [-1, -1], [1, 1], "edge_anchored"),
+                   (0.05, [0.01], [-3], [0.5], "value_anchored"),
+                   (0.6, [0.3, 1, 2], [-4] * 3, [5, 1.5, 2], "edge_anchored")):
+        size = sq.LogLattice.from_params(*params).cell_count()
+        with monkeypatch.context() as patch:
+            patch.setattr(quantizer, "MAX_CELLS", size - 1)
+            with pytest.raises(ValueError, match="too fine"):
+                sq.LogLattice.from_params(*params)
+
+
+def test_value_objects_copy_the_arrays_they_keep(tmp_path):
+    # the caller's array stays writeable; the object keeps a read-only copy
+    def kept(stored, given):
+        assert given.flags.writeable and not stored.flags.writeable
+        np.testing.assert_array_equal(stored, given)
+
+    lattice = sq.LogLattice.from_params(0.2, [0.4], [-1], [1])
+    u = np.array([[-1.0], [0.0], [1.0]])
+    plan = sq.Plan(steps=((0, 1),), inputs=u, lattice=lattice)
+    ctrl = sq.SafetyController(admissible={(0,): (1,)}, inputs=u,
+                               lattice=lattice, iterations=0, history=())
+    empty = np.zeros(lattice.cell_count() + 1, np.int64)
+    for policy in (plan, ctrl,
+                   SymbolicModel(lattice, u, empty, empty[:0]),
+                   SymbolicModel.from_tables(lattice, u, {(0, 1): [0]})):
+        kept(policy.inputs, u)
+    # a loader hands the caller's table to the constructor
+    sq.save_plan(plan, tmp_path / "p.txt")
+    sq.save_controller(ctrl, tmp_path / "c.txt")
+    kept(sq.load_plan(tmp_path / "p.txt", u, lattice).inputs, u)
+    kept(sq.load_controller(tmp_path / "c.txt", u, lattice).inputs, u)
+    arrays = np.arange(2.0), np.zeros((2, 1)), np.zeros((1, 1))
+    run = sq.Trajectory(*arrays)
+    for stored, given in zip((run.times, run.states, run.inputs), arrays):
+        kept(stored, given)
+    arrays = np.zeros(2), np.ones(2), np.array([0, 1], bool), np.ones(2, bool)
+    box = sq.Box(*arrays)
+    for stored, given in zip((box.lo, box.hi, box.lo_open, box.hi_open),
+                             arrays):
+        kept(stored, given)
+
+
+def test_only_frozen_makes_arrays_read_only():
+    # every read-only array of the package is a copy made by one helper
+    package = pathlib.Path(quantizer.__file__).parent
+    calls = {p.name: p.read_text().count("setflags(write=False)")
+             for p in package.glob("*.py")}
+    assert calls == {**dict.fromkeys(calls, 0), "quantizer.py": 1}
+    assert "setflags(write=False)" in inspect.getsource(quantizer._frozen)
 
 
 def _reference_quantize(lattice, x):
