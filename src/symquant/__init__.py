@@ -24,8 +24,8 @@ _OWNERS = {name: module for module, names in [
     ("refinement", "AbstractSafeSet RefinementReport RefinementWitness "
                    "abstract_safe_set check_feedback_refinement"),
     ("synthesis", "Plan SafetyController cpre load_controller load_plan "
-                  "plan_reach safety_fixpoint save_controller save_plan "
-                  "simulate_closed_loop"),
+                  "plan_reach plan_rollout safety_fixpoint save_controller "
+                  "save_plan simulate_closed_loop"),
 ] for name in names.split()}
 
 __all__ = sorted(_OWNERS)

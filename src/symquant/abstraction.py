@@ -32,8 +32,7 @@ import numpy as np
 
 from .dynamics import (SampledSystem, growth_radius, input_grid, successor,
                        successor_many)
-from .errors import (ConfigError, DivergenceError, OutOfDomainError,
-                     located_decoding)
+from .errors import ConfigError, DivergenceError, located_decoding
 from .quantizer import (LogLattice, LogQuantizerAxis, QuantizerVariant,
                         _frozen, format_cell, parse_cell)
 
@@ -276,11 +275,7 @@ class SymbolicModel:
     def state_ids(self, cells) -> np.ndarray:
         """State ids of cells; a cell that is not on the lattice raises
         :class:`OutOfDomainError`."""
-        cells = list(cells)
-        for cell in cells:
-            if cell not in self.lattice:
-                raise OutOfDomainError(f"unknown cell {cell!r}")
-        return self.lattice.cell_ids(cells)
+        return self.lattice.checked_cell_ids(cells)
 
     def state_id(self, cell) -> int:
         return int(self.state_ids([cell])[0])

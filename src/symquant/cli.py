@@ -114,8 +114,6 @@ def _cmd_synthesize(args, cfg: ScenarioConfig) -> int:
 def _cmd_verify(args, cfg: ScenarioConfig) -> int:
     from . import refinement
 
-    check_value("verify", "samples", args.samples, "--samples")
-    check_value("verify", "seed", args.seed, "--seed")
     samples = args.samples if args.samples is not None else cfg.samples
     seed = args.seed if args.seed is not None else cfg.seed
     model, sys_ = _build_or_load(args, cfg)
@@ -137,11 +135,17 @@ def _cmd_plan(args, cfg: ScenarioConfig) -> int:
 
     if cfg.plan_start is None or not cfg.plan_goals:
         raise ConfigError(f"{cfg.path}: [plan] start and goals are required")
-    model, _ = _build_or_load(args, cfg)
-    plan = synthesis.plan_reach(model, cfg.plan_start, cfg.plan_goals,
-                                relaxed=cfg.plan_relaxed,
-                                grid_resolution=cfg.plan_grid,
-                                max_segment_steps=cfg.plan_max_steps)
+    if cfg.plan_relaxed and not args.infile:
+        # a relaxed search reads no transition, so no model is built
+        sys_ = cfg.build_system()
+        plan = synthesis.plan_rollout(
+            sys_, cfg.lattice, input_grid(sys_, cfg.input_samples),
+            cfg.plan_start, cfg.plan_goals, cfg.plan_grid, cfg.plan_max_steps)
+    else:
+        model, _ = _build_or_load(args, cfg)
+        plan = synthesis.plan_reach(model, cfg.plan_start, cfg.plan_goals,
+                                    cfg.plan_relaxed, cfg.plan_grid,
+                                    cfg.plan_max_steps)
     synthesis.save_plan(plan, _prepare_out(args.out))
     print(f"plan with {len(plan.steps)} entries, {plan.total_steps} steps")
     return EXIT_OK
@@ -269,6 +273,8 @@ def _run(args) -> int:
             raise ConfigError(f"{args.command} requires --out")
         if needs_in and not args.infile:
             raise ConfigError(f"{args.command} requires --in")
+        check_value("verify", "samples", args.samples, "--samples")
+        check_value("verify", "seed", args.seed, "--seed")
         cfg = parse_config(_resolve_config(args.config))
         return run(args, cfg)
     except ConfigError as exc:

@@ -410,6 +410,15 @@ class LogLattice:
         return np.ravel_multi_index(tuple((levels + self._neg_max).T),
                                     self.shape)
 
+    def checked_cell_ids(self, cells) -> np.ndarray:
+        """:meth:`cell_ids` of an iterable of cells; a cell that is not on
+        this lattice raises :class:`OutOfDomainError`."""
+        cells = list(cells)
+        for cell in cells:
+            if cell not in self:
+                raise OutOfDomainError(f"unknown cell {cell!r}")
+        return self.cell_ids(cells)
+
     def cells_of(self, ids) -> list[tuple[int, ...]]:
         """Inverse of :meth:`cell_ids`."""
         levels = np.column_stack(np.unravel_index(ids, self.shape))

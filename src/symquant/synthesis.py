@@ -21,11 +21,14 @@ Planning is one breadth-first search with two expansions.  The default one
 follows only transitions with singleton successor sets (executable open
 loop on the abstraction), and planning fails if no such path exists.  The
 relaxed one follows the deterministic nominal rollout of the sampled
-dynamics under every sample of the input grid (a built model's input table)
+dynamics under every row of an input table (the scenario's input grid)
 inside the lattice bounds, with visited states deduplicated on a fine grid
-of states; its plans replay exactly in closed loop from the same start
-state but carry no abstraction-level guarantee, so they are meant to be
-validated by simulation.
+of states.  It reads only the system, the lattice and the input table, so
+:func:`plan_rollout` takes those three and no symbolic model
+(``plan_reach(..., relaxed=True)`` passes a model's).  Its plans replay
+exactly in closed loop from the same start state but carry no
+abstraction-level guarantee, so they are meant to be validated by
+simulation.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ __all__ = [
     "cpre",
     "safety_fixpoint",
     "plan_reach",
+    "plan_rollout",
     "simulate_closed_loop",
     "save_controller",
     "load_controller",
@@ -307,6 +311,76 @@ def _rollout_expansion(sys: SampledSystem, lattice: LogLattice,
     return expand, visit
 
 
+def _plan(model, sys, lattice, inputs, start, goals, grid_resolution,
+          max_segment_steps) -> Plan:
+    """Both search modes: the singleton one over the transitions of
+    ``model``, or with ``model`` None the relaxed one over the rollouts of
+    ``sys`` under ``inputs``.  The settings and the cells are checked before
+    any search, then each goal is searched from the last arrival."""
+    begin = time.perf_counter()
+    if not 0.0 < grid_resolution < np.inf:
+        raise ValueError("grid_resolution must be positive and finite, "
+                         f"got {grid_resolution!r}")
+    if max_segment_steps < 1:
+        raise ValueError(
+            f"max_segment_steps must be at least 1, got {max_segment_steps!r}")
+    ids = lattice.checked_cell_ids([start, *goals])
+    cells = lattice.cells_of(ids)
+
+    if model is not None:
+        expand, visit = _singleton_expansion(model)
+        node, max_depth = ids[:1], model.n_states
+        reason = "unreachable via singleton transitions; retry with relaxed=True"
+        goal_tests = [lambda nodes, gid=gid: nodes == gid for gid in ids[1:]]
+    else:
+        expand, visit = _rollout_expansion(sys, lattice, inputs,
+                                           grid_resolution)
+        node, max_depth = lattice.center(cells[0])[None], max_segment_steps
+        reason = f"unreachable within {max_segment_steps} steps"
+        goal_tests = [lattice.cell_box(c).contains_many for c in cells[1:]]
+
+    # the plan's input ids, and the successor rows of each layer searched
+    sequence: list[int] = []
+    rows: list[int] = []
+
+    def counted(frontier):
+        found = expand(frontier)
+        rows.append(len(found[0]))
+        return found
+
+    for cell, is_goal in zip(cells[1:], goal_tests):
+        found = _search(node, counted, visit, is_goal, max_depth)
+        if found is None:
+            raise PlanningError(f"goal {format_cell(cell)} {reason}")
+        segment, node = found
+        sequence.extend(segment)
+    logger.info("plan: %d goals, %d layers, %d rows, %.3f s", len(goal_tests),
+                len(rows), sum(rows), time.perf_counter() - begin)
+    return Plan(steps=tuple((uid, len(list(run)))
+                            for uid, run in itertools.groupby(sequence)),
+                inputs=inputs, lattice=lattice)
+
+
+def plan_rollout(sys: SampledSystem, lattice: LogLattice, inputs, start,
+                 goals, grid_resolution: float = 0.02,
+                 max_segment_steps: int = 200) -> Plan:
+    """Plan an input schedule visiting the goal cells of ``lattice`` in
+    order by searching the nominal rollouts of ``sys`` under each row of
+    ``inputs`` from the start cell's center: the relaxed mode of the module
+    docstring, which reads no symbolic model.  Its plans carry no
+    abstraction-level guarantee and must be validated in closed loop.
+
+    A ``grid_resolution`` that is not positive and finite, or a
+    ``max_segment_steps`` below 1, raises ValueError, and a start or goal
+    that is not a cell of ``lattice`` raises :class:`OutOfDomainError`,
+    both before any search.  A goal not reached within
+    ``max_segment_steps`` steps of the last arrival, or a dedup grid of
+    more than 50M cells, raises :class:`PlanningError`.
+    """
+    return _plan(None, sys, lattice, inputs, start, goals, grid_resolution,
+                 max_segment_steps)
+
+
 def plan_reach(model: SymbolicModel, start, goals, relaxed: bool = False,
                grid_resolution: float = 0.02,
                max_segment_steps: int = 200) -> Plan:
@@ -315,47 +389,19 @@ def plan_reach(model: SymbolicModel, start, goals, relaxed: bool = False,
     Default mode: breadth-first search over the abstract graph using only
     transitions whose successor set is a singleton, concatenating shortest
     segments; raises :class:`PlanningError` naming the first unreachable
-    goal.  Callers may then retry with ``relaxed=True``, which searches the
-    nominal concrete rollout from the start cell's center instead (see the
-    module docstring); relaxed plans must be validated in closed loop.
-    A ``grid_resolution`` that is not positive and finite, or a
-    ``max_segment_steps`` below 1, raises ValueError before any search.
+    goal.  Callers may then retry with ``relaxed=True``, which is
+    :func:`plan_rollout` over the model's system, lattice and input table:
+    it reads none of the model's transitions, and a model without a system
+    raises :class:`PlanningError`.  Relaxed plans must be validated in
+    closed loop.  A ``grid_resolution`` that is not positive and finite, or
+    a ``max_segment_steps`` below 1, raises ValueError, and a start or goal
+    off the model's lattice raises :class:`OutOfDomainError`, both before
+    any search.
     """
-    if not 0.0 < grid_resolution < np.inf:
-        raise ValueError("grid_resolution must be positive and finite, "
-                         f"got {grid_resolution!r}")
-    if max_segment_steps < 1:
-        raise ValueError(
-            f"max_segment_steps must be at least 1, got {max_segment_steps!r}")
-    start_id = model.state_id(start)
-    goal_ids = model.state_ids(goals).tolist()
-
-    if not relaxed:
-        expand, visit = _singleton_expansion(model)
-        node, max_depth = np.array([start_id]), model.n_states
-        reason = "unreachable via singleton transitions; retry with relaxed=True"
-        goal_tests = [lambda nodes, gid=gid: nodes == gid for gid in goal_ids]
-    else:
-        if model.system is None:
-            raise PlanningError("relaxed planning needs the model's source system")
-        expand, visit = _rollout_expansion(model.system, model.lattice,
-                                           model.inputs, grid_resolution)
-        node = model.lattice.center(model.cells[start_id])[None]
-        max_depth = max_segment_steps
-        reason = f"unreachable within {max_segment_steps} steps"
-        goal_tests = [model.lattice.cell_box(model.cells[gid]).contains_many
-                      for gid in goal_ids]
-
-    sequence: list[int] = []
-    for gid, is_goal in zip(goal_ids, goal_tests):
-        found = _search(node, expand, visit, is_goal, max_depth)
-        if found is None:
-            raise PlanningError(f"goal {format_cell(model.cells[gid])} {reason}")
-        segment, node = found
-        sequence.extend(segment)
-    return Plan(steps=tuple((uid, len(list(run)))
-                            for uid, run in itertools.groupby(sequence)),
-                inputs=model.inputs, lattice=model.lattice)
+    if relaxed and model.system is None:
+        raise PlanningError("relaxed planning needs the model's source system")
+    return _plan(None if relaxed else model, model.system, model.lattice,
+                 model.inputs, start, goals, grid_resolution, max_segment_steps)
 
 
 def _controller_ids(policy: SafetyController, x, max_steps: int):
@@ -400,6 +446,7 @@ def simulate_closed_loop(sys: SampledSystem, policy, x0,
     ``max_steps`` is negative or ``x0`` does not have ``sys.dim_x``
     components.
     """
+    begin = time.perf_counter()
     if max_steps < 0:
         raise ValueError(f"max_steps must be non-negative, got {max_steps!r}")
     x = np.atleast_1d(np.asarray(x0, float))
@@ -424,6 +471,8 @@ def simulate_closed_loop(sys: SampledSystem, policy, x0,
             uid = choices.send(x)
     except StopIteration as stop:
         terminated = stop.value
+    logger.info("simulate: %d steps, %s, %.3f s", len(ids), terminated,
+                time.perf_counter() - begin)
     return Trajectory(times=sys.tau * np.arange(len(states)),
                       states=np.array(states), inputs=inputs[ids],
                       terminated=terminated)

@@ -361,6 +361,34 @@ def test_cli_verbose_logs_phases(tmp_path):
     assert "symquant.abstraction: save: " in verbose_log
 
 
+def test_cli_verbose_logs_plan_and_simulate(tmp_path):
+    # a relaxed plan logs its search and no model build, and the closed loop
+    # logs its run; the files stay byte-identical
+    cfg = _fast_cfg(tmp_path)
+    src = os.path.dirname(os.path.dirname(sq.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    files, logs = {}, {}
+    for flags in ([], ["--verbose"]):
+        plan = str(tmp_path / f"p{len(flags)}")
+        for command, infile in (("plan", []), ("simulate", ["--in", plan])):
+            out = tmp_path / f"{command[0]}{len(flags)}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "symquant.cli", command, "--config",
+                 cfg, "--out", str(out), *infile, *flags],
+                capture_output=True, text=True, env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            files[command, bool(flags)] = out.read_bytes()
+            logs[command, bool(flags)] = proc.stderr
+    for command in ("plan", "simulate"):
+        assert files[command, True] == files[command, False]
+        assert logs[command, False] == ""
+    assert re.fullmatch(r"INFO symquant\.synthesis: plan: 2 goals, \d+ layers, "
+                        r"\d+ rows, \d+\.\d+ s\n", logs["plan", True])
+    assert re.fullmatch(r"INFO symquant\.synthesis: simulate: \d+ steps, "
+                        r"plan_complete, \d+\.\d+ s\n", logs["simulate", True])
+
+
 def test_cli_verbose_in_process(tmp_path, capsys):
     # a host whose root logger has a handler, and repeated calls
     cfg = _fast_cfg(tmp_path)
@@ -729,6 +757,34 @@ def test_cli_verify_rejects_negative_flag(tmp_path, capsys, flag, value):
     assert f"configuration error: {flag}: " in capsys.readouterr().err
     # zero stays valid for both
     assert cli.main(["verify", "--config", cfg, flag, "0"]) == 0
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_cli_every_command_rejects_negative_seed_and_samples(tmp_path, capsys,
+                                                             command):
+    # checked before the scenario is read; abstract once ran with both
+    cfg = _fast_cfg(tmp_path)
+    out = tmp_path / "out"
+    infile = ["--in", str(tmp_path / "p.txt")] if command == "simulate" else []
+    for flag in ("--seed", "--samples"):
+        code = cli.main([command, "--config", cfg, "--out", str(out), *infile,
+                         flag, "-3"])
+        assert code == cli.EXIT_CONFIG
+        assert f"configuration error: {flag}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_plan_with_and_without_a_model_file(tmp_path):
+    # the bundled scenario's relaxed plan builds no model; planned over a
+    # model file, which is checked against the scenario, it is the same plan
+    d = str(tmp_path) + "/"
+    assert cli.main(["abstract", "--config", "pendulum", "--out",
+                     d + "m.abs"]) == 0
+    assert cli.main(["plan", "--config", "pendulum", "--out", d + "a"]) == 0
+    assert cli.main(["plan", "--config", "pendulum", "--in", d + "m.abs",
+                     "--out", d + "b"]) == 0
+    plan = (tmp_path / "a").read_bytes()
+    assert plan and plan == (tmp_path / "b").read_bytes()
 
 
 def test_readme_and_help_list_every_key(capsys):

@@ -48,7 +48,10 @@ def test_each_command_loads_only_its_stages(tmp_path):
              {"abstraction", "refinement"}),
             (["synthesize", "--in", d + "m.abs", "--out", d + "c.txt"],
              set(STAGES)),
-            (["plan", "--out", d + "p.txt"], {"abstraction", "synthesis"}),
+            # the bundled scenario's plan is relaxed: it needs no model
+            (["plan", "--out", d + "p.txt"], {"synthesis"}),
+            (["plan", "--in", d + "m.abs", "--out", d + "q.txt"],
+             {"abstraction", "synthesis"}),
             (["simulate", "--in", d + "p.txt", "--out", d + "t.csv"],
              {"synthesis"})):
         _run(f"""

@@ -324,11 +324,21 @@ def test_relaxed_plan_requires_system(pendulum_scenario):
         sq.plan_reach(stripped, (-1, 0), [(0, 0)], relaxed=True)
 
 
+def _relaxed_planners(model):
+    """The two entry points of the relaxed search over one model's system,
+    lattice and input table, as ``planner(start, goals, **settings)``."""
+    return (lambda start, goals, **settings: sq.plan_reach(
+                model, start, goals, relaxed=True, **settings),
+            lambda start, goals, **settings: sq.plan_rollout(
+                model.system, model.lattice, model.inputs, start, goals,
+                **settings))
+
+
 def test_relaxed_plan_rejects_an_oversized_dedup_grid(pendulum_scenario):
     _, _, model = pendulum_scenario
-    with pytest.raises(PlanningError, match="dedup grid of .* too large"):
-        sq.plan_reach(model, (-1, 0), [(0, 0)], relaxed=True,
-                      grid_resolution=1e-5)
+    for plan in _relaxed_planners(model):
+        with pytest.raises(PlanningError, match="dedup grid of .* too large"):
+            plan((-1, 0), [(0, 0)], grid_resolution=1e-5)
 
 
 @pytest.mark.filterwarnings("error")
@@ -340,21 +350,22 @@ def test_relaxed_plan_sizes_its_dedup_grid_in_floats(pendulum_scenario,
     # the grid of the bounds [-1, 1]^2 has (2 / resolution + 3)^2 cells; an
     # int64 size once overflowed at 1e-300 and wrapped at 1e-12
     _, _, model = pendulum_scenario
-    with pytest.raises(PlanningError) as info:
-        sq.plan_reach(model, (-1, 0), [(0, 0)], relaxed=True,
-                      grid_resolution=resolution)
-    assert str(info.value) == (f"dedup grid of {cells} cells is too large; "
-                               "increase the grid resolution")
+    for plan in _relaxed_planners(model):
+        with pytest.raises(PlanningError) as info:
+            plan((-1, 0), [(0, 0)], grid_resolution=resolution)
+        assert str(info.value) == (f"dedup grid of {cells} cells is too "
+                                   "large; increase the grid resolution")
 
 
 def test_relaxed_plan_stops_at_max_segment_steps(pendulum_scenario):
     _, _, model = pendulum_scenario
     steps = sq.plan_reach(model, (-1, 0), [(0, 0)], relaxed=True).total_steps
     assert steps > 1
-    with pytest.raises(PlanningError) as info:
-        sq.plan_reach(model, (-1, 0), [(0, 0)], relaxed=True,
-                      max_segment_steps=steps - 1)
-    assert str(info.value) == f"goal 0,0 unreachable within {steps - 1} steps"
+    for plan in _relaxed_planners(model):
+        with pytest.raises(PlanningError) as info:
+            plan((-1, 0), [(0, 0)], max_segment_steps=steps - 1)
+        assert str(info.value) == (f"goal 0,0 unreachable within {steps - 1} "
+                                   "steps")
 
 
 @pytest.mark.parametrize("name, value", [
@@ -366,18 +377,53 @@ def test_plan_rejects_bad_search_settings(pendulum_scenario, name, value):
     # grid to one cell and raised "goal 0,0 unreachable within 200 steps",
     # 0.0 and nan after numpy's cast warnings
     _, _, model = pendulum_scenario
+    planners = [*_relaxed_planners(model),
+                lambda start, goals, **settings: sq.plan_reach(
+                    model, start, goals, **settings)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for relaxed in (True, False):
+        for plan in planners:
             with pytest.raises(ValueError, match=f"^{name} must .*, got "
                                                  f"{re.escape(repr(value))}$"):
-                sq.plan_reach(model, (-1, 0), [(0, 0)], relaxed=relaxed,
-                              **{name: value})
+                plan((-1, 0), [(0, 0)], **{name: value})
     plan = sq.plan_reach(model, (-1, 0), [(0, 0)], relaxed=True,
                          grid_resolution=0.02, max_segment_steps=1_000)
     assert plan.steps == sq.plan_reach(model, (-1, 0), [(0, 0)],
                                        relaxed=True).steps
     assert plan.total_steps > 1
+
+
+@pytest.mark.parametrize("cell", [(3, 0), (0, -3), (0,), (0, 0, 0)],
+                         ids=["off_lattice", "off_lattice_negative",
+                              "short", "long"])
+@pytest.mark.parametrize("role", ["start", "goal"])
+def test_plan_rejects_cells_off_the_lattice(pendulum_scenario, cell, role):
+    # refused before the search, in both modes and from both entry points
+    _, _, model = pendulum_scenario
+    planners = [*_relaxed_planners(model),
+                lambda start, goals: sq.plan_reach(model, start, goals)]
+    start, goals = ((cell, [(0, 0)]) if role == "start"
+                    else ((-1, 0), [(0, 0), cell]))
+    for plan in planners:
+        with pytest.raises(OutOfDomainError,
+                           match=re.escape(f"unknown cell {cell!r}")):
+            plan(start, goals)
+
+
+@pytest.mark.parametrize("scenario, samples, start, goals", [
+    ("pendulum_scenario", 51, (-1, 0), [(0, 0), (-1, 0)]),
+    ("contracting_scenario", 21, (-2, -2), [(0, 0), (2, 2), (-1, -1)])])
+def test_plan_rollout_is_the_relaxed_plan_reach(request, scenario, samples,
+                                                start, goals):
+    # the relaxed search reads only the system, the lattice and the input
+    # grid, which is a built model's input table
+    sys_, lattice, model = request.getfixturevalue(scenario)
+    want = sq.plan_reach(model, start, goals, relaxed=True)
+    got = sq.plan_rollout(sys_, lattice, sq.input_grid(sys_, samples), start,
+                          goals)
+    assert want.total_steps > len(goals)
+    assert got.steps == want.steps and got.lattice is lattice
+    assert np.array_equal(got.inputs, want.inputs)
 
 
 def _singleton_segment(model, start_id, goal_id):
