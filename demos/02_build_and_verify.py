@@ -23,7 +23,7 @@ t0 = time.perf_counter()
 model = sq.build_abstraction(system, lattice, cfg)
 print(f"built in {time.perf_counter() - t0:.3f}s:", model.summary())
 
-blocking = [c for c in model.cells if model.is_blocking(c)]
+blocking = [c for c in model.cells if not model.enabled_inputs(c)]
 print(f"blocking cells (inflated box always leaves the bounds): {blocking}")
 
 zero = (0, 0)

@@ -228,13 +228,17 @@ class SymbolicModel:
     a state without pairs is blocking.  The successor sets are compressed
     sparse rows over the pairs, ``(offsets, targets)`` with ascending
     target ids, none of them empty.  The output map is the identity on
-    cells and is not stored.  ``eta`` is the lattice's density.
+    cells and is not stored; the density eta is the lattice's
+    (``lattice.shared_eta``).
 
-    ``relation`` gives the successor sets up front.  Without it,
-    ``boxes = (lo, hi)`` gives one closed successor box per pair, and
-    :meth:`materialize` enumerates the cells that meet them all at once on
-    the first query.  How a box was formed is the builder's concern.  An
-    empty set, or a box that meets no cell, raises ValueError.
+    Exactly one of two successor representations is given, with one entry
+    per pair.  ``relation = (offsets, targets)`` gives the successor sets
+    up front, stored as int64 arrays.  ``boxes = (lo, hi)`` gives one
+    closed successor box per pair, and :meth:`materialize` enumerates the
+    cells that meet them all at once on the first query.  How a box was
+    formed is the builder's concern.  Neither or both representations, a
+    count other than one per pair, an empty set, or a box that meets no
+    cell raises ValueError.
     """
 
     def __init__(self, lattice: LogLattice, inputs, pair_ptr, pair_input, *,
@@ -247,7 +251,6 @@ class SymbolicModel:
             inputs = inputs.reshape(len(inputs), -1 if inputs.size else 1)
         self.inputs = _frozen(inputs)
         self.tau = float(tau)
-        self.eta = lattice.shared_eta
         self.mu = float(mu)
         self.lipschitz = float(lipschitz)
         self.system = system
@@ -255,10 +258,18 @@ class SymbolicModel:
         self.pair_input = np.asarray(pair_input, np.int64)
         self.pair_state = np.repeat(np.arange(len(self.cells)),
                                     np.diff(self.pair_ptr))
-        if relation is not None and (np.diff(relation[0]) == 0).any():
-            raise ValueError("a pair has an empty successor set")
-        if boxes is not None and not _meets(lattice, *boxes).all():
+        if (relation is None) == (boxes is None):
+            raise ValueError("give exactly one of relation and boxes")
+        if relation is not None:
+            relation = tuple(np.asarray(part, np.int64) for part in relation)
+            if (np.diff(relation[0]) == 0).any():
+                raise ValueError("a pair has an empty successor set")
+        elif not _meets(lattice, *boxes).all():
             raise ValueError("a pair's successor box meets no cell")
+        count = len(boxes[0]) if relation is None else len(relation[0]) - 1
+        if count != len(self.pair_input):
+            raise ValueError(f"{count} successor sets or boxes for "
+                             f"{len(self.pair_input)} pairs")
         self._relation = relation
         self._boxes = boxes
 
@@ -272,13 +283,10 @@ class SymbolicModel:
     def n_inputs(self) -> int:
         return self.inputs.shape[0]
 
-    def state_ids(self, cells) -> np.ndarray:
-        """State ids of cells; a cell that is not on the lattice raises
-        :class:`OutOfDomainError`."""
-        return self.lattice.checked_cell_ids(cells)
-
     def state_id(self, cell) -> int:
-        return int(self.state_ids([cell])[0])
+        """The cell's state id; a cell that is not on the lattice raises
+        :class:`OutOfDomainError`."""
+        return int(self.lattice.checked_cell_ids([cell])[0])
 
     # -- transition queries --------------------------------------------
 
@@ -322,9 +330,6 @@ class SymbolicModel:
         input is not enabled there."""
         ids = self.successor_ids(self.state_id(cell), int(input_index))
         return tuple(self.cells[t] for t in ids)
-
-    def is_blocking(self, cell) -> bool:
-        return not self.enabled_inputs(cell)
 
     def transition_count(self) -> int:
         return len(self.relation()[1])
@@ -432,11 +437,11 @@ def save_abstraction(model: SymbolicModel, path):
     with open(path, "w") as fh:
         fh.write(f"#version {FORMAT_VERSION}\n")
         fh.write("#lattice variant=%s eta=%s scale=%s lo=%s hi=%s\n" % (
-            lat.axes[0].variant.value, repr(float(model.eta)),
+            lat.axes[0].variant.value, repr(float(lat.shared_eta)),
             _format_floats(axis.scale for axis in lat.axes),
             _format_floats(lat.lo), _format_floats(lat.hi)))
         fh.write("#tau %s #eta %s #mu %s #L %s\n" % (
-            repr(float(model.tau)), repr(float(model.eta)),
+            repr(float(model.tau)), repr(float(lat.shared_eta)),
             repr(float(model.mu)), repr(float(model.lipschitz))))
         for text in model.transition_text("%s ", " %s\n"):
             fh.write(text)
@@ -449,9 +454,9 @@ def save_abstraction(model: SymbolicModel, path):
                 time.perf_counter() - start)
 
 
-# the keys of a model file's parameter header line, as model attributes;
-# a key that is missing keeps the model's default, and #eta, if present,
-# must equal the #lattice eta
+# the keys of a model file's parameter header line, as the model's keyword
+# arguments; a key that is missing keeps the model's default, and #eta, if
+# present, must equal the #lattice eta and is not passed on
 _PARAMS = {"#tau": "tau", "#eta": "eta", "#mu": "mu", "#L": "lipschitz"}
 _LATTICE = ("variant", "eta", "scale", "lo", "hi")
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import os
+from dataclasses import replace
 from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple
 
@@ -210,9 +211,9 @@ class ScenarioConfig(SimpleNamespace):
             ("lipschitz", self.lipschitz), ("input_lo", self.input_lo),
             ("input_hi", self.input_hi)) if value is not None}
         try:
-            system = make_system(self.system_name).with_settings(
-                tau=self.tau, integrator_steps=self.integrator_steps,
-                **overrides)
+            system = replace(make_system(self.system_name), tau=self.tau,
+                             integrator_steps=self.integrator_steps,
+                             **overrides)
             if system.dim_x != self.lattice.dim:
                 raise ValueError(f"system dimension {system.dim_x} does not "
                                  f"match lattice dimension {self.lattice.dim}")

@@ -25,7 +25,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -91,10 +91,6 @@ class SampledSystem:
             raise ValueError("input box dimension does not match dim_u")
         if any(lo > hi for lo, hi in zip(self.input_lo, self.input_hi)):
             raise ValueError("input box is empty")
-
-    def with_settings(self, **kwargs) -> "SampledSystem":
-        """Copy with replaced fields (tau, integrator_steps, ...)."""
-        return replace(self, **kwargs)
 
 
 def _field(sys: SampledSystem):
@@ -313,11 +309,12 @@ def register_system(name: str, factory: Callable[..., SampledSystem]):
     _SYSTEMS[str(name)] = factory
 
 
-def make_system(name: str, **kwargs) -> SampledSystem:
-    """Instantiate a registered system, forwarding keyword overrides."""
+def make_system(name: str) -> SampledSystem:
+    """Instantiate a registered system with its factory's defaults; copy it
+    with :func:`dataclasses.replace` to change a field."""
     try:
         factory = _SYSTEMS[name]
     except KeyError:
         known = ", ".join(sorted(_SYSTEMS))
         raise ValueError(f"unknown system {name!r} (registered: {known})") from None
-    return factory(**kwargs)
+    return factory()

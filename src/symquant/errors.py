@@ -14,9 +14,9 @@ class DivergenceError(RuntimeError):
     Carries the zero-based substep index at which divergence was detected.
     """
 
-    def __init__(self, substep: int, message: str = ""):
+    def __init__(self, substep: int):
         self.substep = substep
-        super().__init__(message or f"integration diverged at substep {substep}")
+        super().__init__(f"integration diverged at substep {substep}")
 
 
 class ConfigError(ValueError):

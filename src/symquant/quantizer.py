@@ -310,13 +310,11 @@ class LogLattice:
         return len(idx) == self.dim and all(
             -n <= m <= p for m, n, p in zip(idx, self._neg_max, self._pos_max))
 
-    def check_index(self, idx):
-        if idx not in self:
-            raise OutOfDomainError(f"invalid cell index {idx!r} for this lattice")
-
     def center(self, idx) -> np.ndarray:
-        """Quantized value (lattice point) of a cell."""
-        self.check_index(idx)
+        """Quantized value (lattice point) of a cell; a cell that is not on
+        this lattice raises :class:`OutOfDomainError` (see
+        :meth:`checked_cell_ids`), as in :meth:`cell_box`."""
+        self.checked_cell_ids([idx])
         return np.array([values[m + n] for values, m, n
                          in zip(self._centers, idx, self._neg_max)])
 
@@ -324,7 +322,7 @@ class LogLattice:
         """Clipped cell geometry with per-face openness metadata: positive
         levels are left-open, negative ones right-open, the deadzone
         closed."""
-        self.check_index(idx)
+        self.checked_cell_ids([idx])
         j = [m + n for m, n in zip(idx, self._neg_max)]
         levels = np.asarray(idx)
         return Box([e[k] for e, k in zip(self._edges, j)],

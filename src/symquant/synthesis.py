@@ -84,14 +84,9 @@ def cpre(model: SymbolicModel, target) -> set[tuple[int, ...]]:
     """Controllable predecessor: cells from which some enabled input forces
     every successor into ``target``.  Blocking cells are never members."""
     mask = np.zeros(model.n_states, bool)
-    mask[model.state_ids(target)] = True
+    mask[model.lattice.checked_cell_ids(target)] = True
     found, _ = _controllable(model, mask)
     return {model.cells[sid] for sid in np.flatnonzero(found)}
-
-
-def _freeze_inputs(policy):
-    """Store a read-only float copy of a policy's input table."""
-    object.__setattr__(policy, "inputs", _frozen(policy.inputs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,7 +98,9 @@ class SafetyController:
     keys are the ``domain``, the greatest controlled-invariant subset of the
     safe cells, of ``lattice``.  ``iterations`` is the number of fixed-point
     sweeps performed, ``history`` the sweep sizes starting from the safe set
-    itself.
+    itself.  A row that :func:`load_controller` would refuse (a cell off
+    ``lattice``, no input ids, ids not strictly ascending, an id outside
+    ``inputs``) raises ValueError at construction.
     """
 
     admissible: dict[tuple[int, ...], tuple[int, ...]]
@@ -112,7 +109,10 @@ class SafetyController:
     iterations: int
     history: tuple[int, ...]
 
-    __post_init__ = _freeze_inputs
+    def __post_init__(self):
+        object.__setattr__(self, "inputs", _frozen(self.inputs))
+        for cell, uids in self.admissible.items():
+            _check_row(cell, uids, self.lattice, len(self.inputs))
 
     @property
     def domain(self) -> tuple[tuple[int, ...], ...]:
@@ -124,17 +124,15 @@ class SafetyController:
     def query(self, x) -> tuple[int, ...]:
         """The admissible input indices of the cell containing the concrete
         state x, or an empty tuple when x is outside the lattice bounds (NaN
-        and infinite components included) or outside the domain (check
-        ``in_domain`` to distinguish).  A state of the wrong dimension
-        raises ValueError.  Constant on each cell by construction."""
+        and infinite components included) or outside the domain; the two
+        cases give the same answer, so x is in the domain exactly when the
+        answer is not empty.  A state of the wrong dimension raises
+        ValueError.  Constant on each cell by construction."""
         try:
             cell = self.lattice.quantize(x)
         except OutOfDomainError:
             return ()
         return self.admissible.get(cell, ())
-
-    def in_domain(self, x) -> bool:
-        return bool(self.query(x))
 
 
 def safety_fixpoint(model: SymbolicModel, safe: AbstractSafeSet) -> SafetyController:
@@ -146,7 +144,7 @@ def safety_fixpoint(model: SymbolicModel, safe: AbstractSafeSet) -> SafetyContro
     """
     start = time.perf_counter()
     safe_mask = np.zeros(model.n_states, bool)
-    safe_mask[model.state_ids(safe.cells)] = True
+    safe_mask[model.lattice.checked_cell_ids(safe.cells)] = True
     current = safe_mask
     history = [int(safe_mask.sum())]
     iterations = 0
@@ -186,7 +184,7 @@ class Plan:
     lattice: LogLattice
 
     def __post_init__(self):
-        _freeze_inputs(self)
+        object.__setattr__(self, "inputs", _frozen(self.inputs))
         for uid, hold in self.steps:
             _check_step(uid, hold, len(self.inputs))
 
@@ -211,6 +209,19 @@ def _check_step(uid: int, hold: int, n_inputs: int, where: str = ""):
     if hold < 1:
         raise ValueError(f"{where}hold counts must be positive")
     _check_input_id(uid, n_inputs, where)
+
+
+def _check_row(cell, uids, lattice: LogLattice, n_inputs: int, where=""):
+    """The rules of one controller row: a cell of ``lattice`` and input ids
+    that are not empty, strictly ascend and index a table of ``n_inputs``."""
+    if not uids:
+        raise ValueError(f"{where}no input ids")
+    if any(a >= b for a, b in zip(uids, uids[1:])):
+        raise ValueError(f"{where}input ids must strictly ascend")
+    if cell not in lattice:
+        raise ValueError(f"{where}{format_cell(cell)} is not a lattice cell")
+    for uid in uids:
+        _check_input_id(uid, n_inputs, where)
 
 
 def _search(root, expand, visit, is_goal, max_depth: int):
@@ -407,7 +418,7 @@ def plan_reach(model: SymbolicModel, start, goals, relaxed: bool = False,
 def _controller_ids(policy: SafetyController, x, max_steps: int):
     """Yields the lowest admissible input index of the state's cell and is
     sent the next state; returns the reason it stops, before a step."""
-    if not policy.in_domain(x):
+    if not policy.query(x):
         raise OutOfDomainError(
             f"initial state {x.tolist()} outside the controller domain")
     for _ in range(max_steps):
@@ -516,17 +527,9 @@ def load_controller(path, inputs, lattice: LogLattice) -> SafetyController:
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: malformed line") from exc
             where = f"{path}:{lineno}: "
-            if not uids:
-                raise ValueError(f"{where}no input ids")
-            if any(a >= b for a, b in zip(uids, uids[1:])):
-                raise ValueError(f"{where}input ids must strictly ascend")
+            _check_row(cell, uids, lattice, len(inputs), where)
             if cell in admissible:
                 raise ValueError(f"{where}cell {format_cell(cell)} repeated")
-            if cell not in lattice:
-                raise ValueError(f"{where}{format_cell(cell)} is not a lattice "
-                                 "cell")
-            for uid in uids:
-                _check_input_id(uid, len(inputs), where)
             admissible[cell] = uids
     return SafetyController(admissible=dict(sorted(admissible.items())),
                             inputs=inputs, lattice=lattice, iterations=0,

@@ -317,7 +317,7 @@ def test_build_statistics(pendulum_scenario):
     _, _, model = pendulum_scenario
     assert model.n_states == 25
     assert model.summary()["states"] == 25
-    blocking = [c for c in model.cells if model.is_blocking(c)]
+    blocking = [c for c in model.cells if not model.enabled_inputs(c)]
     assert blocking == [c for c in model.cells if abs(c[0]) == 2]
     assert len(model.enabled_inputs((0, 0))) > 0
     # self-loop transitions exist
@@ -356,6 +356,28 @@ def test_model_refuses_a_pair_that_is_not_enabled():
                           boxes=(np.array([[lo]]), np.array([[hi]])))
 
 
+def test_model_takes_one_successor_representation_per_pair():
+    # neither representation, two sets for one pair, and a relation given
+    # as lists, which is stored as int64 arrays
+    lattice = line_lattice(2)
+    ptr, uids = [0, 1, 1], [0]
+    box = (np.array([[0.0]]), np.array([[1.0]]))
+    for kwargs in ({}, {"relation": ([0, 1], [1]), "boxes": box}):
+        with pytest.raises(ValueError, match="exactly one of relation and"):
+            SymbolicModel(lattice, [[0.0]], ptr, uids, **kwargs)
+    with pytest.raises(ValueError, match="2 successor sets or boxes for 1"):
+        SymbolicModel(lattice, [[0.0]], ptr, uids,
+                      relation=(np.array([0, 1, 2]), np.array([0, 1])))
+    with pytest.raises(ValueError, match="2 successor sets or boxes for 1"):
+        SymbolicModel(lattice, [[0.0]], ptr, uids,
+                      boxes=(np.repeat(box[0], 2, 0), np.repeat(box[1], 2, 0)))
+    model = SymbolicModel(lattice, [[0.0]], ptr, uids,
+                          relation=([0, 2], [0, 1]))
+    assert [part.dtype for part in model.relation()] == [np.int64] * 2
+    assert model.successor_ids(0, 0) == (0, 1)
+    assert model.transition_count() == 2
+
+
 def test_enabled_queries_never_enumerate(pendulum_scenario, monkeypatch):
     sys_, lattice, built = pendulum_scenario
     enabled = [tuple(u for u in range(built.n_inputs)
@@ -372,7 +394,7 @@ def test_enabled_queries_never_enumerate(pendulum_scenario, monkeypatch):
     for sid, cell in enumerate(model.cells):
         assert model.enabled_ids(sid) == enabled[sid]
         assert model.enabled_inputs(cell) == enabled[sid]
-        assert model.is_blocking(cell) == (not enabled[sid])
+        assert (not model.enabled_inputs(cell)) == (not enabled[sid])
     assert sq.abstract_safe_set([-0.7, -0.7], [0.7, 0.7], model) == safe
     assert safe.inputs == tuple(sorted(set().union(
         *(enabled[model.state_id(c)] for c in safe.cells))))
@@ -493,7 +515,8 @@ def test_save_load_roundtrip(pendulum_scenario, tmp_path):
     assert loaded.cells == model.cells
     assert (loaded.inputs == model.inputs).all()
     assert loaded.tau == model.tau and loaded.mu == model.mu
-    assert loaded.eta == model.eta and loaded.lipschitz == model.lipschitz
+    assert loaded.lattice.shared_eta == model.lattice.shared_eta
+    assert loaded.lipschitz == model.lipschitz
     assert list(iter_transitions(loaded)) == list(iter_transitions(model))
     for cell in model.cells:
         assert loaded.enabled_inputs(cell) == model.enabled_inputs(cell)
@@ -521,11 +544,11 @@ def _reference_file(model) -> bytes:
 
     text = ["#version 1\n",
             "#lattice variant=%s eta=%s scale=%s lo=%s hi=%s\n" % (
-                lat.axes[0].variant.value, repr(model.eta),
+                lat.axes[0].variant.value, repr(lat.shared_eta),
                 floats(axis.scale for axis in lat.axes), floats(lat.lo),
                 floats(lat.hi)),
             "#tau %s #eta %s #mu %s #L %s\n" % (
-                repr(model.tau), repr(model.eta), repr(model.mu),
+                repr(model.tau), repr(lat.shared_eta), repr(model.mu),
                 repr(model.lipschitz)),
             ("%d %d %d\n" * len(table)) % tuple(table.ravel().tolist())]
     text += ["input %d %s\n" % (uid, " ".join(repr(float(v)) for v in row))
@@ -587,7 +610,7 @@ def test_from_tables_model_saves_a_file_that_reloads(tmp_path):
     model = SymbolicModel.from_tables(lattice, [[0.0], [1.0]],
                                       {(0, 1): (1, 2), (2, 0): (2,)},
                                       tau=0.2, mu=0.01)
-    assert model.eta == 0.2
+    assert model.lattice.shared_eta == 0.2
     sq.save_abstraction(model, tmp_path / "m.abs")
     lines = (tmp_path / "m.abs").read_text().splitlines()
     assert " eta=0.2 " in lines[1] and " #eta 0.2 " in lines[2]
@@ -653,8 +676,8 @@ def test_line_lattice_numbers_its_cells_from_zero():
 def test_state_ids_are_the_lattice_cell_ids(pendulum_scenario):
     _, lattice, model = pendulum_scenario
     assert model.cells == lattice.enumerate_cells()
-    assert model.state_ids(model.cells).tolist() == list(range(25))
-    assert model.state_ids([]).tolist() == []
+    assert lattice.checked_cell_ids(model.cells).tolist() == list(range(25))
+    assert lattice.checked_cell_ids([]).tolist() == []
     assert [model.state_id(c) for c in model.cells] == list(range(25))
     assert model.state_id([1, -1]) == model.state_id((1, -1))
 
@@ -680,8 +703,8 @@ def _same_model(a, b) -> bool:
             and np.array_equal(a.pair_input, b.pair_input)
             and np.array_equal(ptr_a, ptr_b)
             and np.array_equal(targets_a, targets_b)
-            and (a.tau, a.eta, a.mu, a.lipschitz)
-            == (b.tau, b.eta, b.mu, b.lipschitz)
+            and (a.tau, a.lattice.shared_eta, a.mu, a.lipschitz)
+            == (b.tau, b.lattice.shared_eta, b.mu, b.lipschitz)
             and a.lattice == b.lattice)
 
 
@@ -855,13 +878,15 @@ def test_model_file_header_keys_default_when_missing(tmp_path):
     assert lines[2] == "#tau 0.3 #eta 0.25 #mu 0.002 #L 1.0\n"
     path.write_text("".join(lines).replace(" #mu 0.002", ""))
     model = sq.load_abstraction(path)
-    assert (model.tau, model.eta, model.mu, model.lipschitz) == \
+    assert (model.tau, model.lattice.shared_eta, model.mu,
+            model.lipschitz) == \
         (0.3, 0.25, 0.5, 1.0)
     # without its parameter line, the model takes the lattice's eta and so
     # saves a file that loads back as the same model
     path.write_text("".join(lines[:2] + lines[3:]))
     model = sq.load_abstraction(path)
-    assert (model.tau, model.eta, model.mu, model.lipschitz) == \
+    assert (model.tau, model.lattice.shared_eta, model.mu,
+            model.lipschitz) == \
         (0.0, 0.25, 0.5, 1.0)
     sq.save_abstraction(model, tmp_path / "again.abs")
     assert _same_model(sq.load_abstraction(tmp_path / "again.abs"), model)

@@ -844,7 +844,7 @@ def test_scenario_file_fuzz(tmp_path, source):
         lattice = cfg.build_lattice()
         for cell in [cfg.plan_start, *cfg.plan_goals]:
             if cell is not None:
-                lattice.check_index(cell)
+                lattice.checked_cell_ids([cell])
         if cfg.sim_x0 is not None:
             assert lattice.contains_many([cfg.sim_x0])[0], (k, name)
         assert all(lo <= hi for lo, hi in zip(cfg.safe_lo, cfg.safe_hi)), \

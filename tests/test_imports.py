@@ -129,3 +129,18 @@ def test_method_forwarders_stay_deleted():
     with pytest.raises(TypeError, match="lattice"):
         sq.simulate_closed_loop(sq.linear_system(), plan, [0.0], 1,
                                 lattice=plan.lattice)
+    # second names of an operation that another name owns: the lattice's
+    # checked cell ids, its eta, an empty enabled-input set, the query, and
+    # dataclasses.replace
+    model = sq.SymbolicModel.from_tables(plan.lattice, [[0.0]], {(0, 0): [0]})
+    for owner, name in ((model, "state_ids"), (model, "eta"),
+                        (model, "is_blocking"),
+                        (sq.SafetyController, "in_domain"),
+                        (sq.SampledSystem, "with_settings"),
+                        (plan.lattice, "check_index")):
+        assert not hasattr(owner, name), name
+    # parameters that no caller passed
+    with pytest.raises(TypeError):
+        sq.make_system("linear", tau=0.1)
+    with pytest.raises(TypeError):
+        sq.DivergenceError(0, "diverged")

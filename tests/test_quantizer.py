@@ -426,7 +426,8 @@ def test_value_objects_copy_the_arrays_they_keep(tmp_path):
                                lattice=lattice, iterations=0, history=())
     empty = np.zeros(lattice.cell_count() + 1, np.int64)
     for policy in (plan, ctrl,
-                   SymbolicModel(lattice, u, empty, empty[:0]),
+                   SymbolicModel(lattice, u, empty, empty[:0],
+                                 relation=([0], [])),
                    SymbolicModel.from_tables(lattice, u, {(0, 1): [0]})):
         kept(policy.inputs, u)
     # a loader hands the caller's table to the constructor

@@ -1,5 +1,6 @@
 """Sampled refinement checking and abstract safe sets."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -220,7 +221,7 @@ def test_vectorized_check_matches_loop_reference(pendulum_scenario):
     succ = {(s, u): real.successor_ids(s, u)
             for s in range(real.n_states) for u in real.enabled_ids(s)}
     for sid, cell in enumerate(real.cells):
-        if real.is_blocking(cell):
+        if not real.enabled_inputs(cell):
             succ.update({(sid, u): (sid,) for u in range(real.n_inputs)})
     zero = real.state_id((0, 0))
     for uid in real.enabled_ids(zero):
@@ -251,8 +252,8 @@ def test_chunked_check_matches_one_chunk(pendulum_scenario, monkeypatch,
         (sys_, model), count = _expanding(), 5000
     else:
         sys_, _, model = pendulum_scenario
-        sys_, count = sys_.with_settings(input_lo=(-1.0,),
-                                         input_hi=(1.0,)), 3000
+        sys_, count = dataclasses.replace(sys_, input_lo=(-1.0,),
+                                          input_hi=(1.0,)), 3000
     runs = []
     for chunk in (1, 7, refinement._CHUNK, count + 1):
         monkeypatch.setattr(refinement, "_CHUNK", chunk)

@@ -31,7 +31,7 @@ def test_cpre_empty_target(pendulum_scenario):
 def test_cpre_all_cells_is_nonblocking(pendulum_scenario):
     _, _, model = pendulum_scenario
     got = sq.cpre(model, model.cells)
-    assert got == {c for c in model.cells if not model.is_blocking(c)}
+    assert got == {c for c in model.cells if model.enabled_inputs(c)}
 
 
 def test_cpre_hand_enumeration():
@@ -152,10 +152,9 @@ def test_controller_query_semantics(contracting_scenario):
     # a cell outside the domain answers the empty set
     outside = [c for c in model.cells if c not in ctrl.admissible][0]
     x = lattice.center(outside)
-    assert ctrl.query(x) == () and not ctrl.in_domain(x)
-    # outside the bounds: empty set and the out-of-domain flag
+    assert ctrl.query(x) == ()
+    # outside the bounds: the empty set too
     assert ctrl.query([5.0, 5.0]) == ()
-    assert not ctrl.in_domain([5.0, 5.0])
 
 
 def test_concrete_query_rejects_a_wrong_dimension_state(contracting_scenario):
@@ -164,14 +163,12 @@ def test_concrete_query_rejects_a_wrong_dimension_state(contracting_scenario):
     _, lattice, model = contracting_scenario
     ctrl = sq.safety_fixpoint(
         model, sq.abstract_safe_set([-0.7, -0.7], [0.7, 0.7], model))
-    assert ctrl.in_domain(lattice.center(ctrl.domain[0]))
+    assert ctrl.query(lattice.center(ctrl.domain[0]))
     for x in ([0.0], [0.0, 0.0, 0.0]):
         with pytest.raises(ValueError, match="dimension 2"):
             ctrl.query(x)
-        with pytest.raises(ValueError, match="dimension 2"):
-            ctrl.in_domain(x)
     for x in ([np.nan, 0.0], [0.0, np.inf], [-np.inf, 0.0]):
-        assert ctrl.query(x) == () and not ctrl.in_domain(x)
+        assert ctrl.query(x) == ()
 
 
 @pytest.mark.parametrize("cell", [(3, 0), (0, -3), (0,), (0, 0, 0)],
@@ -528,8 +525,8 @@ def test_simulate_controller_stops_on_leaving_domain(contracting_scenario):
     assert 0 < trajectory.steps < 10
     assert trajectory.inputs.tolist() == [[1.0]] * trajectory.steps
     *kept, before, exited = trajectory.states
-    assert all(ctrl.in_domain(x) for x in (*kept, before))
-    assert not ctrl.in_domain(exited)
+    assert all(ctrl.query(x) for x in (*kept, before))
+    assert not ctrl.query(exited)
     assert exited.tobytes() == sq.successor(sys_, before, [1.0]).tobytes()
 
 
@@ -772,7 +769,7 @@ def test_controller_file_fuzz(contracting_scenario, tmp_path):
         assert got.admissible == expected, (k, name)
         assert got.domain == tuple(sorted(expected))
         for cell, uids in got.admissible.items():
-            lattice.check_index(cell)
+            lattice.checked_cell_ids([cell])
             assert list(uids) == sorted(set(uids))
             assert 0 <= uids[0] and uids[-1] < model.n_inputs
     for k in range(1, len(lines)):  # a cell line under another keyword
@@ -781,6 +778,32 @@ def test_controller_file_fuzz(contracting_scenario, tmp_path):
         with pytest.raises(ValueError) as info:
             sq.load_controller(path, model.inputs, lattice)
         assert str(info.value) == f"{path}:{k + 1}: malformed line"
+
+
+@pytest.mark.parametrize("row, message", [
+    ({(9, 9): (0,)}, "9,9 is not a lattice cell"),
+    ({(0, 0): (3, 1)}, "input ids must strictly ascend"),
+    ({(0, 0): (99,)}, "input index 99 out of range (11 inputs)"),
+    ({(0, 0): ()}, "no input ids"),
+], ids=["off_lattice", "descending", "out_of_range", "empty"])
+def test_controller_refuses_at_construction_the_rows_a_file_may_not_hold(
+        tmp_path, row, message):
+    # a controller is refused when built, with the message the loader
+    # gives at the line of the same row
+    lattice = sq.LogLattice.from_params(0.2, [0.4, 0.4], [-1, -1], [1, 1],
+                                        "edge_anchored")
+    inputs = np.linspace(-1.0, 1.0, 11)[:, None]
+    with pytest.raises(ValueError) as info:
+        sq.SafetyController(admissible=row, inputs=inputs, lattice=lattice,
+                            iterations=0, history=())
+    assert str(info.value) == message
+    [(cell, uids)] = row.items()
+    path = tmp_path / "ctrl.txt"
+    path.write_text(f"#controller 1\ncell {sq.format_cell(cell)} : "
+                    + " ".join(map(str, uids)) + "\n")
+    with pytest.raises(ValueError) as info:
+        sq.load_controller(path, inputs, lattice)
+    assert str(info.value) == f"{path}:2: {message}"
 
 
 def test_plan_file_fuzz(tmp_path):
