@@ -50,7 +50,7 @@ logger = logging.getLogger(__name__)
 
 FORMAT_VERSION = 1
 _CHUNK = 1 << 14  # transitions per chunk of enumeration, saving and walks
-_BLOCK = 1 << 14  # characters per block of a model file read
+_BLOCK = 1 << 15  # bytes per block of a model file read
 
 
 @dataclass(frozen=True)
@@ -193,9 +193,11 @@ def _targets_many(lattice: LogLattice, box_lo: np.ndarray, box_hi: np.ndarray):
 def _key(table, n_states: int, n_inputs: int):
     """Keys ``(src * n_inputs + uid) * n_states + dst`` of ``src dst uid``
     rows, and the first row that names an unknown state or input, or -1."""
+    # a negative id, read unsigned, is above every count
+    src, dst, uid = table.view(np.uint64).T
+    bad = np.flatnonzero((src >= n_states) | (dst >= n_states)
+                         | (uid >= n_inputs))
     src, dst, uid = table.T
-    bad = np.flatnonzero((src < 0) | (src >= n_states) | (dst < 0)
-                         | (dst >= n_states) | (uid < 0) | (uid >= n_inputs))
     key = (src * n_inputs + uid) * n_states + dst
     return key, (int(bad[0]) if bad.size else -1)
 
@@ -203,16 +205,21 @@ def _key(table, n_states: int, n_inputs: int):
 def _pack(key, n_states: int, n_inputs: int):
     """Pairs and CSR relation of transition keys (see
     :func:`_key`): returns ``(pair_ptr, pair_input, (offsets, targets))``.
-    Repeated transitions count once; the targets overwrite ``key``."""
-    if not (key[1:] > key[:-1]).all():
+    Repeated transitions count once; the targets overwrite ``key``.  Keys
+    that ascend are read a chunk at a time (each with the next chunk's
+    first key), so they need no temporary larger than a chunk or the
+    pairs."""
+    chunks = range(0, len(key), _CHUNK)
+    if not all((np.diff(key[a:a + _CHUNK + 1]) > 0).all() for a in chunks):
         key = np.sort(key)
         key = key[np.append(True, key[1:] != key[:-1])]
-    pair_key = key // n_states
+        chunks = range(0, len(key), _CHUNK)
+    # a pair starts at the first key and wherever key // n_states changes
+    starts = np.concatenate([np.arange(min(len(key), 1)), *(
+        a + 1 + np.flatnonzero(np.diff(key[a:a + _CHUNK + 1] // n_states))
+        for a in chunks)])
+    pair_state, pair_input = np.divmod(key[starts] // n_states, n_inputs)
     np.remainder(key, n_states, out=key)
-    new = np.ones(len(key), bool)
-    np.not_equal(pair_key[1:], pair_key[:-1], out=new[1:])
-    starts = np.flatnonzero(new)
-    pair_state, pair_input = np.divmod(pair_key[starts], n_inputs)
     pair_ptr = np.searchsorted(pair_state, np.arange(n_states + 1))
     return pair_ptr, pair_input, (np.append(starts, len(key)), key)
 
@@ -489,78 +496,119 @@ def _lattice(fields) -> LogLattice:
                                   QuantizerVariant(spec["variant"]))
 
 
-def _table(lines):
-    """The int64 table of ``src dst uid`` lines; None if one is malformed."""
-    if not any(map(str.strip, lines)):
-        return None  # all blank, which np.loadtxt would warn about
-    try:
-        table = np.loadtxt(lines, np.int64, comments=None, ndmin=2)
-    except ValueError:
+_DIGITS = 18  # the most digits of an id; any 18-digit number fits int64
+_POWERS = 10 ** np.arange(_DIGITS, dtype=np.int64)
+
+
+def _table(block: bytes):
+    """The int64 table of a block of whole ``src dst uid`` lines, each
+    ending in a newline; None if a line is malformed.
+
+    A line is three ids of 1 to ``_DIGITS`` decimal digits, separated by
+    single spaces: no byte is above ``"9"``, and the bytes below ``"0"``
+    (the separators) are two spaces and then a newline per line.  An id is
+    read from its last digits, one digit place per gather.
+    """
+    a = np.frombuffer(block, np.uint8)
+    sep = np.flatnonzero(a < 48)
+    n = len(sep) // 3
+    width = sep - 1  # the digits between consecutive separators
+    width[1:] -= sep[:-1]
+    width[0] += 1
+    # with 2n spaces among the 3n separators, n newlines at every third
+    # one leave the others to be the spaces
+    if (len(sep) % 3 or a.max() > 57 or np.count_nonzero(a == 32) != 2 * n
+            or not (a[sep[2::3]] == 10).all()
+            or width.min() < 1 or width.max() > _DIGITS):
         return None
-    return table if table.shape == (len(lines), 3) else None
+    digits = a - 48
+    table = digits[sep - 1].astype(np.int64)
+    for j in range(1, width.max()):
+        # place j of a narrower id holds a separator, an earlier id or, for
+        # the block's first id, a byte wrapped from the block's end
+        table += digits[sep - (j + 1)] * (width > j) * _POWERS[j]
+    return table.reshape(-1, 3)
 
 
-def _blocks(fh, carry=""):
-    """The rest of an open file after ``carry``, in blocks of whole lines of
-    about ``_BLOCK`` characters, each ending in a newline."""
+def _blocks(fh, carry=b""):
+    """The rest of an open binary file after ``carry``, in blocks of whole
+    lines of about ``_BLOCK`` bytes, each ending in a newline."""
     while read := fh.read(_BLOCK):
         block = carry + read
-        cut = block.rfind("\n") + 1
+        cut = block.rfind(b"\n") + 1
         block, carry = block[:cut], block[cut:]
         if block:
             yield block
     if carry:
-        yield carry.rstrip("\n") + "\n"
+        yield carry + b"\n"
+
+
+def _tables_at(block: bytes):
+    """The number of lines of a block of whole lines before the first that
+    starts with ``input `` or ``state ``, and that line's offset; the
+    number of lines and the block's length if there is none."""
+    a = np.frombuffer(b"\n" + block, np.uint8)
+    newline = a == 10  # newline[i]: block[i] starts a line
+    first = a[1:]
+    maybe = newline[:-1] & ((first == ord("i")) | (first == ord("s")))
+    for i in np.flatnonzero(maybe):
+        if block.startswith((b"input ", b"state "), i):
+            return int(np.count_nonzero(newline[1:i + 1])), int(i)
+    return int(np.count_nonzero(newline)) - 1, len(block)
 
 
 def _scan(path):
-    """The header lines of a model file, its number of transition lines and
-    the lines from the first that starts with ``input `` or ``state ``."""
+    """The header lines of a model file, the byte offset and the number of
+    its transition lines, and the lines from the first that starts with
+    ``input `` or ``state ``."""
     head, n_body, tail = [], 0, []
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         line = fh.readline()
-        while line.startswith("#"):
-            head.append(line.rstrip("\n"))
+        while line.startswith(b"#"):
+            head.append(line.decode().rstrip("\n"))
             line = fh.readline()
+        body = fh.tell() - len(line)
         for block in _blocks(fh, line):
             if not tail:
-                found = [i for i in map(("\n" + block).find,
-                                        ("\ninput ", "\nstate ")) if i >= 0]
-                end = min(found, default=len(block))
-                n_body += block.count("\n", 0, end)
+                lines, end = _tables_at(block)
+                n_body += lines
                 block = block[end:]
-            tail += block.splitlines()
-    return head, n_body, tail
+            tail += block.decode().splitlines()
+    return head, body, n_body, tail
 
 
-def _read_transitions(path, n_head: int, n_body: int, n_states: int,
-                      n_inputs: int) -> np.ndarray:
-    """Keys (see :func:`_key`) of a model file's transition lines, parsed a
-    block at a time; a malformed line, or one that names an unknown state
-    or input, raises at its line."""
+def _read_transitions(path, body: int, n_head: int, n_body: int,
+                      n_states: int, n_inputs: int) -> np.ndarray:
+    """Keys (see :func:`_key`) of the ``n_body`` transition lines that start
+    at byte ``body`` of a model file, parsed a block at a time; a malformed
+    line, or one that names an unknown state or input, raises at its
+    line."""
     keys = np.empty(n_body, np.int64)
     done = 0
-    with open(path) as fh:
-        for _ in range(n_head):
-            fh.readline()
+    with open(path, "rb") as fh:
+        fh.seek(body)
         for block in _blocks(fh):
-            lines = block[:-1].split("\n")[:n_body - done]
-            if not lines:
+            if done == n_body:
                 break
-            table = _table(lines)
+            a = np.frombuffer(block, np.uint8)
+            if np.count_nonzero(a == 10) > n_body - done:  # the tables follow
+                block = block[:np.flatnonzero(a == 10)[n_body - done - 1] + 1]
+            table = _table(block)
             if table is None:
+                lines = block.split(b"\n")
                 k = next((k for k, line in enumerate(lines)
-                          if _table([line]) is None), 0)
-                raise ValueError(f"{path}:{n_head + done + k + 1}: malformed "
-                                 f"line {lines[k]!r}")
-            keys[done:done + len(lines)], row = _key(table, n_states,
+                          if _table(line + b"\n") is None), 0)
+                raise ValueError(
+                    f"{path}:{n_head + done + k + 1}: malformed line "
+                    f"{lines[k].decode(errors='replace')!r}")
+            keys[done:done + len(table)], row = _key(table, n_states,
                                                      n_inputs)
             if row >= 0:
                 raise ValueError(
                     f"{path}:{n_head + done + row + 1}: transition to or from "
                     f"an unknown state or input ({n_states} states, "
                     f"{n_inputs} inputs)")
-            done += len(lines)
+            done += len(table)
     return keys
 
 
@@ -571,15 +619,18 @@ def load_abstraction(path, system=None) -> SymbolicModel:
     The file holds ``#`` header lines, one ``src dst uid`` line per
     transition, then the ``input`` and ``state`` lines with ids counting up
     from 0; the ``state`` lines are the ``#lattice`` line's cells in
-    enumeration order.  Malformed or inconsistent content raises a
+    enumeration order.  A transition line is three ids of decimal digits
+    with single spaces between them and a ``\n`` end (the file's last
+    newline is optional); any other byte, a non-UTF-8 one included, makes
+    it a malformed line.  Malformed or inconsistent content raises a
     ValueError naming the file and, where one line is at fault, the line.
-    The file is read twice, a block at a time: for its header, size and
-    tables, then for its transitions.  The header and the tables are
-    checked before the transitions, so a file with faults in both regions
-    is rejected for a fault in the header or tables.
+    The file is read twice, a block of bytes at a time: for its header,
+    size and tables, then for its transitions.  The header and the tables
+    are checked before the transitions, so a file with faults in both
+    regions is rejected for a fault in the header or tables.
     """
     start = time.perf_counter()
-    head, n_body, tail = _scan(path)
+    head, body, n_body, tail = _scan(path)
     params, lattice, version, seen = {}, None, None, {}
 
     def once(key):
@@ -646,7 +697,8 @@ def load_abstraction(path, system=None) -> SymbolicModel:
         raise ValueError(f"{path}: {len(rows['state'])} states where the "
                          f"#lattice has {len(cells)} cells")
 
-    keys = _read_transitions(path, len(head), n_body, len(cells), len(inputs))
+    keys = _read_transitions(path, body, len(head), n_body, len(cells),
+                             len(inputs))
     pair_ptr, pair_input, relation = _pack(keys, len(cells), len(inputs))
     model = SymbolicModel(lattice, inputs, pair_ptr, pair_input,
                           system=system, relation=relation, **params)

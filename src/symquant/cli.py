@@ -38,8 +38,8 @@ EXIT_PLAN = 5
 
 
 def _resolve_config(value: str) -> str:
-    """Accept a path or the bare name of a bundled scenario."""
-    if os.path.exists(value):
+    """Accept the path of a file or the bare name of a bundled scenario."""
+    if os.path.isfile(value):
         return value
     if os.sep not in value:
         name = value if value.endswith(".cfg") else value + ".cfg"

@@ -35,6 +35,7 @@ import bisect
 import functools
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from enum import Enum
 
@@ -443,9 +444,14 @@ def format_cell(idx) -> str:
     return ",".join(str(int(m)) for m in idx)
 
 
+_LEVEL = re.compile(r"\s*[+-]?[0-9]+\s*")
+
+
 def parse_cell(text: str) -> tuple[int, ...]:
-    """Inverse of :func:`format_cell`."""
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
-        raise ValueError(f"empty cell index {text!r}")
-    return tuple(int(p) for p in parts)
+    """Inverse of :func:`format_cell`: every comma-separated part is a
+    signed decimal integer, blanks around it allowed; an empty part, as in
+    ``"1,,2"``, ``"1,2,"`` or ``",1,2"``, raises ValueError."""
+    parts = text.split(",")
+    if not all(map(_LEVEL.fullmatch, parts)):
+        raise ValueError(f"malformed cell index {text!r}")
+    return tuple(map(int, parts))

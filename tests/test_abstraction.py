@@ -1,6 +1,8 @@
 """Symbolic model construction: input approximation, transitions, storage."""
 
 import itertools
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 import symquant as sq
 from symquant import abstraction
 from symquant.abstraction import SymbolicModel, _targets_many
+from symquant.config import parse_config
 from symquant.errors import ConfigError, OutOfDomainError
 from conftest import (MUTATED_NUMBERS, box_intersects, iter_transitions,
                       line_lattice, line_mutations, targets_oracle)
@@ -790,6 +793,80 @@ def test_model_file_fuzz(tmp_path, monkeypatch):
                 assert _same_model(got, original)
 
 
+# spellings of a transition line (bytes, without its newline) that the
+# grammar refuses: three ids of decimal digits, single spaces, a "\n" end
+TRANSITION_FAULTS = {
+    "tab": lambda line: line.replace(b" ", b"\t", 1),
+    "cr_lf": lambda line: line + b"\r",
+    "double_space": lambda line: line.replace(b" ", b"  ", 1),
+    "trailing_space": lambda line: line + b" ",
+    "plus": lambda line: b"+" + line,
+    "minus": lambda line: line.replace(b" ", b" -", 1),
+    # the same id, 19 digits wide
+    "digits_19": lambda line: b"%019d%s" % (int(line.split()[0]),
+                                            line[line.index(b" "):]),
+    "non_ascii": lambda line: line + "é".encode(),
+    # starts like a state line, so it is read as a transition line
+    "letter": lambda line: b"s" + line,
+    "not_utf8": lambda line: line + b"\xff",
+}
+
+
+@pytest.mark.parametrize("fault", sorted(TRANSITION_FAULTS))
+def test_model_file_transition_grammar(tmp_path, monkeypatch, fault):
+    # a faulty transition line is refused at its own line, the second or the
+    # last, at the default block size, a tiny one, and one whose first
+    # block ends inside the last transition line
+    sys_, lattice = _line()
+    path = tmp_path / "m.abs"
+    sq.save_abstraction(sq.build_abstraction(
+        sys_, lattice, sq.InputApproxConfig(0.002, 2)), path)
+    original = sq.load_abstraction(path)
+    lines = path.read_bytes().splitlines(True)
+    end = lines.index(b"input 0 -1.0\n")
+    inside_last = len(b"".join(lines[3:end - 1])) + 3
+    blocks = (abstraction._BLOCK, 5, inside_last)
+    for block in blocks:
+        monkeypatch.setattr(abstraction, "_BLOCK", block)
+        assert _same_model(sq.load_abstraction(path), original)
+    for k in (4, end - 1):
+        line = TRANSITION_FAULTS[fault](lines[k][:-1])
+        path.write_bytes(b"".join(lines[:k] + [line + b"\n"] + lines[k + 1:]))
+        for block in blocks:
+            monkeypatch.setattr(abstraction, "_BLOCK", block)
+            with pytest.raises(ValueError) as info:
+                sq.load_abstraction(path)
+            assert str(info.value) == (f"{path}:{k + 1}: malformed line "
+                                       f"{line.decode(errors='replace')!r}")
+
+
+def test_model_load_memory_is_the_model_plus_one_block(tmp_path,
+                                                      monkeypatch):
+    # pendulum_fine's model (177,001 transitions): besides the arrays the
+    # model keeps, a load holds one block's temporaries (at most about 24
+    # bytes per byte of the block) and one chunk's of keys
+    cfg = parse_config(os.path.join(os.path.dirname(os.path.dirname(
+        __file__)), "bench", "scenarios", "pendulum_fine.cfg"))
+    path = tmp_path / "m.abs"
+    sq.save_abstraction(sq.build_abstraction(
+        cfg.build_system(), cfg.lattice, cfg.approx_config()), path)
+    sq.load_abstraction(path)  # imports and caches
+    for block in (abstraction._BLOCK, 1 << 12):
+        monkeypatch.setattr(abstraction, "_BLOCK", block)
+        tracemalloc.start()
+        try:
+            model = sq.load_abstraction(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model.transition_count() == 177_001
+        stored = sum(part.nbytes for part in (
+            model.pair_ptr, model.pair_state, model.pair_input, model.inputs,
+            *model.relation()))
+        allowance = 24 * (block + abstraction._CHUNK)
+        assert peak <= stored + allowance, (block, peak - stored)
+
+
 @pytest.mark.parametrize("at, old, new, message", [
     (3, " #L 1.0", " #L 1.0 #Lx 9", "unknown header key '#Lx'"),
     (2, " hi=1.3", " hi=1.3 foo=1", "unknown #lattice field 'foo=1'"),
@@ -853,10 +930,17 @@ def test_model_file_header_keys_appear_once(tmp_path, edit, message):
     (lambda t: [*t[:-1], "state 7 4,0"],
      ":53: state 7 4,0 is not cell 7 of the #lattice"),
     (lambda t: t[:-1], ": 7 states where the #lattice has 8 cells"),
-], ids=["off_lattice", "swapped", "extra", "long", "missing"])
+    (lambda t: [t[0], t[1], "state 2 -1,,0", *t[3:]],
+     ":48: malformed line 'state 2 -1,,0'"),
+    (lambda t: [t[0], t[1], "state 2 -1,", *t[3:]],
+     ":48: malformed line 'state 2 -1,'"),
+    (lambda t: [t[0], t[1], "state 2 ,-1", *t[3:]],
+     ":48: malformed line 'state 2 ,-1'"),
+], ids=["off_lattice", "swapped", "extra", "long", "missing", "empty_middle",
+        "empty_last", "empty_first"])
 def test_model_file_states_are_the_lattice_cells(tmp_path, edit, message):
     # the state lines are the #lattice line's cells in order, checked as
-    # they are read
+    # they are read, each spelled with no empty level
     sys_, lattice = _line()
     path = tmp_path / "m.abs"
     sq.save_abstraction(sq.build_abstraction(

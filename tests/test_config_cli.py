@@ -160,6 +160,23 @@ def test_cli_bundled_scenario_by_name(tmp_path, monkeypatch):
     assert out.exists()
 
 
+def test_cli_config_naming_a_directory(tmp_path, capsys, monkeypatch):
+    # a directory is not a scenario file: a configuration error like a
+    # missing file, and one named like a bundled scenario does not hide it
+    monkeypatch.setenv("SYMQUANT_ABSTRACTION__INPUT_SAMPLES", "5")
+    out = tmp_path / "m.abs"
+    code = cli.main(["abstract", "--config", str(tmp_path), "--out",
+                     str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        f"configuration error: config file {str(tmp_path)!r} not found\n"
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("pendulum")
+    assert cli.main(["abstract", "--config", "pendulum", "--out",
+                     str(out)]) == 0
+    assert out.exists()
+
+
 def test_cli_synthesize_summary(tmp_path):
     cfg = _fast_cfg(tmp_path)
     out = tmp_path / "ctrl.txt"
@@ -535,7 +552,8 @@ def test_cli_simulate_controller_mode(tmp_path):
 @pytest.mark.parametrize("case", ["input_99", "input_minus_1", "no_inputs",
                                   "ids_descending", "ids_repeated",
                                   "not_a_cell", "repeated_cell",
-                                  "no_cell_keyword",
+                                  "no_cell_keyword", "empty_level_middle",
+                                  "empty_level_last", "empty_level_first",
                                   "plan_hold_0", "plan_input_99"])
 def test_cli_simulate_rejects_bad_policy_file(tmp_path, capsys, case):
     if case.startswith("plan"):
@@ -561,6 +579,15 @@ def test_cli_simulate_rejects_bad_policy_file(tmp_path, capsys, case):
             at = 2
         elif case == "no_cell_keyword":
             lines[1:] = ["foo" + line[len("cell"):] for line in lines[1:]]
+            at = 2
+        elif case.startswith("empty_level"):
+            # the cell's own levels with one empty part
+            levels, ids = lines[1][len("cell "):].split(":")
+            levels = levels.strip()
+            spelled = {"empty_level_middle": levels.replace(",", ",,"),
+                       "empty_level_last": levels + ",",
+                       "empty_level_first": "," + levels}[case]
+            lines[1] = f"cell {spelled} :{ids}"
             at = 2
         else:
             ids = {"input_99": " 99", "input_minus_1": " -1", "no_inputs": "",
@@ -638,6 +665,9 @@ def _with_line(path, section, line):
     ("simulate", "x0 = 0.1"),
     ("simulate", "x0 = 0.1 0.2 0.3"),
     ("plan", "start = -1"),
+    ("plan", "start = -1,,0"),
+    ("plan", "start = -1,0,"),
+    ("plan", "goals = 0,0 ; ,-1,0"),
     ("plan", "goals = 0,0 ; -1,0,0"),
     ("run", "threads = 0"),
     # non-finite values, in every real-valued key
