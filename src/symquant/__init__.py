@@ -31,6 +31,11 @@ _OWNERS = {name: module for module, names in [
 __all__ = sorted(_OWNERS)
 
 
+def _public(module: str) -> list[str]:
+    """The public names of submodule ``module`` (its ``__name__``)."""
+    return sorted(n for n, m in _OWNERS.items() if f"{__name__}.{m}" == module)
+
+
 def __getattr__(name: str):
     if name in _OWNERS:
         value = getattr(import_module(f".{_OWNERS[name]}", __name__), name)

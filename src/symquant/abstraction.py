@@ -30,21 +30,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _public
 from .dynamics import (SampledSystem, growth_radius, input_grid, successor,
                        successor_many)
-from .errors import ConfigError, DivergenceError, located_decoding
+from .errors import ConfigError, DivergenceError, _located_decoding
 from .quantizer import (LogLattice, LogQuantizerAxis, QuantizerVariant,
                         _frozen, format_cell, parse_cell)
 
-__all__ = [
-    "InputApproxConfig",
-    "SymbolicModel",
-    "approximate_inputs",
-    "transition_targets",
-    "build_abstraction",
-    "save_abstraction",
-    "load_abstraction",
-]
+__all__ = _public(__name__)
 
 logger = logging.getLogger(__name__)
 
@@ -245,7 +238,10 @@ class SymbolicModel:
     cells that meet them all at once on the first query.  How a box was
     formed is the builder's concern.  Neither or both representations, a
     count other than one per pair, an empty set, or a box that meets no
-    cell raises ValueError.
+    cell raises ValueError, as do pairs that the loader never produces: a
+    ``pair_ptr`` that does not rise from 0 to the pair count over
+    ``n_states + 1`` entries, and input ids that index no input or do not
+    strictly ascend within a state.
     """
 
     def __init__(self, lattice: LogLattice, inputs, pair_ptr, pair_input, *,
@@ -261,10 +257,15 @@ class SymbolicModel:
         self.mu = float(mu)
         self.lipschitz = float(lipschitz)
         self.system = system
-        self.pair_ptr = np.asarray(pair_ptr, np.int64)
-        self.pair_input = np.asarray(pair_input, np.int64)
-        self.pair_state = np.repeat(np.arange(len(self.cells)),
-                                    np.diff(self.pair_ptr))
+        ptr = self.pair_ptr = np.asarray(pair_ptr, np.int64)
+        uid = self.pair_input = np.asarray(pair_input, np.int64)
+        if (len(ptr) != len(self.cells) + 1 or ptr[0] != 0
+                or ptr[-1] != len(uid) or (np.diff(ptr) < 0).any()):
+            raise ValueError("pair_ptr must rise from 0 to the pair count")
+        self.pair_state = np.repeat(np.arange(len(self.cells)), np.diff(ptr))
+        if (((uid < 0) | (uid >= len(inputs))).any()
+                or (np.diff(uid)[np.diff(self.pair_state) == 0] <= 0).any()):
+            raise ValueError("input ids must strictly ascend and index inputs")
         if (relation is None) == (boxes is None):
             raise ValueError("give exactly one of relation and boxes")
         if relation is not None:
@@ -612,7 +613,7 @@ def _read_transitions(path, body: int, n_head: int, n_body: int,
     return keys
 
 
-@located_decoding
+@_located_decoding
 def load_abstraction(path, system=None) -> SymbolicModel:
     """Read an abstraction file written by :func:`save_abstraction`.
 
@@ -675,8 +676,8 @@ def load_abstraction(path, system=None) -> SymbolicModel:
             continue
         try:
             kind, ident, rest = line.split(maxsplit=2)
-            value = (tuple(float(v) for v in rest.split()) if kind == "input"
-                     else parse_cell(rest))
+            value = (parse_cell(rest) if kind == "state" else
+                     tuple(_number(kind, v) for v in rest.split()))
             seen = rows[kind]
             ident = int(ident)
         except (ValueError, KeyError):

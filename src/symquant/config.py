@@ -32,7 +32,7 @@ from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple
 
 from .dynamics import SampledSystem, make_system
-from .errors import ConfigError, located_decoding
+from .errors import ConfigError, _located_decoding
 from .quantizer import LogLattice, QuantizerVariant, format_cell, parse_cell
 
 __all__ = ["ScenarioConfig", "parse_config", "check_value", "KEYS",
@@ -59,7 +59,9 @@ def _float(text):
 
 
 def _floats(text):
-    return tuple(_float(v) for v in text.replace(",", " ").split())
+    # commas or blanks separate the values; an empty part fails as a value
+    return tuple(_float(v) for part in text.split(",")
+                 for v in part.split() or [part])
 
 
 def _variant(text):
@@ -67,7 +69,7 @@ def _variant(text):
 
 
 def _cells(text):
-    return tuple(parse_cell(part) for part in text.split(";") if part.strip())
+    return tuple(map(parse_cell, text.split(";"))) if text.strip() else ()
 
 
 class _Key(NamedTuple):
@@ -237,7 +239,7 @@ class ScenarioConfig(SimpleNamespace):
 
 def parse_config(path) -> ScenarioConfig:
     """Parse and validate a scenario file (see the module docstring)."""
-    raw = located_decoding(_RawConfig, ConfigError)(str(path))
+    raw = _located_decoding(_RawConfig, ConfigError)(str(path))
     raw.reject_unknown()
     values = {row.field: raw.parse(row) for row in KEYS}
     del values[None]  # the keys accepted with no effect

@@ -30,22 +30,11 @@ from typing import Callable
 
 import numpy as np
 
+from . import _public
 from .errors import DivergenceError
 from .quantizer import _frozen
 
-__all__ = [
-    "SampledSystem",
-    "Trajectory",
-    "successor",
-    "successor_many",
-    "input_grid",
-    "growth_radius",
-    "pendulum_system",
-    "linear_system",
-    "register_system",
-    "make_system",
-    "PENDULUM_CONSTANTS",
-]
+__all__ = _public(__name__)
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,6 +3,10 @@
 import functools
 import re
 
+from . import _public
+
+__all__ = _public(__name__)
+
 
 class OutOfDomainError(ValueError):
     """A point lies outside the lattice bounds, or a cell index is invalid."""
@@ -27,7 +31,7 @@ class PlanningError(RuntimeError):
     """No plan satisfying the requested goal sequence was found."""
 
 
-def located_decoding(load, error=ValueError):
+def _located_decoding(load, error=ValueError):
     """Decorate a loader of a path: a UnicodeDecodeError becomes an
     ``error`` naming the file and the line of its first non-UTF-8 byte."""
     @functools.wraps(load)

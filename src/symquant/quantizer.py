@@ -41,16 +41,10 @@ from enum import Enum
 
 import numpy as np
 
+from . import _public
 from .errors import OutOfDomainError
 
-__all__ = [
-    "QuantizerVariant",
-    "LogQuantizerAxis",
-    "LogLattice",
-    "Box",
-    "format_cell",
-    "parse_cell",
-]
+__all__ = _public(__name__)
 
 # the most cells a lattice may have, far above every scenario's lattice; a
 # finer one is refused before any per-level work

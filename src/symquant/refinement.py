@@ -22,18 +22,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _public
 from .abstraction import SymbolicModel
 from .dynamics import SampledSystem, successor_many
 from .errors import ConfigError
 from .quantizer import format_cell
 
-__all__ = [
-    "RefinementWitness",
-    "RefinementReport",
-    "check_feedback_refinement",
-    "AbstractSafeSet",
-    "abstract_safe_set",
-]
+__all__ = _public(__name__)
 
 logger = logging.getLogger(__name__)
 

@@ -41,8 +41,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import _public
 from .dynamics import SampledSystem, Trajectory, successor, successor_many
-from .errors import OutOfDomainError, PlanningError, located_decoding
+from .errors import OutOfDomainError, PlanningError, _located_decoding
 from .quantizer import LogLattice, _frozen, format_cell, parse_cell
 
 # abstraction and refinement are named in annotations only: simulate loads
@@ -51,19 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .abstraction import SymbolicModel
     from .refinement import AbstractSafeSet
 
-__all__ = [
-    "SafetyController",
-    "Plan",
-    "cpre",
-    "safety_fixpoint",
-    "plan_reach",
-    "plan_rollout",
-    "simulate_closed_loop",
-    "save_controller",
-    "load_controller",
-    "save_plan",
-    "load_plan",
-]
+__all__ = _public(__name__)
 
 logger = logging.getLogger(__name__)
 
@@ -501,7 +490,7 @@ def save_controller(ctrl: SafetyController, path):
             fh.write(f"cell {format_cell(cell)} : {ids}\n")
 
 
-@located_decoding
+@_located_decoding
 def load_controller(path, inputs, lattice: LogLattice) -> SafetyController:
     """Read a controller file over an input table and a lattice.
 
@@ -543,7 +532,7 @@ def save_plan(plan: Plan, path):
             fh.write(f"{uid} {hold}\n")
 
 
-@located_decoding
+@_located_decoding
 def load_plan(path, inputs, lattice: LogLattice) -> Plan:
     """Read a plan file over an input table and a lattice; a bad line
     raises a ValueError naming it."""

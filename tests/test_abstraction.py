@@ -359,6 +359,27 @@ def test_model_refuses_a_pair_that_is_not_enabled():
                           boxes=(np.array([[lo]]), np.array([[hi]])))
 
 
+def test_model_refuses_pairs_its_loader_never_produces():
+    # pair_ptr runs from 0 to the pair count over one entry per state and
+    # one more, and a state's input ids ascend and index the input table
+    lattice = line_lattice(2)
+    inputs = [[0.0], [1.0]]
+    for ptr in ([0, 1], [0, 1, 1, 1], [1, 1, 1], [0, 1, 2], [0, 2, 1]):
+        with pytest.raises(ValueError, match="pair_ptr must rise from 0"):
+            SymbolicModel(lattice, inputs, ptr, [0],
+                          relation=([0, 1], [0]))
+    for ptr, uids in (([0, 1, 1], [5]), ([0, 1, 1], [-1]), ([0, 1, 1], [2]),
+                      ([0, 2, 2], [1, 0]), ([0, 2, 2], [0, 0])):
+        with pytest.raises(ValueError, match="input ids must strictly ascend"):
+            SymbolicModel(lattice, inputs, ptr, uids,
+                          relation=(np.arange(len(uids) + 1), [0] * len(uids)))
+    # ids start again with each state
+    model = SymbolicModel(lattice, inputs, [0, 1, 2], [1, 0],
+                          relation=([0, 1, 2], [0, 1]))
+    assert model.successor_ids(0, 1) == (0,)
+    assert model.successor_ids(1, 0) == (1,)
+
+
 def test_model_takes_one_successor_representation_per_pair():
     # neither representation, two sets for one pair, and a relation given
     # as lists, which is stored as int64 arrays
@@ -880,6 +901,10 @@ def test_model_load_memory_is_the_model_plus_one_block(tmp_path,
     (3, "#eta 0.25", "#eta 0.5", "#eta 0.5 differs from the #lattice eta 0.25"),
     (2, "value_anchored", "bogus", "'bogus' is not a valid QuantizerVariant"),
     (1, "#version 1", "#version 2", "unsupported abstraction format '2'"),
+    # the input table's values are finite too
+    (44, "-1.0", "nan", "malformed line 'input 0 nan'"),
+    (45, "1.0", "inf", "malformed line 'input 1 inf'"),
+    (45, "1.0", "-inf", "malformed line 'input 1 -inf'"),
 ])
 def test_model_file_header_checked_at_its_line(tmp_path, at, old, new,
                                                message):

@@ -46,6 +46,12 @@ def test_env_override(monkeypatch):
     assert cfg.input_samples == 11
 
 
+def test_real_lists_take_commas_or_blanks(monkeypatch):
+    for text in ("0.4 0.4", "0.4,0.4", "0.4, 0.4", " 0.4 ,0.4 ", "0.4 ,\t0.4"):
+        monkeypatch.setenv("SYMQUANT_QUANTIZER__SCALE", text)
+        assert parse_config(BUNDLED).scale == (0.4, 0.4), text
+
+
 def test_config_errors_cite_location(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[quantizer]\neta = 1.7\nscale = 0.4\n"
@@ -668,6 +674,11 @@ def _with_line(path, section, line):
     ("plan", "start = -1,,0"),
     ("plan", "start = -1,0,"),
     ("plan", "goals = 0,0 ; ,-1,0"),
+    ("plan", "goals = 0,0 ; ; -1,0"),
+    ("plan", "goals = 0,0 ; -1,0 ;"),
+    ("quantizer", "state_lo = -1,,-1"),
+    ("quantizer", "state_lo = -1,-1,"),
+    ("quantizer", "state_lo = ,-1,-1"),
     ("plan", "goals = 0,0 ; -1,0,0"),
     ("run", "threads = 0"),
     # non-finite values, in every real-valued key

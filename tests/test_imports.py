@@ -2,6 +2,8 @@
 only the submodules it runs.  pytest's own process already holds every
 module, so each check of what gets loaded runs in a fresh interpreter."""
 
+import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -79,6 +81,24 @@ star = {}
 exec("from symquant import *", star)
 assert set(symquant.__all__) <= set(star)
 """)
+
+
+def test_each_public_name_is_declared_once():
+    # a submodule exports exactly its _OWNERS names, and every class or
+    # function that it defines without a leading underscore is one of them
+    for module_name in set(sq._OWNERS.values()):
+        module = importlib.import_module(f"symquant.{module_name}")
+        names = sorted(n for n, m in sq._OWNERS.items() if m == module_name)
+        assert module.__all__ == names, module_name
+        defined = {name for name, value in vars(module).items()
+                   if (inspect.isclass(value) or inspect.isfunction(value))
+                   and value.__module__ == module.__name__}
+        assert {n for n in defined if not n.startswith("_")} <= set(names), \
+            module_name
+    # a value that is not a class or function stays out of the exports
+    from symquant import dynamics
+    assert "PENDULUM_CONSTANTS" not in dynamics.__all__
+    assert dynamics.PENDULUM_CONSTANTS["mass"] > 0
 
 
 def test_submodule_and_unknown_name_after_bare_import():
