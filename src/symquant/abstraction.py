@@ -35,7 +35,7 @@ from .dynamics import (SampledSystem, growth_radius, input_grid, successor,
                        successor_many)
 from .errors import ConfigError, DivergenceError, _located_decoding
 from .quantizer import (LogLattice, LogQuantizerAxis, QuantizerVariant,
-                        _frozen, format_cell, parse_cell)
+                        _frozen, _int, _real, format_cell, parse_cell)
 
 __all__ = _public(__name__)
 
@@ -469,17 +469,6 @@ _PARAMS = {"#tau": "tau", "#eta": "eta", "#mu": "mu", "#L": "lipschitz"}
 _LATTICE = ("variant", "eta", "scale", "lo", "hi")
 
 
-def _number(name: str, text: str) -> float:
-    """``text`` as a finite float; ``name`` labels the error."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = float("nan")
-    if not np.isfinite(value):
-        raise ValueError(f"{name} is not a finite number: {text!r}")
-    return value
-
-
 def _lattice(fields) -> LogLattice:
     """The lattice of the ``key=value`` fields of a ``#lattice`` line."""
     spec = {}
@@ -487,14 +476,16 @@ def _lattice(fields) -> LogLattice:
         key, sep, value = field.partition("=")
         if not sep or key not in _LATTICE:
             raise ValueError(f"unknown #lattice field {field!r}")
+        if key in spec:
+            raise ValueError(f"repeated #lattice field {key!r}")
         spec[key] = value
     for key in _LATTICE:
         if key not in spec:
             raise ValueError(f"the #lattice line lacks {key!r}")
-    scale, lo, hi = ([_number(key, v) for v in spec[key].split(",")]
+    scale, lo, hi = ([_real(v, f"{key} is ") for v in spec[key].split(",")]
                      for key in ("scale", "lo", "hi"))
-    return LogLattice.from_params(_number("eta", spec["eta"]), scale, lo, hi,
-                                  QuantizerVariant(spec["variant"]))
+    return LogLattice.from_params(_real(spec["eta"], "eta is "), scale, lo,
+                                  hi, QuantizerVariant(spec["variant"]))
 
 
 _DIGITS = 18  # the most digits of an id; any 18-digit number fits int64
@@ -658,7 +649,7 @@ def load_abstraction(path, system=None) -> SymbolicModel:
                     if key not in _PARAMS:
                         raise ValueError(f"unknown header key {key!r}")
                     once(key)
-                    params[_PARAMS[key]] = _number(key, value)
+                    params[_PARAMS[key]] = _real(value, f"{key} is ")
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
     if version is None:
@@ -677,9 +668,9 @@ def load_abstraction(path, system=None) -> SymbolicModel:
         try:
             kind, ident, rest = line.split(maxsplit=2)
             value = (parse_cell(rest) if kind == "state" else
-                     tuple(_number(kind, v) for v in rest.split()))
+                     tuple(map(_real, rest.split())))
             seen = rows[kind]
-            ident = int(ident)
+            ident = _int(ident)
         except (ValueError, KeyError):
             raise ValueError(f"{path}:{lineno}: malformed line {line!r}") from None
         if ident != len(seen):

@@ -27,7 +27,7 @@ from importlib import resources
 from .config import KEYS, REQUIRED, ScenarioConfig, check_value, parse_config
 from .dynamics import input_grid
 from .errors import ConfigError, OutOfDomainError, PlanningError
-from .quantizer import format_cell
+from .quantizer import _int, format_cell
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -234,10 +234,10 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="output file path")
     parser.add_argument("--in", dest="infile",
                         help="input file (abstraction, controller or plan)")
-    parser.add_argument("--threads", type=int, help="accepted, no effect")
-    parser.add_argument("--seed", type=int,
+    parser.add_argument("--threads", type=_int, help="accepted, no effect")
+    parser.add_argument("--seed", type=_int,
                         help="override the configured random seed")
-    parser.add_argument("--samples", type=int,
+    parser.add_argument("--samples", type=_int,
                         help="override the configured sample count")
     parser.add_argument("--lazy", action="store_true",
                         help="accepted, no effect (successor sets are always "

@@ -19,13 +19,13 @@ key: the :class:`ScenarioConfig` attribute it fills, its parser, its default
 that relate several keys (vector lengths, box orders, the state dimension of
 ``simulate.x0``, ``plan.start`` and ``plan.goals``, ``x0`` inside the state
 box, the plan's cells on the lattice) follow in :func:`parse_config`.
-Unknown sections and keys are rejected, and every error names the file and
-line.
+Numbers are read by :mod:`symquant.quantizer`'s one grammar: ASCII
+decimal digits, no ``_``, finite reals.  Unknown sections and keys, and a
+key set twice, are rejected, and every error names the file and line.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import replace
 from types import SimpleNamespace
@@ -33,7 +33,8 @@ from typing import Any, Callable, NamedTuple
 
 from .dynamics import SampledSystem, make_system
 from .errors import ConfigError, _located_decoding
-from .quantizer import LogLattice, QuantizerVariant, format_cell, parse_cell
+from .quantizer import (LogLattice, QuantizerVariant, _int, _real, _reals,
+                        format_cell, parse_cell)
 
 __all__ = ["ScenarioConfig", "parse_config", "check_value", "KEYS",
            "REQUIRED", "ENV_PREFIX"]
@@ -49,19 +50,6 @@ def _bool(text):
     if lowered in ("0", "false", "no", "off"):
         return False
     raise ValueError(f"not a boolean: {text!r}")
-
-
-def _float(text):
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"not a finite number: {text.strip()!r}")
-    return value
-
-
-def _floats(text):
-    # commas or blanks separate the values; an empty part fails as a value
-    return tuple(_float(v) for part in text.split(",")
-                 for v in part.split() or [part])
 
 
 def _variant(text):
@@ -84,44 +72,42 @@ class _Key(NamedTuple):
 
 KEYS = (
     _Key("system_name", "system", "name", str, "pendulum"),
-    _Key("tau", "system", "tau", _float, 0.2, lambda v: v <= 0,
+    _Key("tau", "system", "tau", _real, 0.2, lambda v: v <= 0,
          "tau must be positive"),
-    _Key("lipschitz", "system", "lipschitz", _float, None, lambda v: v <= 0,
+    _Key("lipschitz", "system", "lipschitz", _real, None, lambda v: v <= 0,
          "lipschitz must be positive"),
-    _Key("integrator_steps", "system", "integrator_steps", int, 10,
+    _Key("integrator_steps", "system", "integrator_steps", _int, 10,
          lambda v: v < 1, "need at least one substep"),
-    _Key("input_lo", "system", "input_lo", _floats),
-    _Key("input_hi", "system", "input_hi", _floats),
+    _Key("input_lo", "system", "input_lo", _reals),
+    _Key("input_hi", "system", "input_hi", _reals),
     _Key("variant", "quantizer", "variant", _variant,
          QuantizerVariant.VALUE_ANCHORED),
-    _Key("eta", "quantizer", "eta", _float, REQUIRED,
+    _Key("eta", "quantizer", "eta", _real, REQUIRED,
          lambda v: not 0.0 < v < 1.0, "eta must lie in (0, 1)"),
-    _Key("scale", "quantizer", "scale", _floats, REQUIRED,
+    _Key("scale", "quantizer", "scale", _reals, REQUIRED,
          lambda v: any(s <= 0 for s in v), "scales must be positive"),
-    _Key("state_lo", "quantizer", "state_lo", _floats, REQUIRED),
-    _Key("state_hi", "quantizer", "state_hi", _floats, REQUIRED),
-    _Key("mu", "abstraction", "mu", _float, REQUIRED,
+    _Key("state_lo", "quantizer", "state_lo", _reals, REQUIRED),
+    _Key("state_hi", "quantizer", "state_hi", _reals, REQUIRED),
+    _Key("mu", "abstraction", "mu", _real, REQUIRED,
          lambda v: not 0.0 < v < 1.0, "mu must lie in (0, 1)"),
-    _Key("input_samples", "abstraction", "input_samples", int, 51,
+    _Key("input_samples", "abstraction", "input_samples", _int, 51,
          lambda v: v < 1, "need at least one sample"),
     _Key(None, "abstraction", "lazy", _bool, False),
-    _Key("safe_lo", "synthesis", "safe_lo", _floats),  # unset: the state box
-    _Key("safe_hi", "synthesis", "safe_hi", _floats),
-    _Key("seed", "verify", "seed", int, 0, lambda v: v < 0,
+    _Key("safe_lo", "synthesis", "safe_lo", _reals),  # unset: the state box
+    _Key("safe_hi", "synthesis", "safe_hi", _reals),
+    _Key("seed", "verify", "seed", _int, 0, lambda v: v < 0,
          "seed must be nonnegative"),
-    _Key("samples", "verify", "samples", int, 10000, lambda v: v < 0,
+    _Key("samples", "verify", "samples", _int, 10000, lambda v: v < 0,
          "samples must be nonnegative"),
-    _Key(None, "run", "threads", int, None, lambda v: v < 1,
-         "threads must be positive"),
     _Key("plan_start", "plan", "start", parse_cell),
     _Key("plan_goals", "plan", "goals", _cells, ()),
     _Key("plan_relaxed", "plan", "relaxed", _bool, False),
-    _Key("plan_grid", "plan", "grid_resolution", _float, 0.02,
+    _Key("plan_grid", "plan", "grid_resolution", _real, 0.02,
          lambda v: v <= 0, "grid resolution must be positive"),
-    _Key("plan_max_steps", "plan", "max_segment_steps", int, 200,
+    _Key("plan_max_steps", "plan", "max_segment_steps", _int, 200,
          lambda v: v < 1, "max_segment_steps must be positive"),
-    _Key("sim_x0", "simulate", "x0", _floats),
-    _Key("sim_max_steps", "simulate", "max_steps", int, 100, lambda v: v < 0,
+    _Key("sim_x0", "simulate", "x0", _reals),
+    _Key("sim_max_steps", "simulate", "max_steps", _int, 100, lambda v: v < 0,
          "max_steps must be nonnegative"),
     _Key("sim_policy", "simulate", "policy", str, "controller",
          lambda v: v not in ("controller", "plan"),
@@ -138,12 +124,13 @@ def check_value(section: str, key: str, value, where: str):
 
 
 class _RawConfig:
-    """Parsed key-value pairs with their source locations."""
+    """Parsed key-value pairs with their source locations; an unknown
+    section or key, and a key set twice, raise at their line."""
 
     def __init__(self, path: str):
         self.path = path
         self.values: dict[tuple[str, str], tuple[str, int]] = {}
-        self.headers: list[tuple[str, int]] = []
+        sections = {section for section, _ in _BY_NAME}
         section = ""
         with open(path) as fh:
             for lineno, raw in enumerate(fh, start=1):
@@ -152,13 +139,23 @@ class _RawConfig:
                     continue
                 if line.startswith("[") and line.endswith("]"):
                     section = line[1:-1].strip().lower()
-                    self.headers.append((section, lineno))
+                    if section not in sections:
+                        raise ConfigError(
+                            f"{path}:{lineno}: unknown section [{section}]")
                     continue
                 if "=" not in line:
                     raise ConfigError(
                         f"{path}:{lineno}: expected 'key = value', got {line!r}")
                 key, _, value = line.partition("=")
-                self.values[(section, key.strip().lower())] = (value.strip(), lineno)
+                key = key.strip().lower()
+                if (section, key) not in _BY_NAME:
+                    raise ConfigError(
+                        f"{path}:{lineno}: unknown key [{section}] {key}")
+                if (section, key) in self.values:
+                    raise ConfigError(
+                        f"{path}:{lineno}: [{section}] {key} is already set "
+                        f"at line {self.values[(section, key)][1]}")
+                self.values[(section, key)] = (value.strip(), lineno)
 
     def location(self, section: str, key: str) -> str:
         entry = self.values.get((section, key))
@@ -189,18 +186,6 @@ class _RawConfig:
         check_value(row.section, row.key, value,
                     self.location(row.section, row.key))
         return value
-
-    def reject_unknown(self):
-        """Raise on the first section or key that has no row in KEYS."""
-        sections = {section for section, _ in _BY_NAME}
-        unknown = [(line, f"section [{name}]") for name, line in self.headers
-                   if name not in sections]
-        unknown += [(line, f"key [{section}] {key}")
-                    for (section, key), (_, line) in self.values.items()
-                    if (section, key) not in _BY_NAME]
-        if unknown:
-            line, what = min(unknown)
-            raise ConfigError(f"{self.path}:{line}: unknown {what}")
 
 
 class ScenarioConfig(SimpleNamespace):
@@ -240,7 +225,6 @@ class ScenarioConfig(SimpleNamespace):
 def parse_config(path) -> ScenarioConfig:
     """Parse and validate a scenario file (see the module docstring)."""
     raw = _located_decoding(_RawConfig, ConfigError)(str(path))
-    raw.reject_unknown()
     values = {row.field: raw.parse(row) for row in KEYS}
     del values[None]  # the keys accepted with no effect
     cfg = ScenarioConfig(path=str(path), **values)

@@ -438,14 +438,43 @@ def format_cell(idx) -> str:
     return ",".join(str(int(m)) for m in idx)
 
 
-_LEVEL = re.compile(r"\s*[+-]?[0-9]+\s*")
+# every number read from a file, the environment or the command line is
+# read by _int or _real: ASCII decimal digits only, no "_" separators
+_LEVEL = re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII)
+_REAL = re.compile(r"\s*[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?\s*",
+                   re.ASCII)
+
+
+def _int(text: str) -> int:
+    """A signed integer of ASCII decimal digits, blanks around it allowed;
+    any other text raises ValueError."""
+    if not _LEVEL.fullmatch(text):
+        raise ValueError(f"not an integer: {text.strip()!r}")
+    return int(text)
+
+
+def _real(text: str, prefix: str = "") -> float:
+    """A finite real in ASCII decimal notation, blanks around it allowed;
+    any other text, ``inf``, ``nan`` and ``1e400`` included, raises
+    ValueError, its message led by ``prefix``."""
+    value = float(text) if _REAL.fullmatch(text) else math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"{prefix}not a finite number: {text.strip()!r}")
+    return value
+
+
+def _reals(text: str) -> tuple[float, ...]:
+    """Reals read by :func:`_real`, separated by commas or blanks; an empty
+    part, as in ``"1,,2"``, fails as a value."""
+    return tuple(_real(v) for part in text.split(",")
+                 for v in part.split() or [part])
 
 
 def parse_cell(text: str) -> tuple[int, ...]:
-    """Inverse of :func:`format_cell`: every comma-separated part is a
-    signed decimal integer, blanks around it allowed; an empty part, as in
-    ``"1,,2"``, ``"1,2,"`` or ``",1,2"``, raises ValueError."""
-    parts = text.split(",")
-    if not all(map(_LEVEL.fullmatch, parts)):
-        raise ValueError(f"malformed cell index {text!r}")
-    return tuple(map(int, parts))
+    """Inverse of :func:`format_cell`: every comma-separated part is read by
+    :func:`_int`; an empty part, as in ``"1,,2"``, ``"1,2,"`` or
+    ``",1,2"``, raises ValueError."""
+    try:
+        return tuple(map(_int, text.split(",")))
+    except ValueError:
+        raise ValueError(f"malformed cell index {text!r}") from None

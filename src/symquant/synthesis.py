@@ -44,7 +44,7 @@ import numpy as np
 from . import _public
 from .dynamics import SampledSystem, Trajectory, successor, successor_many
 from .errors import OutOfDomainError, PlanningError, _located_decoding
-from .quantizer import LogLattice, _frozen, format_cell, parse_cell
+from .quantizer import LogLattice, _frozen, _int, format_cell, parse_cell
 
 # abstraction and refinement are named in annotations only: simulate loads
 # neither, and plan never loads refinement
@@ -512,7 +512,7 @@ def load_controller(path, inputs, lattice: LogLattice) -> SafetyController:
                     raise ValueError("no cell keyword")
                 levels, ids = line[5:].split(":")
                 cell = parse_cell(levels.strip())
-                uids = tuple(int(v) for v in ids.split())
+                uids = tuple(map(_int, ids.split()))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: malformed line") from exc
             where = f"{path}:{lineno}: "
@@ -543,7 +543,7 @@ def load_plan(path, inputs, lattice: LogLattice) -> Plan:
             if not line or line.startswith("#"):
                 continue
             try:
-                uid, hold = (int(v) for v in line.split())
+                uid, hold = map(_int, line.split())
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: malformed line") from exc
             _check_step(uid, hold, len(inputs), f"{path}:{lineno}: ")

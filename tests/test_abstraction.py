@@ -893,6 +893,7 @@ def test_model_load_memory_is_the_model_plus_one_block(tmp_path,
     (2, " hi=1.3", " hi=1.3 foo=1", "unknown #lattice field 'foo=1'"),
     (2, " hi=1.3", " hi=1.3 eta", "unknown #lattice field 'eta'"),
     (2, " hi=1.3", "", "the #lattice line lacks 'hi'"),
+    (2, " hi=1.3", " hi=1.3 hi=1.3", "repeated #lattice field 'hi'"),
     (3, "#tau 0.3", "#tau abc", "#tau is not a finite number: 'abc'"),
     (3, "#L 1.0", "#L nan", "#L is not a finite number: 'nan'"),
     (2, "eta=0.25", "eta=abc", "eta is not a finite number: 'abc'"),

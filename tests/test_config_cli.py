@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,11 +77,12 @@ def test_unknown_section_or_key_rejected(tmp_path, capsys):
     with open(BUNDLED) as fh:
         lines = fh.read().splitlines()
     good = tmp_path / "good.cfg"  # with a known key of no effect
-    good.write_text("\n".join(lines + ["[run]", "threads = 2"]) + "\n")
+    good.write_text("\n".join(lines + ["[abstraction]", "lazy = true"])
+                    + "\n")
     assert parse_config(good).samples == 10000
     typo = lines.index("samples = 10000")
     for at, line in [(typo, "sample = 5"), (len(lines), "[verfy]"),
-                     (0, "tau = 0.2")]:
+                     (len(lines), "[run]"), (0, "tau = 0.2")]:
         bad = tmp_path / "bad.cfg"
         bad.write_text("\n".join(lines[:at] + [line] + lines[at:]) + "\n")
         with pytest.raises(ConfigError, match=rf"bad\.cfg:{at + 1}: unknown"):
@@ -96,6 +98,29 @@ def test_unknown_section_or_key_rejected(tmp_path, capsys):
     assert cli.main(["verify", "--config", str(bad)]) == cli.EXIT_CONFIG
     assert (f"bad.cfg:{typo + 1}: unknown key [verify] sample"
             in capsys.readouterr().err)
+
+
+def test_key_set_twice_rejected(tmp_path, capsys, monkeypatch):
+    # the second line is refused and names the first, as for a model
+    # header key; before, the last value won
+    with open(BUNDLED) as fh:
+        lines = fh.read().splitlines()
+    eta = lines.index("eta = 0.2")
+    path = tmp_path / "twice.cfg"
+    path.write_text("\n".join(lines[:eta + 1] + ["ETA = 0.5"]
+                              + lines[eta + 1:]) + "\n")
+    with pytest.raises(ConfigError, match=rf"twice\.cfg:{eta + 2}: "
+                       rf"\[quantizer\] eta is already set at line {eta + 1}$"):
+        parse_config(path)
+    assert cli.main(["verify", "--config", str(path)]) == cli.EXIT_CONFIG
+    assert f"twice.cfg:{eta + 2}: " in capsys.readouterr().err
+    # a repeated section header and an environment override are no repeats
+    seed = lines.index("seed = 0")
+    path.write_text("\n".join(lines[:seed] + lines[seed + 1:]
+                              + ["[verify]", "seed = 3"]) + "\n")
+    monkeypatch.setenv("SYMQUANT_QUANTIZER__ETA", "0.25")
+    cfg = parse_config(path)
+    assert cfg.seed == 3 and cfg.eta == 0.25
 
 
 def _fast_cfg(tmp_path, **overrides):
@@ -680,7 +705,6 @@ def _with_line(path, section, line):
     ("quantizer", "state_lo = -1,-1,"),
     ("quantizer", "state_lo = ,-1,-1"),
     ("plan", "goals = 0,0 ; -1,0,0"),
-    ("run", "threads = 0"),
     # non-finite values, in every real-valued key
     ("system", "tau = inf"),
     ("system", "lipschitz = nan"),
@@ -813,6 +837,87 @@ def test_cli_every_command_rejects_negative_seed_and_samples(tmp_path, capsys,
         assert code == cli.EXIT_CONFIG
         assert f"configuration error: {flag}: " in capsys.readouterr().err
     assert not out.exists()
+
+
+_ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663"
+                              "\u0664\u0665\u0666\u0667\u0668\u0669")
+_FULL_WIDTH = str.maketrans("0123456789", "\uff10\uff11\uff12\uff13"
+                            "\uff14\uff15\uff16\uff17\uff18\uff19")
+# spellings of a number that Python's int() and float() read as its value
+SPELLINGS = {
+    "underscore": lambda n: re.sub(r"\d", r"0_\g<0>", n, count=1),
+    "arabic_indic": lambda n: n.translate(_ARABIC_INDIC),
+    "full_width": lambda n: n.translate(_FULL_WIDTH),
+}
+# reader: (file, pattern whose group is the number respelled, on the first
+# line that matches it)
+READERS = {
+    "scenario_real": ("scenario", r"^tau = (\S+)"),
+    "scenario_int": ("scenario", r"^samples = (\S+)"),
+    "model_tau": ("model", r"^#tau (\S+)"),
+    "model_lattice_scale": ("model", r" scale=([^,]+)"),
+    "model_input_id": ("model", r"^input (\S+)"),
+    "model_input_value": ("model", r"^input \S+ (\S+)"),
+    "controller_id": ("controller", r": (\S+)"),
+    "plan_uid": ("plan", r"^(\S+) "),
+    "plan_hold": ("plan", r" (\S+)$"),
+}
+
+
+@pytest.fixture(scope="module")
+def saved_files(tmp_path_factory):
+    """file kind: (the scenario the CLI reads it under, the file)."""
+    d = tmp_path_factory.mktemp("saved")
+    fast, contracting = _fast_cfg(d), _contracting_cfg(d)
+    files = {"scenario": (None, Path(fast)), "model": (fast, d / "m.abs"),
+             "plan": (fast, d / "plan.txt"),
+             "controller": (contracting, d / "ctrl.txt")}
+    for command, kind in (("abstract", "model"), ("plan", "plan"),
+                          ("synthesize", "controller")):
+        cfg, path = files[kind]
+        assert cli.main([command, "--config", cfg, "--out", str(path)]) == 0
+    return files
+
+
+@pytest.mark.parametrize("spelling", SPELLINGS)
+@pytest.mark.parametrize("reader", [*READERS, "environment", "seed_flag"])
+def test_numbers_are_ascii_decimals(saved_files, tmp_path, capsys,
+                                    monkeypatch, reader, spelling):
+    # each reader refuses a number spelled with "_" or non-ASCII digits at
+    # its file and line, where int() and float() read the same value
+    respell = SPELLINGS[spelling]
+    assert float(respell("-2.5")) == -2.5 and int(respell("10")) == 10
+    scenario = str(saved_files["scenario"][1])
+    if reader == "environment":
+        monkeypatch.setenv("SYMQUANT_VERIFY__SEED", respell("0"))
+        assert cli.main(["verify", "--config", scenario]) == cli.EXIT_CONFIG
+        assert "[verify] seed: not an integer" in capsys.readouterr().err
+        return
+    if reader == "seed_flag":
+        with pytest.raises(SystemExit) as info:
+            cli.main(["verify", "--config", scenario, "--seed", respell("0")])
+        assert info.value.code == cli.EXIT_CONFIG
+        assert "argument --seed: invalid" in capsys.readouterr().err
+        return
+    kind, pattern = READERS[reader]
+    cfg, source = saved_files[kind]
+    lines = source.read_text().splitlines()
+    k, match = next((k, m) for k, line in enumerate(lines)
+                    if (m := re.search(pattern, line)))
+    line = lines[k]
+    lines[k] = (line[:match.start(1)] + respell(match.group(1))
+                + line[match.end(1):])
+    path = tmp_path / source.name
+    path.write_text("\n".join(lines) + "\n")
+    if kind == "scenario":
+        argv, code = ["abstract", "--config", str(path)], cli.EXIT_CONFIG
+    else:
+        command = "synthesize" if kind == "model" else "simulate"
+        argv, code = [command, "--config", cfg, "--in", str(path)], \
+            cli.EXIT_BUILD
+    capsys.readouterr()
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == code
+    assert f"{path}:{k + 1}: " in capsys.readouterr().err
 
 
 def test_cli_plan_with_and_without_a_model_file(tmp_path):

@@ -41,6 +41,23 @@ lines"""
     assert out[2:] == [f"{tmp_path}: 2 files, 14 lines, 7 code lines"]
 
 
+def test_src_size_compares_two_directories(tmp_path, capsys):
+    src_size = _load("src_size")
+    base, new = tmp_path / "base", tmp_path / "new"
+    base.mkdir()
+    new.mkdir()
+    (base / "a.py").write_text("x = 1\n# comment\n")
+    (base / "gone.py").write_text("y = 2\n")
+    (new / "a.py").write_text("x = 1\n\nz = (3,\n     4)\n")
+    (new / "added.py").write_text('"""Docstring."""\n')
+    assert src_size.main(["src_size.py", str(base), str(new)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "  a.py: 2 to 4 lines (+2), 1 to 3 code lines (+2)",
+        "  added.py: 0 to 1 lines (+1), 0 to 0 code lines (+0)",
+        "  gone.py: 1 to 0 lines (-1), 1 to 0 code lines (-1)",
+        f"  {base} to {new}: 3 to 5 lines (+2), 2 to 3 code lines (+1)"]
+
+
 def test_src_cover_lists_statements_no_call_ran(tmp_path):
     src_cover = _load("src_cover")
     module = tmp_path / "m.py"

@@ -8,6 +8,13 @@ one line per file, then their sums on a last line:
 - code lines: lines that hold a token, less docstrings, comments and blank
   lines.  Tokens come from :mod:`tokenize` (a string spanning lines holds
   each of them) and docstrings from :mod:`ast`.
+
+``python3 tools/src_size.py BASE DIR`` prints, per file of either
+directory and then in sum, both counts in ``BASE`` and in ``DIR`` and the
+change between them (a file missing from one side counts 0 there).  To
+compare with an earlier commit, unpack its package first, for example
+``git archive HEAD~1 src/symquant | tar -x -C /tmp/base`` and then
+``python3 tools/src_size.py /tmp/base/src/symquant src/symquant``.
 """
 
 import ast
@@ -38,16 +45,35 @@ def code_lines(path: Path) -> int:
     return len(lines)
 
 
+def sizes(root: Path) -> dict:
+    """``{file name: (lines, code lines)}`` of the ``*.py`` files of root."""
+    return {p.name: (len(p.read_text().splitlines()), code_lines(p))
+            for p in sorted(root.glob("*.py"))}
+
+
 def main(argv) -> int:
+    if len(argv) > 2:
+        base, new = Path(argv[1]), Path(argv[2])
+        before, after = sizes(base), sizes(new)
+        rows = [(name, before.get(name, (0, 0)), after.get(name, (0, 0)))
+                for name in sorted(before.keys() | after.keys())]
+        rows.append((f"{base} to {new}", *(
+            (sum(lines for lines, _ in side.values()),
+             sum(code for _, code in side.values()))
+            for side in (before, after))))
+        for name, (lines0, code0), (lines1, code1) in rows:
+            print(f"  {name}: {lines0} to {lines1} lines "
+                  f"({lines1 - lines0:+d}), {code0} to {code1} code lines "
+                  f"({code1 - code0:+d})")
+        return 0
     root = Path(argv[1]) if len(argv) > 1 else (
         Path(__file__).resolve().parent.parent / "src" / "symquant")
-    files = sorted(root.glob("*.py"))
-    sizes = [(len(p.read_text().splitlines()), code_lines(p)) for p in files]
-    for p, (lines, code) in zip(files, sizes):
-        print(f"  {p.name}: {lines} lines, {code} code lines")
-    total = sum(lines for lines, _ in sizes)
-    code = sum(code for _, code in sizes)
-    print(f"{root}: {len(files)} files, {total} lines, {code} code lines")
+    counts = sizes(root)
+    for name, (lines, code) in counts.items():
+        print(f"  {name}: {lines} lines, {code} code lines")
+    total = sum(lines for lines, _ in counts.values())
+    code = sum(code for _, code in counts.values())
+    print(f"{root}: {len(counts)} files, {total} lines, {code} code lines")
     return 0
 
 
