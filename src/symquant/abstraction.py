@@ -24,6 +24,7 @@ successor set in one pass on the first query that needs them.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import time
 from dataclasses import dataclass
@@ -33,9 +34,10 @@ import numpy as np
 from . import _public
 from .dynamics import (SampledSystem, growth_radius, input_grid, successor,
                        successor_many)
-from .errors import ConfigError, DivergenceError, _located_decoding
+from .errors import ConfigError, DivergenceError
 from .quantizer import (LogLattice, LogQuantizerAxis, QuantizerVariant,
-                        _frozen, _int, _real, format_cell, parse_cell)
+                        _fields, _frozen, _int, _lines, _real, format_cell,
+                        parse_cell)
 
 __all__ = _public(__name__)
 
@@ -550,23 +552,23 @@ def _tables_at(block: bytes):
 
 
 def _scan(path):
-    """The header lines of a model file, the byte offset and the number of
-    its transition lines, and the lines from the first that starts with
-    ``input `` or ``state ``."""
-    head, n_body, tail = [], 0, []
+    """The number of a model file's header lines, the byte offset and the
+    number of its transition lines, and the byte offset of its first line
+    that starts with ``input `` or ``state ``."""
+    n_head = n_body = 0
     with open(path, "rb") as fh:
         line = fh.readline()
         while line.startswith(b"#"):
-            head.append(line.decode().rstrip("\n"))
+            n_head += 1
             line = fh.readline()
-        body = fh.tell() - len(line)
+        body = tail = fh.tell() - len(line)
         for block in _blocks(fh, line):
-            if not tail:
-                lines, end = _tables_at(block)
-                n_body += lines
-                block = block[end:]
-            tail += block.decode().splitlines()
-    return head, body, n_body, tail
+            lines, end = _tables_at(block)
+            n_body += lines
+            tail += end
+            if end < len(block):
+                break
+    return n_head, body, n_body, tail
 
 
 def _read_transitions(path, body: int, n_head: int, n_body: int,
@@ -604,7 +606,6 @@ def _read_transitions(path, body: int, n_head: int, n_body: int,
     return keys
 
 
-@_located_decoding
 def load_abstraction(path, system=None) -> SymbolicModel:
     """Read an abstraction file written by :func:`save_abstraction`.
 
@@ -616,13 +617,15 @@ def load_abstraction(path, system=None) -> SymbolicModel:
     newline is optional); any other byte, a non-UTF-8 one included, makes
     it a malformed line.  Malformed or inconsistent content raises a
     ValueError naming the file and, where one line is at fault, the line.
-    The file is read twice, a block of bytes at a time: for its header,
-    size and tables, then for its transitions.  The header and the tables
-    are checked before the transitions, so a file with faults in both
-    regions is rejected for a fault in the header or tables.
+    The file is scanned a block of bytes at a time for where its header,
+    transitions and tables lie; the header and table lines are then read
+    by the line reader of every text file (:func:`symquant.quantizer._lines`)
+    and the transitions a block at a time.  The header and the tables are
+    checked before the transitions, so a file with faults in both regions
+    is rejected for a fault in the header or tables.
     """
     start = time.perf_counter()
-    head, body, n_body, tail = _scan(path)
+    n_head, body, n_body, tail = _scan(path)
     params, lattice, version, seen = {}, None, None, {}
 
     def once(key):
@@ -630,8 +633,8 @@ def load_abstraction(path, system=None) -> SymbolicModel:
             raise ValueError(f"repeated header key {key!r}")
         seen[key] = lineno
 
-    for lineno, line in enumerate(head, start=1):
-        tokens = line.split()
+    for lineno, line in itertools.islice(_lines(path), n_head):
+        tokens = _fields(line)
         try:
             if tokens[0] == "#lattice":
                 once("#lattice")
@@ -662,13 +665,13 @@ def load_abstraction(path, system=None) -> SymbolicModel:
 
     cells = lattice.enumerate_cells()
     rows: dict[str, list] = {"input": [], "state": []}
-    for lineno, line in enumerate(tail, start=len(head) + n_body + 1):
-        if not line.strip():
+    for lineno, line in _lines(path, offset=tail, number=n_head + n_body + 1):
+        if not (fields := _fields(line, 2)):
             continue
         try:
-            kind, ident, rest = line.split(maxsplit=2)
+            kind, ident, rest = fields
             value = (parse_cell(rest) if kind == "state" else
-                     tuple(map(_real, rest.split())))
+                     tuple(map(_real, _fields(rest))))
             seen = rows[kind]
             ident = _int(ident)
         except (ValueError, KeyError):
@@ -689,7 +692,7 @@ def load_abstraction(path, system=None) -> SymbolicModel:
         raise ValueError(f"{path}: {len(rows['state'])} states where the "
                          f"#lattice has {len(cells)} cells")
 
-    keys = _read_transitions(path, body, len(head), n_body, len(cells),
+    keys = _read_transitions(path, body, n_head, n_body, len(cells),
                              len(inputs))
     pair_ptr, pair_input, relation = _pack(keys, len(cells), len(inputs))
     model = SymbolicModel(lattice, inputs, pair_ptr, pair_input,

@@ -19,9 +19,11 @@ key: the :class:`ScenarioConfig` attribute it fills, its parser, its default
 that relate several keys (vector lengths, box orders, the state dimension of
 ``simulate.x0``, ``plan.start`` and ``plan.goals``, ``x0`` inside the state
 box, the plan's cells on the lattice) follow in :func:`parse_config`.
-Numbers are read by :mod:`symquant.quantizer`'s one grammar: ASCII
-decimal digits, no ``_``, finite reals.  Unknown sections and keys, and a
-key set twice, are rejected, and every error names the file and line.
+Lines and numbers are read by :mod:`symquant.quantizer`'s one grammar: a
+line ends at ``\\n``, the blanks are ASCII space and tab, and numbers are
+ASCII decimal digits, no ``_``, finite reals.  Unknown sections and keys,
+and a key set twice, are rejected, and every error names the file and line,
+or the environment variable that set the value.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple
 
 from .dynamics import SampledSystem, make_system
-from .errors import ConfigError, _located_decoding
-from .quantizer import (LogLattice, QuantizerVariant, _int, _real, _reals,
-                        format_cell, parse_cell)
+from .errors import ConfigError
+from .quantizer import (_BLANK, LogLattice, QuantizerVariant, _fields, _int,
+                        _lines, _real, _reals, format_cell, parse_cell)
 
 __all__ = ["ScenarioConfig", "parse_config", "check_value", "KEYS",
            "REQUIRED", "ENV_PREFIX"]
@@ -44,7 +46,7 @@ REQUIRED = object()
 
 
 def _bool(text):
-    lowered = text.strip().lower()
+    lowered = text.strip(_BLANK).lower()
     if lowered in ("1", "true", "yes", "on"):
         return True
     if lowered in ("0", "false", "no", "off"):
@@ -53,11 +55,11 @@ def _bool(text):
 
 
 def _variant(text):
-    return QuantizerVariant(text.strip().lower())
+    return QuantizerVariant(text.strip(_BLANK).lower())
 
 
 def _cells(text):
-    return tuple(map(parse_cell, text.split(";"))) if text.strip() else ()
+    return tuple(map(parse_cell, text.split(";"))) if _fields(text) else ()
 
 
 class _Key(NamedTuple):
@@ -124,44 +126,49 @@ def check_value(section: str, key: str, value, where: str):
 
 
 class _RawConfig:
-    """Parsed key-value pairs with their source locations; an unknown
-    section or key, and a key set twice, raise at their line."""
+    """The scenario's value texts, each with where it was set: its file
+    line ``path:N``, or the environment variable that overrides it.  An
+    unknown section or key, and a key set twice in the file, raise at
+    their line."""
 
     def __init__(self, path: str):
         self.path = path
-        self.values: dict[tuple[str, str], tuple[str, int]] = {}
+        self.values: dict[tuple[str, str], tuple[str, str]] = {}
         sections = {section for section, _ in _BY_NAME}
-        section = ""
-        with open(path) as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if line.startswith("[") and line.endswith("]"):
-                    section = line[1:-1].strip().lower()
-                    if section not in sections:
-                        raise ConfigError(
-                            f"{path}:{lineno}: unknown section [{section}]")
-                    continue
-                if "=" not in line:
+        section, first = "", {}
+        for lineno, text in _lines(path, ConfigError):
+            line = text.split("#", 1)[0].strip(_BLANK)
+            if not line:
+                continue
+            if line.startswith("[") and line.endswith("]"):
+                section = line[1:-1].strip(_BLANK).lower()
+                if section not in sections:
                     raise ConfigError(
-                        f"{path}:{lineno}: expected 'key = value', got {line!r}")
-                key, _, value = line.partition("=")
-                key = key.strip().lower()
-                if (section, key) not in _BY_NAME:
-                    raise ConfigError(
-                        f"{path}:{lineno}: unknown key [{section}] {key}")
-                if (section, key) in self.values:
-                    raise ConfigError(
-                        f"{path}:{lineno}: [{section}] {key} is already set "
-                        f"at line {self.values[(section, key)][1]}")
-                self.values[(section, key)] = (value.strip(), lineno)
+                        f"{path}:{lineno}: unknown section [{section}]")
+                continue
+            if "=" not in line:
+                raise ConfigError(
+                    f"{path}:{lineno}: expected 'key = value', got {line!r}")
+            key, _, value = line.partition("=")
+            key = key.strip(_BLANK).lower()
+            if (section, key) not in _BY_NAME:
+                raise ConfigError(
+                    f"{path}:{lineno}: unknown key [{section}] {key}")
+            if (section, key) in first:
+                raise ConfigError(
+                    f"{path}:{lineno}: [{section}] {key} is already set at "
+                    f"line {first[(section, key)]}")
+            first[(section, key)] = lineno
+            self.values[(section, key)] = (value.strip(_BLANK),
+                                           f"{path}:{lineno}")
+        for section, key in _BY_NAME:
+            name = f"{ENV_PREFIX}{section.upper()}__{key.upper()}"
+            if name in os.environ:
+                self.values[(section, key)] = (os.environ[name], name)
 
     def location(self, section: str, key: str) -> str:
-        entry = self.values.get((section, key))
-        if entry is None:
-            return f"{self.path}: [{section}] {key}"
-        return f"{self.path}:{entry[1]}: [{section}] {key}"
+        _, where = self.values.get((section, key), ("", self.path))
+        return f"{where}: [{section}] {key}"
 
     def fail(self, section: str, key: str, message: str):
         raise ConfigError(f"{self.location(section, key)}: {message}")
@@ -169,22 +176,17 @@ class _RawConfig:
     def parse(self, row: _Key):
         """The checked value of one key: environment, then file, then the
         row's default."""
-        text = os.environ.get(
-            f"{ENV_PREFIX}{row.section.upper()}__{row.key.upper()}")
-        if text is None and (row.section, row.key) in self.values:
-            text = self.values[(row.section, row.key)][0]
-        if text is None:
+        if (row.section, row.key) not in self.values:
             if row.default is REQUIRED:
                 raise ConfigError(f"{self.path}: missing required key "
                                   f"[{row.section}] {row.key}")
             return row.default
+        where = self.location(row.section, row.key)
         try:
-            value = row.parse(text)
+            value = row.parse(self.values[(row.section, row.key)][0])
         except (ValueError, KeyError) as exc:
-            raise ConfigError(
-                f"{self.location(row.section, row.key)}: {exc}") from None
-        check_value(row.section, row.key, value,
-                    self.location(row.section, row.key))
+            raise ConfigError(f"{where}: {exc}") from None
+        check_value(row.section, row.key, value, where)
         return value
 
 
@@ -224,7 +226,7 @@ class ScenarioConfig(SimpleNamespace):
 
 def parse_config(path) -> ScenarioConfig:
     """Parse and validate a scenario file (see the module docstring)."""
-    raw = _located_decoding(_RawConfig, ConfigError)(str(path))
+    raw = _RawConfig(str(path))
     values = {row.field: raw.parse(row) for row in KEYS}
     del values[None]  # the keys accepted with no effect
     cfg = ScenarioConfig(path=str(path), **values)

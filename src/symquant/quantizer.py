@@ -438,18 +438,47 @@ def format_cell(idx) -> str:
     return ",".join(str(int(m)) for m in idx)
 
 
-# every number read from a file, the environment or the command line is
-# read by _int or _real: ASCII decimal digits only, no "_" separators
-_LEVEL = re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII)
-_REAL = re.compile(r"\s*[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?\s*",
-                   re.ASCII)
+# every text file is read by _lines and split by _fields, and every number
+# read from a file, the environment or the command line is read by _int or
+# _real: ASCII decimal digits only, no "_" separators; the only blanks are
+# the ASCII space and tab
+_BLANK = " \t"
+_BLANKS = re.compile(f"[{_BLANK}]+")
+_LEVEL = re.compile(r"[ \t]*[+-]?[0-9]+[ \t]*")
+_REAL = re.compile(r"[ \t]*[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?"
+                   r"[ \t]*")
+
+
+def _lines(path, error=ValueError, offset=0, number=1):
+    """``(line number, text)`` of each line of a file from byte ``offset``
+    on, the first numbered ``number``.  A line ends at ``\\n`` (or the end
+    of the file), and one ``\\r`` before that end is dropped; each line is
+    decoded alone, so a byte that is not UTF-8 raises
+    ``error("path:N: not UTF-8 (reason)")`` at its own line."""
+    with open(path, "rb") as fh:
+        fh.seek(offset)
+        for n, line in enumerate(fh, start=number):
+            try:
+                text = line.removesuffix(b"\n").removesuffix(b"\r").decode()
+            except UnicodeDecodeError as exc:
+                raise error(f"{path}:{n}: not UTF-8 ({exc.reason})") from None
+            yield n, text
+
+
+def _fields(text: str, maxsplit: int = 0) -> list[str]:
+    """The fields of ``text`` between runs of ASCII spaces and tabs, at most
+    ``maxsplit + 1`` of them if ``maxsplit`` is positive; any other
+    character, other whitespace and control characters included, is part
+    of a field."""
+    text = text.strip(_BLANK)
+    return _BLANKS.split(text, maxsplit) if text else []
 
 
 def _int(text: str) -> int:
     """A signed integer of ASCII decimal digits, blanks around it allowed;
     any other text raises ValueError."""
     if not _LEVEL.fullmatch(text):
-        raise ValueError(f"not an integer: {text.strip()!r}")
+        raise ValueError(f"not an integer: {text.strip(_BLANK)!r}")
     return int(text)
 
 
@@ -459,7 +488,7 @@ def _real(text: str, prefix: str = "") -> float:
     ValueError, its message led by ``prefix``."""
     value = float(text) if _REAL.fullmatch(text) else math.inf
     if not math.isfinite(value):
-        raise ValueError(f"{prefix}not a finite number: {text.strip()!r}")
+        raise ValueError(f"{prefix}not a finite number: {text.strip(_BLANK)!r}")
     return value
 
 
@@ -467,7 +496,7 @@ def _reals(text: str) -> tuple[float, ...]:
     """Reals read by :func:`_real`, separated by commas or blanks; an empty
     part, as in ``"1,,2"``, fails as a value."""
     return tuple(_real(v) for part in text.split(",")
-                 for v in part.split() or [part])
+                 for v in _fields(part) or [part])
 
 
 def parse_cell(text: str) -> tuple[int, ...]:

@@ -43,8 +43,9 @@ import numpy as np
 
 from . import _public
 from .dynamics import SampledSystem, Trajectory, successor, successor_many
-from .errors import OutOfDomainError, PlanningError, _located_decoding
-from .quantizer import LogLattice, _frozen, _int, format_cell, parse_cell
+from .errors import OutOfDomainError, PlanningError
+from .quantizer import (_BLANK, LogLattice, _fields, _frozen, _int, _lines,
+                        format_cell, parse_cell)
 
 # abstraction and refinement are named in annotations only: simulate loads
 # neither, and plan never loads refinement
@@ -490,7 +491,6 @@ def save_controller(ctrl: SafetyController, path):
             fh.write(f"cell {format_cell(cell)} : {ids}\n")
 
 
-@_located_decoding
 def load_controller(path, inputs, lattice: LogLattice) -> SafetyController:
     """Read a controller file over an input table and a lattice.
 
@@ -499,27 +499,26 @@ def load_controller(path, inputs, lattice: LogLattice) -> SafetyController:
     or a cell seen before raises a ValueError naming the file and line.
     """
     admissible: dict[tuple[int, ...], tuple[int, ...]] = {}
-    with open(path) as fh:
-        first = fh.readline().strip()
-        if first != CONTROLLER_HEADER:
-            raise ValueError(f"{path}: not a controller file")
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                if not line.startswith("cell "):
-                    raise ValueError("no cell keyword")
-                levels, ids = line[5:].split(":")
-                cell = parse_cell(levels.strip())
-                uids = tuple(map(_int, ids.split()))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: malformed line") from exc
-            where = f"{path}:{lineno}: "
-            _check_row(cell, uids, lattice, len(inputs), where)
-            if cell in admissible:
-                raise ValueError(f"{where}cell {format_cell(cell)} repeated")
-            admissible[cell] = uids
+    lines = _lines(path)
+    if next(lines, (1, ""))[1].strip(_BLANK) != CONTROLLER_HEADER:
+        raise ValueError(f"{path}: not a controller file")
+    for lineno, text in lines:
+        line = text.strip(_BLANK)
+        if not line or line.startswith("#"):
+            continue
+        try:
+            if not line.startswith("cell "):
+                raise ValueError("no cell keyword")
+            levels, ids = line[5:].split(":")
+            cell = parse_cell(levels)
+            uids = tuple(map(_int, _fields(ids)))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: malformed line") from exc
+        where = f"{path}:{lineno}: "
+        _check_row(cell, uids, lattice, len(inputs), where)
+        if cell in admissible:
+            raise ValueError(f"{where}cell {format_cell(cell)} repeated")
+        admissible[cell] = uids
     return SafetyController(admissible=dict(sorted(admissible.items())),
                             inputs=inputs, lattice=lattice, iterations=0,
                             history=())
@@ -532,20 +531,17 @@ def save_plan(plan: Plan, path):
             fh.write(f"{uid} {hold}\n")
 
 
-@_located_decoding
 def load_plan(path, inputs, lattice: LogLattice) -> Plan:
     """Read a plan file over an input table and a lattice; a bad line
     raises a ValueError naming it."""
     steps = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                uid, hold = map(_int, line.split())
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: malformed line") from exc
-            _check_step(uid, hold, len(inputs), f"{path}:{lineno}: ")
-            steps.append((uid, hold))
+    for lineno, text in _lines(path):
+        if not (fields := _fields(text)) or fields[0].startswith("#"):
+            continue
+        try:
+            uid, hold = map(_int, fields)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: malformed line") from exc
+        _check_step(uid, hold, len(inputs), f"{path}:{lineno}: ")
+        steps.append((uid, hold))
     return Plan(steps=tuple(steps), inputs=inputs, lattice=lattice)

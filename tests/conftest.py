@@ -136,12 +136,35 @@ def random_model(rng, max_states=50, max_inputs=5):
 
 
 MUTATED_NUMBERS = ("-1", "999999", "abc", "1.5", "9223372036854775808")
+# characters that no reader takes for a blank, only ASCII space and tab:
+# U+3000 in place of the blank next to a field, U+00A0 on both sides of it,
+# and the others inside it
+SEPARATORS = {"ideographic_space": "\u3000", "nbsp": "\u00a0",
+              "file_separator": "\x1c", "form_feed": "\x0c",
+              "line_separator": "\u2028", "carriage_return": "\r"}
+
+
+def separator_mutations(line, start, end):
+    """The line's field ``line[start:end]`` under each separator mutation:
+    yields (mutation name, mutated line)."""
+    blank = line.find(" ", end)
+    blank = blank if blank >= 0 else line.rfind(" ", 0, start)
+    if blank >= 0:
+        yield "ideographic_space", line[:blank] + "\u3000" + line[blank + 1:]
+    yield "nbsp", (line[:start] + "\u00a0" + line[start:end] + "\u00a0"
+                   + line[end:])
+    middle = (start + end) // 2
+    for name in ("file_separator", "form_feed", "line_separator",
+                 "carriage_return"):
+        yield name, line[:middle] + SEPARATORS[name] + line[middle:]
 
 
 def line_mutations(lines):
     """Each line of a file under each mutation: yields (line index,
-    mutation name, mutated lines).  The replaced number is chosen by the
-    line index among the numbers of the line."""
+    mutation name, mutated lines).  The replaced number, and the field the
+    separator mutations put a character in or next to, is chosen by the
+    line index among the numbers of the line; a line without a number
+    takes its first field."""
     for k, line in enumerate(lines):
         fields = line.split()
         variants = {"delete": [], "duplicate": [line, line], "blank": [""],
@@ -153,5 +176,10 @@ def line_mutations(lines):
             for value in MUTATED_NUMBERS:
                 variants[value] = [line[:at.start()] + value
                                    + line[at.end():]]
+        else:
+            at = re.search(r"\S+", line)
+        if at:
+            for name, new in separator_mutations(line, at.start(), at.end()):
+                variants[name] = [new]
         for name, new in variants.items():
             yield k, name, lines[:k] + new + lines[k + 1:]

@@ -12,8 +12,9 @@ from symquant import abstraction
 from symquant.abstraction import SymbolicModel, _targets_many
 from symquant.config import parse_config
 from symquant.errors import ConfigError, OutOfDomainError
-from conftest import (MUTATED_NUMBERS, box_intersects, iter_transitions,
-                      line_lattice, line_mutations, targets_oracle)
+from conftest import (MUTATED_NUMBERS, SEPARATORS, box_intersects,
+                      iter_transitions, line_lattice, line_mutations,
+                      targets_oracle)
 
 EDGE_LATTICE = sq.LogLattice.from_params(0.2, [0.4, 0.4], [-1, -1], [1, 1],
                                          "edge_anchored")
@@ -774,7 +775,8 @@ def _load_outcome(path):
 
 def test_model_file_fuzz(tmp_path, monkeypatch):
     # every mutation either loads or names the file (and the line where one
-    # is at fault), alike at the default and at a tiny block size
+    # is at fault), alike at the default and at a tiny block size; a
+    # separator other than an ASCII blank is at fault on every line
     sys_, lattice = _line()
     path = tmp_path / "m.abs"
     sq.save_abstraction(sq.build_abstraction(
@@ -792,7 +794,8 @@ def test_model_file_fuzz(tmp_path, monkeypatch):
             outcomes.append(_load_outcome(path))
         got, tiny = outcomes
         located = (k in body and name not in ("delete", "duplicate", "swap")
-                   or k < 3 and name in ("append", "abc"))
+                   or k < 3 and name in ("append", "abc")
+                   or name in SEPARATORS)
         # a header line read twice is at fault at its second copy, and the
         # #version and #lattice lines are required
         repeated = k < 3 and name == "duplicate"

@@ -16,7 +16,8 @@ import symquant as sq
 from symquant import cli
 from symquant.config import parse_config
 from symquant.errors import ConfigError
-from conftest import iter_transitions, line_mutations
+from conftest import (SEPARATORS, iter_transitions, line_mutations,
+                      separator_mutations)
 
 BUNDLED = os.path.join(os.path.dirname(sq.__file__), "scenarios",
                        "pendulum.cfg")
@@ -45,6 +46,65 @@ def test_env_override(monkeypatch):
     cfg = parse_config(BUNDLED)
     assert cfg.samples == 7
     assert cfg.input_samples == 11
+
+
+@pytest.mark.parametrize("variable, value, message", [
+    ("VERIFY__SEED", "0_0", "[verify] seed: not an integer: '0_0'"),
+    ("SIMULATE__X0", "0.5 5", "[simulate] x0: x0 lies outside the state box"),
+    ("PLAN__GOALS", "0,0 ; 9,9", "[plan] goals: 9,9 is not a lattice cell"),
+])
+def test_env_override_errors_name_the_variable(capsys, monkeypatch, variable,
+                                               value, message):
+    # the key's line in the file holds another value, so the error names
+    # the variable, for a value its key refuses and for one that fails a
+    # check across keys alike
+    monkeypatch.setenv("SYMQUANT_" + variable, value)
+    assert cli.main(["verify", "--config", "pendulum"]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        f"configuration error: SYMQUANT_{variable}: {message}\n"
+
+
+def test_scenario_environment_fuzz(tmp_path, monkeypatch):
+    # each line mutation of a key's line in the bundled scenario that keeps
+    # the key, given instead by the key's variable over the file, has the
+    # file's outcome: the same values, or the same error with the variable
+    # where the file's error names the mutated line
+    with open(BUNDLED) as fh:
+        lines = fh.read().splitlines()
+    path = tmp_path / "pendulum.cfg"
+
+    def outcome(lines):
+        path.write_text("\n".join(lines) + "\n")
+        try:
+            return vars(parse_config(path)) | {"path": None}
+        except ConfigError as exc:
+            return str(exc)
+
+    sections = list(itertools.accumulate(
+        (line[1:-1] if line.startswith("[") else None for line in lines),
+        lambda section, new: new or section))
+    cases = named = 0
+    for k, name, mutated in line_mutations(lines):
+        key = lines[k].partition("=")[0].strip()
+        if (lines[k].startswith("#") or "=" not in lines[k]
+                or len(mutated) != len(lines)
+                or mutated[k].partition("=")[0].strip(" \t") != key):
+            continue
+        variable = f"SYMQUANT_{sections[k].upper()}__{key.upper()}"
+        in_file = outcome(mutated)
+        monkeypatch.setenv(variable, mutated[k].partition("=")[2].strip(" \t"))
+        in_environment = outcome(lines)
+        monkeypatch.delenv(variable)
+        cases += 1
+        if isinstance(in_file, str):
+            assert in_environment == in_file.replace(f"{path}:{k + 1}: ",
+                                                     f"{variable}: "), \
+                (k, name)
+            assert in_environment.startswith((f"{path}:", f"{variable}: "))
+            named += in_environment.startswith(variable)
+        else:
+            assert in_environment == in_file, (k, name)
+    assert cases > 200 and named > 100
 
 
 def test_real_lists_take_commas_or_blanks(monkeypatch):
@@ -909,15 +969,83 @@ def test_numbers_are_ascii_decimals(saved_files, tmp_path, capsys,
                 + line[match.end(1):])
     path = tmp_path / source.name
     path.write_text("\n".join(lines) + "\n")
+    _assert_refused_at(kind, cfg, path, k + 1, tmp_path, capsys)
+
+
+def _read(kind, cfg, path, out):
+    """Run the command that reads a file of a kind (a scenario under
+    ``abstract``, a model under ``synthesize``, a controller or plan under
+    ``simulate`` with the scenario ``cfg``); returns its exit code."""
     if kind == "scenario":
-        argv, code = ["abstract", "--config", str(path)], cli.EXIT_CONFIG
+        argv = ["abstract", "--config", str(path)]
     else:
         command = "synthesize" if kind == "model" else "simulate"
-        argv, code = [command, "--config", cfg, "--in", str(path)], \
-            cli.EXIT_BUILD
+        argv = [command, "--config", cfg, "--in", str(path)]
+    return cli.main(argv + ["--out", str(out)])
+
+
+def _assert_refused_at(kind, cfg, path, at, tmp_path, capsys):
+    """The file is refused at line ``at``: exit 2 for a scenario, 3 for a
+    model, controller or plan file."""
     capsys.readouterr()
-    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == code
-    assert f"{path}:{k + 1}: " in capsys.readouterr().err
+    code = _read(kind, cfg, path, tmp_path / "out")
+    assert code == (cli.EXIT_CONFIG if kind == "scenario" else cli.EXIT_BUILD)
+    assert f"{path}:{at}: " in capsys.readouterr().err
+
+
+# reader: (file kind, pattern whose group is the field that a separator
+# goes in or next to, on the first line that matches it)
+SEPARATED = {
+    "scenario_key": ("scenario", r"^(tau) = "),
+    "scenario_value": ("scenario", r"^scale = (\S+) "),
+    "model_header": ("model", r"^#tau (\S+) "),
+    "model_input": ("model", r"^input \S+ (\S+)"),
+    "model_state": ("model", r"^state \S+ (\S+)"),
+    "controller_row": ("controller", r": (\S+)"),
+    "plan_line": ("plan", r"^(\S+) "),
+}
+
+
+@pytest.mark.parametrize("fault", SEPARATORS)
+@pytest.mark.parametrize("reader", SEPARATED)
+def test_only_ascii_blanks_separate(saved_files, tmp_path, capsys, reader,
+                                    fault):
+    # a line ends at "\n" and fields are split by ASCII spaces and tabs, so
+    # any other separator is refused at the line that holds it; a \x1c once
+    # split a model's input line, and a lone \r a scenario line, in two
+    kind, pattern = SEPARATED[reader]
+    cfg, source = saved_files[kind]
+    lines = source.read_text().splitlines()
+    k, match = next((k, m) for k, line in enumerate(lines)
+                    if (m := re.search(pattern, line)))
+    lines[k] = dict(separator_mutations(lines[k], *match.span(1)))[fault]
+    path = tmp_path / source.name
+    path.write_text("\n".join(lines) + "\n")
+    _assert_refused_at(kind, cfg, path, k + 1, tmp_path, capsys)
+
+
+def test_crlf_files_read_as_lf_files(saved_files, tmp_path, capsys):
+    # a "\r" before a line's "\n" is dropped, in every line of a scenario,
+    # controller or plan file and in a model's header and table lines
+    # (transition lines end at "\n" alone)
+    for kind, (cfg, source) in saved_files.items():
+        outputs = []
+        for crlf in (False, True):
+            lines = source.read_text().splitlines()
+            if crlf:
+                lines = [line + "\r" if kind != "model" or line.startswith(
+                    ("#", "input ", "state ")) else line for line in lines]
+            path = tmp_path / (("crlf_" if crlf else "lf_") + source.name)
+            path.write_text("\n".join(lines) + "\n")
+            out = tmp_path / "out"
+            capsys.readouterr()
+            assert _read(kind, cfg, path, out) == 0, kind
+            outputs.append((capsys.readouterr().out, out.read_bytes()))
+        assert outputs[0] == outputs[1], kind
+    scenario = saved_files["scenario"][1]
+    assert (vars(parse_config(scenario)) | {"path": None}
+            == vars(parse_config(tmp_path / f"crlf_{scenario.name}"))
+            | {"path": None})
 
 
 def test_cli_plan_with_and_without_a_model_file(tmp_path):

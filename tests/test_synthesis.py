@@ -13,7 +13,7 @@ from symquant import synthesis
 from symquant.abstraction import SymbolicModel
 from symquant.errors import DivergenceError, OutOfDomainError, PlanningError
 from symquant.refinement import AbstractSafeSet
-from conftest import (contains, line_lattice, line_mutations,
+from conftest import (SEPARATORS, contains, line_lattice, line_mutations,
                       max_controlled_invariant, random_model)
 
 
@@ -759,6 +759,7 @@ def test_controller_file_fuzz(contracting_scenario, tmp_path):
             else:
                 assert at == k + 1, (k, name, str(exc))
             continue
+        assert name not in SEPARATORS, (k, name)
         expected = dict(ctrl.admissible)
         if k > 0:
             del expected[ctrl.domain[k - 1]]
@@ -822,6 +823,7 @@ def test_plan_file_fuzz(tmp_path):
         except ValueError as exc:
             assert _line_of(str(exc), path) == k + 1, (k, name, str(exc))
             continue
+        assert name not in SEPARATORS, (k, name)
         new = [tuple(map(int, line.split()))
                for line in mutated[k:k + len(mutated) - len(lines) + 1]
                if line]
