@@ -229,8 +229,9 @@ class SymbolicModel:
     ``pair_input`` (ascending input ids), and they are its enabled inputs:
     a state without pairs is blocking.  The successor sets are compressed
     sparse rows over the pairs, ``(offsets, targets)`` with ascending
-    target ids, none of them empty.  The output map is the identity on
-    cells and is not stored; the density eta is the lattice's
+    target ids, none of them empty.  Only the model's own queries read
+    them; :meth:`relation` is their explicit view.  The output map is the
+    identity on cells and is not stored; the density eta is the lattice's
     (``lattice.shared_eta``).
 
     Exactly one of two successor representations is given, with one entry
@@ -329,6 +330,37 @@ class SymbolicModel:
         if j == b or self.pair_input[j] != uid:
             return ()
         return tuple(targets[ptr[j]:ptr[j + 1]].tolist())
+
+    def controllable(self, target: np.ndarray):
+        """One cpre sweep: the state mask of cells with a pair whose
+        successors are all inside the state mask ``target``, and the mask
+        of those pairs."""
+        ptr, targets = self.relation()
+        # no successor set is empty, so consecutive starts bound one set each
+        good = ~np.logical_or.reduceat((~target)[targets], ptr[:-1])
+        found = np.zeros(self.n_states, bool)
+        found[self.pair_state[good]] = True
+        return found, good
+
+    def is_successor(self, pairs: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        """Mask of the rows k where state ``ids[k]`` is a successor of pair
+        ``pairs[k]``."""
+        ptr, targets = self.relation()
+        # bisection for the last target not above ids[k] inside each pair's
+        # successor set, which ascends and is not empty
+        first, size = ptr[pairs], ptr[pairs + 1] - ptr[pairs]
+        while (size > 1).any():
+            half = size // 2
+            first += half * (targets[first + half] <= ids)
+            size -= half
+        return targets[first] == ids
+
+    def singletons(self):
+        """The pairs whose successor set is one state, ascending, and that
+        state of each."""
+        ptr, targets = self.relation()
+        single = np.flatnonzero(np.diff(ptr) == 1)
+        return single, targets[ptr[single]]
 
     def enabled_inputs(self, cell) -> tuple[int, ...]:
         """Input indices of the cell's pairs, each with at least one

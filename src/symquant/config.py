@@ -192,23 +192,24 @@ class _RawConfig:
 
 class ScenarioConfig(SimpleNamespace):
     """Validated scenario values, ``path`` plus one attribute per field of
-    :data:`KEYS`, the scenario's ``lattice``, and builders for the live
-    objects."""
+    :data:`KEYS`, the scenario's ``lattice``, ``system_name_at`` (where
+    ``[system] name`` was set), and builders for the live objects."""
 
     def build_system(self) -> SampledSystem:
         overrides = {name: value for name, value in (
             ("lipschitz", self.lipschitz), ("input_lo", self.input_lo),
             ("input_hi", self.input_hi)) if value is not None}
+        where = self.system_name_at
         try:
-            system = replace(make_system(self.system_name), tau=self.tau,
-                             integrator_steps=self.integrator_steps,
-                             **overrides)
+            system = make_system(self.system_name)
             if system.dim_x != self.lattice.dim:
                 raise ValueError(f"system dimension {system.dim_x} does not "
                                  f"match lattice dimension {self.lattice.dim}")
-            return system
+            where = self.path
+            return replace(system, tau=self.tau,
+                           integrator_steps=self.integrator_steps, **overrides)
         except ValueError as exc:
-            raise ConfigError(f"{self.path}: {exc}") from None
+            raise ConfigError(f"{where}: {exc}") from None
 
     def build_lattice(self) -> LogLattice:
         try:
@@ -229,7 +230,8 @@ def parse_config(path) -> ScenarioConfig:
     raw = _RawConfig(str(path))
     values = {row.field: raw.parse(row) for row in KEYS}
     del values[None]  # the keys accepted with no effect
-    cfg = ScenarioConfig(path=str(path), **values)
+    cfg = ScenarioConfig(path=str(path), **values,
+                         system_name_at=raw.location("system", "name"))
 
     if cfg.input_lo is not None and cfg.input_hi is not None:
         if len(cfg.input_lo) != len(cfg.input_hi):

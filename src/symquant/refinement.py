@@ -120,7 +120,6 @@ def check_feedback_refinement(model: SymbolicModel, sys: SampledSystem,
     if not nonblocking.size:
         logger.warning("every cell is blocking; nothing to sample")
         return report
-    ptr, targets = model.relation()
 
     rng = np.random.default_rng(seed)
     _, box_lo, box_hi = lattice.geometry()  # state ids are lattice cell ids
@@ -140,21 +139,13 @@ def check_feedback_refinement(model: SymbolicModel, sys: SampledSystem,
         succ = successor_many(sys, x, us)
         inside = lattice.contains_many(succ)
         levels = lattice.quantize_many(np.where(inside[:, None], succ, 0.0))
-        # bisection for the last target not above the observed cell id
-        # inside each sample's successor set, which ascends and is not empty
-        want = lattice.cell_ids(levels)
-        first, size = ptr[p], ptr[p + 1] - ptr[p]
-        while (size > 1).any():
-            half = size // 2
-            first += half * (targets[first + half] <= want)
-            size -= half
-        for k in np.flatnonzero(~(inside & (targets[first] == want))):
-            expected = targets[ptr[p[k]]:ptr[p[k] + 1]]
+        found = model.is_successor(p, lattice.cell_ids(levels))
+        for k in np.flatnonzero(~(inside & found)):
+            source, uid = model.cells[s[k]], int(uids[k])
             violations.append(RefinementWitness(
-                x=x[k].copy(), u=us[k].copy(), source=model.cells[s[k]],
-                input_index=int(uids[k]),
+                x=x[k].copy(), u=us[k].copy(), source=source, input_index=uid,
                 observed=tuple(levels[k].tolist()) if inside[k] else None,
-                expected=tuple(model.cells[t] for t in expected)))
+                expected=model.successors(source, uid)))
 
     violations.sort(key=lambda w: (w.source, w.input_index, tuple(w.x)))
     report.samples_tested = sample_count

@@ -58,24 +58,12 @@ __all__ = _public(__name__)
 logger = logging.getLogger(__name__)
 
 
-def _controllable(model: SymbolicModel, target: np.ndarray):
-    """One cpre sweep: the state mask of cells with a pair whose successors
-    are all inside the state mask ``target``, and the mask of those
-    pairs."""
-    ptr, targets = model.relation()
-    # no successor set is empty, so consecutive starts bound one set each
-    good = ~np.logical_or.reduceat((~target)[targets], ptr[:-1])
-    found = np.zeros(model.n_states, bool)
-    found[model.pair_state[good]] = True
-    return found, good
-
-
 def cpre(model: SymbolicModel, target) -> set[tuple[int, ...]]:
     """Controllable predecessor: cells from which some enabled input forces
     every successor into ``target``.  Blocking cells are never members."""
     mask = np.zeros(model.n_states, bool)
     mask[model.lattice.checked_cell_ids(target)] = True
-    found, _ = _controllable(model, mask)
+    found, _ = model.controllable(mask)
     return {model.cells[sid] for sid in np.flatnonzero(found)}
 
 
@@ -140,7 +128,7 @@ def safety_fixpoint(model: SymbolicModel, safe: AbstractSafeSet) -> SafetyContro
     iterations = 0
     while True:
         iterations += 1
-        found, good = _controllable(model, current)
+        found, good = model.controllable(current)
         nxt = found & safe_mask
         history.append(int(nxt.sum()))
         if (nxt == current).all():
@@ -254,9 +242,8 @@ def _search(root, expand, visit, is_goal, max_depth: int):
 def _singleton_expansion(model: SymbolicModel):
     """Search expansion over the pairs whose successor set is one state;
     nodes and keys are state ids.  Returns ``(expand, visit)``."""
-    ptr, targets = model.relation()
-    single = np.flatnonzero(np.diff(ptr) == 1)
-    uids, dst = model.pair_input[single], targets[ptr[single]]
+    single, dst = model.singletons()
+    uids = model.pair_input[single]
     # these pairs ascend by state, then by input
     bounds = np.searchsorted(model.pair_state[single],
                              np.arange(model.n_states + 1))

@@ -14,7 +14,7 @@ from symquant.config import parse_config
 from symquant.errors import ConfigError, OutOfDomainError
 from conftest import (MUTATED_NUMBERS, SEPARATORS, box_intersects,
                       iter_transitions, line_lattice, line_mutations,
-                      targets_oracle)
+                      random_model, targets_oracle)
 
 EDGE_LATTICE = sq.LogLattice.from_params(0.2, [0.4, 0.4], [-1, -1], [1, 1],
                                          "edge_anchored")
@@ -423,6 +423,60 @@ def test_enabled_queries_never_enumerate(pendulum_scenario, monkeypatch):
     assert sq.abstract_safe_set([-0.7, -0.7], [0.7, 0.7], model) == safe
     assert safe.inputs == tuple(sorted(set().union(
         *(enabled[model.state_id(c)] for c in safe.cells))))
+
+
+@pytest.fixture
+def query_cases(pendulum_scenario, contracting_scenario):
+    """Models for the successor-set queries, each with its pairs' sets from
+    the per-pair query: random models (arbitrary and singleton sets, states
+    without pairs) and two built models, the contracting one with
+    singleton sets."""
+    rng = np.random.default_rng(29)
+    models = [random_model(rng) for _ in range(30)]
+    return [(rng, model, [model.successor_ids(sid, uid) for sid, uid in zip(
+        model.pair_state.tolist(), model.pair_input.tolist())])
+        for model in models + [pendulum_scenario[2], contracting_scenario[2]]]
+
+
+def test_query_cases_hold_every_kind_of_set(query_cases):
+    sizes = [[len(succ) for succ in sets] for _, _, sets in query_cases]
+    assert all(min(s) >= 1 for s in sizes)
+    assert 1 in sizes[-1] and max(sizes[-1]) > 1
+    assert any(np.diff(model.pair_ptr).min() == 0
+               for _, model, _ in query_cases[:-2])
+
+
+def test_controllable_matches_brute_force(query_cases):
+    for rng, model, sets in query_cases:
+        n = model.n_states
+        for target in (np.ones(n, bool), np.zeros(n, bool),
+                       rng.random(n) < 0.5, rng.random(n) < 0.9):
+            found, good = model.controllable(target)
+            want = [all(target[t] for t in succ) for succ in sets]
+            assert good.tolist() == want
+            assert found.tolist() == [
+                any(want[k] for k in range(model.pair_ptr[sid],
+                                           model.pair_ptr[sid + 1]))
+                for sid in range(n)]
+
+
+def test_is_successor_matches_brute_force(query_cases):
+    for rng, model, sets in query_cases:
+        # every target of every pair, and the ids next to each target
+        rows = [(k, t + d) for k, succ in enumerate(sets) for t in succ
+                for d in (-1, 0, 1)]
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+        pairs, ids = np.array(rows, np.int64).reshape(-1, 2).T
+        assert model.is_successor(pairs, ids).tolist() == [
+            t in sets[k] for k, t in rows]
+        assert model.is_successor(pairs[:0], ids[:0]).tolist() == []
+
+
+def test_singletons_match_brute_force(query_cases):
+    for _, model, sets in query_cases:
+        pairs, states = model.singletons()
+        want = [(k, succ[0]) for k, succ in enumerate(sets) if len(succ) == 1]
+        assert list(zip(pairs.tolist(), states.tolist())) == want
 
 
 def test_enabled_semantics(pendulum_scenario):

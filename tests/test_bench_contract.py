@@ -1,13 +1,17 @@
-"""The command line and scenario files that ``bench/run.py`` relies on.
+"""The command line, scenario files and API that ``bench/run.py`` relies on.
 
-The harness is only read here: its workloads' argument lists must still
-parse, and its scenario files must still load, so that a change to either
-fails this suite first.
+The harness is only read and run here: its workloads' argument lists must
+still parse, its scenario files must still load, and its child process must
+still wrap and call the package's functions, so that a change to any of
+them fails this suite first.
 """
 
 import glob
 import importlib.util
+import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -66,3 +70,40 @@ def test_flag_prefixes_do_not_parse(argv, capsys):
         cli.main(argv)
     assert info.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _child(tmp_path, out, *argv):
+    """Run ``bench/child.py argv`` in tmp_path on the package's source, and
+    read the JSON file ``out`` that it writes; it must exit 0."""
+    src = os.path.join(os.path.dirname(BENCH), "src")
+    proc = subprocess.run(
+        [sys.executable, os.path.join(BENCH, "child.py"), *argv],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": src,
+                           "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads((tmp_path / out).read_text())
+
+
+def test_tracer_wraps_what_the_package_defines(tmp_path):
+    # installing the tracer wraps every layer entry point by name, and the
+    # model counts are read through the model's public queries
+    trace = _child(tmp_path, "t.json", "cli", "--trace", "t.json", "--",
+                   "abstract", "--config", "pendulum", "--out", "m.abs")
+    assert sorted(trace["stats"]["model"]) == [
+        "blocking_cells", "enabled_pairs", "inputs", "states", "transitions"]
+
+
+def test_probes_call_what_the_package_defines(tmp_path):
+    (tmp_path / "traj.csv").write_text(
+        "t,x1,x2,u1\n0.0,0.1,0.0,0.5\n0.2,0.1,0.05,-0.5\n0.4,0.09,0.0,\n")
+    probes = _child(tmp_path, "probes.json", "probe",
+                    os.path.join(os.path.dirname(cli.__file__), "scenarios",
+                                 "pendulum.cfg"),
+                    "--seed", "0", "--points", "traj.csv", "--out",
+                    "probes.json")
+    assert sorted(probes["timings"]) == [
+        "abstraction.approximate_inputs_us",
+        "abstraction.transition_targets_us",
+        "dynamics.successor_many_us_per_row", "dynamics.successor_us",
+        "quantizer.levels_in_interval_us", "quantizer.quantize_us"]

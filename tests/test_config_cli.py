@@ -96,13 +96,15 @@ def test_scenario_environment_fuzz(tmp_path, monkeypatch):
         in_environment = outcome(lines)
         monkeypatch.delenv(variable)
         cases += 1
+        # where the file names the mutated line, the environment names the
+        # variable: in an error, and in where [system] name was set
+        at = (f"{path}:{k + 1}: ", f"{variable}: ")
         if isinstance(in_file, str):
-            assert in_environment == in_file.replace(f"{path}:{k + 1}: ",
-                                                     f"{variable}: "), \
-                (k, name)
+            assert in_environment == in_file.replace(*at), (k, name)
             assert in_environment.startswith((f"{path}:", f"{variable}: "))
             named += in_environment.startswith(variable)
         else:
+            in_file["system_name_at"] = in_file["system_name_at"].replace(*at)
             assert in_environment == in_file, (k, name)
     assert cases > 200 and named > 100
 
@@ -546,14 +548,13 @@ def test_cli_simulate_requires_in(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("section,line,message", [
-    ("system", "name = no_such_system", "unknown system 'no_such_system'"),
     ("quantizer", "state_lo = -0.3 -1", "[quantizer]: axis 0: bounds"),
     ("quantizer", "eta = 1e-7", "[quantizer]: too fine: up to"),
 ])
 def test_config_rejects_what_its_builders_reject(tmp_path, capsys, section,
                                                  line, message):
-    # the system is built by each command, the lattice already when the
-    # scenario is read; neither failure has one line to name
+    # the lattice is built when the scenario is read, and its failure has
+    # no one line to name
     cfg = _fast_cfg(tmp_path)
     _with_line(cfg, section, line)
     code = cli.main(["abstract", "--config", cfg, "--out",
@@ -780,6 +781,8 @@ def _with_line(path, section, line):
     ("plan", "grid_resolution = nan"),
     ("simulate", "x0 = inf 0"),
     ("plan", "relaxed = maybe"),
+    # looked up when each command builds the system
+    ("system", "name = no_such_system"),
 ])
 def test_config_rejects_values_that_fail_later(tmp_path, capsys, section,
                                                line):
@@ -1043,9 +1046,12 @@ def test_crlf_files_read_as_lf_files(saved_files, tmp_path, capsys):
             outputs.append((capsys.readouterr().out, out.read_bytes()))
         assert outputs[0] == outputs[1], kind
     scenario = saved_files["scenario"][1]
-    assert (vars(parse_config(scenario)) | {"path": None}
-            == vars(parse_config(tmp_path / f"crlf_{scenario.name}"))
-            | {"path": None})
+    values = [vars(parse_config(path))
+              for path in (scenario, tmp_path / f"crlf_{scenario.name}")]
+    for cfg in values:  # the two files differ in their paths only
+        cfg["system_name_at"] = cfg["system_name_at"].replace(cfg.pop("path"),
+                                                              "")
+    assert values[0] == values[1]
 
 
 def test_cli_plan_with_and_without_a_model_file(tmp_path):
@@ -1235,6 +1241,7 @@ def test_cli_refuses_a_system_of_another_dimension(tmp_path, capsys):
     assert cli.main(["plan", "--config", "pendulum", "--out", str(plan)]) == 0
     text = open(BUNDLED).read()
     assert "name = pendulum\n" in text
+    at = text[:text.index("name = pendulum\n")].count("\n") + 1
     other = tmp_path / "linear.cfg"
     other.write_text(text.replace("name = pendulum\n", "name = linear\n"))
     capsys.readouterr()
@@ -1243,8 +1250,34 @@ def test_cli_refuses_a_system_of_another_dimension(tmp_path, capsys):
                                 str(tmp_path / "out.txt")])
         assert code == cli.EXIT_CONFIG, argv
         assert capsys.readouterr().err == (
-            f"configuration error: {other}: system dimension 1 does not "
-            "match lattice dimension 2\n"), argv
+            f"configuration error: {other}:{at}: [system] name: system "
+            "dimension 1 does not match lattice dimension 2\n"), argv
+
+
+@pytest.mark.parametrize("name,message", [
+    ("no_such_system", "unknown system 'no_such_system' (registered: "),
+    ("linear", "system dimension 1 does not match lattice dimension 2\n"),
+])
+def test_system_name_errors_name_the_variable_that_set_it(
+        tmp_path, capsys, monkeypatch, name, message):
+    cfg = _fast_cfg(tmp_path)
+    monkeypatch.setenv("SYMQUANT_SYSTEM__NAME", name)
+    assert cli.main(["abstract", "--config", cfg, "--out",
+                     str(tmp_path / "m.abs")]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        "configuration error: SYMQUANT_SYSTEM__NAME: [system] name: "
+        + message)
+
+
+def test_system_name_left_unset_is_located_at_the_file(tmp_path):
+    cfg = _fast_cfg(tmp_path)
+    with open(cfg) as fh:
+        kept = [line for line in fh if not line.startswith("name =")]
+    with open(cfg, "w") as fh:
+        fh.writelines(kept)
+    parsed = parse_config(cfg)
+    assert (parsed.system_name, parsed.system_name_at) == (
+        "pendulum", f"{cfg}: [system] name")
 
 
 def test_cli_build_constructs_one_lattice(tmp_path, monkeypatch):
