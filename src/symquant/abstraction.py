@@ -24,8 +24,8 @@ successor set in one pass on the first query that needs them.
 
 from __future__ import annotations
 
-import itertools
 import logging
+import math
 import time
 from dataclasses import dataclass
 
@@ -36,7 +36,7 @@ from .dynamics import (SampledSystem, growth_radius, input_grid, successor,
                        successor_many)
 from .errors import ConfigError, DivergenceError
 from .quantizer import (LogLattice, LogQuantizerAxis, QuantizerVariant,
-                        _fields, _frozen, _int, _lines, _real, format_cell,
+                        _fields, _frozen, _lines, _real, format_cell,
                         parse_cell)
 
 __all__ = _public(__name__)
@@ -468,12 +468,26 @@ def build_abstraction(sys: SampledSystem, lattice: LogLattice,
     return model
 
 
+def _check_parameters(tau: float, mu: float, lipschitz: float):
+    """Refuse, by their keys in a model file, the tau, mu and L that the
+    builders refuse (:class:`SampledSystem`, :class:`InputApproxConfig`)."""
+    if not 0.0 < tau < math.inf:
+        raise ValueError(f"#tau must be positive, got {tau!r}")
+    if not 0.0 < mu < 1.0:
+        raise ValueError(f"#mu must lie in (0, 1), got {mu!r}")
+    if not 0.0 < lipschitz < math.inf:
+        raise ValueError(f"#L must be positive, got {lipschitz!r}")
+
+
 def _format_floats(values) -> str:
     return ",".join(repr(float(v)) for v in values)
 
 
 def save_abstraction(model: SymbolicModel, path):
-    """Write the versioned line-oriented abstraction file (lossless)."""
+    """Write the versioned line-oriented abstraction file (lossless); a
+    model whose tau, mu or L the loader would refuse raises ValueError
+    before the file is opened."""
+    _check_parameters(model.tau, model.mu, model.lipschitz)
     lat = model.lattice
     start = time.perf_counter()
     with open(path, "w") as fh:
@@ -496,30 +510,57 @@ def save_abstraction(model: SymbolicModel, path):
                 time.perf_counter() - start)
 
 
-# the keys of a model file's parameter header line, as the model's keyword
-# arguments; a key that is missing keeps the model's default, and #eta, if
-# present, must equal the #lattice eta and is not passed on
-_PARAMS = {"#tau": "tau", "#eta": "eta", "#mu": "mu", "#L": "lipschitz"}
-_LATTICE = ("variant", "eta", "scale", "lo", "hi")
+# a model file's three header lines in the shape save_abstraction writes
+# them: each "..." stands for one value, in a field of its own or after "="
+_HEADER = ("#version ...",
+           "#lattice variant=... eta=... scale=... lo=... hi=...",
+           "#tau ... #eta ... #mu ... #L ...")
 
 
-def _lattice(fields) -> LogLattice:
-    """The lattice of the ``key=value`` fields of a ``#lattice`` line."""
-    spec = {}
-    for field in fields:
-        key, sep, value = field.partition("=")
-        if not sep or key not in _LATTICE:
-            raise ValueError(f"unknown #lattice field {field!r}")
-        if key in spec:
-            raise ValueError(f"repeated #lattice field {key!r}")
-        spec[key] = value
-    for key in _LATTICE:
-        if key not in spec:
-            raise ValueError(f"the #lattice line lacks {key!r}")
-    scale, lo, hi = ([_real(v, f"{key} is ") for v in spec[key].split(",")]
-                     for key in ("scale", "lo", "hi"))
-    return LogLattice.from_params(_real(spec["eta"], "eta is "), scale, lo,
-                                  hi, QuantizerVariant(spec["variant"]))
+def _values(line: str, shape: str) -> list[str]:
+    """The values of a header line in ``shape``, an entry of ``_HEADER``:
+    its fields (see :func:`_fields`) match the shape's one to one, a field
+    whose shape ends in ``...`` by its start and any other exactly.  A line
+    in another shape raises ValueError."""
+    fields, want = _fields(line), shape.split()
+    if len(fields) != len(want) or any(
+            field != key and not (key.endswith("...")
+                                  and field.startswith(key[:-3]))
+            for field, key in zip(fields, want)):
+        raise ValueError(f"expected {shape!r}, got {line!r}")
+    return [field[len(key) - 3:] for field, key in zip(fields, want)
+            if key.endswith("...")]
+
+
+def _read_header(path):
+    """The lattice, tau, mu and L of a model file's first three lines, in
+    the shapes of ``_HEADER``; a fault raises at its line, before the next
+    line is read."""
+    lines = _lines(path)
+    for lineno, shape in enumerate(_HEADER, 1):
+        line = next(lines, (lineno, ""))[1]
+        try:
+            values = _values(line, shape)
+            if lineno == 1 and values != [str(FORMAT_VERSION)]:
+                raise ValueError(
+                    f"unsupported abstraction format {values[0]!r}")
+            if lineno == 2:
+                variant, eta, *axes = values
+                lattice = LogLattice.from_params(_real(eta, "eta is "), *(
+                    [_real(v, f"{key} is ") for v in text.split(",")]
+                    for key, text in zip(("scale", "lo", "hi"), axes)),
+                    QuantizerVariant(variant))
+            if lineno == 3:
+                tau, eta, mu, lipschitz = (
+                    _real(v, f"{key} is ")
+                    for key, v in zip(shape.split()[::2], values))
+                if eta != lattice.shared_eta:
+                    raise ValueError(f"#eta {eta!r} differs from the #lattice "
+                                     f"eta {lattice.shared_eta!r}")
+                _check_parameters(tau, mu, lipschitz)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return lattice, tau, mu, lipschitz
 
 
 _DIGITS = 18  # the most digits of an id; any 18-digit number fits int64
@@ -584,23 +625,21 @@ def _tables_at(block: bytes):
 
 
 def _scan(path):
-    """The number of a model file's header lines, the byte offset and the
-    number of its transition lines, and the byte offset of its first line
-    that starts with ``input `` or ``state ``."""
-    n_head = n_body = 0
+    """The byte offset and the number of a model file's transition lines,
+    the lines after its three header lines, and the byte offset of its
+    first later line that starts with ``input `` or ``state ``."""
+    n_body = 0
     with open(path, "rb") as fh:
-        line = fh.readline()
-        while line.startswith(b"#"):
-            n_head += 1
-            line = fh.readline()
-        body = tail = fh.tell() - len(line)
-        for block in _blocks(fh, line):
+        for _ in _HEADER:
+            fh.readline()
+        body = tail = fh.tell()
+        for block in _blocks(fh):
             lines, end = _tables_at(block)
             n_body += lines
             tail += end
             if end < len(block):
                 break
-    return n_head, body, n_body, tail
+    return body, n_body, tail
 
 
 def _read_transitions(path, body: int, n_head: int, n_body: int,
@@ -638,18 +677,56 @@ def _read_transitions(path, body: int, n_head: int, n_body: int,
     return keys
 
 
+def _read_tables(path, tail: int, number: int, cells) -> list:
+    """The input table of a model file's table lines, which start at byte
+    ``tail`` with line ``number``: ``input 0`` to ``input U-1``, each with
+    as many components as the first, then ``state 0`` to ``state N-1``,
+    each with the levels of its cell in ``cells``.  Any other line raises
+    at its line, as do state lines that stop before the last cell."""
+    inputs, states = [], 0
+    for lineno, line in _lines(path, offset=tail, number=number):
+        try:
+            kind, ident, rest = _fields(line, 2)
+            if kind == "input" and ident == str(len(inputs)) and not states:
+                inputs.append(tuple(map(_real, _fields(rest))))
+                if len(inputs[-1]) != len(inputs[0]):
+                    raise ValueError
+                continue
+            if kind != "state" or ident != str(states):
+                raise ValueError
+            cell = parse_cell(rest)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: malformed line {line!r}") from None
+        if cells[states:states + 1] != [cell]:
+            raise ValueError(f"{path}:{lineno}: state {states} "
+                             f"{format_cell(cell)} is not cell {states} of "
+                             f"the #lattice")
+        states += 1
+    if states != len(cells):
+        raise ValueError(f"{path}: {states} states where the #lattice has "
+                         f"{len(cells)} cells")
+    return inputs
+
+
 def load_abstraction(path, system=None) -> SymbolicModel:
     """Read an abstraction file written by :func:`save_abstraction`.
 
-    The file holds ``#`` header lines, one ``src dst uid`` line per
-    transition, then the ``input`` and ``state`` lines with ids counting up
-    from 0; the ``state`` lines are the ``#lattice`` line's cells in
-    enumeration order.  A transition line is three ids of decimal digits
-    with single spaces between them and a ``\n`` end (the file's last
-    newline is optional); any other byte, a non-UTF-8 one included, makes
-    it a malformed line.  Malformed or inconsistent content raises a
-    ValueError naming the file and, where one line is at fault, the line.
-    The file is scanned a block of bytes at a time for where its header,
+    The file holds exactly the lines that the writer produces, in its
+    order: ``#version 1``; ``#lattice variant=V eta=E scale=S lo=LO hi=HI``
+    with comma-separated per-axis values; ``#tau T #eta E #mu M #L L``,
+    whose ``#eta`` is the ``#lattice`` eta and whose values the builders
+    would accept (``#tau`` and ``#L`` positive, ``#mu`` in (0, 1)); one
+    ``src dst uid`` line per transition; ``input 0`` to ``input U-1``, each
+    with its input's components; and one ``state S`` line per ``#lattice``
+    cell, in enumeration order, with that cell's comma-separated levels.
+    Fields are separated by ASCII blanks and numbers are read by the
+    number grammar of every file (:func:`symquant.quantizer._real`).  A
+    transition line is three ids of decimal digits with single spaces
+    between them and a ``\n`` end (the file's last newline is optional);
+    any other byte, a non-UTF-8 one included, makes it a malformed line.
+    A missing, repeated, reordered or extra line, or any other fault,
+    raises a ValueError naming the file and, where one line is at fault,
+    the line.  The file is scanned a block of bytes at a time for where its
     transitions and tables lie; the header and table lines are then read
     by the line reader of every text file (:func:`symquant.quantizer._lines`)
     and the transitions a block at a time.  The header and the tables are
@@ -657,78 +734,16 @@ def load_abstraction(path, system=None) -> SymbolicModel:
     is rejected for a fault in the header or tables.
     """
     start = time.perf_counter()
-    n_head, body, n_body, tail = _scan(path)
-    params, lattice, version, seen = {}, None, None, {}
-
-    def once(key):
-        if key in seen:
-            raise ValueError(f"repeated header key {key!r}")
-        seen[key] = lineno
-
-    for lineno, line in itertools.islice(_lines(path), n_head):
-        tokens = _fields(line)
-        try:
-            if tokens[0] == "#lattice":
-                once("#lattice")
-                lattice = _lattice(tokens[1:])
-            elif tokens[0] == "#version" and len(tokens) == 2:
-                once("#version")
-                version = tokens[1]
-                if version != str(FORMAT_VERSION):
-                    raise ValueError(
-                        f"unsupported abstraction format {version!r}")
-            elif len(tokens) % 2:
-                raise ValueError(f"malformed line {line!r}")
-            else:
-                for key, value in zip(tokens[0::2], tokens[1::2]):
-                    if key not in _PARAMS:
-                        raise ValueError(f"unknown header key {key!r}")
-                    once(key)
-                    params[_PARAMS[key]] = _real(value, f"{key} is ")
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-    if version is None:
-        raise ValueError(f"{path}: no #version line")
-    if lattice is None:
-        raise ValueError(f"{path}: no #lattice line")
-    if (eta := params.pop("eta", lattice.shared_eta)) != lattice.shared_eta:
-        raise ValueError(f"{path}:{seen['#eta']}: #eta {eta!r} differs from "
-                         f"the #lattice eta {lattice.shared_eta!r}")
-
+    body, n_body, tail = _scan(path)
+    lattice, tau, mu, lipschitz = _read_header(path)
     cells = lattice.enumerate_cells()
-    rows: dict[str, list] = {"input": [], "state": []}
-    for lineno, line in _lines(path, offset=tail, number=n_head + n_body + 1):
-        if not (fields := _fields(line, 2)):
-            continue
-        try:
-            kind, ident, rest = fields
-            value = (parse_cell(rest) if kind == "state" else
-                     tuple(map(_real, _fields(rest))))
-            seen = rows[kind]
-            ident = _int(ident)
-        except (ValueError, KeyError):
-            raise ValueError(f"{path}:{lineno}: malformed line {line!r}") from None
-        if ident != len(seen):
-            raise ValueError(f"{path}:{lineno}: {kind} id {ident} where "
-                             f"{len(seen)} was expected")
-        if kind == "state" and cells[ident:ident + 1] != [value]:
-            raise ValueError(f"{path}:{lineno}: state {ident} "
-                             f"{format_cell(value)} is not cell {ident} of "
-                             f"the #lattice")
-        if seen and len(value) != len(seen[0]):
-            raise ValueError(f"{path}:{lineno}: {kind} {ident} has "
-                             f"{len(value)} components, not {len(seen[0])}")
-        seen.append(value)
-    inputs = rows["input"]
-    if len(rows["state"]) != len(cells):
-        raise ValueError(f"{path}: {len(rows['state'])} states where the "
-                         f"#lattice has {len(cells)} cells")
-
-    keys = _read_transitions(path, body, n_head, n_body, len(cells),
+    inputs = _read_tables(path, tail, len(_HEADER) + n_body + 1, cells)
+    keys = _read_transitions(path, body, len(_HEADER), n_body, len(cells),
                              len(inputs))
     pair_ptr, pair_input, relation = _pack(keys, len(cells), len(inputs))
-    model = SymbolicModel(lattice, inputs, pair_ptr, pair_input,
-                          system=system, relation=relation, **params)
+    model = SymbolicModel(lattice, inputs, pair_ptr, pair_input, tau=tau,
+                          mu=mu, lipschitz=lipschitz, system=system,
+                          relation=relation)
     logger.info("load: %d states, %d inputs, %d transitions, %.3f s",
                 len(cells), len(inputs), n_body, time.perf_counter() - start)
     return model

@@ -74,12 +74,19 @@ class SampledSystem:
             raise ValueError(f"tau must be positive, got {self.tau!r}")
         if not (math.isfinite(self.lipschitz) and self.lipschitz > 0.0):
             raise ValueError(f"lipschitz must be positive, got {self.lipschitz!r}")
-        if self.integrator_steps < 1:
-            raise ValueError("integrator_steps must be at least 1")
+        _substeps(self.integrator_steps, "integrator_steps")
         if len(self.input_lo) != self.dim_u or len(self.input_hi) != self.dim_u:
             raise ValueError("input box dimension does not match dim_u")
         if any(lo > hi for lo, hi in zip(self.input_lo, self.input_hi)):
             raise ValueError("input box is empty")
+
+
+def _substeps(steps, name: str = "steps") -> int:
+    """``steps``, the RK4 substeps of one period, if it is an ``int`` of at
+    least 1; anything else, a float or a bool included, raises ValueError."""
+    if type(steps) is not int or steps < 1:
+        raise ValueError(f"{name} must be an int of at least 1, got {steps!r}")
+    return steps
 
 
 def _field(sys: SampledSystem):
@@ -112,8 +119,9 @@ def successor_many(sys: SampledSystem, x0: np.ndarray, u: np.ndarray,
     """One-period successors for a batch of (state, input) rows.
 
     Rows that diverge propagate as non-finite values; callers decide how to
-    handle them.  Uses the same elementwise kernel as :func:`successor`, so
-    batched and single evaluations agree bit for bit.
+    handle them.  ``steps`` overrides ``sys.integrator_steps`` and must be
+    an ``int`` of at least 1.  Uses the same elementwise kernel as
+    :func:`successor`, so batched and single evaluations agree bit for bit.
     """
     x = np.asarray(x0, float)
     u = np.asarray(u, float)
@@ -121,7 +129,7 @@ def successor_many(sys: SampledSystem, x0: np.ndarray, u: np.ndarray,
         raise ValueError(f"expected states of shape (N, {sys.dim_x})")
     if u.ndim != 2 or u.shape[1] != sys.dim_u or u.shape[0] != x.shape[0]:
         raise ValueError(f"expected inputs of shape (N, {sys.dim_u})")
-    steps = sys.integrator_steps if steps is None else int(steps)
+    steps = sys.integrator_steps if steps is None else _substeps(steps)
     h = sys.tau / steps
     f = _field(sys)
     with np.errstate(all="ignore"):
@@ -143,7 +151,7 @@ def successor(sys: SampledSystem, x0, u, steps: int | None = None) -> np.ndarray
         return y[0]
     # non-finite stays non-finite: re-run substep by substep to find the
     # first, which the same kernel on the same row reaches within `steps`
-    steps = sys.integrator_steps if steps is None else int(steps)
+    steps = sys.integrator_steps if steps is None else steps
     h = sys.tau / steps
     f = _field(sys)
     with np.errstate(all="ignore"):

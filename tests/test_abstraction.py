@@ -2,6 +2,7 @@
 
 import itertools
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -694,6 +695,16 @@ def test_from_tables_model_saves_a_file_that_reloads(tmp_path):
     lines = (tmp_path / "m.abs").read_text().splitlines()
     assert " eta=0.2 " in lines[1] and " #eta 0.2 " in lines[2]
     assert _same_model(sq.load_abstraction(tmp_path / "m.abs"), model)
+    # a model whose tau, mu or L the loader refuses is not written at all
+    for key, value, message in (
+            ("tau", 0.0, "#tau must be positive, got 0.0"),
+            ("mu", 1.0, "#mu must lie in (0, 1), got 1.0"),
+            ("lipschitz", float("inf"), "#L must be positive, got inf")):
+        bad = SymbolicModel.from_tables(lattice, [[0.0]], {},
+                                        **{"tau": 0.2, "mu": 0.01, key: value})
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sq.save_abstraction(bad, tmp_path / "bad.abs")
+        assert not (tmp_path / "bad.abs").exists()
 
 
 def test_model_argument_checks():
@@ -829,8 +840,12 @@ def _load_outcome(path):
 
 def test_model_file_fuzz(tmp_path, monkeypatch):
     # every mutation either loads or names the file (and the line where one
-    # is at fault), alike at the default and at a tiny block size; a
-    # separator other than an ASCII blank is at fault on every line
+    # is at fault), alike at the default and at a tiny block size.  Outside
+    # the transitions only a new input value, or a line left as it was,
+    # loads: any other change to a header or table line is refused at that
+    # line, a repeated one at its copy, and a deleted last input or state
+    # line where the tables end too early.  The tables are checked before
+    # the transitions, and they start at the first "input " line
     sys_, lattice = _line()
     path = tmp_path / "m.abs"
     sq.save_abstraction(sq.build_abstraction(
@@ -840,6 +855,7 @@ def test_model_file_fuzz(tmp_path, monkeypatch):
     path.write_text("\n".join(lines))  # no newline after the last line
     assert _same_model(sq.load_abstraction(path), original)
     body = range(3, lines.index("input 0 -1.0"))
+    inputs = range(body.stop, lines.index("state 0 -3"))
     for k, name, mutated in line_mutations(lines):
         path.write_text("\n".join(mutated) + "\n")
         outcomes = [_load_outcome(path)]
@@ -847,26 +863,24 @@ def test_model_file_fuzz(tmp_path, monkeypatch):
             patch.setattr(abstraction, "_BLOCK", 5)
             outcomes.append(_load_outcome(path))
         got, tiny = outcomes
-        located = (k in body and name not in ("delete", "duplicate", "swap")
-                   or k < 3 and name in ("append", "abc")
-                   or name in SEPARATORS)
-        # a header line read twice is at fault at its second copy, and the
-        # #version and #lattice lines are required
-        repeated = k < 3 and name == "duplicate"
+        if k in body:
+            at = None if name in ("delete", "duplicate", "swap") else k + 1
+        elif name == "delete" and k in (inputs[-1], len(lines) - 1):
+            at = None
+        elif k == inputs[0] and name in ("blank", "swap", "append"):
+            # the tables start at the next line, whose input is the first
+            # one, or is one wider than the first
+            at = k + 2
+        else:
+            at = k + 2 if name == "duplicate" else k + 1
         if isinstance(got, str):
             assert got == tiny and got.startswith(f"{path}:"), (k, name)
-            if located:
-                assert got.startswith(f"{path}:{k + 1}: "), (k, name, got)
-            if repeated:
-                assert got.startswith(f"{path}:{k + 2}: repeated header key")
-            if k == 1 and name == "delete":
-                assert got == f"{path}: no #lattice line"
+            if at:
+                assert got.startswith(f"{path}:{at}: "), (k, name, got)
         else:
             assert _same_model(got, tiny), (k, name)
-            assert not repeated and not (k < 2 and name == "delete")
-            assert not located and (
-                k not in body or name not in ("blank", "append",
-                                              *MUTATED_NUMBERS)), (k, name)
+            assert (at is None or mutated == lines
+                    or k in inputs and name in MUTATED_NUMBERS), (k, name)
             if k in body and name == "duplicate":
                 assert _same_model(got, original)
 
@@ -946,17 +960,20 @@ def test_model_load_memory_is_the_model_plus_one_block(tmp_path,
 
 
 @pytest.mark.parametrize("at, old, new, message", [
-    (3, " #L 1.0", " #L 1.0 #Lx 9", "unknown header key '#Lx'"),
-    (2, " hi=1.3", " hi=1.3 foo=1", "unknown #lattice field 'foo=1'"),
-    (2, " hi=1.3", " hi=1.3 eta", "unknown #lattice field 'eta'"),
-    (2, " hi=1.3", "", "the #lattice line lacks 'hi'"),
-    (2, " hi=1.3", " hi=1.3 hi=1.3", "repeated #lattice field 'hi'"),
     (3, "#tau 0.3", "#tau abc", "#tau is not a finite number: 'abc'"),
     (3, "#L 1.0", "#L nan", "#L is not a finite number: 'nan'"),
     (2, "eta=0.25", "eta=abc", "eta is not a finite number: 'abc'"),
     (2, "lo=-0.8", "lo=-0.8,inf", "lo is not a finite number: 'inf'"),
     (2, "eta=0.25", "eta=1.5", "eta must lie in (0, 1)"),
     (3, "#eta 0.25", "#eta 0.5", "#eta 0.5 differs from the #lattice eta 0.25"),
+    # the values that the builders refuse
+    (3, "#tau 0.3", "#tau -0.2", "#tau must be positive, got -0.2"),
+    (3, "#tau 0.3", "#tau 0", "#tau must be positive, got 0.0"),
+    (3, "#mu 0.002", "#mu 7", "#mu must lie in (0, 1), got 7.0"),
+    (3, "#mu 0.002", "#mu 0", "#mu must lie in (0, 1), got 0.0"),
+    (3, "#mu 0.002", "#mu 1", "#mu must lie in (0, 1), got 1.0"),
+    (3, "#L 1.0", "#L 0", "#L must be positive, got 0.0"),
+    (3, "#L 1.0", "#L -6", "#L must be positive, got -6.0"),
     (2, "value_anchored", "bogus", "'bogus' is not a valid QuantizerVariant"),
     (1, "#version 1", "#version 2", "unsupported abstraction format '2'"),
     # the input table's values are finite too
@@ -979,18 +996,26 @@ def test_model_file_header_checked_at_its_line(tmp_path, at, old, new,
     assert str(info.value).startswith(f"{path}:{at}: {message}")
 
 
+PARAMS = "#tau ... #eta ... #mu ... #L ..."
+LATTICE = "#lattice variant=... eta=... scale=... lo=... hi=..."
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda h: [h[0], h[1], h[2] + " #tau 0.7"],
-     ":3: repeated header key '#tau'"),
-    (lambda h: [h[0], h[1], h[2], "#L 2.0"], ":4: repeated header key '#L'"),
+     f":3: expected {PARAMS!r}, got '#tau 0.3 #eta 0.25 #mu 0.002 #L 1.0 "
+     "#tau 0.7'"),
+    (lambda h: [h[0], h[1], h[2], "#L 2.0"], ":4: malformed line '#L 2.0'"),
     (lambda h: [h[0], h[1], h[1].replace("eta=0.25", "eta=0.5"), h[2]],
-     ":3: repeated header key '#lattice'"),
-    (lambda h: [h[0], h[0], h[1], h[2]], ":2: repeated header key '#version'"),
-    (lambda h: [h[0], h[2]], ": no #lattice line"),
+     f":3: expected {PARAMS!r}, got '#lattice variant=value_anchored "
+     "eta=0.5 scale=0.2 lo=-0.8 hi=1.3'"),
+    (lambda h: [h[0], h[0], h[1], h[2]],
+     f":2: expected {LATTICE!r}, got '#version 1'"),
+    (lambda h: [h[0], h[2]],
+     f":2: expected {LATTICE!r}, got '#tau 0.3 #eta 0.25 #mu 0.002 #L 1.0'"),
 ], ids=["tau", "L_own_line", "lattice", "version", "no_lattice"])
 def test_model_file_header_keys_appear_once(tmp_path, edit, message):
-    # a repeated key is rejected at the line that repeats it, not read with
-    # the last value winning; #lattice is required like #version
+    # a repeated key or line is rejected at the line that repeats it, not
+    # read with the last value winning, and no header line may be left out
     sys_, lattice = _line()
     path = tmp_path / "m.abs"
     sq.save_abstraction(sq.build_abstraction(
@@ -1036,27 +1061,77 @@ def test_model_file_states_are_the_lattice_cells(tmp_path, edit, message):
     assert str(info.value) == f"{path}{message}"
 
 
-def test_model_file_header_keys_default_when_missing(tmp_path):
+def test_model_file_in_another_shape_is_refused(tmp_path):
+    # the loader reads only what the writer writes: a missing, reordered,
+    # repeated or unknown header key, a lattice field out of its place, a
+    # blank line or a table line out of order is refused at its line, and
+    # no value is made up for a key the file does not give
     sys_, lattice = _line()
     path = tmp_path / "m.abs"
     sq.save_abstraction(sq.build_abstraction(
         sys_, lattice, sq.InputApproxConfig(0.002, 2)), path)
-    lines = path.read_text().splitlines(True)
-    assert lines[2] == "#tau 0.3 #eta 0.25 #mu 0.002 #L 1.0\n"
-    path.write_text("".join(lines).replace(" #mu 0.002", ""))
-    model = sq.load_abstraction(path)
-    assert (model.tau, model.lattice.shared_eta, model.mu,
-            model.lipschitz) == \
-        (0.3, 0.25, 0.5, 1.0)
-    # without its parameter line, the model takes the lattice's eta and so
-    # saves a file that loads back as the same model
-    path.write_text("".join(lines[:2] + lines[3:]))
-    model = sq.load_abstraction(path)
-    assert (model.tau, model.lattice.shared_eta, model.mu,
-            model.lipschitz) == \
-        (0.0, 0.25, 0.5, 1.0)
-    sq.save_abstraction(model, tmp_path / "again.abs")
-    assert _same_model(sq.load_abstraction(tmp_path / "again.abs"), model)
+    lines = path.read_text().splitlines()
+    assert lines[:3] == [
+        "#version 1",
+        "#lattice variant=value_anchored eta=0.25 scale=0.2 lo=-0.8 hi=1.3",
+        "#tau 0.3 #eta 0.25 #mu 0.002 #L 1.0"]
+    assert lines[43:46] == ["input 0 -1.0", "input 1 1.0", "state 0 -3"]
+    params, lat = lines[2], lines[1]
+    cases = [(2, params.replace(f"{key} {value} ", "")
+              if key != "#L" else params.removesuffix(" #L 1.0"))
+             for key, value in (("#tau", 0.3), ("#eta", 0.25),
+                                ("#mu", 0.002), ("#L", 1.0))]
+    cases += [
+        (2, "#eta 0.25 #tau 0.3 #mu 0.002 #L 1.0"),
+        (2, "#tau 0.3 #eta 0.25 #L 1.0 #mu 0.002"),
+        (2, "#tau 0.3 #tau 0.3 #mu 0.002 #L 1.0"),
+        (2, "#tau 0.3 #eta 0.25 #mu 0.002 #Lx 1.0"),
+        (2, params + " #Lx 9"),
+        (2, "#tau 0.3"),
+        (2, ""),
+        (1, lat + " foo=1"),
+        (1, lat + " eta"),
+        (1, lat.removesuffix(" hi=1.3")),
+        (1, lat + " hi=1.3"),
+        (1, lat.replace("variant=value_anchored eta=0.25",
+                        "eta=0.25 variant=value_anchored")),
+        (1, lat.replace("#lattice", "#lattice ", 1).replace("eta=", "eta ")),
+        (0, "#version"),
+        (0, "#version 1 1"),
+        (0, "version 1"),
+    ]
+    for k, line in cases:
+        path.write_text("\n".join(lines[:k] + [line] + lines[k + 1:]) + "\n")
+        with pytest.raises(ValueError) as info:
+            sq.load_abstraction(path)
+        shape = abstraction._HEADER[k]
+        assert str(info.value) == \
+            f"{path}:{k + 1}: expected {shape!r}, got {line!r}", line
+    # no parameter line at all, and a fourth header line
+    for edit, message in (
+            (lines[:2] + lines[3:],
+             f":3: expected {PARAMS!r}, got '0 1 1'"),
+            (lines[:3] + ["#mu 0.5"] + lines[3:],
+             ":4: malformed line '#mu 0.5'")):
+        path.write_text("\n".join(edit) + "\n")
+        with pytest.raises(ValueError) as info:
+            sq.load_abstraction(path)
+        assert str(info.value) == f"{path}{message}"
+    # a blank line or a line out of order in the tables
+    for edit, message in (
+            (lines[:44] + [""] + lines[44:], ":45: malformed line ''"),
+            (lines + [""], ":54: malformed line ''"),
+            (lines + ["input 2 0.5"], ":54: malformed line 'input 2 0.5'"),
+            (lines[:43] + [lines[44], lines[43]] + lines[45:],
+             ":44: malformed line 'input 1 1.0'"),
+            (lines[:45] + [lines[46], lines[45]] + lines[47:],
+             ":46: malformed line 'state 1 -2'"),
+            (lines[:44] + ["input 1 1.0 2.0"] + lines[45:],
+             ":45: malformed line 'input 1 1.0 2.0'")):
+        path.write_text("\n".join(edit) + "\n")
+        with pytest.raises(ValueError) as info:
+            sq.load_abstraction(path)
+        assert str(info.value) == f"{path}{message}"
 
 
 def test_loaded_model_lattice_equals_the_building_one(pendulum_scenario,

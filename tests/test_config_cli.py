@@ -396,7 +396,8 @@ def test_cli_export_roundtrips_transition_count(tmp_path):
                                   "repeated_header_key", "no_lattice_line",
                                   "eta_not_the_lattice_eta",
                                   "lattice_too_fine",
-                                  "faults_in_both_regions"])
+                                  "faults_in_both_regions",
+                                  "parameter_line_without_tau", "mu_7"])
 def test_cli_rejects_bad_model_file(tmp_path, capsys, case):
     cfg = _fast_cfg(tmp_path)
     path = tmp_path / "m.abs"
@@ -427,9 +428,17 @@ def test_cli_rejects_bad_model_file(tmp_path, capsys, case):
                         lines[2].replace(" #eta 0.2 ", " #eta 1e-07 ")]
         assert "=1e-07" in lines[1] and "#eta 1e-07" in lines[2]
     elif case == "no_lattice_line":
+        # the parameter line stands where the #lattice line must
         assert lines[1].startswith("#lattice ")
-        at = None
+        at = 2
         del lines[1]
+    elif case == "parameter_line_without_tau":
+        # no value is made up for it: the file, not the scenario, is at fault
+        assert lines[2].startswith("#tau 0.2 ")
+        at, lines[2] = 3, lines[2].removeprefix("#tau 0.2 ")
+    elif case == "mu_7":
+        assert " #mu 0.002 " in lines[2]
+        at, lines[2] = 3, lines[2].replace(" #mu 0.002 ", " #mu 7 ")
     else:
         at = lines.index(next(ln for ln in lines if ln.startswith("state 5 ")))
         lines[at] = lines[at].replace("state 5 ", "state 7 ")
@@ -439,7 +448,7 @@ def test_cli_rejects_bad_model_file(tmp_path, capsys, case):
             lines[3] = "not a transition"
     path.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
-    where = "m.abs: no #lattice line" if at is None else f"m.abs:{at}: "
+    where = f"m.abs:{at}: "
     for command in ("synthesize", "verify", "export"):
         code = cli.main([command, "--config", cfg, "--in", str(path),
                          "--out", str(tmp_path / "out.txt")])

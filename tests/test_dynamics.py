@@ -1,6 +1,8 @@
 """Sampled systems, integration accuracy, growth-bound soundness."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -171,6 +173,25 @@ def test_system_validation():
         sq.successor_many(sys_, np.zeros((2, 2)), np.zeros((2, 1)))
     with pytest.raises(ValueError, match=r"inputs of shape \(N, 1\)"):
         sq.successor_many(sys_, np.zeros((2, 1)), np.zeros((3, 1)))
+
+
+def test_substeps_are_a_positive_int():
+    # a steps override and integrator_steps alike: no silent x0, no
+    # ZeroDivisionError, no truncated 2.7, no TypeError from range
+    sys_ = sq.linear_system()
+    x, u = np.ones((2, 1)), np.zeros((2, 1))
+    for steps in (-3, 0, 2.7, 2.0, True, np.int64(4), "4"):
+        for call in (lambda: sq.successor_many(sys_, x, u, steps=steps),
+                     lambda: sq.successor(sys_, [1.0], [0.0], steps=steps)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"steps must be an int of at least 1, got {steps!r}")):
+                call()
+        with pytest.raises(ValueError, match=re.escape(
+                f"integrator_steps must be an int of at least 1, got "
+                f"{steps!r}")):
+            dataclasses.replace(sys_, integrator_steps=steps)
+    assert sq.successor(sys_, [1.0], [0.0], steps=1)[0] == \
+        sq.successor_many(sys_, x, u, steps=1)[0, 0]
 
 
 def test_trajectory_validation_and_csv(tmp_path):

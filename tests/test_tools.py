@@ -2,7 +2,10 @@
 
 import importlib.util
 import os
+import subprocess
 import sys
+
+import pytest
 
 TOOLS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools")
 
@@ -56,6 +59,30 @@ def test_src_size_compares_two_directories(tmp_path, capsys):
         "  added.py: 0 to 1 lines (+1), 0 to 0 code lines (+0)",
         "  gone.py: 1 to 0 lines (-1), 1 to 0 code lines (-1)",
         f"  {base} to {new}: 3 to 5 lines (+2), 2 to 3 code lines (+1)"]
+
+
+def test_src_size_compares_a_git_revision(tmp_path, capsys, monkeypatch):
+    # a BASE that is no directory is a revision of the repository
+    src_size = _load("src_size")
+    repo = tmp_path / "repo"
+    package = repo / "src" / "symquant"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\n")
+    (repo / "other.py").write_text("y = 2\n")
+    git = ["git", "-C", str(repo), "-c", "user.name=a", "-c", "user.email=a@b"]
+    for args in (["init", "-q"], ["add", "."], ["commit", "-q", "-m", "a"]):
+        subprocess.run(git + args, check=True, capture_output=True)
+    (package / "a.py").write_text("x = 1\n\nz = 3\n")
+    (package / "b.py").write_text("w = 4\n")
+    monkeypatch.setattr(src_size, "ROOT", repo)
+    assert src_size.main(["src_size.py", "HEAD", str(package)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "  a.py: 1 to 3 lines (+2), 1 to 2 code lines (+1)",
+        "  b.py: 0 to 1 lines (+1), 0 to 1 code lines (+1)",
+        f"  HEAD to {package}: 1 to 4 lines (+3), 1 to 3 code lines (+2)"]
+    with pytest.raises(SystemExit, match="^HEAD~5: not a directory or a "
+                       "git revision: "):
+        src_size.main(["src_size.py", "HEAD~5", str(package)])
 
 
 def test_src_cover_lists_statements_no_call_ran(tmp_path):

@@ -1,8 +1,8 @@
 """Print the size of the ``symquant`` package source.
 
-Usage: ``python3 tools/src_size.py [DIR]`` (default: ``src/symquant`` next
-to this script's parent).  It prints two counts for each ``*.py`` file,
-one line per file, then their sums on a last line:
+Usage: ``python3 tools/src_size.py [DIR]`` (default: ``src/symquant`` of
+the repository that holds this script).  It prints two counts for each
+``*.py`` file, one line per file, then their sums on a last line:
 
 - total lines;
 - code lines: lines that hold a token, less docstrings, comments and blank
@@ -11,16 +11,21 @@ one line per file, then their sums on a last line:
 
 ``python3 tools/src_size.py BASE DIR`` prints, per file of either
 directory and then in sum, both counts in ``BASE`` and in ``DIR`` and the
-change between them (a file missing from one side counts 0 there).  To
-compare with an earlier commit, unpack its package first, for example
-``git archive HEAD~1 src/symquant | tar -x -C /tmp/base`` and then
-``python3 tools/src_size.py /tmp/base/src/symquant src/symquant``.
+change between them (a file missing from one side counts 0 there).
+``BASE`` is a directory or, if no directory has that name, a git revision
+of this repository, whose ``src/symquant`` is unpacked with ``git
+archive`` into a temporary directory: ``python3 tools/src_size.py HEAD~1
+src/symquant`` shows the last commit's change per module.
 """
 
 import ast
+import subprocess
 import sys
+import tempfile
 import tokenize
 from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
 
 _SKIP = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
          tokenize.DEDENT, tokenize.ENDMARKER, tokenize.ENCODING}
@@ -51,10 +56,27 @@ def sizes(root: Path) -> dict:
             for p in sorted(root.glob("*.py"))}
 
 
+def unpack(rev: str, dest: Path) -> Path:
+    """Unpack ``src/symquant`` of git revision ``rev`` of the repository at
+    ``ROOT`` under ``dest``, and return the package's directory there; a
+    revision git cannot archive exits with git's message."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev,
+                              "src/symquant"], capture_output=True)
+    if archive.returncode:
+        sys.exit(f"{rev}: not a directory or a git revision: "
+                 f"{archive.stderr.decode(errors='replace').strip()}")
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout,
+                   check=True)
+    return dest / "src" / "symquant"
+
+
 def main(argv) -> int:
     if len(argv) > 2:
         base, new = Path(argv[1]), Path(argv[2])
-        before, after = sizes(base), sizes(new)
+        with tempfile.TemporaryDirectory() as tmp:
+            before = sizes(base if base.is_dir() else unpack(argv[1],
+                                                             Path(tmp)))
+        after = sizes(new)
         rows = [(name, before.get(name, (0, 0)), after.get(name, (0, 0)))
                 for name in sorted(before.keys() | after.keys())]
         rows.append((f"{base} to {new}", *(
@@ -66,8 +88,7 @@ def main(argv) -> int:
                   f"({lines1 - lines0:+d}), {code0} to {code1} code lines "
                   f"({code1 - code0:+d})")
         return 0
-    root = Path(argv[1]) if len(argv) > 1 else (
-        Path(__file__).resolve().parent.parent / "src" / "symquant")
+    root = Path(argv[1]) if len(argv) > 1 else ROOT / "src" / "symquant"
     counts = sizes(root)
     for name, (lines, code) in counts.items():
         print(f"  {name}: {lines} lines, {code} code lines")
