@@ -959,7 +959,22 @@ def test_model_load_memory_is_the_model_plus_one_block(tmp_path,
         assert peak <= stored + allowance, (block, peak - stored)
 
 
+# a header line out of the writer's shape is refused with this message
+SHAPE = "expected {shape!r}, got {line!r}"
+
+
 @pytest.mark.parametrize("at, old, new, message", [
+    # a field out of the writer's shape; each id names the fault
+    pytest.param(3, " #L 1.0", " #L 1.0 #Lx 9", SHAPE,
+                 id="3- #L 1.0- #L 1.0 #Lx 9-unknown header key '#Lx'"),
+    pytest.param(2, " hi=1.3", " hi=1.3 foo=1", SHAPE,
+                 id="2- hi=1.3- hi=1.3 foo=1-unknown #lattice field 'foo=1'"),
+    pytest.param(2, " hi=1.3", " hi=1.3 eta", SHAPE,
+                 id="2- hi=1.3- hi=1.3 eta-unknown #lattice field 'eta'"),
+    pytest.param(2, " hi=1.3", "", SHAPE,
+                 id="2- hi=1.3--the #lattice line lacks 'hi'"),
+    pytest.param(2, " hi=1.3", " hi=1.3 hi=1.3", SHAPE,
+                 id="2- hi=1.3- hi=1.3 hi=1.3-repeated #lattice field 'hi'"),
     (3, "#tau 0.3", "#tau abc", "#tau is not a finite number: 'abc'"),
     (3, "#L 1.0", "#L nan", "#L is not a finite number: 'nan'"),
     (2, "eta=0.25", "eta=abc", "eta is not a finite number: 'abc'"),
@@ -993,6 +1008,9 @@ def test_model_file_header_checked_at_its_line(tmp_path, at, old, new,
     path.write_text("".join(lines))
     with pytest.raises(ValueError) as info:
         sq.load_abstraction(path)
+    if message == SHAPE:
+        message = SHAPE.format(shape=abstraction._HEADER[at - 1],
+                               line=lines[at - 1].rstrip("\n"))
     assert str(info.value).startswith(f"{path}:{at}: {message}")
 
 
@@ -1061,11 +1079,39 @@ def test_model_file_states_are_the_lattice_cells(tmp_path, edit, message):
     assert str(info.value) == f"{path}{message}"
 
 
+def test_model_file_header_keys_default_when_missing(tmp_path):
+    # no header key takes a default when missing: a parameter line without
+    # one of its keys, or no parameter line at all, is refused at line 3
+    # rather than loaded with a value the file does not give
+    sys_, lattice = _line()
+    path = tmp_path / "m.abs"
+    sq.save_abstraction(sq.build_abstraction(
+        sys_, lattice, sq.InputApproxConfig(0.002, 2)), path)
+    lines = path.read_text().splitlines()
+    params = lines[2]
+    assert params == "#tau 0.3 #eta 0.25 #mu 0.002 #L 1.0"
+    cases = [params.replace(f"{key} {value} ", "")
+             if key != "#L" else params.removesuffix(" #L 1.0")
+             for key, value in (("#tau", 0.3), ("#eta", 0.25),
+                                ("#mu", 0.002), ("#L", 1.0))]
+    cases += ["#tau 0.3", ""]
+    for line in cases:
+        path.write_text("\n".join(lines[:2] + [line] + lines[3:]) + "\n")
+        with pytest.raises(ValueError) as info:
+            sq.load_abstraction(path)
+        assert str(info.value) == \
+            f"{path}:3: expected {PARAMS!r}, got {line!r}", line
+    path.write_text("\n".join(lines[:2] + lines[3:]) + "\n")
+    with pytest.raises(ValueError) as info:
+        sq.load_abstraction(path)
+    assert str(info.value) == f"{path}:3: expected {PARAMS!r}, got '0 1 1'"
+
+
 def test_model_file_in_another_shape_is_refused(tmp_path):
-    # the loader reads only what the writer writes: a missing, reordered,
-    # repeated or unknown header key, a lattice field out of its place, a
-    # blank line or a table line out of order is refused at its line, and
-    # no value is made up for a key the file does not give
+    # the loader reads only what the writer writes: a reordered, repeated
+    # or unknown header key, a lattice field out of its place, a fourth
+    # header line, a blank line or a table line out of order is refused at
+    # its line
     sys_, lattice = _line()
     path = tmp_path / "m.abs"
     sq.save_abstraction(sq.build_abstraction(
@@ -1076,23 +1122,13 @@ def test_model_file_in_another_shape_is_refused(tmp_path):
         "#lattice variant=value_anchored eta=0.25 scale=0.2 lo=-0.8 hi=1.3",
         "#tau 0.3 #eta 0.25 #mu 0.002 #L 1.0"]
     assert lines[43:46] == ["input 0 -1.0", "input 1 1.0", "state 0 -3"]
-    params, lat = lines[2], lines[1]
-    cases = [(2, params.replace(f"{key} {value} ", "")
-              if key != "#L" else params.removesuffix(" #L 1.0"))
-             for key, value in (("#tau", 0.3), ("#eta", 0.25),
-                                ("#mu", 0.002), ("#L", 1.0))]
-    cases += [
+    lat = lines[1]
+    cases = [
         (2, "#eta 0.25 #tau 0.3 #mu 0.002 #L 1.0"),
         (2, "#tau 0.3 #eta 0.25 #L 1.0 #mu 0.002"),
         (2, "#tau 0.3 #tau 0.3 #mu 0.002 #L 1.0"),
         (2, "#tau 0.3 #eta 0.25 #mu 0.002 #Lx 1.0"),
-        (2, params + " #Lx 9"),
-        (2, "#tau 0.3"),
         (2, ""),
-        (1, lat + " foo=1"),
-        (1, lat + " eta"),
-        (1, lat.removesuffix(" hi=1.3")),
-        (1, lat + " hi=1.3"),
         (1, lat.replace("variant=value_anchored eta=0.25",
                         "eta=0.25 variant=value_anchored")),
         (1, lat.replace("#lattice", "#lattice ", 1).replace("eta=", "eta ")),
@@ -1107,16 +1143,11 @@ def test_model_file_in_another_shape_is_refused(tmp_path):
         shape = abstraction._HEADER[k]
         assert str(info.value) == \
             f"{path}:{k + 1}: expected {shape!r}, got {line!r}", line
-    # no parameter line at all, and a fourth header line
-    for edit, message in (
-            (lines[:2] + lines[3:],
-             f":3: expected {PARAMS!r}, got '0 1 1'"),
-            (lines[:3] + ["#mu 0.5"] + lines[3:],
-             ":4: malformed line '#mu 0.5'")):
-        path.write_text("\n".join(edit) + "\n")
-        with pytest.raises(ValueError) as info:
-            sq.load_abstraction(path)
-        assert str(info.value) == f"{path}{message}"
+    # a fourth header line
+    path.write_text("\n".join(lines[:3] + ["#mu 0.5"] + lines[3:]) + "\n")
+    with pytest.raises(ValueError) as info:
+        sq.load_abstraction(path)
+    assert str(info.value) == f"{path}:4: malformed line '#mu 0.5'"
     # a blank line or a line out of order in the tables
     for edit, message in (
             (lines[:44] + [""] + lines[44:], ":45: malformed line ''"),
