@@ -84,8 +84,6 @@ def _dedup(nominal: np.ndarray, grid: np.ndarray, cells,
         logger.warning("skipping divergent input sample %s at cell %s",
                        grid[r % n_grid], cells[r // n_grid])
     rows = np.flatnonzero(finite)
-    if rows.size == 0:
-        return rows
     classes = np.column_stack([rows // n_grid,
                                cfg.mu_axis().levels(flat[rows])])
     # a stable sort keeps the first sample of each class in front
@@ -219,6 +217,17 @@ def _pack(key, n_states: int, n_inputs: int):
     return pair_ptr, pair_input, (np.append(starts, len(key)), key)
 
 
+def _check_parameters(tau: float, mu: float, lipschitz: float):
+    """Refuse, by their keys in a model file, the tau, mu and L that the
+    builders refuse (:class:`SampledSystem`, :class:`InputApproxConfig`)."""
+    if not 0.0 < tau < math.inf:
+        raise ValueError(f"#tau must be positive, got {tau!r}")
+    if not 0.0 < mu < 1.0:
+        raise ValueError(f"#mu must lie in (0, 1), got {mu!r}")
+    if not 0.0 < lipschitz < math.inf:
+        raise ValueError(f"#L must be positive, got {lipschitz!r}")
+
+
 class SymbolicModel:
     """Finite transition system over the cells of a lattice.
 
@@ -244,12 +253,14 @@ class SymbolicModel:
     cell raises ValueError, as do pairs that the loader never produces: a
     ``pair_ptr`` that does not rise from 0 to the pair count over
     ``n_states + 1`` entries, and input ids that index no input or do not
-    strictly ascend within a state.
+    strictly ascend within a state.  The sampling period ``tau``, the
+    input quantizer's ``mu`` and the growth constant ``lipschitz`` are
+    required, and a value that the builders refuse raises ValueError (see
+    :func:`_check_parameters`), so every model can be saved.
     """
 
     def __init__(self, lattice: LogLattice, inputs, pair_ptr, pair_input, *,
-                 tau=0.0, mu=0.5, lipschitz=1.0, system=None, relation=None,
-                 boxes=None):
+                 tau, mu, lipschitz, system=None, relation=None, boxes=None):
         self.lattice = lattice
         self.cells = lattice.enumerate_cells()
         inputs = np.asarray(inputs, float)
@@ -259,6 +270,7 @@ class SymbolicModel:
         self.tau = float(tau)
         self.mu = float(mu)
         self.lipschitz = float(lipschitz)
+        _check_parameters(self.tau, self.mu, self.lipschitz)
         self.system = system
         ptr = self.pair_ptr = np.asarray(pair_ptr, np.int64)
         uid = self.pair_input = np.asarray(pair_input, np.int64)
@@ -409,7 +421,7 @@ class SymbolicModel:
 
     @classmethod
     def from_tables(cls, lattice: LogLattice, inputs, successors, *,
-                    tau=0.0, mu=0.5, lipschitz=1.0, system=None):
+                    tau, mu, lipschitz, system=None):
         """Assemble a model from explicit tables.
 
         ``successors`` maps (state id, input id) to an iterable of state ids;
@@ -468,26 +480,12 @@ def build_abstraction(sys: SampledSystem, lattice: LogLattice,
     return model
 
 
-def _check_parameters(tau: float, mu: float, lipschitz: float):
-    """Refuse, by their keys in a model file, the tau, mu and L that the
-    builders refuse (:class:`SampledSystem`, :class:`InputApproxConfig`)."""
-    if not 0.0 < tau < math.inf:
-        raise ValueError(f"#tau must be positive, got {tau!r}")
-    if not 0.0 < mu < 1.0:
-        raise ValueError(f"#mu must lie in (0, 1), got {mu!r}")
-    if not 0.0 < lipschitz < math.inf:
-        raise ValueError(f"#L must be positive, got {lipschitz!r}")
-
-
 def _format_floats(values) -> str:
     return ",".join(repr(float(v)) for v in values)
 
 
 def save_abstraction(model: SymbolicModel, path):
-    """Write the versioned line-oriented abstraction file (lossless); a
-    model whose tau, mu or L the loader would refuse raises ValueError
-    before the file is opened."""
-    _check_parameters(model.tau, model.mu, model.lipschitz)
+    """Write the versioned line-oriented abstraction file (lossless)."""
     lat = model.lattice
     start = time.perf_counter()
     with open(path, "w") as fh:
@@ -597,10 +595,12 @@ def _table(block: bytes):
     return table.reshape(-1, 3)
 
 
-def _blocks(fh, carry=b""):
-    """The rest of an open binary file after ``carry``, in blocks of whole
-    lines of about ``_BLOCK`` bytes, each ending in a newline."""
-    while read := fh.read(_BLOCK):
+def _blocks(fh, end=math.inf):
+    """The bytes of an open binary file from its position up to offset
+    ``end`` (or its end), in blocks of whole lines of about ``_BLOCK``
+    bytes, each ending in a newline."""
+    carry = b""
+    while read := fh.read(min(_BLOCK, end - fh.tell())):
         block = carry + read
         cut = block.rfind(b"\n") + 1
         block, carry = block[:cut], block[cut:]
@@ -642,22 +642,17 @@ def _scan(path):
     return body, n_body, tail
 
 
-def _read_transitions(path, body: int, n_head: int, n_body: int,
+def _read_transitions(path, body: int, tail: int, n_head: int, n_body: int,
                       n_states: int, n_inputs: int) -> np.ndarray:
-    """Keys (see :func:`_key`) of the ``n_body`` transition lines that start
-    at byte ``body`` of a model file, parsed a block at a time; a malformed
-    line, or one that names an unknown state or input, raises at its
-    line."""
+    """Keys (see :func:`_key`) of the ``n_body`` transition lines of a model
+    file, its bytes from ``body`` up to ``tail`` (see :func:`_scan`),
+    parsed a block at a time; a malformed line, or one that names an
+    unknown state or input, raises at its line."""
     keys = np.empty(n_body, np.int64)
     done = 0
     with open(path, "rb") as fh:
         fh.seek(body)
-        for block in _blocks(fh):
-            if done == n_body:
-                break
-            a = np.frombuffer(block, np.uint8)
-            if np.count_nonzero(a == 10) > n_body - done:  # the tables follow
-                block = block[:np.flatnonzero(a == 10)[n_body - done - 1] + 1]
+        for block in _blocks(fh, tail):
             table = _table(block)
             if table is None:
                 lines = block.split(b"\n")
@@ -738,8 +733,8 @@ def load_abstraction(path, system=None) -> SymbolicModel:
     lattice, tau, mu, lipschitz = _read_header(path)
     cells = lattice.enumerate_cells()
     inputs = _read_tables(path, tail, len(_HEADER) + n_body + 1, cells)
-    keys = _read_transitions(path, body, len(_HEADER), n_body, len(cells),
-                             len(inputs))
+    keys = _read_transitions(path, body, tail, len(_HEADER), n_body,
+                             len(cells), len(inputs))
     pair_ptr, pair_input, relation = _pack(keys, len(cells), len(inputs))
     model = SymbolicModel(lattice, inputs, pair_ptr, pair_input, tau=tau,
                           mu=mu, lipschitz=lipschitz, system=system,

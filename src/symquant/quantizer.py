@@ -119,19 +119,18 @@ class LogQuantizerAxis:
     def quantize(self, z: float) -> tuple[int, float]:
         """Map a finite scalar to its (signed level, quantized value).
 
-        Oddness is structural: quantize(-z) is exactly the negation of
-        quantize(z).
+        The level of ``|z|`` is the number of boundaries strictly below it,
+        0 in the closed deadzone, and a negative z negates both parts, so
+        quantize(-z) is exactly the negation of quantize(z): a negative
+        value in the deadzone gives ``(0, -0.0)`` and ``-0.0`` gives
+        ``(0, 0.0)``.
         """
         z = float(z)
         if not math.isfinite(z):
             raise ValueError(f"cannot quantize non-finite value {z!r}")
-        if z < 0.0:
-            m, v = self.quantize(-z)
-            return -m, -v
-        if z <= self.deadzone:
-            return 0, 0.0
-        m = bisect.bisect_left(self._boundaries(z), z)
-        return m, self.level_value(m)
+        m = bisect.bisect_left(self._boundaries(abs(z)), abs(z))
+        v = self.level_value(m)
+        return (-m, -v) if z < 0.0 else (m, v)
 
     def _boundaries(self, z: float) -> np.ndarray:
         """``boundary(1), boundary(2), ...`` past the region of z >= 0.

@@ -126,6 +126,7 @@ def safety_fixpoint(model: SymbolicModel, safe: AbstractSafeSet) -> SafetyContro
     current = safe_mask
     history = [int(safe_mask.sum())]
     iterations = 0
+    # cpre is monotone, so the sweeps only shrink: at most n_states + 1
     while True:
         iterations += 1
         found, good = model.controllable(current)
@@ -134,8 +135,6 @@ def safety_fixpoint(model: SymbolicModel, safe: AbstractSafeSet) -> SafetyContro
         if (nxt == current).all():
             break
         current = nxt
-        if iterations > model.n_states + 1:  # pragma: no cover - safety net
-            raise RuntimeError("fixed point failed to stabilize")
 
     # at the fixed point, the good pairs of domain cells are the admissible
     admissible: dict[tuple[int, ...], tuple[int, ...]] = {}

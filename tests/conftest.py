@@ -1,5 +1,6 @@
 """Shared fixtures and independent oracles for the test suite."""
 
+import itertools
 import re
 
 import numpy as np
@@ -111,6 +112,88 @@ def max_controlled_invariant(model, safe_cells):
     return {model.cells[sid] for sid in keep}
 
 
+def affine_misses(model, sys_, ulps=4):
+    """Exact soundness oracle for a model of an affine field
+    ``dx/dt = A x + B u + c``: the pairs whose successor set lacks a true
+    successor, and the pairs that only a tie lets miss, as ascending pair
+    indices.
+
+    RK4's period map of an affine field is affine in x for each input,
+    ``x -> Phi x + g(u)``, so the interval hull of a cell's image is
+    ``successor(mid, u) +- |Phi| half_width``, exact up to rounding.  Phi
+    comes from d + 1 successors, at the origin and at the unit vectors.  A
+    pair misses when its hull leaves the bounds, or when the hull's level
+    range on some axis is not inside the level range of the pair's
+    successor set.  A miss that an inset of the hull by ``ulps`` ulps of
+    the bounds' magnitude removes is a tie, a hull end on a cell edge up to
+    rounding, and is not counted as a miss."""
+    lattice, d = model.lattice, model.lattice.dim
+    zero = np.zeros((1, sys_.dim_u))
+    image = np.concatenate([sq.successor_many(sys_, x[None], zero)
+                            for x in np.vstack([np.zeros(d), np.eye(d)])])
+    phi = (image[1:] - image[0]).T
+    _, lo, hi = lattice.geometry()
+    src = model.pair_state
+    nominal = sq.successor_many(sys_, (lo + hi)[src] / 2,
+                                model.inputs[model.pair_input])
+    spread = (hi - lo)[src] / 2 @ np.abs(phi).T
+    # the level range of each successor set on each axis
+    ptr, targets = model.relation()
+    shift = np.array([lattice.axis_levels(i).start for i in range(d)])
+    levels = np.unravel_index(targets, lattice.shape)
+    first, last = (np.column_stack([end.reduceat(axis, ptr[:-1])
+                                    for axis in levels]) + shift
+                   for end in (np.minimum, np.maximum))
+
+    def missed(inset):
+        lo_h, hi_h = nominal - spread + inset, nominal + spread - inset
+        inside = lattice.contains_many(lo_h) & lattice.contains_many(hi_h)
+        return ~inside | ((lattice.quantize_many(lo_h) < first)
+                          | (lattice.quantize_many(hi_h) > last)).any(axis=1)
+
+    tie = ulps * np.spacing(max(map(abs, lattice.lo + lattice.hi)))
+    exact, inset = missed(0.0), missed(tie)
+    return np.flatnonzero(inset), np.flatnonzero(exact & ~inset)
+
+
+def miss_classes(model, pairs):
+    """Counts of pairs by their source cell: ``deadzone`` when a level is 0,
+    else ``outer`` when a level is the outermost (clipped) one of its axis,
+    else ``interior``."""
+    lattice = model.lattice
+    cells = np.array(lattice.cells_of(model.pair_state[pairs]),
+                     np.int64).reshape(-1, lattice.dim)
+    levels = [lattice.axis_levels(i) for i in range(lattice.dim)]
+    deadzone = (cells == 0).any(axis=1)
+    outer = ((cells == [r[0] for r in levels])
+             | (cells == [r[-1] for r in levels])).any(axis=1)
+    return {"deadzone": int(deadzone.sum()),
+            "outer": int((outer & ~deadzone).sum()),
+            "interior": int((~outer & ~deadzone).sum())}
+
+
+def corner_witnesses(model, sys_, pairs, inset=1e-9):
+    """Mask of the pairs that a concrete successor shows to miss: from some
+    corner of the source cell, inset by ``inset`` of the cell's width, the
+    successor leaves the bounds or lies in a cell the pair's set lacks."""
+    lattice, d = model.lattice, model.lattice.dim
+    _, lo, hi = lattice.geometry()
+    src, uid = model.pair_state[pairs], model.pair_input[pairs]
+    near = lo[src] + inset * (hi - lo)[src]
+    far = hi[src] - inset * (hi - lo)[src]
+    found = np.zeros(len(pairs), bool)
+    for corner in itertools.product((False, True), repeat=d):
+        succ = sq.successor_many(sys_, np.where(corner, far, near),
+                                 model.inputs[uid])
+        ids = lattice.cell_ids(lattice.quantize_many(succ))
+        found |= ~lattice.contains_many(succ) | ~model.is_successor(pairs, ids)
+    return found
+
+
+# the tau, mu and L of a hand-built model, values that the builders accept
+HAND_PARAMETERS = {"tau": 0.2, "mu": 0.002, "lipschitz": 1.0}
+
+
 def line_lattice(n):
     """A 1-D lattice whose cells are (0,), ..., (n - 1,) with state ids
     0, ..., n - 1, for hand-built graphs."""
@@ -132,7 +215,8 @@ def random_model(rng, max_states=50, max_inputs=5):
             dsts = sorted(set(int(v) for v in rng.integers(0, n, size=size)))
             succ[(sid, uid)] = tuple(dsts)
     inputs = np.arange(k, dtype=float).reshape(k, 1)
-    return SymbolicModel.from_tables(line_lattice(n), inputs, succ)
+    return SymbolicModel.from_tables(line_lattice(n), inputs, succ,
+                                     **HAND_PARAMETERS)
 
 
 MUTATED_NUMBERS = ("-1", "999999", "abc", "1.5", "9223372036854775808")

@@ -13,9 +13,10 @@ from symquant import abstraction
 from symquant.abstraction import SymbolicModel, _targets_many
 from symquant.config import parse_config
 from symquant.errors import ConfigError, OutOfDomainError
-from conftest import (MUTATED_NUMBERS, SEPARATORS, box_intersects,
+from conftest import (HAND_PARAMETERS, MUTATED_NUMBERS, SEPARATORS,
+                      affine_misses, box_intersects, corner_witnesses,
                       iter_transitions, line_lattice, line_mutations,
-                      random_model, targets_oracle)
+                      miss_classes, random_model, targets_oracle)
 
 EDGE_LATTICE = sq.LogLattice.from_params(0.2, [0.4, 0.4], [-1, -1], [1, 1],
                                          "edge_anchored")
@@ -348,16 +349,18 @@ def test_a_built_model_stores_only_enabled_pairs(pendulum_scenario):
 def test_model_refuses_a_pair_that_is_not_enabled():
     lattice = line_lattice(2)
     ptr, uids = [0, 1, 1], [0]
-    SymbolicModel(lattice, [[0.0]], ptr, uids, relation=([0, 1], [1]))
+    SymbolicModel(lattice, [[0.0]], ptr, uids, **HAND_PARAMETERS,
+                  relation=([0, 1], [1]))
     with pytest.raises(ValueError, match="empty successor set"):
-        SymbolicModel(lattice, [[0.0]], ptr, uids, relation=([0, 0], []))
-    boxed = SymbolicModel(lattice, [[0.0]], ptr, uids,
+        SymbolicModel(lattice, [[0.0]], ptr, uids, **HAND_PARAMETERS,
+                      relation=([0, 0], []))
+    boxed = SymbolicModel(lattice, [[0.0]], ptr, uids, **HAND_PARAMETERS,
                           boxes=(np.array([[0.0]]), np.array([[1.0]])))
     assert boxed.successor_ids(0, 0) == (0, 1)
     for lo, hi in ((0.5, 9.0), (0.5, 0.0), (np.nan, 0.5)):
         # out of bounds, inverted, not finite
         with pytest.raises(ValueError, match="box meets no cell"):
-            SymbolicModel(lattice, [[0.0]], ptr, uids,
+            SymbolicModel(lattice, [[0.0]], ptr, uids, **HAND_PARAMETERS,
                           boxes=(np.array([[lo]]), np.array([[hi]])))
 
 
@@ -368,16 +371,16 @@ def test_model_refuses_pairs_its_loader_never_produces():
     inputs = [[0.0], [1.0]]
     for ptr in ([0, 1], [0, 1, 1, 1], [1, 1, 1], [0, 1, 2], [0, 2, 1]):
         with pytest.raises(ValueError, match="pair_ptr must rise from 0"):
-            SymbolicModel(lattice, inputs, ptr, [0],
+            SymbolicModel(lattice, inputs, ptr, [0], **HAND_PARAMETERS,
                           relation=([0, 1], [0]))
     for ptr, uids in (([0, 1, 1], [5]), ([0, 1, 1], [-1]), ([0, 1, 1], [2]),
                       ([0, 2, 2], [1, 0]), ([0, 2, 2], [0, 0])):
         with pytest.raises(ValueError, match="input ids must strictly ascend"):
-            SymbolicModel(lattice, inputs, ptr, uids,
+            SymbolicModel(lattice, inputs, ptr, uids, **HAND_PARAMETERS,
                           relation=(np.arange(len(uids) + 1), [0] * len(uids)))
     # ids start again with each state
     model = SymbolicModel(lattice, inputs, [0, 1, 2], [1, 0],
-                          relation=([0, 1, 2], [0, 1]))
+                          **HAND_PARAMETERS, relation=([0, 1, 2], [0, 1]))
     assert model.successor_ids(0, 1) == (0,)
     assert model.successor_ids(1, 0) == (1,)
 
@@ -390,14 +393,15 @@ def test_model_takes_one_successor_representation_per_pair():
     box = (np.array([[0.0]]), np.array([[1.0]]))
     for kwargs in ({}, {"relation": ([0, 1], [1]), "boxes": box}):
         with pytest.raises(ValueError, match="exactly one of relation and"):
-            SymbolicModel(lattice, [[0.0]], ptr, uids, **kwargs)
+            SymbolicModel(lattice, [[0.0]], ptr, uids, **HAND_PARAMETERS,
+                          **kwargs)
     with pytest.raises(ValueError, match="2 successor sets or boxes for 1"):
-        SymbolicModel(lattice, [[0.0]], ptr, uids,
+        SymbolicModel(lattice, [[0.0]], ptr, uids, **HAND_PARAMETERS,
                       relation=(np.array([0, 1, 2]), np.array([0, 1])))
     with pytest.raises(ValueError, match="2 successor sets or boxes for 1"):
-        SymbolicModel(lattice, [[0.0]], ptr, uids,
+        SymbolicModel(lattice, [[0.0]], ptr, uids, **HAND_PARAMETERS,
                       boxes=(np.repeat(box[0], 2, 0), np.repeat(box[1], 2, 0)))
-    model = SymbolicModel(lattice, [[0.0]], ptr, uids,
+    model = SymbolicModel(lattice, [[0.0]], ptr, uids, **HAND_PARAMETERS,
                           relation=([0, 2], [0, 1]))
     assert [part.dtype for part in model.relation()] == [np.int64] * 2
     assert model.successor_ids(0, 0) == (0, 1)
@@ -581,6 +585,51 @@ def test_containment_finer_eta():
         assert lattice.quantize(nxt) in model.successors(cell, uid)
 
 
+def _affine(A, B, lipschitz, tau):
+    """The sampled field ``dx/dt = A x + B u``, one input on [-1, 1]."""
+    A, B = np.array(A, float), np.array(B, float)
+
+    def field(x, u):
+        return np.asarray(x, float) @ A.T + np.asarray(u, float) @ B.T
+
+    return sq.SampledSystem(dim_x=len(A), dim_u=1, field=field,
+                            lipschitz=lipschitz, tau=tau, input_lo=(-1.0,),
+                            input_hi=(1.0,), vectorized=True, name="affine")
+
+
+ROTATION = [[-0.2, 1.0], [-1.0, -0.2]]  # damped rotation, ||A||_inf = 1.2
+
+
+@pytest.mark.parametrize("A, B, lipschitz, tau, eta, pairs, split", [
+    ([[0, 1], [0, 0]], [[0], [1]], 1.0, 0.2, 0.2, 2581, (10, 26, 160)),
+    (ROTATION, [[0], [1]], 1.2, 0.2, 0.2, 2607, (2, 24, 206)),
+    (ROTATION, [[0], [1]], 3.0, 0.2, 0.2, 2479, (0, 0, 48)),
+    ([[-1]], [[1]], 1.0, 0.2, 0.1, 341, (0, 2, 0)),
+    (-np.eye(3), np.ones((3, 1)), 1.0, 0.5, 0.2, 47507, (0, 0, 0)),
+], ids=["double_integrator", "rotation_L1.2", "rotation_L3", "linear",
+        "cube3d"])
+def test_affine_oracle_pins_paper_radius_misses(A, B, lipschitz, tau, eta,
+                                                pairs, split):
+    # paper mode on [-1, 1]^d, scale 0.05, 11 inputs, mu 0.002: the exact
+    # hulls find every pair whose successor set lacks a true successor, and
+    # a successor from an inset corner of the source cell confirms each
+    sys_ = _affine(A, B, lipschitz, tau)
+    d = sys_.dim_x
+    lattice = sq.LogLattice.from_params(eta, [0.05] * d, [-1] * d, [1] * d)
+    model = sq.build_abstraction(sys_, lattice,
+                                 sq.InputApproxConfig(mu=0.002,
+                                                      input_samples=11))
+    assert len(model.pair_input) == pairs
+    misses, ties = affine_misses(model, sys_)
+    assert ties.size == 0
+    assert miss_classes(model, misses) == dict(
+        zip(("deadzone", "outer", "interior"), split))
+    assert corner_witnesses(model, sys_, misses).all()
+    if d < 3:  # the corners find no other pair (too slow at 3-D)
+        confirmed = corner_witnesses(model, sys_, np.arange(pairs))
+        assert np.flatnonzero(confirmed).tolist() == misses.tolist()
+
+
 def test_dimension_mismatch_rejected():
     sys_ = sq.linear_system()
     with pytest.raises(ConfigError):
@@ -666,7 +715,8 @@ def _wide_models():
     pair_ptr = np.searchsorted(pair_state, np.arange(n + 1))
     offsets = np.cumsum([0] + [len(t) for t in sets])
     direct = SymbolicModel(lattice, inputs, pair_ptr, pair_input, tau=0.2,
-                           mu=0.002, relation=(offsets, np.concatenate(sets)))
+                           mu=0.002, lipschitz=6.0,
+                           relation=(offsets, np.concatenate(sets)))
     assert (np.diff(pair_ptr) == 0).any()
     return tables, direct
 
@@ -689,32 +739,35 @@ def test_from_tables_model_saves_a_file_that_reloads(tmp_path):
     lattice = sq.LogLattice.from_params(0.2, [0.4], [-1], [1])
     model = SymbolicModel.from_tables(lattice, [[0.0], [1.0]],
                                       {(0, 1): (1, 2), (2, 0): (2,)},
-                                      tau=0.2, mu=0.01)
+                                      tau=0.2, mu=0.01, lipschitz=1.0)
     assert model.lattice.shared_eta == 0.2
     sq.save_abstraction(model, tmp_path / "m.abs")
     lines = (tmp_path / "m.abs").read_text().splitlines()
     assert " eta=0.2 " in lines[1] and " #eta 0.2 " in lines[2]
     assert _same_model(sq.load_abstraction(tmp_path / "m.abs"), model)
-    # a model whose tau, mu or L the loader refuses is not written at all
+    # a model whose tau, mu or L the loader refuses is never made, so it
+    # cannot be written
     for key, value, message in (
             ("tau", 0.0, "#tau must be positive, got 0.0"),
             ("mu", 1.0, "#mu must lie in (0, 1), got 1.0"),
             ("lipschitz", float("inf"), "#L must be positive, got inf")):
-        bad = SymbolicModel.from_tables(lattice, [[0.0]], {},
-                                        **{"tau": 0.2, "mu": 0.01, key: value})
         with pytest.raises(ValueError, match=re.escape(message)):
-            sq.save_abstraction(bad, tmp_path / "bad.abs")
-        assert not (tmp_path / "bad.abs").exists()
+            SymbolicModel.from_tables(lattice, [[0.0]], {}, **{
+                **HAND_PARAMETERS, key: value})
 
 
 def test_model_argument_checks():
     bare = SymbolicModel.from_tables(line_lattice(2), [0.0, 1.0],
-                                     {(0, 1): (1,)})
+                                     {(0, 1): (1,)}, **HAND_PARAMETERS)
     assert bare.inputs.shape == (2, 1)
-    assert SymbolicModel.from_tables(line_lattice(1), [],
-                                     {}).inputs.shape == (0, 1)
+    assert SymbolicModel.from_tables(line_lattice(1), [], {},
+                                     **HAND_PARAMETERS).inputs.shape == (0, 1)
     with pytest.raises(ValueError, match="unknown state or input"):
-        SymbolicModel.from_tables(line_lattice(1), [[0.0]], {(0, 0): (1,)})
+        SymbolicModel.from_tables(line_lattice(1), [[0.0]], {(0, 0): (1,)},
+                                  **HAND_PARAMETERS)
+    with pytest.raises(TypeError, match="lipschitz"):
+        SymbolicModel.from_tables(line_lattice(1), [[0.0]], {}, tau=0.2,
+                                  mu=0.002)
     relation = bare.relation()
     bare.materialize()  # complete already: nothing is recomputed
     assert bare.relation() is relation
@@ -749,7 +802,8 @@ def test_cell_whose_every_sample_diverges_has_no_inputs(caplog):
 
 def test_from_tables_hand_model():
     succ = {(0, 0): (1,), (1, 0): (2,), (2, 0): (2,)}
-    model = SymbolicModel.from_tables(line_lattice(3), [[0.0]], succ)
+    model = SymbolicModel.from_tables(line_lattice(3), [[0.0]], succ,
+                                      **HAND_PARAMETERS)
     assert model.enabled_inputs((0,)) == (0,)
     assert model.successors((0,), 0) == ((1,),)
     assert model.transition_count() == 3
@@ -1077,6 +1131,24 @@ def test_model_file_states_are_the_lattice_cells(tmp_path, edit, message):
     with pytest.raises(ValueError) as info:
         sq.load_abstraction(path)
     assert str(info.value) == f"{path}{message}"
+
+
+@pytest.mark.parametrize("end", ["\n", ""], ids=["newline", "no_newline"])
+def test_model_file_without_tables_is_refused(tmp_path, end):
+    # a file cut after its transition lines: the last line counts as a
+    # transition line with or without its newline, so no table line is
+    # misread and the missing states are reported
+    sys_, lattice = _line()
+    path = tmp_path / "m.abs"
+    sq.save_abstraction(sq.build_abstraction(
+        sys_, lattice, sq.InputApproxConfig(0.002, 2)), path)
+    lines = path.read_text().splitlines()
+    assert lines[43].startswith("input 0 ")
+    path.write_text("\n".join(lines[:43]) + end)
+    with pytest.raises(ValueError) as info:
+        sq.load_abstraction(path)
+    assert str(info.value) == (f"{path}: 0 states where the #lattice has "
+                               "8 cells")
 
 
 def test_model_file_header_keys_default_when_missing(tmp_path):

@@ -152,7 +152,8 @@ def test_method_forwarders_stay_deleted():
     # second names of an operation that another name owns: the lattice's
     # checked cell ids, its eta, an empty enabled-input set, the query, and
     # dataclasses.replace
-    model = sq.SymbolicModel.from_tables(plan.lattice, [[0.0]], {(0, 0): [0]})
+    model = sq.SymbolicModel.from_tables(plan.lattice, [[0.0]], {(0, 0): [0]},
+                                         tau=0.2, mu=0.002, lipschitz=1.0)
     for owner, name in ((model, "state_ids"), (model, "eta"),
                         (model, "is_blocking"),
                         (sq.SafetyController, "in_domain"),

@@ -12,7 +12,7 @@ import symquant as sq
 from symquant import quantizer
 from symquant.abstraction import SymbolicModel
 from symquant.errors import OutOfDomainError
-from conftest import contains, region
+from conftest import HAND_PARAMETERS, contains, region
 
 VALUE_AXIS = sq.LogQuantizerAxis(eta=0.2, scale=0.4)
 EDGE_AXIS = sq.LogQuantizerAxis(eta=0.2, scale=0.4,
@@ -266,6 +266,33 @@ def test_vectorized_levels_match_scalar_quantize():
     assert lattice.cell_ids(np.array(cells)).tolist() == list(range(len(cells)))
 
 
+def _quantize_cases(axis):
+    """(z, level) pairs on both signs: zero, 1e-300, the deadzone edge and
+    the next float above it, and each boundary(m) for m = 1..4 with its
+    float neighbours; boundary(m) closes region m - 1."""
+    dz = axis.deadzone
+    cases = [(0.0, 0), (1e-300, 0), (dz, 0), (np.nextafter(dz, np.inf), 1)]
+    for m in range(1, 5):
+        edge = axis.boundary(m)
+        cases += [(np.nextafter(edge, 0.0), m - 1), (edge, m - 1),
+                  (np.nextafter(edge, np.inf), m)]
+    return cases + [(-z, -level) for z, level in cases]
+
+
+@pytest.mark.parametrize("axis", [VALUE_AXIS, EDGE_AXIS],
+                         ids=["value_anchored", "edge_anchored"])
+def test_quantize_level_value_and_sign_at_the_edges(axis):
+    # the level of |z|, then one sign step: a negative value in the
+    # deadzone quantizes to -0.0, and -0.0 itself to +0.0
+    assert axis.boundary(1) == axis.deadzone
+    for z, level in _quantize_cases(axis):
+        got_level, value = axis.quantize(z)
+        assert got_level == level, z
+        assert value == axis.level_value(level), z
+        assert math.copysign(1.0, value) == (-1.0 if z < 0.0 else 1.0), z
+        assert axis.levels([z]).tolist() == [level], z
+
+
 def test_geometry_tables_match_per_cell_geometry():
     dz = VALUE_AXIS.deadzone  # the first level's value is 0.4
     lattices = [
@@ -427,8 +454,9 @@ def test_value_objects_copy_the_arrays_they_keep(tmp_path):
     empty = np.zeros(lattice.cell_count() + 1, np.int64)
     for policy in (plan, ctrl,
                    SymbolicModel(lattice, u, empty, empty[:0],
-                                 relation=([0], [])),
-                   SymbolicModel.from_tables(lattice, u, {(0, 1): [0]})):
+                                 relation=([0], []), **HAND_PARAMETERS),
+                   SymbolicModel.from_tables(lattice, u, {(0, 1): [0]},
+                                             **HAND_PARAMETERS)):
         kept(policy.inputs, u)
     # a loader hands the caller's table to the constructor
     sq.save_plan(plan, tmp_path / "p.txt")

@@ -54,7 +54,7 @@ def test_check_argument_checks(pendulum_scenario):
     sys_, _, real = pendulum_scenario
     line = sq.LogLattice.from_params(0.2, [0.4], [-1], [1])
     one_axis = SymbolicModel.from_tables(line, real.inputs, {}, tau=real.tau,
-                                         lipschitz=real.lipschitz)
+                                         mu=real.mu, lipschitz=real.lipschitz)
     with pytest.raises(ConfigError, match="dimensions differ"):
         sq.check_feedback_refinement(one_axis, sys_, 10, seed=0)
     with pytest.raises(ValueError, match="safe box dimension"):

@@ -13,14 +13,15 @@ from symquant import synthesis
 from symquant.abstraction import SymbolicModel
 from symquant.errors import DivergenceError, OutOfDomainError, PlanningError
 from symquant.refinement import AbstractSafeSet
-from conftest import (SEPARATORS, contains, line_lattice, line_mutations,
-                      max_controlled_invariant, random_model)
+from conftest import (HAND_PARAMETERS, SEPARATORS, contains, line_lattice,
+                      line_mutations, max_controlled_invariant, random_model)
 
 
 def chain_model():
     # A -> B -> C -> C (self loop), one input
     succ = {(0, 0): (1,), (1, 0): (2,), (2, 0): (2,)}
-    return SymbolicModel.from_tables(line_lattice(3), [[0.0]], succ)
+    return SymbolicModel.from_tables(line_lattice(3), [[0.0]], succ,
+                                     **HAND_PARAMETERS)
 
 
 def test_cpre_empty_target(pendulum_scenario):
@@ -53,7 +54,8 @@ def test_fixpoint_excludes_blocking_state_first_sweep():
     # D is safe but blocking; it must drop out at the first iteration
     lattice = line_lattice(4)
     succ = {(0, 0): (0,), (1, 0): (1,), (2, 0): (2,)}
-    model = SymbolicModel.from_tables(lattice, [[0.0]], succ)
+    model = SymbolicModel.from_tables(lattice, [[0.0]], succ,
+                                      **HAND_PARAMETERS)
     safe = AbstractSafeSet(cells=tuple(lattice.enumerate_cells()), inputs=(0,))
     ctrl = sq.safety_fixpoint(model, safe)
     assert (3,) not in ctrl.admissible
@@ -112,7 +114,10 @@ def test_fixpoint_controlled_invariance_exhaustive(contracting_scenario):
 
 
 def test_fixpoint_equals_oracle_on_random_models():
+    # cpre is monotone, so each sweep keeps a subset of the last and the
+    # loop stops within n_states + 1 sweeps
     rng = np.random.default_rng(13)
+    sweeps = []
     for _ in range(60):
         model = random_model(rng)
         cells = model.cells
@@ -120,6 +125,23 @@ def test_fixpoint_equals_oracle_on_random_models():
         safe = AbstractSafeSet(cells=tuple(keep), inputs=())
         ctrl = sq.safety_fixpoint(model, safe)
         assert set(ctrl.domain) == max_controlled_invariant(model, keep)
+        history = ctrl.history
+        assert all(a >= b for a, b in zip(history, history[1:])), history
+        assert ctrl.iterations == len(history) - 1 <= model.n_states + 1
+        sweeps.append(ctrl.iterations)
+    assert max(sweeps) > 2
+
+
+def test_fixpoint_sweep_bound_is_reached_on_a_chain():
+    # a chain into a blocking state loses one state per sweep
+    n = 6
+    chain = SymbolicModel.from_tables(
+        line_lattice(n), [[0.0]], {(s, 0): (s + 1,) for s in range(n - 1)},
+        **HAND_PARAMETERS)
+    ctrl = sq.safety_fixpoint(chain, AbstractSafeSet(
+        cells=tuple(chain.cells), inputs=()))
+    assert ctrl.history == (6, 5, 4, 3, 2, 1, 0, 0)
+    assert ctrl.iterations == n + 1
 
 
 def test_fixpoint_lazy_model_on_demand(pendulum_scenario, tmp_path):
@@ -195,14 +217,16 @@ def test_plan_start_is_goal(pendulum_scenario):
 
 def test_plan_error_on_disconnected_model():
     succ = {(0, 0): (0,), (1, 0): (1,)}
-    model = SymbolicModel.from_tables(line_lattice(2), [[0.0]], succ)
+    model = SymbolicModel.from_tables(line_lattice(2), [[0.0]], succ,
+                                      **HAND_PARAMETERS)
     with pytest.raises(PlanningError):
         sq.plan_reach(model, (0,), [(1,)])
 
 
 def test_plan_singleton_path_with_hold_compression():
     succ = {(0, 0): (1,), (1, 0): (2,), (2, 0): (2,)}
-    model = SymbolicModel.from_tables(line_lattice(3), [[0.5]], succ)
+    model = SymbolicModel.from_tables(line_lattice(3), [[0.5]], succ,
+                                      **HAND_PARAMETERS)
     plan = sq.plan_reach(model, (0,), [(2,)])
     assert plan.steps == ((0, 2),)
 
@@ -210,7 +234,8 @@ def test_plan_singleton_path_with_hold_compression():
 def test_plan_singleton_tie_break_lowest_input():
     # two one-step routes to the goal; the lower input index must win
     succ = {(0, 0): (1,), (0, 1): (1,), (1, 0): (1,)}
-    model = SymbolicModel.from_tables(line_lattice(2), [[0.0], [1.0]], succ)
+    model = SymbolicModel.from_tables(line_lattice(2), [[0.0], [1.0]], succ,
+                                      **HAND_PARAMETERS)
     plan = sq.plan_reach(model, (0,), [(1,)])
     assert plan.steps == ((0, 1),)
 
@@ -316,7 +341,8 @@ def test_relaxed_plan_requires_system(pendulum_scenario):
     stripped = SymbolicModel.from_tables(
         model.lattice, model.inputs,
         {(s, u): model.successor_ids(s, u)
-         for s in range(model.n_states) for u in model.enabled_ids(s)})
+         for s in range(model.n_states) for u in model.enabled_ids(s)},
+        tau=model.tau, mu=model.mu, lipschitz=model.lipschitz)
     with pytest.raises(PlanningError):
         sq.plan_reach(stripped, (-1, 0), [(0, 0)], relaxed=True)
 

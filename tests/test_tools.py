@@ -85,6 +85,57 @@ def test_src_size_compares_a_git_revision(tmp_path, capsys, monkeypatch):
         src_size.main(["src_size.py", "HEAD~5", str(package)])
 
 
+def test_src_size_counts_definitions(tmp_path, capsys):
+    # a class's count holds its methods'; a decorator line counts, a
+    # docstring does not; with BASE, only changed definitions, largest cut
+    # first
+    src_size = _load("src_size")
+    base, new = tmp_path / "base", tmp_path / "new"
+    base.mkdir()
+    new.mkdir()
+    (base / "a.py").write_text('''"""Module."""
+import functools
+
+
+class C:
+    """Class."""
+
+    x = 1
+
+    @functools.cache
+    def m(self):
+        return (1,
+                2)
+
+
+def f():
+    return 1
+
+
+def g():
+    return 2
+''')
+    (new / "a.py").write_text('''class C:
+    def m(self):
+        return 1
+
+
+def g():
+    return 2
+''')
+    assert src_size.definitions(base) == {"a.py:C": 6, "a.py:C.m": 4,
+                                          "a.py:f": 2, "a.py:g": 2}
+    assert src_size.main(["src_size.py", "--defs", str(base)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "     6  a.py:C", "     4  a.py:C.m", "     2  a.py:f",
+        "     2  a.py:g"]
+    assert src_size.main(["src_size.py", "--defs", str(base), str(new)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "  a.py:C: 6 to 3 code lines (-3)",
+        "  a.py:C.m: 4 to 2 code lines (-2)",
+        "  a.py:f: 2 to 0 code lines (-2)"]
+
+
 def test_src_cover_lists_statements_no_call_ran(tmp_path):
     src_cover = _load("src_cover")
     module = tmp_path / "m.py"

@@ -16,6 +16,13 @@ change between them (a file missing from one side counts 0 there).
 of this repository, whose ``src/symquant`` is unpacked with ``git
 archive`` into a temporary directory: ``python3 tools/src_size.py HEAD~1
 src/symquant`` shows the last commit's change per module.
+
+``python3 tools/src_size.py --defs [BASE] DIR`` counts definitions instead
+of files: the code lines of every top-level function and class and of
+every method, as ``file:Class.method``, one per line, largest first (a
+class's count holds its methods').  With ``BASE``, it prints each
+definition whose count changed, with both counts and the change, largest
+cut first.
 """
 
 import ast
@@ -29,11 +36,18 @@ ROOT = Path(__file__).resolve().parent.parent
 
 _SKIP = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
          tokenize.DEDENT, tokenize.ENDMARKER, tokenize.ENCODING}
-_SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+_DEFS = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+_SCOPES = (ast.Module, *_DEFS)
 
 
 def code_lines(path: Path) -> int:
     """Number of lines of ``path`` that hold a token outside docstrings."""
+    return len(_code_line_set(path))
+
+
+def _code_line_set(path: Path) -> set:
+    """The numbers of the lines of ``path`` that hold a token outside
+    docstrings."""
     lines = set()
     with open(path, "rb") as fh:
         for tok in tokenize.tokenize(fh.readline):
@@ -47,13 +61,35 @@ def code_lines(path: Path) -> int:
                     and isinstance(first.value.value, str)):
                 lines.difference_update(range(first.lineno,
                                               first.end_lineno + 1))
-    return len(lines)
+    return lines
 
 
 def sizes(root: Path) -> dict:
     """``{file name: (lines, code lines)}`` of the ``*.py`` files of root."""
     return {p.name: (len(p.read_text().splitlines()), code_lines(p))
             for p in sorted(root.glob("*.py"))}
+
+
+def definitions(root: Path) -> dict:
+    """``{"file:name": code lines}`` of the top-level functions and classes
+    and the methods of the ``*.py`` files of root; a definition's lines run
+    from its first decorator to its last line."""
+    counts = {}
+    for path in sorted(root.glob("*.py")):
+        lines = _code_line_set(path)
+        for node in ast.parse(path.read_bytes()).body:
+            if not isinstance(node, _DEFS):
+                continue
+            items = [(node.name, node)]
+            if isinstance(node, ast.ClassDef):
+                items += [(f"{node.name}.{sub.name}", sub)
+                          for sub in node.body if isinstance(sub, _DEFS)]
+            for name, item in items:
+                first = min([item.lineno]
+                            + [d.lineno for d in item.decorator_list])
+                counts[f"{path.name}:{name}"] = len(
+                    lines & set(range(first, item.end_lineno + 1)))
+    return counts
 
 
 def unpack(rev: str, dest: Path) -> Path:
@@ -70,12 +106,36 @@ def unpack(rev: str, dest: Path) -> Path:
     return dest / "src" / "symquant"
 
 
+def measured(base: str, measure) -> dict:
+    """``measure`` of the directory ``base`` or, if there is none, of the
+    package at git revision ``base``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return measure(Path(base) if Path(base).is_dir()
+                       else unpack(base, Path(tmp)))
+
+
+def main_defs(args) -> int:
+    if len(args) > 1:
+        before = measured(args[0], definitions)
+        after = definitions(Path(args[1]))
+        changes = ((after.get(name, 0) - before.get(name, 0), name)
+                   for name in before.keys() | after.keys())
+        for change, name in sorted(row for row in changes if row[0]):
+            print(f"  {name}: {before.get(name, 0)} to "
+                  f"{after.get(name, 0)} code lines ({change:+d})")
+        return 0
+    counts = definitions(Path(args[0]) if args else ROOT / "src" / "symquant")
+    for code, name in sorted((-code, name) for name, code in counts.items()):
+        print(f"  {-code:4d}  {name}")
+    return 0
+
+
 def main(argv) -> int:
+    if argv[1:2] == ["--defs"]:
+        return main_defs(argv[2:])
     if len(argv) > 2:
         base, new = Path(argv[1]), Path(argv[2])
-        with tempfile.TemporaryDirectory() as tmp:
-            before = sizes(base if base.is_dir() else unpack(argv[1],
-                                                             Path(tmp)))
+        before = measured(argv[1], sizes)
         after = sizes(new)
         rows = [(name, before.get(name, (0, 0)), after.get(name, (0, 0)))
                 for name in sorted(before.keys() | after.keys())]
