@@ -261,17 +261,13 @@ def pendulum_system(tau: float = 0.2, lipschitz: float = 6.0,
     def field(x, u):
         x = np.asarray(x, float)
         u = np.asarray(u, float)
-        # -(g/l) sin(x1) - (k/m) x2 + u in place, with the same roundings
+        # -(g/l) sin(x1) - (k/m) x2 + u, with the same roundings
         dv = np.sin(x[..., 0])
         dv *= -gravity_ratio
         dv -= friction_ratio * x[..., 1]
-        if dv.shape == u.shape[:-1]:
-            dv += u[..., 0]
-        else:  # one state against many inputs: broadcast
-            dv = dv + u[..., 0]
-        out = np.empty(dv.shape + (2,))
+        out = np.empty(np.broadcast_shapes(dv.shape, u.shape[:-1]) + (2,))
         out[..., 0] = x[..., 1]
-        out[..., 1] = dv
+        np.add(dv, u[..., 0], out=out[..., 1])  # one state may meet many inputs
         return out
 
     return SampledSystem(dim_x=2, dim_u=1, field=field, lipschitz=lipschitz,

@@ -126,11 +126,12 @@ def safety_fixpoint(model: SymbolicModel, safe: AbstractSafeSet) -> SafetyContro
     current = safe_mask
     history = [int(safe_mask.sum())]
     iterations = 0
-    # cpre is monotone, so the sweeps only shrink: at most n_states + 1
     while True:
         iterations += 1
         found, good = model.controllable(current)
-        nxt = found & safe_mask
+        # equals found & safe_mask (cpre is monotone) and only shrinks:
+        # the loop ends within n_states + 1 sweeps
+        nxt = found & current
         history.append(int(nxt.sum()))
         if (nxt == current).all():
             break
