@@ -33,14 +33,9 @@ print(f"  controller domain: {len(controller.domain)} cells (empty: the "
       "outer angle columns are blocking and every cell reaches them)")
 
 # -- a contracting system keeps a safe domain -------------------------------
-def field(x, u):
-    x = np.asarray(x, float)
-    u = np.asarray(u, float)
-    return np.stack([-x[..., 0] + u[..., 0], -x[..., 1] + u[..., 0]], axis=-1)
-
-contracting = sq.SampledSystem(dim_x=2, dim_u=1, field=field, lipschitz=1.0,
-                               tau=0.5, input_lo=(-1.0,), input_hi=(1.0,),
-                               vectorized=True, name="contracting")
+# dx_i/dt = -x_i + u on both axes, one input in [-1, 1]
+contracting = sq.affine_system(-np.eye(2), np.ones((2, 1)), (-1.0,), (1.0,),
+                               tau=0.5, name="contracting")
 model = sq.build_abstraction(contracting, lattice,
                              sq.InputApproxConfig(mu=0.002, input_samples=21))
 safe = sq.abstract_safe_set([-0.7, -0.7], [0.7, 0.7], model)

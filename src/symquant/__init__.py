@@ -15,9 +15,9 @@ _OWNERS = {name: module for module, names in [
     ("errors", "ConfigError DivergenceError OutOfDomainError PlanningError"),
     ("quantizer", "Box LogLattice LogQuantizerAxis QuantizerVariant "
                   "format_cell parse_cell"),
-    ("dynamics", "SampledSystem Trajectory growth_radius input_grid "
-                 "linear_system make_system pendulum_system register_system "
-                 "successor successor_many"),
+    ("dynamics", "SampledSystem Trajectory affine_system growth_radius "
+                 "input_grid linear_system make_system pendulum_system "
+                 "register_system successor successor_many"),
     ("abstraction", "InputApproxConfig SymbolicModel approximate_inputs "
                     "build_abstraction load_abstraction save_abstraction "
                     "transition_targets"),

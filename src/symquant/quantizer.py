@@ -113,8 +113,12 @@ class LogQuantizerAxis:
 
     def boundary(self, m: int) -> float:
         """Left edge of positive region m (m >= 1); ``boundary(1)`` is the
-        deadzone edge and ``boundary(m + 1)`` is region m's right edge."""
-        return self.deadzone * self.rho ** (1 - m)
+        deadzone edge and ``boundary(m + 1)`` is region m's right edge.  An
+        edge past the float range reads as +inf."""
+        try:
+            return self.deadzone * self.rho ** (1 - m)
+        except OverflowError:
+            return math.inf
 
     def quantize(self, z: float) -> tuple[int, float]:
         """Map a finite scalar to its (signed level, quantized value).
@@ -123,7 +127,8 @@ class LogQuantizerAxis:
         0 in the closed deadzone, and a negative z negates both parts, so
         quantize(-z) is exactly the negation of quantize(z): a negative
         value in the deadzone gives ``(0, -0.0)`` and ``-0.0`` gives
-        ``(0, 0.0)``.
+        ``(0, 0.0)``.  A value above the last boundary that is finite
+        raises ValueError: its region's right edge is past the float range.
         """
         z = float(z)
         if not math.isfinite(z):
@@ -142,13 +147,18 @@ class LogQuantizerAxis:
         margin, to a power of two so that nearby values share it.
         """
         bound = self._level_bound(z)
-        return _boundary_table(self, 1 << (bound + 1).bit_length())
+        edges = _boundary_table(self, 1 << (bound + 1).bit_length())
+        if z > edges[-1]:
+            raise ValueError(f"cannot quantize a magnitude of {z!r}: past "
+                             f"the last finite boundary {float(edges[-1])!r}")
+        return edges
 
     def _level_bound(self, z: float) -> int:
         # the level of z >= 0 is the ceiling of the log ratio t, so at most
-        # int(t) + 1 up to rounding
-        ratio = max(z, self.deadzone) / self.deadzone
-        return int(math.log(ratio) / math.log(1.0 / self.rho)) + 1
+        # int(t) + 1 up to rounding; t is a difference of logs, which no
+        # finite z overflows
+        t = math.log(max(z, self.deadzone)) - math.log(self.deadzone)
+        return int(t / math.log(1.0 / self.rho)) + 1
 
     def levels(self, z) -> np.ndarray:
         """Signed levels of an array of finite values, elementwise equal to
@@ -172,7 +182,10 @@ def _frozen(values, dtype=float) -> np.ndarray:
 
 @functools.lru_cache(maxsize=256)
 def _boundary_table(axis: LogQuantizerAxis, count: int) -> np.ndarray:
-    return _frozen([axis.boundary(m) for m in range(1, count + 1)])
+    # up to count boundaries; they rise with m, so the table ends before the
+    # first one past the float range
+    edges = (axis.boundary(m) for m in range(1, count + 1))
+    return _frozen(list(itertools.takewhile(math.isfinite, edges)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -25,21 +25,23 @@ def pendulum_scenario():
 def contracting_scenario():
     """Strongly contracting linear system where the growth bound has ample
     slack, so the safety game is winnable on the coarse lattice."""
-
-    def field(x, u):
-        x = np.asarray(x, float)
-        u = np.asarray(u, float)
-        return np.stack([-x[..., 0] + u[..., 0], -x[..., 1] + u[..., 0]],
-                        axis=-1)
-
-    sys_ = sq.SampledSystem(dim_x=2, dim_u=1, field=field, lipschitz=1.0,
-                            tau=0.5, input_lo=(-1.0,), input_hi=(1.0,),
-                            vectorized=True, name="contracting")
+    sys_ = sq.affine_system(-np.eye(2), np.ones((2, 1)), (-1.0,), (1.0,),
+                            tau=0.5, name="contracting")
     lattice = sq.LogLattice.from_params(0.2, [0.4, 0.4], [-1, -1], [1, 1],
                                         "edge_anchored")
     model = sq.build_abstraction(sys_, lattice,
                                  sq.InputApproxConfig(mu=0.002, input_samples=21))
     return sys_, lattice, model
+
+
+def rows_with_zeros(rng, n, dim_x, dim_u):
+    """n (state, input) rows uniform on [-1, 1], with a quarter of the state
+    entries and of the inputs set to zero."""
+    x = rng.uniform(-1.0, 1.0, size=(n, dim_x))
+    u = rng.uniform(-1.0, 1.0, size=(n, dim_u))
+    x[rng.random(x.shape) < 0.25] = 0.0
+    u[rng.random(u.shape) < 0.25] = 0.0
+    return x, u
 
 
 def region(axis, level):

@@ -70,6 +70,20 @@ def test_approximate_inputs_skips_divergent_samples(caplog):
     assert any("divergent" in message for message in caplog.messages)
 
 
+def test_huge_finite_successors_get_no_pair():
+    # successors of 1e301 * u are finite, so the mu quantizer classifies
+    # them; their boxes leave the bounds, so only u = 0 keeps pairs
+    sys_ = sq.SampledSystem(dim_x=1, dim_u=1, field=lambda x, u: 1e301 * u,
+                            lipschitz=1.0, tau=0.2, input_lo=(-1.0,),
+                            input_hi=(1.0,), vectorized=True)
+    lattice = sq.LogLattice.from_params(0.2, [0.4], [-1], [1])
+    model = sq.build_abstraction(sys_, lattice,
+                                 sq.InputApproxConfig(mu=0.002,
+                                                      input_samples=3))
+    assert model.inputs.tolist() == [[-1.0], [0.0], [1.0]]
+    assert model.n_states == 7 and set(model.pair_input.tolist()) == {1}
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         sq.InputApproxConfig(mu=0.0)
@@ -87,14 +101,8 @@ def test_transition_targets_zero_cell_self_loop(pendulum_scenario):
 
 def test_transition_targets_singleton_when_box_fits():
     # tiny growth radius keeps the inflated box inside the deadzone cell
-    def field(x, u):
-        x = np.asarray(x, float)
-        u = np.asarray(u, float)
-        return np.stack([-x[..., 0] + u[..., 0], -x[..., 1]], axis=-1)
-
-    sys_ = sq.SampledSystem(dim_x=2, dim_u=1, field=field, lipschitz=0.1,
-                            tau=0.1, input_lo=(-1.0,), input_hi=(1.0,),
-                            vectorized=True)
+    sys_ = sq.affine_system(-np.eye(2), [[1.0], [0.0]], (-1.0,), (1.0,),
+                            tau=0.1, lipschitz=0.1)
     targets = sq.transition_targets((0, 0), np.array([0.0]), sys_, EDGE_LATTICE)
     assert targets == ((0, 0),)
 
@@ -146,14 +154,8 @@ def _batched_targets_match_oracle(sys_, lattice, model):
 
 def _cube():
     """A contracting field on a 3-D lattice."""
-    def cube_field(x, u):
-        x = np.asarray(x, float)
-        u = np.asarray(u, float)
-        return -x + u[..., :1]
-
-    cube = sq.SampledSystem(dim_x=3, dim_u=1, field=cube_field,
-                            lipschitz=1.0, tau=0.5, input_lo=(-1.0,),
-                            input_hi=(1.0,), vectorized=True)
+    cube = sq.affine_system(-np.eye(3), np.ones((3, 1)), (-1.0,), (1.0,),
+                            tau=0.5)
     return cube, sq.LogLattice.from_params(0.3, [0.3] * 3, [-1] * 3, [1] * 3,
                                            "edge_anchored")
 
@@ -585,18 +587,6 @@ def test_containment_finer_eta():
         assert lattice.quantize(nxt) in model.successors(cell, uid)
 
 
-def _affine(A, B, lipschitz, tau):
-    """The sampled field ``dx/dt = A x + B u``, one input on [-1, 1]."""
-    A, B = np.array(A, float), np.array(B, float)
-
-    def field(x, u):
-        return np.asarray(x, float) @ A.T + np.asarray(u, float) @ B.T
-
-    return sq.SampledSystem(dim_x=len(A), dim_u=1, field=field,
-                            lipschitz=lipschitz, tau=tau, input_lo=(-1.0,),
-                            input_hi=(1.0,), vectorized=True, name="affine")
-
-
 ROTATION = [[-0.2, 1.0], [-1.0, -0.2]]  # damped rotation, ||A||_inf = 1.2
 
 
@@ -613,7 +603,7 @@ def test_affine_oracle_pins_paper_radius_misses(A, B, lipschitz, tau, eta,
     # paper mode on [-1, 1]^d, scale 0.05, 11 inputs, mu 0.002: the exact
     # hulls find every pair whose successor set lacks a true successor, and
     # a successor from an inset corner of the source cell confirms each
-    sys_ = _affine(A, B, lipschitz, tau)
+    sys_ = sq.affine_system(A, B, (-1.0,), (1.0,), tau, lipschitz)
     d = sys_.dim_x
     lattice = sq.LogLattice.from_params(eta, [0.05] * d, [-1] * d, [1] * d)
     model = sq.build_abstraction(sys_, lattice,
@@ -628,6 +618,52 @@ def test_affine_oracle_pins_paper_radius_misses(A, B, lipschitz, tau, eta,
     if d < 3:  # the corners find no other pair (too slow at 3-D)
         confirmed = corner_witnesses(model, sys_, np.arange(pairs))
         assert np.flatnonzero(confirmed).tolist() == misses.tolist()
+
+
+def _random_affine(kind, d, rng):
+    """A random A of a family with a random one-column B: ``hurwitz``, a
+    Gaussian A shifted until its spectral abscissa is -0.5; ``metzler``,
+    nonnegative off the diagonal and strictly diagonally dominant;
+    ``rotating``, skew-symmetric plus a small contraction."""
+    if kind == "hurwitz":
+        A = rng.normal(size=(d, d))
+        A -= (np.linalg.eigvals(A).real.max() + 0.5) * np.eye(d)
+    elif kind == "metzler":
+        A = rng.uniform(0.0, 1.0, size=(d, d))
+        np.fill_diagonal(A, 0.0)
+        A -= np.diag(A.sum(axis=1) + rng.uniform(0.2, 1.0, size=d))
+    else:
+        S = rng.normal(size=(d, d))
+        A = S - S.T - rng.uniform(0.1, 0.4) * np.eye(d)
+    return A, rng.normal(size=(d, 1))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("kind", ["hurwitz", "metzler", "rotating"])
+def test_affine_family_oracle_and_sampled_check_agree(kind, d, seed):
+    # paper mode with L = ||A||_inf: the exact oracle's misses are real (a
+    # corner successor shows each, and in 2-D the corners show no other
+    # pair), and no sampled violation lies on a pair the oracle calls sound
+    A, B = _random_affine(kind, d, np.random.default_rng([seed, d]))
+    sys_ = sq.affine_system(A, B, (-1.0,), (1.0,), tau=0.2)
+    eta, scale = (0.2, 0.05) if d == 2 else (0.3, 0.1)
+    lattice = sq.LogLattice.from_params(eta, [scale] * d, [-1] * d, [1] * d)
+    model = sq.build_abstraction(sys_, lattice,
+                                 sq.InputApproxConfig(mu=0.002,
+                                                      input_samples=11))
+    misses, ties = affine_misses(model, sys_)
+    assert ties.size == 0
+    assert corner_witnesses(model, sys_, misses).all()
+    if d == 2:
+        pairs = np.arange(len(model.pair_input))
+        confirmed = corner_witnesses(model, sys_, pairs)
+        assert np.flatnonzero(confirmed).tolist() == misses.tolist()
+    missed = set(zip(model.pair_state[misses].tolist(),
+                     model.pair_input[misses].tolist()))
+    report = sq.check_feedback_refinement(model, sys_, 3000, seed=seed)
+    assert {(model.state_id(w.source), w.input_index)
+            for w in report.violations} <= missed
 
 
 def test_dimension_mismatch_rejected():

@@ -13,23 +13,26 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+import symquant as sq
 from symquant import cli
 from symquant.config import parse_config
+from conftest import rows_with_zeros
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench")
 
 
-def _load_run():
+def _load(name):
     spec = importlib.util.spec_from_file_location(
-        "bench_run", os.path.join(BENCH, "run.py"))
+        f"bench_{name}", os.path.join(BENCH, f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-RUN = _load_run()
+RUN = _load("run")
 
 
 @pytest.mark.parametrize("name", sorted(RUN.WORKLOADS))
@@ -107,3 +110,19 @@ def test_probes_call_what_the_package_defines(tmp_path):
         "abstraction.transition_targets_us",
         "dynamics.successor_many_us_per_row", "dynamics.successor_us",
         "quantizer.levels_in_interval_us", "quantizer.quantize_us"]
+
+
+def test_cube3d_is_the_affine_factory_bit_for_bit():
+    # the harness's hand-written cube3d field and affine_system give the
+    # same successors, so the harness can switch to the factory with its
+    # outputs unchanged (what the switch costs in time is not checked here)
+    bench = _load("systems").cube3d_system()
+    factory = sq.affine_system(-np.eye(3), np.ones((3, 1)), (-1.0,), (1.0,),
+                               tau=0.5)
+    assert (factory.tau, factory.lipschitz, factory.input_lo,
+            factory.input_hi, factory.integrator_steps) == \
+        (bench.tau, bench.lipschitz, bench.input_lo, bench.input_hi,
+         bench.integrator_steps)
+    x, u = rows_with_zeros(np.random.default_rng(3), 20_000, 3, 1)
+    assert sq.successor_many(factory, x, u).tobytes() == \
+        sq.successor_many(bench, x, u).tobytes()

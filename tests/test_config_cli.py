@@ -588,19 +588,9 @@ def test_cli_rejects_scenario_that_is_not_utf8(tmp_path, capsys):
 
 def _contracting_cfg(tmp_path):
     # a user-defined system selected by name via the registration hook
-    def field(x, u):
-        x = np.asarray(x, float)
-        u = np.asarray(u, float)
-        return np.stack([-x[..., 0] + u[..., 0], -x[..., 1] + u[..., 0]],
-                        axis=-1)
-
-    def factory(tau=0.5, integrator_steps=10):
-        return sq.SampledSystem(dim_x=2, dim_u=1, field=field, lipschitz=1.0,
-                                tau=tau, input_lo=(-1.0,), input_hi=(1.0,),
-                                integrator_steps=integrator_steps,
-                                vectorized=True, name="contracting")
-
-    sq.register_system("contracting", factory)
+    sq.register_system("contracting", lambda: sq.affine_system(
+        -np.eye(2), np.ones((2, 1)), (-1.0,), (1.0,), tau=0.5,
+        name="contracting"))
     path = tmp_path / "contracting.cfg"
     path.write_text("""
 [system]

@@ -11,6 +11,7 @@ import symquant as sq
 from symquant import dynamics
 from symquant.dynamics import PENDULUM_CONSTANTS
 from symquant.errors import DivergenceError
+from conftest import rows_with_zeros
 
 
 def test_pendulum_field_values():
@@ -151,6 +152,69 @@ def test_registry():
     assert sq.make_system("pendulum_slow").tau == 0.5
     with pytest.raises(ValueError):
         sq.make_system("no_such_system")
+
+
+def test_affine_system_refuses_bad_matrices():
+    ok_A, ok_B = -np.eye(2), np.ones((2, 1))
+    for A, B, message in (
+            ([[1.0, 2.0]], ok_B, "A must be a finite square matrix"),
+            ([1.0, 2.0], ok_B, "A must be a finite square matrix"),
+            ([[math.nan, 0.0], [0.0, -1.0]], ok_B, "A must be a finite"),
+            ([[-math.inf, 0.0], [0.0, -1.0]], ok_B, "A must be a finite"),
+            (ok_A, np.ones((3, 1)), "B must be a finite matrix with 2 rows"),
+            (ok_A, np.ones(2), "B must be a finite matrix with 2 rows"),
+            (ok_A, [[1.0], [math.inf]], "B must be a finite matrix"),
+            (ok_A, [[1.0], [math.nan]], "B must be a finite matrix")):
+        with pytest.raises(ValueError, match=message):
+            sq.affine_system(A, B, (-1.0,), (1.0,))
+    with pytest.raises(ValueError, match="does not match dim_u"):
+        sq.affine_system(ok_A, np.ones((2, 2)), (-1.0,), (1.0,))
+
+
+def test_affine_system_default_growth_constant_is_the_row_sum_norm():
+    rotation = [[-0.2, 1.0], [-1.0, -0.2]]
+    assert sq.affine_system(rotation, [[0.0], [1.0]], (-1.0,),
+                            (1.0,)).lipschitz == 1.2
+    cube = sq.affine_system(-np.eye(3), np.ones((3, 1)), (-1.0,), (1.0,))
+    assert cube.lipschitz == 1.0
+    assert sq.affine_system([[-1.0, 2.0], [0.5, -3.0]], [[0.0], [1.0]],
+                            (-1.0,), (1.0,)).lipschitz == 3.5  # not 5.0
+    assert (cube.dim_x, cube.dim_u, cube.vectorized) == (3, 1, True)
+    assert sq.affine_system(rotation, np.ones((2, 2)), (-1.0, -2.0),
+                            (1.0, 2.0), lipschitz=3.0).lipschitz == 3.0
+
+
+def test_make_system_linear_is_unchanged():
+    sys_ = sq.make_system("linear")
+    assert (sys_.name, sys_.dim_x, sys_.dim_u) == ("linear", 1, 1)
+    assert (sys_.tau, sys_.lipschitz, sys_.integrator_steps) == (0.2, 1.0, 10)
+    assert (sys_.input_lo, sys_.input_hi) == ((-1.0,), (1.0,))
+    assert sys_.vectorized
+
+
+@pytest.mark.parametrize("dim_x, tau", [(1, 0.2), (2, 0.5)])
+def test_affine_system_matches_the_fields_it_replaced_bitwise(dim_x, tau):
+    # the scalar dx = u - x of linear_system and the two-axis contracting
+    # field dx_i = -x_i + u, as they were written by hand
+    def hand_field(x, u):
+        x, u = np.asarray(x, float), np.asarray(u, float)
+        if dim_x == 1:
+            return u - x
+        return np.stack([-x[..., 0] + u[..., 0], -x[..., 1] + u[..., 0]],
+                        axis=-1)
+
+    hand = sq.SampledSystem(dim_x=dim_x, dim_u=1, field=hand_field,
+                            lipschitz=1.0, tau=tau, input_lo=(-1.0,),
+                            input_hi=(1.0,), vectorized=True)
+    factory = sq.affine_system(-np.eye(dim_x), np.ones((dim_x, 1)), (-1.0,),
+                               (1.0,), tau=tau)
+    x, u = rows_with_zeros(np.random.default_rng(dim_x), 20_000, dim_x, 1)
+    assert (x == 0.0).all(axis=1).any() and (u == 0.0).any()
+    expected = sq.successor_many(hand, x, u).tobytes()
+    assert sq.successor_many(factory, x, u).tobytes() == expected
+    if dim_x == 1:
+        assert sq.successor_many(sq.linear_system(), x, u).tobytes() == \
+            expected
 
 
 def test_system_validation():

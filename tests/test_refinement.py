@@ -71,12 +71,8 @@ def test_pendulum_model_refines(pendulum_scenario):
 
 def _expanding():
     """dx/dt = x on [-1, 1], the system and its paper-radius model."""
-    def field(x, u):
-        return np.array(x, float)
-
-    sys_ = sq.SampledSystem(dim_x=1, dim_u=1, field=field, lipschitz=1.0,
-                            tau=0.2, input_lo=(-1.0,), input_hi=(1.0,),
-                            vectorized=True, name="expanding")
+    sys_ = sq.affine_system([[1.0]], [[0.0]], (-1.0,), (1.0,), tau=0.2,
+                            name="expanding")
     lattice = sq.LogLattice.from_params(0.5, [0.4], [-1], [1],
                                         "value_anchored")
     return sys_, sq.build_abstraction(sys_, lattice,
