@@ -76,16 +76,16 @@ def _dedup(nominal: np.ndarray, grid: np.ndarray, cells,
     """Rows ``c * len(grid) + k`` of ``nominal`` (shape cells x grid x dim)
     that keep, per cell, the first grid sample of each mu-signature class
     (the mu-quantized levels of its nominal successor), ascending; divergent
-    samples are skipped (and logged)."""
+    samples, whose successor is not finite or past the mu quantizer's
+    ceiling, are skipped (and logged)."""
     n_cells, n_grid, dim = nominal.shape
-    flat = nominal.reshape(-1, dim)
-    finite = np.isfinite(flat).all(axis=1)
-    for r in np.flatnonzero(~finite):
+    flat, mu = nominal.reshape(-1, dim), cfg.mu_axis()
+    kept = (np.abs(flat) <= mu.ceiling).all(axis=1)
+    for r in np.flatnonzero(~kept):
         logger.warning("skipping divergent input sample %s at cell %s",
                        grid[r % n_grid], cells[r // n_grid])
-    rows = np.flatnonzero(finite)
-    classes = np.column_stack([rows // n_grid,
-                               cfg.mu_axis().levels(flat[rows])])
+    rows = np.flatnonzero(kept)
+    classes = np.column_stack([rows // n_grid, mu.levels(flat[rows])])
     # a stable sort keeps the first sample of each class in front
     order = np.lexsort(classes.T[::-1])
     ordered = classes[order]

@@ -13,7 +13,7 @@ classical fixed-step 4th-order integration with a configurable number of
 substeps, which keeps every evaluation deterministic and bit-reproducible.
 
 An affine field ``dx/dt = A x + B u`` is built by :func:`affine_system`,
-whose default growth constant is ``||A||_inf``; the scalar
+whose growth constant is ``||A||_inf``; the scalar
 :func:`linear_system` is one.  The bundled pendulum model is
 
     dx1/dt = x2
@@ -27,7 +27,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -279,36 +279,35 @@ def pendulum_system(tau: float = 0.2, lipschitz: float = 6.0,
 
 
 def affine_system(A, B, input_lo, input_hi, tau: float = 0.2,
-                  lipschitz: float | None = None, integrator_steps: int = 10,
                   name: str = "affine") -> SampledSystem:
     """The sampled affine field ``dx/dt = A x + B u`` over the input box
     ``[input_lo, input_hi]``: ``A`` is square and ``B`` has one row per
-    state axis and one column per input axis.  The growth constant
-    defaults to ``||A||_inf``, the largest absolute row sum of ``A``, an
-    infinity-norm Lipschitz constant of the field in x."""
+    state axis and one column per input axis.  The growth constant is
+    ``||A||_inf``, the largest absolute row sum of ``A``, an infinity-norm
+    Lipschitz constant of the field in x; copy the system with
+    :func:`dataclasses.replace` to declare another."""
     A, B = np.array(A, float), np.array(B, float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or not np.isfinite(A).all():
         raise ValueError(f"A must be a finite square matrix, got {A.tolist()}")
     if B.ndim != 2 or B.shape[0] != len(A) or not np.isfinite(B).all():
         raise ValueError(f"B must be a finite matrix with {len(A)} rows, "
                          f"got {B.tolist()}")
-    if lipschitz is None:
-        lipschitz = float(np.abs(A).sum(axis=1).max(initial=0.0))
+    lipschitz = float(np.abs(A).sum(axis=1).max(initial=0.0))
 
     def field(x, u):
         return np.asarray(x, float) @ A.T + np.asarray(u, float) @ B.T
 
     return SampledSystem(dim_x=len(A), dim_u=B.shape[1], field=field,
                          lipschitz=lipschitz, tau=tau, input_lo=input_lo,
-                         input_hi=input_hi, integrator_steps=integrator_steps,
-                         vectorized=True, name=name)
+                         input_hi=input_hi, vectorized=True, name=name)
 
 
 def linear_system(tau: float = 0.2, integrator_steps: int = 10) -> SampledSystem:
     """Scalar test system dx/dt = -x + u with the closed-form solution
     x(t) = u + (x0 - u) * exp(-t); used as an integration oracle."""
-    return affine_system([[-1.0]], [[1.0]], (-1.0,), (1.0,), tau,
-                         integrator_steps=integrator_steps, name="linear")
+    return replace(affine_system([[-1.0]], [[1.0]], (-1.0,), (1.0,), tau,
+                                 name="linear"),
+                   integrator_steps=integrator_steps)
 
 
 _SYSTEMS: dict[str, Callable[..., SampledSystem]] = {

@@ -127,8 +127,8 @@ class LogQuantizerAxis:
         0 in the closed deadzone, and a negative z negates both parts, so
         quantize(-z) is exactly the negation of quantize(z): a negative
         value in the deadzone gives ``(0, -0.0)`` and ``-0.0`` gives
-        ``(0, 0.0)``.  A value above the last boundary that is finite
-        raises ValueError: its region's right edge is past the float range.
+        ``(0, 0.0)``.  A value that is not finite, or whose magnitude is
+        above :attr:`ceiling`, raises ValueError.
         """
         z = float(z)
         if not math.isfinite(z):
@@ -146,12 +146,19 @@ class LogQuantizerAxis:
         closed-form estimate of the level only sizes the table, with a
         margin, to a power of two so that nearby values share it.
         """
+        if z > self.ceiling:
+            raise ValueError(f"cannot quantize {z!r}: above the ceiling")
         bound = self._level_bound(z)
-        edges = _boundary_table(self, 1 << (bound + 1).bit_length())
-        if z > edges[-1]:
-            raise ValueError(f"cannot quantize a magnitude of {z!r}: past "
-                             f"the last finite boundary {float(edges[-1])!r}")
-        return edges
+        return _boundary_table(self, 1 << (bound + 1).bit_length())
+
+    @functools.cached_property
+    def ceiling(self) -> float:
+        """The last finite boundary: a larger magnitude has no level, as its
+        region's right edge is past the float range.  The search runs down
+        from just past the level where ``rho ** (1 - m)`` or its product
+        with the deadzone leaves the float range, a few steps."""
+        m = self._level_bound(np.finfo(float).max * min(self.deadzone, 1.0)) + 2
+        return next(filter(math.isfinite, map(self.boundary, range(m, 0, -1))))
 
     def _level_bound(self, z: float) -> int:
         # the level of z >= 0 is the ceiling of the log ratio t, so at most
@@ -182,10 +189,7 @@ def _frozen(values, dtype=float) -> np.ndarray:
 
 @functools.lru_cache(maxsize=256)
 def _boundary_table(axis: LogQuantizerAxis, count: int) -> np.ndarray:
-    # up to count boundaries; they rise with m, so the table ends before the
-    # first one past the float range
-    edges = (axis.boundary(m) for m in range(1, count + 1))
-    return _frozen(list(itertools.takewhile(math.isfinite, edges)))
+    return _frozen([axis.boundary(m) for m in range(1, count + 1)])
 
 
 @dataclass(frozen=True, eq=False)

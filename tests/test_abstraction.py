@@ -1,5 +1,6 @@
 """Symbolic model construction: input approximation, transitions, storage."""
 
+import dataclasses
 import itertools
 import os
 import re
@@ -70,18 +71,24 @@ def test_approximate_inputs_skips_divergent_samples(caplog):
     assert any("divergent" in message for message in caplog.messages)
 
 
-def test_huge_finite_successors_get_no_pair():
-    # successors of 1e301 * u are finite, so the mu quantizer classifies
-    # them; their boxes leave the bounds, so only u = 0 keeps pairs
-    sys_ = sq.SampledSystem(dim_x=1, dim_u=1, field=lambda x, u: 1e301 * u,
-                            lipschitz=1.0, tau=0.2, input_lo=(-1.0,),
-                            input_hi=(1.0,), vectorized=True)
+@pytest.mark.parametrize("gain, kept", [(1e301, [[-1.0], [0.0], [1.0]]),
+                                        (1e307, [[0.0]])])
+def test_huge_finite_successors_get_no_pair(gain, kept, caplog):
+    # dx/dt = -x + gain * u: the successors under u = +-1 are finite, about
+    # 0.18 * gain; below the mu quantizer's ceiling (3.58e305) it classifies
+    # them, above it they are skipped as divergent; either way their boxes
+    # leave the bounds, so only u = 0 keeps pairs
+    sys_ = sq.affine_system([[-1.0]], [[gain]], (-1.0,), (1.0,))
     lattice = sq.LogLattice.from_params(0.2, [0.4], [-1], [1])
-    model = sq.build_abstraction(sys_, lattice,
-                                 sq.InputApproxConfig(mu=0.002,
-                                                      input_samples=3))
+    cfg = sq.InputApproxConfig(mu=0.002, input_samples=3)
+    model = sq.build_abstraction(sys_, lattice, cfg)
     assert model.inputs.tolist() == [[-1.0], [0.0], [1.0]]
     assert model.n_states == 7 and set(model.pair_input.tolist()) == {1}
+    caplog.clear()
+    with caplog.at_level("WARNING"):
+        reps = sq.approximate_inputs((0,), lattice, sys_, cfg)
+    assert [u.tolist() for u in reps] == kept
+    assert sum("divergent" in m for m in caplog.messages) == 3 - len(kept)
 
 
 def test_config_validation():
@@ -101,8 +108,8 @@ def test_transition_targets_zero_cell_self_loop(pendulum_scenario):
 
 def test_transition_targets_singleton_when_box_fits():
     # tiny growth radius keeps the inflated box inside the deadzone cell
-    sys_ = sq.affine_system(-np.eye(2), [[1.0], [0.0]], (-1.0,), (1.0,),
-                            tau=0.1, lipschitz=0.1)
+    sys_ = dataclasses.replace(sq.affine_system(
+        -np.eye(2), [[1.0], [0.0]], (-1.0,), (1.0,), tau=0.1), lipschitz=0.1)
     targets = sq.transition_targets((0, 0), np.array([0.0]), sys_, EDGE_LATTICE)
     assert targets == ((0, 0),)
 
@@ -603,7 +610,8 @@ def test_affine_oracle_pins_paper_radius_misses(A, B, lipschitz, tau, eta,
     # paper mode on [-1, 1]^d, scale 0.05, 11 inputs, mu 0.002: the exact
     # hulls find every pair whose successor set lacks a true successor, and
     # a successor from an inset corner of the source cell confirms each
-    sys_ = sq.affine_system(A, B, (-1.0,), (1.0,), tau, lipschitz)
+    sys_ = dataclasses.replace(sq.affine_system(A, B, (-1.0,), (1.0,), tau),
+                               lipschitz=lipschitz)
     d = sys_.dim_x
     lattice = sq.LogLattice.from_params(eta, [0.05] * d, [-1] * d, [1] * d)
     model = sq.build_abstraction(sys_, lattice,

@@ -181,7 +181,7 @@ def test_affine_system_default_growth_constant_is_the_row_sum_norm():
                             (-1.0,), (1.0,)).lipschitz == 3.5  # not 5.0
     assert (cube.dim_x, cube.dim_u, cube.vectorized) == (3, 1, True)
     assert sq.affine_system(rotation, np.ones((2, 2)), (-1.0, -2.0),
-                            (1.0, 2.0), lipschitz=3.0).lipschitz == 3.0
+                            (1.0, 2.0)).dim_u == 2
 
 
 def test_make_system_linear_is_unchanged():

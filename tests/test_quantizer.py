@@ -294,32 +294,32 @@ def test_quantize_level_value_and_sign_at_the_edges(axis):
         assert axis.levels([z]).tolist() == [level], z
 
 
-def test_huge_values_quantize_up_to_the_last_finite_boundary():
-    # a boundary past the float range reads as +inf and ends the table, so
-    # a huge value whose own level fits quantizes; one above the last
-    # finite boundary raises ValueError, never a raw OverflowError
+def test_huge_values_quantize_up_to_the_ceiling():
+    # a boundary past the float range reads as +inf, so a huge value whose
+    # region ends below it quantizes; a magnitude above the ceiling, the last
+    # finite boundary, raises ValueError, never a raw OverflowError
     axis = sq.LogQuantizerAxis(0.002, 0.002)
     level, value = axis.quantize(1e300)
     assert level == 174_248 and abs(value - 1e300) <= 0.002 * 1e300
     assert axis.quantize(-1e300) == (-level, -value)
     assert axis.levels([1e300, -1e300, 0.5]).tolist() == \
         [level, -level, axis.quantize(0.5)[0]]
+    top = axis.quantize(axis.ceiling)[0] + 1  # the ceiling is boundary(top)
+    assert 3.58e305 < axis.ceiling == axis.boundary(top) < 3.59e305
+    assert axis.boundary(top + 1) == math.inf
     table = quantizer._boundary_table(axis, 1 << 18)
-    last = len(table)
-    assert last < 1 << 18 and np.isfinite(table).all()
-    assert axis.boundary(last + 1) == math.inf
-    for m in [*range(1, last + 1, 997), last]:
+    for m in [*range(1, top + 1, 997), top]:
         assert table[m - 1] == axis.boundary(m), m
-    assert axis.quantize(table[-1])[0] == last - 1
-    for z in (math.nextafter(table[-1], math.inf), 1e306, 1.7e308):
+    assert np.isinf(table[top:]).all()
+    for z in (math.nextafter(axis.ceiling, math.inf), 1e306, 1.7e308):
         for call in (lambda: axis.quantize(z), lambda: axis.quantize(-z),
                      lambda: axis.levels([0.0, -z])):
-            with pytest.raises(ValueError, match=f"cannot quantize a "
-                               f"magnitude of {re.escape(repr(z))}"):
+            with pytest.raises(ValueError, match=f"cannot quantize "
+                               f"{re.escape(repr(z))}: above the ceiling"):
                 call()
     wide = sq.LogQuantizerAxis(0.5, 10.0)  # an edge that overflows x * rho
     assert math.isfinite(wide.quantize(1e300)[1])
-    with pytest.raises(ValueError, match="past the last finite boundary"):
+    with pytest.raises(ValueError, match="above the ceiling"):
         wide.quantize(1.7e308)
 
 
