@@ -24,9 +24,14 @@ contains its own center, and quantization is a well-defined map from the box
 onto the cells.
 
 Each lattice axis keeps one table, the edges of its clipped cells; every
-lattice query reads it, from point quantization to cell geometry.  An axis
-quantizer's own cached table of region boundaries serves axes without
-bounds, such as the input quantizer that deduplicates sampled inputs.
+lattice query reads it, from point quantization to cell geometry.  The
+lattice takes both from its axis quantizers: the outermost level on each
+side is the level that :meth:`LogQuantizerAxis.quantize` gives the bound,
+less one when that level's value lies past the bound, and the edges are
+entries of the quantizer's own cached table of region boundaries, the
+table that also serves axes without bounds, such as the input quantizer
+that deduplicates sampled inputs.  A bound above an axis's
+:attr:`~LogQuantizerAxis.ceiling` is refused with a ValueError.
 """
 
 from __future__ import annotations
@@ -228,10 +233,11 @@ class LogLattice:
     """Product of per-axis logarithmic quantizers clipped to a bounds box.
 
     The axes share one eta and one variant and may differ in scale; the
-    bounds must be finite and contain every axis deadzone.  On each axis the
-    valid levels are 0 plus every signed level whose quantized value lies
-    inside [lo_i, hi_i]; the outermost valid cell on each side extends to the
-    bound, so the clipped cells partition the bounds box exactly.
+    bounds must be finite, contain every axis deadzone and lie within every
+    axis ceiling.  On each axis the valid levels are 0 plus every signed
+    level whose quantized value lies inside [lo_i, hi_i]; the outermost
+    valid cell on each side extends to the bound, so the clipped cells
+    partition the bounds box exactly.
 
     Immutable after construction; all queries are pure functions.  A lattice
     is a value: two compare and hash equal when their axes and bounds do.
@@ -276,23 +282,24 @@ class LogLattice:
         object.__setattr__(self, "lo_array", _frozen(lo))
         object.__setattr__(self, "hi_array", _frozen(hi))
         # per axis, the values of the valid levels -n..p and the edges of
-        # their clipped cells, [lo, -b(n), ..., -b(1), b(1), ..., b(p), hi],
-        # which every query of this lattice reads
+        # their clipped cells, [lo, -t[n-1], ..., -t[0], t[0], ..., t[p-1],
+        # hi], from the axis's table t of boundaries b(1), b(2), ...; every
+        # query of this lattice reads them
         object.__setattr__(self, "_centers", tuple(
             _frozen([axis.level_value(m) for m in range(-n, p + 1)])
             for axis, n, p in zip(axes, neg_max, pos_max)))
         object.__setattr__(self, "_edges", tuple(
-            _frozen([a, *(-axis.boundary(m) for m in range(n, 0, -1)),
-                     *(axis.boundary(m) for m in range(1, p + 1)), b])
-            for axis, n, p, a, b in zip(axes, neg_max, pos_max, lo, hi)))
+            _frozen(np.concatenate(([a], -t[:n][::-1], t[:p], [b])))
+            for axis, n, p, a, b in zip(axes, neg_max, pos_max, lo, hi)
+            for t in [axis._boundaries(max(-a, b))]))
 
     @staticmethod
     def _max_level(axis: LogQuantizerAxis, limit: float) -> int:
-        # largest m >= 1 whose quantized value fits below `limit`, else 0
-        m = 0
-        while axis.level_value(m + 1) <= limit:
-            m += 1
-        return m
+        # the largest level whose quantized value fits below `limit`: the
+        # level of the region holding it, or the one below if its value is
+        # past it; a limit above the axis's ceiling raises ValueError
+        m, v = axis.quantize(limit)
+        return m - (v > limit)
 
     @classmethod
     def from_params(cls, eta, scales, lo, hi,

@@ -23,6 +23,13 @@ BUNDLED = os.path.join(os.path.dirname(sq.__file__), "scenarios",
                        "pendulum.cfg")
 
 
+def _child_env():
+    """The environment of a child Python that imports this package."""
+    src = os.path.dirname(os.path.dirname(sq.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
 def test_parse_bundled_scenario():
     cfg = parse_config(BUNDLED)
     assert cfg.system_name == "pendulum"
@@ -367,9 +374,7 @@ for argv in (["abstract", "--out", d + "m.abs"],
     assert cli.main(argv + ["--config", "pendulum"]) == 0, argv
 assert "numpy.ma" not in sys.modules
 """
-    src = os.path.dirname(os.path.dirname(sq.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    env = _child_env()
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -460,9 +465,7 @@ def test_cli_rejects_bad_model_file(tmp_path, capsys, case):
 def test_cli_verbose_logs_phases(tmp_path):
     # the ``python -m symquant.cli`` entry point in a fresh process
     cfg = _fast_cfg(tmp_path)
-    src = os.path.dirname(os.path.dirname(sq.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    env = _child_env()
     runs = []
     for flags in ([], ["--verbose"]):
         out = tmp_path / f"m{len(flags)}.abs"
@@ -484,9 +487,7 @@ def test_cli_verbose_logs_plan_and_simulate(tmp_path):
     # a relaxed plan logs its search and no model build, and the closed loop
     # logs its run; the files stay byte-identical
     cfg = _fast_cfg(tmp_path)
-    src = os.path.dirname(os.path.dirname(sq.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    env = _child_env()
     files, logs = {}, {}
     for flags in ([], ["--verbose"]):
         plan = str(tmp_path / f"p{len(flags)}")
@@ -584,6 +585,27 @@ def test_cli_rejects_scenario_that_is_not_utf8(tmp_path, capsys):
     assert (f"configuration error: {path}:{at}: not UTF-8 (invalid start "
             "byte)") in err
     assert "Traceback" not in err
+
+
+def test_lattice_bound_above_the_ceiling_is_a_config_error(tmp_path):
+    # 1e300 over a deadzone of 1e-10 has no level below the float range:
+    # the lattice refuses the bound as a located exit-2 error, never with
+    # a raw OverflowError and its traceback
+    path = tmp_path / "pendulum.cfg"
+    path.write_text(Path(BUNDLED).read_text())
+    _with_line(path, "quantizer", "scale = 1e-10 1e-10")
+    _with_line(path, "quantizer", "state_hi = 1e300 1")
+    message = f"{path}: [quantizer]: cannot quantize 1e+300: above the ceiling"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_config(str(path))
+    env = _child_env()
+    proc = subprocess.run(
+        [sys.executable, "-m", "symquant.cli", "abstract", "--config",
+         str(path), "--out", str(tmp_path / "m.abs")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == cli.EXIT_CONFIG
+    assert proc.stderr == f"configuration error: {message}\n"
+    assert "Traceback" not in proc.stderr
 
 
 def _contracting_cfg(tmp_path):

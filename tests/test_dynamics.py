@@ -69,7 +69,7 @@ def test_integration_error_is_negligible_against_paper_radius():
     # pendulum_fine's lattice and inputs: every (cell center, grid input)
     # successor at the default 10 substeps lies within 1e-3 of the paper
     # radius of a 320-substep reference (measured: at most 1.4e-5 of it)
-    sys_ = sq.pendulum_system(tau=0.2, lipschitz=6.0)
+    sys_ = sq.pendulum_system(tau=0.2)
     lattice = sq.LogLattice.from_params(0.15, [0.05, 0.05], [-1, -1], [1, 1],
                                         "edge_anchored")
     centers = lattice.geometry()[0]

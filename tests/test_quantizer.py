@@ -413,6 +413,75 @@ def test_lattice_level_count_matches_brute_force():
             assert lattice.axis_levels(0) == range(-want_neg, want_pos + 1)
 
 
+def _walked_level(axis, limit):
+    # the reference walk: the largest m >= 1 whose quantized value fits
+    # below `limit`, else 0, one level at a time
+    m = 0
+    while axis.level_value(m + 1) <= limit:
+        m += 1
+    return m
+
+
+def _walked_geometry(lattice):
+    """Level ranges and ``geometry()`` of a lattice from the walk above and
+    one ``level_value`` and ``boundary`` call per level."""
+    ranges, centers, edges = [], [], []
+    for axis, a, b in zip(lattice.axes, lattice.lo, lattice.hi):
+        n, p = _walked_level(axis, -a), _walked_level(axis, b)
+        ranges.append(range(-n, p + 1))
+        centers.append([axis.level_value(m) for m in range(-n, p + 1)])
+        edges.append([a, *(-axis.boundary(m) for m in range(n, 0, -1)),
+                      *(axis.boundary(m) for m in range(1, p + 1)), b])
+    cells = np.array(list(itertools.product(*map(range, map(len, centers)))))
+    rows = [np.column_stack([np.array(t)[cells[:, i] + shift]
+                             for i, t in enumerate(tables)])
+            for tables, shift in ((centers, 0), (edges, 0), (edges, 1))]
+    return ranges, rows
+
+
+def _lattice_limit(axis, rng):
+    """A bound on a boundary, a level value, one of their float neighbours
+    or the deadzone edge, never inside the deadzone."""
+    k = int(rng.integers(1, 12))
+    point = [axis.boundary(k), axis.level_value(k),
+             axis.deadzone][int(rng.integers(0, 3))]
+    step = [0.0, -math.inf, math.inf][int(rng.integers(0, 3))]
+    limit = math.nextafter(point, step) if step else point
+    return max(limit, axis.deadzone)
+
+
+def test_lattice_build_matches_the_level_walk_reference():
+    # each side's outermost level from the axis's quantize, and the edges
+    # from its boundary table, against a level walk and per-level calls:
+    # bounds on and beside boundaries, level values and the
+    # deadzone edge, both variants, one to three axes
+    rng = np.random.default_rng(33)
+    for _ in range(300):
+        variant = ("value_anchored", "edge_anchored")[int(rng.integers(0, 2))]
+        dim = int(rng.integers(1, 4))
+        eta = float(rng.uniform(0.1, 0.9))
+        scales = 10 ** rng.uniform(-3, 1, size=dim)
+        axes = [sq.LogQuantizerAxis(eta, float(s), variant) for s in scales]
+        lo = [-_lattice_limit(axis, rng) for axis in axes]
+        hi = [_lattice_limit(axis, rng) for axis in axes]
+        lattice = sq.LogLattice.from_params(eta, scales, lo, hi, variant)
+        ranges, rows = _walked_geometry(lattice)
+        assert [lattice.axis_levels(i) for i in range(dim)] == ranges
+        for got, want in zip(lattice.geometry(), rows):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+def test_lattice_bound_above_the_ceiling_is_refused():
+    # the bound's level comes from the axis's quantize, which refuses a
+    # magnitude past its last finite boundary; no raw OverflowError
+    with pytest.raises(ValueError, match=r"cannot quantize 1e\+300: above "
+                                         r"the ceiling"):
+        sq.LogLattice.from_params(0.5, [1e-10], [-1], [1e300])
+    with pytest.raises(ValueError, match=r"cannot quantize 1e\+300"):
+        sq.LogLattice.from_params(0.5, [1e-10], [-1e300], [1])
+
+
 def test_quantizer_argument_checks():
     assert sq.LogQuantizerAxis(0.2, 0.4, "edge_anchored").variant is \
         sq.QuantizerVariant.EDGE_ANCHORED

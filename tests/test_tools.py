@@ -136,6 +136,30 @@ def g():
         "  a.py:f: 2 to 0 code lines (-2)"]
 
 
+@pytest.mark.parametrize("args, bad", [
+    (["src/symqant"], "'src/symqant' is not a directory"),
+    (["--help"], "'--help' is not a directory"),
+    (["HEAD", "src/symqant"], "'src/symqant' is not a directory"),
+    (["--defs", "src/symqant"], "'src/symqant' is not a directory"),
+    (["--defs", "HEAD", "src/symqant"], "'src/symqant' is not a directory"),
+    (["a", "b", "c"], "unexpected argument 'c'"),
+    (["--defs", "a", "b", "c"], "unexpected argument 'c'"),
+])
+def test_src_size_refuses_a_path_that_is_not_a_directory(tmp_path, capsys,
+                                                         monkeypatch, args,
+                                                         bad):
+    # a typo must not count 0 files and exit 0; DIR is checked before any
+    # revision is unpacked
+    src_size = _load("src_size")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(src_size, "unpack", None)
+    with pytest.raises(SystemExit) as info:
+        src_size.main(["src_size.py", *args])
+    assert info.value.code == 2
+    assert capsys.readouterr() == ("", f"{src_size.USAGE}\nsrc_size.py: "
+                                       f"error: {bad}\n")
+
+
 def test_src_cover_lists_statements_no_call_ran(tmp_path):
     src_cover = _load("src_cover")
     module = tmp_path / "m.py"

@@ -23,6 +23,9 @@ every method, as ``file:Class.method``, one per line, largest first (a
 class's count holds its methods').  With ``BASE``, it prints each
 definition whose count changed, with both counts and the change, largest
 cut first.
+
+In every mode, a DIR that is not a directory (a typo, or ``--help``) or a
+third argument exits 2 with the usage line and an error naming it.
 """
 
 import ast
@@ -38,6 +41,7 @@ _SKIP = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
          tokenize.DEDENT, tokenize.ENDMARKER, tokenize.ENCODING}
 _DEFS = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 _SCOPES = (ast.Module, *_DEFS)
+USAGE = "usage: src_size.py [--defs] [[BASE] DIR]"
 
 
 def code_lines(path: Path) -> int:
@@ -114,17 +118,36 @@ def measured(base: str, measure) -> dict:
                        else unpack(base, Path(tmp)))
 
 
+def usage_error(message: str):
+    """Exit 2 with the usage line and ``message``."""
+    print(f"{USAGE}\nsrc_size.py: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def arguments(args) -> tuple:
+    """``(BASE or None, DIR)`` of the arguments after an optional
+    ``--defs``; a DIR that is not a directory, ``--help`` included, or a
+    third argument exits 2 with the usage line naming it."""
+    if len(args) > 2:
+        usage_error(f"unexpected argument {args[2]!r}")
+    root = Path(args[-1]) if args else ROOT / "src" / "symquant"
+    if not root.is_dir():
+        usage_error(f"{str(root)!r} is not a directory")
+    return (args[0] if len(args) == 2 else None), root
+
+
 def main_defs(args) -> int:
-    if len(args) > 1:
-        before = measured(args[0], definitions)
-        after = definitions(Path(args[1]))
+    base, root = arguments(args)
+    if base is not None:
+        before = measured(base, definitions)
+        after = definitions(root)
         changes = ((after.get(name, 0) - before.get(name, 0), name)
                    for name in before.keys() | after.keys())
         for change, name in sorted(row for row in changes if row[0]):
             print(f"  {name}: {before.get(name, 0)} to "
                   f"{after.get(name, 0)} code lines ({change:+d})")
         return 0
-    counts = definitions(Path(args[0]) if args else ROOT / "src" / "symquant")
+    counts = definitions(root)
     for code, name in sorted((-code, name) for name, code in counts.items()):
         print(f"  {-code:4d}  {name}")
     return 0
@@ -133,13 +156,13 @@ def main_defs(args) -> int:
 def main(argv) -> int:
     if argv[1:2] == ["--defs"]:
         return main_defs(argv[2:])
-    if len(argv) > 2:
-        base, new = Path(argv[1]), Path(argv[2])
-        before = measured(argv[1], sizes)
-        after = sizes(new)
+    base, root = arguments(argv[1:])
+    if base is not None:
+        before = measured(base, sizes)
+        after = sizes(root)
         rows = [(name, before.get(name, (0, 0)), after.get(name, (0, 0)))
                 for name in sorted(before.keys() | after.keys())]
-        rows.append((f"{base} to {new}", *(
+        rows.append((f"{base} to {root}", *(
             (sum(lines for lines, _ in side.values()),
              sum(code for _, code in side.values()))
             for side in (before, after))))
@@ -148,7 +171,6 @@ def main(argv) -> int:
                   f"({lines1 - lines0:+d}), {code0} to {code1} code lines "
                   f"({code1 - code0:+d})")
         return 0
-    root = Path(argv[1]) if len(argv) > 1 else ROOT / "src" / "symquant"
     counts = sizes(root)
     for name, (lines, code) in counts.items():
         print(f"  {name}: {lines} lines, {code} code lines")
