@@ -35,9 +35,9 @@ from . import _public
 from .dynamics import (SampledSystem, growth_radius, input_grid, successor,
                        successor_many)
 from .errors import ConfigError, DivergenceError
-from .quantizer import (LogLattice, LogQuantizerAxis, QuantizerVariant,
-                        _fields, _frozen, _lines, _real, format_cell,
-                        parse_cell)
+from .quantizer import (_COUNT, _POSITIVE, _UNIT, LogLattice,
+                        LogQuantizerAxis, QuantizerVariant, _check, _fields,
+                        _frozen, _lines, _real, format_cell, parse_cell)
 
 __all__ = _public(__name__)
 
@@ -61,10 +61,8 @@ class InputApproxConfig:
     input_samples: int = 51
 
     def __post_init__(self):
-        if not (0.0 < self.mu < 1.0):
-            raise ConfigError(f"mu must lie in (0, 1), got {self.mu!r}")
-        if self.input_samples < 1:
-            raise ConfigError("input_samples must be at least 1")
+        _check("mu", self.mu, _UNIT, ConfigError)
+        _check("input_samples", self.input_samples, _COUNT, ConfigError)
 
     def mu_axis(self) -> LogQuantizerAxis:
         return LogQuantizerAxis(eta=self.mu, scale=self.mu,
@@ -220,12 +218,9 @@ def _pack(key, n_states: int, n_inputs: int):
 def _check_parameters(tau: float, mu: float, lipschitz: float):
     """Refuse, by their keys in a model file, the tau, mu and L that the
     builders refuse (:class:`SampledSystem`, :class:`InputApproxConfig`)."""
-    if not 0.0 < tau < math.inf:
-        raise ValueError(f"#tau must be positive, got {tau!r}")
-    if not 0.0 < mu < 1.0:
-        raise ValueError(f"#mu must lie in (0, 1), got {mu!r}")
-    if not 0.0 < lipschitz < math.inf:
-        raise ValueError(f"#L must be positive, got {lipschitz!r}")
+    _check("#tau", tau, _POSITIVE)
+    _check("#mu", mu, _UNIT)
+    _check("#L", lipschitz, _POSITIVE)
 
 
 class SymbolicModel:

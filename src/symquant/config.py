@@ -14,11 +14,13 @@ Format, by example::
 Lines are ``key = value`` pairs inside ``[section]`` headers; ``#`` starts a
 comment.  Every value can be overridden by an environment variable named
 ``SYMQUANT_<SECTION>__<KEY>`` (uppercase).  :data:`KEYS` holds one row per
-key: the :class:`ScenarioConfig` attribute it fills, its parser, its default
-(or :data:`REQUIRED`) and the test that rejects a parsed value; the checks
-that relate several keys (vector lengths, box orders, the state dimension of
-``simulate.x0``, ``plan.start`` and ``plan.goals``, ``x0`` inside the state
-box, the plan's cells on the lattice) follow in :func:`parse_config`.
+key: the :class:`ScenarioConfig` attribute it fills, its parser, which reads
+the value's grammar, its default (or :data:`REQUIRED`) and the range rule of
+:mod:`symquant.quantizer` that each number it holds must keep, each number
+of a list alike; the checks that relate several keys (vector lengths, box
+orders, the state dimension of ``simulate.x0``, ``plan.start`` and
+``plan.goals``, ``x0`` inside the state box, the plan's cells on the
+lattice) follow in :func:`parse_config`.
 Lines and numbers are read by :mod:`symquant.quantizer`'s one grammar: a
 line ends at ``\\n``, the blanks are ASCII space and tab, and numbers are
 ASCII decimal digits, no ``_``, finite reals.  Unknown sections and keys,
@@ -35,7 +37,8 @@ from typing import Any, Callable, NamedTuple
 
 from .dynamics import SampledSystem, make_system
 from .errors import ConfigError
-from .quantizer import (_BLANK, LogLattice, QuantizerVariant, _fields, _int,
+from .quantizer import (_BLANK, _COUNT, _NON_NEGATIVE, _POSITIVE, _UNIT,
+                        LogLattice, QuantizerVariant, _check, _fields, _int,
                         _lines, _real, _reals, format_cell, parse_cell)
 
 __all__ = ["ScenarioConfig", "parse_config", "check_value", "KEYS",
@@ -58,6 +61,13 @@ def _variant(text):
     return QuantizerVariant(text.strip(_BLANK).lower())
 
 
+def _policy(text):
+    if (policy := text.strip(_BLANK)) not in ("controller", "plan"):
+        raise ValueError(f"policy must be 'controller' or 'plan', got "
+                         f"{policy!r}")
+    return policy
+
+
 def _cells(text):
     return tuple(map(parse_cell, text.split(";"))) if _fields(text) else ()
 
@@ -68,61 +78,48 @@ class _Key(NamedTuple):
     key: str
     parse: Callable[[str], Any]
     default: Any = None
-    reject: Callable[[Any], bool] | None = None
-    message: str = ""
+    rule: tuple | None = None  # the range of each number it holds
 
 
 KEYS = (
     _Key("system_name", "system", "name", str, "pendulum"),
-    _Key("tau", "system", "tau", _real, 0.2, lambda v: v <= 0,
-         "tau must be positive"),
-    _Key("lipschitz", "system", "lipschitz", _real, None, lambda v: v <= 0,
-         "lipschitz must be positive"),
-    _Key("integrator_steps", "system", "integrator_steps", _int, 10,
-         lambda v: v < 1, "need at least one substep"),
+    _Key("tau", "system", "tau", _real, 0.2, _POSITIVE),
+    _Key("lipschitz", "system", "lipschitz", _real, None, _POSITIVE),
+    _Key("integrator_steps", "system", "integrator_steps", _int, 10, _COUNT),
     _Key("input_lo", "system", "input_lo", _reals),
     _Key("input_hi", "system", "input_hi", _reals),
     _Key("variant", "quantizer", "variant", _variant,
          QuantizerVariant.VALUE_ANCHORED),
-    _Key("eta", "quantizer", "eta", _real, REQUIRED,
-         lambda v: not 0.0 < v < 1.0, "eta must lie in (0, 1)"),
-    _Key("scale", "quantizer", "scale", _reals, REQUIRED,
-         lambda v: any(s <= 0 for s in v), "scales must be positive"),
+    _Key("eta", "quantizer", "eta", _real, REQUIRED, _UNIT),
+    _Key("scale", "quantizer", "scale", _reals, REQUIRED, _POSITIVE),
     _Key("state_lo", "quantizer", "state_lo", _reals, REQUIRED),
     _Key("state_hi", "quantizer", "state_hi", _reals, REQUIRED),
-    _Key("mu", "abstraction", "mu", _real, REQUIRED,
-         lambda v: not 0.0 < v < 1.0, "mu must lie in (0, 1)"),
-    _Key("input_samples", "abstraction", "input_samples", _int, 51,
-         lambda v: v < 1, "need at least one sample"),
+    _Key("mu", "abstraction", "mu", _real, REQUIRED, _UNIT),
+    _Key("input_samples", "abstraction", "input_samples", _int, 51, _COUNT),
     _Key(None, "abstraction", "lazy", _bool, False),
     _Key("safe_lo", "synthesis", "safe_lo", _reals),  # unset: the state box
     _Key("safe_hi", "synthesis", "safe_hi", _reals),
-    _Key("seed", "verify", "seed", _int, 0, lambda v: v < 0,
-         "seed must be nonnegative"),
-    _Key("samples", "verify", "samples", _int, 10000, lambda v: v < 0,
-         "samples must be nonnegative"),
+    _Key("seed", "verify", "seed", _int, 0, _NON_NEGATIVE),
+    _Key("samples", "verify", "samples", _int, 10000, _NON_NEGATIVE),
     _Key("plan_start", "plan", "start", parse_cell),
     _Key("plan_goals", "plan", "goals", _cells, ()),
     _Key("plan_relaxed", "plan", "relaxed", _bool, False),
-    _Key("plan_grid", "plan", "grid_resolution", _real, 0.02,
-         lambda v: v <= 0, "grid resolution must be positive"),
-    _Key("plan_max_steps", "plan", "max_segment_steps", _int, 200,
-         lambda v: v < 1, "max_segment_steps must be positive"),
+    _Key("plan_grid", "plan", "grid_resolution", _real, 0.02, _POSITIVE),
+    _Key("plan_max_steps", "plan", "max_segment_steps", _int, 200, _COUNT),
     _Key("sim_x0", "simulate", "x0", _reals),
-    _Key("sim_max_steps", "simulate", "max_steps", _int, 100, lambda v: v < 0,
-         "max_steps must be nonnegative"),
-    _Key("sim_policy", "simulate", "policy", str, "controller",
-         lambda v: v not in ("controller", "plan"),
-         "policy must be 'controller' or 'plan'"),
+    _Key("sim_max_steps", "simulate", "max_steps", _int, 100, _NON_NEGATIVE),
+    _Key("sim_policy", "simulate", "policy", _policy, "controller"),
 )
 _BY_NAME = {(k.section, k.key): k for k in KEYS}
 
 
 def check_value(section: str, key: str, value, where: str):
-    """Raise ``where: message`` if the row of [section] key rejects value."""
+    """Raise ``where: key {words}, got {v!r}`` if the value, or a number
+    of a tuple value, breaks the range rule of the row of [section] key."""
     row = _BY_NAME[(section, key)]
-    if value is not None and row.reject is not None and row.reject(value):
-        raise ConfigError(f"{where}: {row.message}")
+    if value is not None and row.rule is not None:
+        for v in value if isinstance(value, tuple) else (value,):
+            _check(f"{where}: {key}", v, row.rule, ConfigError)
 
 
 class _RawConfig:

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import _public
 from .errors import DivergenceError
-from .quantizer import _frozen
+from .quantizer import _NON_NEGATIVE, _POSITIVE, _UNIT, _check, _frozen
 
 __all__ = _public(__name__)
 
@@ -72,10 +72,8 @@ class SampledSystem:
                            tuple(float(v) for v in np.atleast_1d(self.input_hi)))
         if self.dim_x < 1 or self.dim_u < 1:
             raise ValueError("state and input dimensions must be positive")
-        if not (math.isfinite(self.tau) and self.tau > 0.0):
-            raise ValueError(f"tau must be positive, got {self.tau!r}")
-        if not (math.isfinite(self.lipschitz) and self.lipschitz > 0.0):
-            raise ValueError(f"lipschitz must be positive, got {self.lipschitz!r}")
+        _check("tau", self.tau, _POSITIVE)
+        _check("lipschitz", self.lipschitz, _POSITIVE)
         _substeps(self.integrator_steps, "integrator_steps")
         if len(self.input_lo) != self.dim_u or len(self.input_hi) != self.dim_u:
             raise ValueError("input box dimension does not match dim_u")
@@ -186,10 +184,9 @@ def growth_radius(q_center, eta: float, lipschitz: float, tau: float) -> np.ndar
     integration error is below 1.4e-5 of this radius, so at these settings
     the radius needs no term for integration error."""
     q = np.atleast_1d(np.asarray(q_center, float))
-    if not (0.0 < eta < 1.0):
-        raise ValueError(f"eta must lie in (0, 1), got {eta!r}")
-    if lipschitz <= 0.0 or tau < 0.0:
-        raise ValueError("need lipschitz > 0 and tau >= 0")
+    _check("eta", eta, _UNIT)
+    _check("lipschitz", lipschitz, _POSITIVE)
+    _check("tau", tau, _NON_NEGATIVE)
     theta = eta / (1.0 - eta)
     qbar = np.where(q == 0.0, 1.0, np.abs(q))
     return theta * math.exp(lipschitz * tau) * qbar

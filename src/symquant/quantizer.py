@@ -81,10 +81,8 @@ class LogQuantizerAxis:
     variant: QuantizerVariant = QuantizerVariant.VALUE_ANCHORED
 
     def __post_init__(self):
-        if not (math.isfinite(self.eta) and 0.0 < self.eta < 1.0):
-            raise ValueError(f"eta must lie in (0, 1), got {self.eta!r}")
-        if not (math.isfinite(self.scale) and self.scale > 0.0):
-            raise ValueError(f"scale must be positive, got {self.scale!r}")
+        _check("eta", self.eta, _UNIT)
+        _check("scale", self.scale, _POSITIVE)
         if self.rho == 1.0:
             raise ValueError(f"eta {self.eta!r} is too small: rho rounds to 1")
         if not isinstance(self.variant, QuantizerVariant):
@@ -272,6 +270,9 @@ class LogLattice:
                 raise ValueError(
                     f"axis {i}: bounds [{lo[i]}, {hi[i]}] must contain the "
                     f"deadzone [-{dz}, {dz}]")
+            if max(-lo[i], hi[i]) > (top := axis.ceiling):
+                raise ValueError(f"axis {i}: bounds [{lo[i]}, {hi[i]}] must "
+                                 f"lie within the ceiling [-{top}, {top}]")
             size *= 1 + axis._level_bound(hi[i]) + axis._level_bound(-lo[i])
         if size > MAX_CELLS:
             raise ValueError(f"too fine: up to {size} cells, over {MAX_CELLS}")
@@ -297,7 +298,7 @@ class LogLattice:
     def _max_level(axis: LogQuantizerAxis, limit: float) -> int:
         # the largest level whose quantized value fits below `limit`: the
         # level of the region holding it, or the one below if its value is
-        # past it; a limit above the axis's ceiling raises ValueError
+        # past it
         m, v = axis.quantize(limit)
         return m - (v > limit)
 
@@ -520,6 +521,22 @@ def _reals(text: str) -> tuple[float, ...]:
     part, as in ``"1,,2"``, fails as a value."""
     return tuple(_real(v) for part in text.split(",")
                  for v in _fields(part) or [part])
+
+
+# the range of every checked number is one of these rules, a test and the
+# words that refuse a value outside it; NaN lies in no range
+_POSITIVE = (lambda v: 0 < v < math.inf, "must be positive")
+_UNIT = (lambda v: 0 < v < 1, "must lie in (0, 1)")
+_COUNT = (lambda v: 1 <= v < math.inf, "must be at least 1")
+_NON_NEGATIVE = (lambda v: 0 <= v < math.inf, "must be non-negative")
+
+
+def _check(name: str, value, rule, error=ValueError):
+    """Raise ``error("{name} {words}, got {value!r}")`` unless ``value``
+    lies in the range of ``rule``."""
+    inside, words = rule
+    if not inside(value):
+        raise error(f"{name} {words}, got {value!r}")
 
 
 def parse_cell(text: str) -> tuple[int, ...]:

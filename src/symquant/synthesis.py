@@ -44,8 +44,9 @@ import numpy as np
 from . import _public
 from .dynamics import SampledSystem, Trajectory, successor, successor_many
 from .errors import OutOfDomainError, PlanningError
-from .quantizer import (_BLANK, LogLattice, _fields, _frozen, _int, _lines,
-                        format_cell, parse_cell)
+from .quantizer import (_BLANK, _COUNT, _NON_NEGATIVE, _POSITIVE, LogLattice,
+                        _check, _fields, _frozen, _int, _lines, format_cell,
+                        parse_cell)
 
 # abstraction and refinement are named in annotations only: simulate loads
 # neither, and plan never loads refinement
@@ -184,8 +185,7 @@ def _check_input_id(uid: int, n_inputs: int, where: str = ""):
 
 
 def _check_step(uid: int, hold: int, n_inputs: int, where: str = ""):
-    if hold < 1:
-        raise ValueError(f"{where}hold counts must be positive")
+    _check(f"{where}hold", hold, _COUNT)
     _check_input_id(uid, n_inputs, where)
 
 
@@ -306,12 +306,8 @@ def _plan(model, sys, lattice, inputs, start, goals, grid_resolution,
     ``sys`` under ``inputs``.  The settings and the cells are checked before
     any search, then each goal is searched from the last arrival."""
     begin = time.perf_counter()
-    if not 0.0 < grid_resolution < np.inf:
-        raise ValueError("grid_resolution must be positive and finite, "
-                         f"got {grid_resolution!r}")
-    if max_segment_steps < 1:
-        raise ValueError(
-            f"max_segment_steps must be at least 1, got {max_segment_steps!r}")
+    _check("grid_resolution", grid_resolution, _POSITIVE)
+    _check("max_segment_steps", max_segment_steps, _COUNT)
     ids = lattice.checked_cell_ids([start, *goals])
     cells = lattice.cells_of(ids)
 
@@ -435,8 +431,7 @@ def simulate_closed_loop(sys: SampledSystem, policy, x0,
     components.
     """
     begin = time.perf_counter()
-    if max_steps < 0:
-        raise ValueError(f"max_steps must be non-negative, got {max_steps!r}")
+    _check("max_steps", max_steps, _NON_NEGATIVE)
     x = np.atleast_1d(np.asarray(x0, float))
     if x.shape != (sys.dim_x,):
         raise ValueError(f"x0 must have {sys.dim_x} components, got {x0!r}")

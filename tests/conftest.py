@@ -7,7 +7,18 @@ import numpy as np
 import pytest
 
 import symquant as sq
+from symquant import quantizer
 from symquant.abstraction import SymbolicModel
+
+# each range rule of symquant.quantizer as the suite states it: the words
+# of its refusal, its range as the README's key table writes it, and the
+# finite values just outside it; NaN and the infinities lie in no range
+RANGE_RULES = {
+    quantizer._POSITIVE: ("must be positive", "> 0", (0.0, -1.0)),
+    quantizer._UNIT: ("must lie in (0, 1)", "in (0, 1)", (0.0, 1.0)),
+    quantizer._COUNT: ("must be at least 1", ">= 1", (0, -2)),
+    quantizer._NON_NEGATIVE: ("must be non-negative", ">= 0", (-1,)),
+}
 
 
 @pytest.fixture(scope="session")

@@ -14,10 +14,11 @@ import pytest
 
 import symquant as sq
 from symquant import cli
-from symquant.config import parse_config
+from symquant.config import KEYS, parse_config
 from symquant.errors import ConfigError
-from conftest import (SEPARATORS, iter_transitions, line_mutations,
-                      separator_mutations)
+from symquant.quantizer import _COUNT, _NON_NEGATIVE
+from conftest import (RANGE_RULES, SEPARATORS, iter_transitions,
+                      line_mutations, separator_mutations)
 
 BUNDLED = os.path.join(os.path.dirname(sq.__file__), "scenarios",
                        "pendulum.cfg")
@@ -589,13 +590,15 @@ def test_cli_rejects_scenario_that_is_not_utf8(tmp_path, capsys):
 
 def test_lattice_bound_above_the_ceiling_is_a_config_error(tmp_path):
     # 1e300 over a deadzone of 1e-10 has no level below the float range:
-    # the lattice refuses the bound as a located exit-2 error, never with
-    # a raw OverflowError and its traceback
+    # the lattice refuses the bound, naming its axis, as a located exit-2
+    # error, never with a raw OverflowError and its traceback
     path = tmp_path / "pendulum.cfg"
     path.write_text(Path(BUNDLED).read_text())
     _with_line(path, "quantizer", "scale = 1e-10 1e-10")
     _with_line(path, "quantizer", "state_hi = 1e300 1")
-    message = f"{path}: [quantizer]: cannot quantize 1e+300: above the ceiling"
+    top = sq.LogQuantizerAxis(0.2, 1e-10, "edge_anchored").ceiling
+    message = (f"{path}: [quantizer]: axis 0: bounds [-1.0, 1e+300] must lie "
+               f"within the ceiling [-{top}, {top}]")
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         parse_config(str(path))
     env = _child_env()
@@ -1089,22 +1092,48 @@ def test_cli_plan_with_and_without_a_model_file(tmp_path):
 
 
 def test_readme_and_help_list_every_key(capsys):
-    from symquant.config import KEYS
     readme = os.path.join(os.path.dirname(os.path.dirname(__file__)),
                           "README.md")
     with open(readme) as fh:
         text = fh.read()
     table = text[text.index("| Section | Key |"):].split("\n\n")[0]
-    listed = [(section.strip(), key.strip())
+    listed = {(section.strip(), key.strip()): row
               for row in table.splitlines()[2:]
               for section, keys in [row.strip("|").split("|")[:2]]
-              for key in keys.split("/")]
+              for key in keys.split("/")}
     assert sorted(listed) == sorted((row.section, row.key) for row in KEYS)
+    # each key's row states the range of its rule, and no other range
+    for row in KEYS:
+        stated = [rule for rule, (_, written, _) in RANGE_RULES.items()
+                  if written in listed[(row.section, row.key)]]
+        assert stated == ([row.rule] if row.rule else []), row.key
     with pytest.raises(SystemExit):
         cli.main(["--help"])
     printed = capsys.readouterr().out
     for row in KEYS:
         assert f"  {row.section}.{row.key} = " in printed
+
+
+@pytest.mark.parametrize("row", [row for row in KEYS if row.rule],
+                         ids=lambda row: f"{row.section}-{row.key}")
+def test_every_ruled_key_refuses_with_its_rule(tmp_path, row):
+    # a number outside its key's range is refused at its line with the
+    # rule's one message, each number of a scale alike; the values are
+    # finite, as _real refuses nan and inf first
+    words, _, outside = RANGE_RULES[row.rule]
+    path = tmp_path / "scenario.cfg"
+    path.write_text(Path(BUNDLED).read_text())
+    first = "0.4 " if row.key == "scale" else ""
+    for value in outside:
+        at = _with_line(path, row.section, f"{row.key} = {first}{value}")
+        message = (f"{path}:{at}: [{row.section}] {row.key}: {row.key} "
+                   f"{words}, got {value!r}")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(str(path))
+    if row.rule in (_COUNT, _NON_NEGATIVE):
+        edge = 1 if row.rule is _COUNT else 0
+        _with_line(path, row.section, f"{row.key} = {edge}")
+        assert getattr(parse_config(str(path)), row.field) == edge
 
 
 def _non_finite(lines):

@@ -5,15 +5,17 @@ import itertools
 import math
 import pathlib
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import symquant as sq
-from symquant import quantizer
+from symquant import abstraction, quantizer
 from symquant.abstraction import SymbolicModel
-from symquant.errors import OutOfDomainError
-from conftest import HAND_PARAMETERS, contains, region
+from symquant.errors import ConfigError, OutOfDomainError
+from symquant.quantizer import _COUNT, _NON_NEGATIVE, _POSITIVE, _UNIT
+from conftest import HAND_PARAMETERS, RANGE_RULES, contains, region
 
 VALUE_AXIS = sq.LogQuantizerAxis(eta=0.2, scale=0.4)
 EDGE_AXIS = sq.LogQuantizerAxis(eta=0.2, scale=0.4,
@@ -473,13 +475,14 @@ def test_lattice_build_matches_the_level_walk_reference():
 
 
 def test_lattice_bound_above_the_ceiling_is_refused():
-    # the bound's level comes from the axis's quantize, which refuses a
-    # magnitude past its last finite boundary; no raw OverflowError
-    with pytest.raises(ValueError, match=r"cannot quantize 1e\+300: above "
-                                         r"the ceiling"):
-        sq.LogLattice.from_params(0.5, [1e-10], [-1], [1e300])
-    with pytest.raises(ValueError, match=r"cannot quantize 1e\+300"):
-        sq.LogLattice.from_params(0.5, [1e-10], [-1e300], [1])
+    # a bound past the axis's last finite boundary has no level: it is
+    # refused naming its axis, never with a raw OverflowError
+    top = sq.LogQuantizerAxis(0.5, 1e-10).ceiling
+    for lo, hi in ((-1, 1e300), (-1e300, 1)):
+        message = (f"axis 1: bounds [{float(lo)}, {float(hi)}] must lie "
+                   f"within the ceiling [-{top}, {top}]")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sq.LogLattice.from_params(0.5, [1, 1e-10], [-1, lo], [1, hi])
 
 
 def test_quantizer_argument_checks():
@@ -688,3 +691,82 @@ def test_lattice_queries_match_axis_quantizer_reference():
         assert lattice.levels_in_interval(0, hi + 1.0, hi + 2.0) == []
         with pytest.raises(ValueError, match="non-finite value nan"):
             lattice.levels_in_interval(0, math.nan, 0.0)
+
+
+def _plan(s, **settings):
+    sys_, lattice, model = s
+    return sq.plan_rollout(sys_, lattice, model.inputs, (0, 0), [(0, 0)],
+                           **settings)
+
+
+# every caller of a range rule, as (name, rule, a value it accepts, the
+# error it raises, the call on the contracting scenario and a value); an
+# accepted value on a closed edge of its range is that edge
+RULE_SITES = [
+    pytest.param("eta", _UNIT, 0.2, ValueError,
+                 lambda s, v: sq.LogQuantizerAxis(v, 0.4), id="axis-eta"),
+    pytest.param("scale", _POSITIVE, 0.4, ValueError,
+                 lambda s, v: sq.LogQuantizerAxis(0.2, v), id="axis-scale"),
+    pytest.param("tau", _POSITIVE, 0.5, ValueError,
+                 lambda s, v: replace(s[0], tau=v), id="system-tau"),
+    pytest.param("lipschitz", _POSITIVE, 1.0, ValueError,
+                 lambda s, v: replace(s[0], lipschitz=v),
+                 id="system-lipschitz"),
+    pytest.param("mu", _UNIT, 0.002, ConfigError,
+                 lambda s, v: sq.InputApproxConfig(v), id="approx-mu"),
+    pytest.param("input_samples", _COUNT, 1, ConfigError,
+                 lambda s, v: sq.InputApproxConfig(0.002, v),
+                 id="approx-input_samples"),
+    pytest.param("#tau", _POSITIVE, 0.5, ValueError,
+                 lambda s, v: abstraction._check_parameters(v, 0.002, 1.0),
+                 id="header-tau"),
+    pytest.param("#mu", _UNIT, 0.002, ValueError,
+                 lambda s, v: abstraction._check_parameters(0.5, v, 1.0),
+                 id="header-mu"),
+    pytest.param("#L", _POSITIVE, 1.0, ValueError,
+                 lambda s, v: abstraction._check_parameters(0.5, 0.002, v),
+                 id="header-L"),
+    pytest.param("eta", _UNIT, 0.2, ValueError,
+                 lambda s, v: sq.growth_radius([0.4], v, 1.0, 0.5),
+                 id="growth_radius-eta"),
+    pytest.param("lipschitz", _POSITIVE, 1.0, ValueError,
+                 lambda s, v: sq.growth_radius([0.4], 0.2, v, 0.5),
+                 id="growth_radius-lipschitz"),
+    pytest.param("tau", _NON_NEGATIVE, 0.0, ValueError,
+                 lambda s, v: sq.growth_radius([0.4], 0.2, 1.0, v),
+                 id="growth_radius-tau"),
+    pytest.param("grid_resolution", _POSITIVE, 0.02, ValueError,
+                 lambda s, v: _plan(s, grid_resolution=v),
+                 id="plan-grid_resolution"),
+    pytest.param("max_segment_steps", _COUNT, 1, ValueError,
+                 lambda s, v: _plan(s, max_segment_steps=v),
+                 id="plan-max_segment_steps"),
+    pytest.param("hold", _COUNT, 1, ValueError,
+                 lambda s, v: sq.Plan(((0, v),), s[2].inputs, s[1]),
+                 id="plan-hold"),
+    pytest.param("max_steps", _NON_NEGATIVE, 0, ValueError,
+                 lambda s, v: sq.simulate_closed_loop(
+                     s[0], sq.Plan((), s[2].inputs, s[1]), [0.0, 0.0], v),
+                 id="simulate-max_steps"),
+    pytest.param("sample_count", _NON_NEGATIVE, 0, ValueError,
+                 lambda s, v: sq.check_feedback_refinement(s[2], s[0], v, 0),
+                 id="verify-sample_count"),
+    pytest.param("seed", _NON_NEGATIVE, 0, ValueError,
+                 lambda s, v: sq.check_feedback_refinement(s[2], s[0], 0, v),
+                 id="verify-seed"),
+]
+
+
+@pytest.mark.parametrize("name, rule, ok, error, call", RULE_SITES)
+def test_every_range_rule_site_refuses_with_one_message(
+        contracting_scenario, name, rule, ok, error, call):
+    # NaN, the infinities and the values just outside the range are refused
+    # before any work, each with the rule's one message; growth_radius once
+    # returned nan for a NaN L and inf for an infinite one
+    words, _, outside = RANGE_RULES[rule]
+    for value in (math.nan, math.inf, -math.inf, *outside):
+        with pytest.raises(error) as info:
+            call(contracting_scenario, value)
+        assert type(info.value) is error
+        assert str(info.value) == f"{name} {words}, got {value!r}"
+    call(contracting_scenario, ok)

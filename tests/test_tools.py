@@ -160,6 +160,22 @@ def test_src_size_refuses_a_path_that_is_not_a_directory(tmp_path, capsys,
                                        f"error: {bad}\n")
 
 
+@pytest.mark.parametrize("args", [[], ["--defs"]])
+def test_src_size_ends_quietly_on_a_closed_pipe(args):
+    # a reader that leaves before the tool writes, as `| head` may, once
+    # ended it in a BrokenPipeError traceback
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, os.path.join(TOOLS, "src_size.py"), *args],
+            stdout=write, stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write)
+    assert "Traceback" not in proc.stderr
+    assert (proc.returncode, proc.stderr) == (1, "")
+
+
 def test_src_cover_lists_statements_no_call_ran(tmp_path):
     src_cover = _load("src_cover")
     module = tmp_path / "m.py"

@@ -25,10 +25,12 @@ definition whose count changed, with both counts and the change, largest
 cut first.
 
 In every mode, a DIR that is not a directory (a typo, or ``--help``) or a
-third argument exits 2 with the usage line and an error naming it.
+third argument exits 2 with the usage line and an error naming it.  Output
+cut short by its reader, as by ``| head``, ends quietly with exit 1.
 """
 
 import ast
+import os
 import subprocess
 import sys
 import tempfile
@@ -181,4 +183,12 @@ def main(argv) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+    try:
+        code = main(sys.argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early, as `| head` does: the rest of the output
+        # goes nowhere, and no flush at exit fails again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
