@@ -244,14 +244,17 @@ class SymbolicModel:
     closed successor box per pair, and :meth:`materialize` enumerates the
     cells that meet them all at once on the first query.  How a box was
     formed is the builder's concern.  Neither or both representations, a
-    count other than one per pair, an empty set, or a box that meets no
-    cell raises ValueError, as do pairs that the loader never produces: a
+    count other than one per pair, or a box that meets no cell raises
+    ValueError, as do pairs and sets that the loader never produces: a
     ``pair_ptr`` that does not rise from 0 to the pair count over
-    ``n_states + 1`` entries, and input ids that index no input or do not
-    strictly ascend within a state.  The sampling period ``tau``, the
-    input quantizer's ``mu`` and the growth constant ``lipschitz`` are
-    required, and a value that the builders refuse raises ValueError (see
-    :func:`_check_parameters`), so every model can be saved.
+    ``n_states + 1`` entries, input ids that index no input or do not
+    strictly ascend within a state, successor offsets that do not rise
+    strictly (an empty set) from 0 to the target count, and target ids
+    that index no state or do not strictly ascend within a set.  The
+    sampling period ``tau``, the input quantizer's ``mu`` and the growth
+    constant ``lipschitz`` are required, and a value that the builders
+    refuse raises ValueError (see :func:`_check_parameters`), so every
+    model can be saved.
     """
 
     def __init__(self, lattice: LogLattice, inputs, pair_ptr, pair_input, *,
@@ -279,9 +282,18 @@ class SymbolicModel:
         if (relation is None) == (boxes is None):
             raise ValueError("give exactly one of relation and boxes")
         if relation is not None:
-            relation = tuple(np.asarray(part, np.int64) for part in relation)
-            if (np.diff(relation[0]) == 0).any():
-                raise ValueError("a pair has an empty successor set")
+            offsets, targets = relation = tuple(
+                np.asarray(part, np.int64) for part in relation)
+            if (offsets[:1].tolist() != [0] or offsets[-1] != len(targets)
+                    or (np.diff(offsets) <= 0).any()):
+                raise ValueError("successor offsets must rise strictly from 0 "
+                                 "to the target count (no empty successor set)")
+            rises = targets[1:] > targets[:-1]
+            rises[offsets[1:-1] - 1] = True  # a set may start below the last
+            if (not rises.all() or targets.min(initial=0) < 0
+                    or targets.max(initial=0) >= len(self.cells)):
+                raise ValueError("successor ids must strictly ascend within "
+                                 "a set and index states")
         elif not _meets(lattice, *boxes).all():
             raise ValueError("a pair's successor box meets no cell")
         count = len(boxes[0]) if relation is None else len(relation[0]) - 1
@@ -701,8 +713,8 @@ def _read_tables(path, tail: int, number: int, cells) -> list:
 def load_abstraction(path, system=None) -> SymbolicModel:
     """Read an abstraction file written by :func:`save_abstraction`.
 
-    The file holds exactly the lines that the writer produces, in its
-    order: ``#version 1``; ``#lattice variant=V eta=E scale=S lo=LO hi=HI``
+    The file holds the lines that the writer produces, in its order:
+    ``#version 1``; ``#lattice variant=V eta=E scale=S lo=LO hi=HI``
     with comma-separated per-axis values; ``#tau T #eta E #mu M #L L``,
     whose ``#eta`` is the ``#lattice`` eta and whose values the builders
     would accept (``#tau`` and ``#L`` positive, ``#mu`` in (0, 1)); one
@@ -714,14 +726,18 @@ def load_abstraction(path, system=None) -> SymbolicModel:
     transition line is three ids of decimal digits with single spaces
     between them and a ``\n`` end (the file's last newline is optional);
     any other byte, a non-UTF-8 one included, makes it a malformed line.
-    A missing, repeated, reordered or extra line, or any other fault,
-    raises a ValueError naming the file and, where one line is at fault,
-    the line.  The file is scanned a block of bytes at a time for where its
-    transitions and tables lie; the header and table lines are then read
-    by the line reader of every text file (:func:`symquant.quantizer._lines`)
-    and the transitions a block at a time.  The header and the tables are
-    checked before the transitions, so a file with faults in both regions
-    is rejected for a fault in the header or tables.
+    The header and table lines must be exactly the writer's: a missing,
+    repeated, reordered or extra one, or any other fault, raises a
+    ValueError naming the file and, where one line is at fault, the line.
+    The transition lines are read as a set, so they may come in any order
+    and repeat: two swapped or one repeated transition line load as the
+    writer's file does.  The file is scanned a block of bytes at a time
+    for where its transitions and tables lie; the header and table lines
+    are then read by the line reader of every text file
+    (:func:`symquant.quantizer._lines`) and the transitions a block at a
+    time.  The header and the tables are checked before the transitions,
+    so a file with faults in both regions is rejected for a fault in the
+    header or tables.
     """
     start = time.perf_counter()
     body, n_body, tail = _scan(path)

@@ -24,7 +24,7 @@ from importlib import resources
 
 # each command imports the pipeline stages (abstraction, refinement,
 # synthesis) it runs, so that start-up compiles no stage it does not need
-from .config import KEYS, REQUIRED, ScenarioConfig, check_value, parse_config
+from .config import FLAGS, KEYS, REQUIRED, ScenarioConfig, parse_config
 from .dynamics import input_grid
 from .errors import ConfigError, OutOfDomainError, PlanningError
 from .quantizer import _int, format_cell
@@ -114,10 +114,9 @@ def _cmd_synthesize(args, cfg: ScenarioConfig) -> int:
 def _cmd_verify(args, cfg: ScenarioConfig) -> int:
     from . import refinement
 
-    samples = args.samples if args.samples is not None else cfg.samples
-    seed = args.seed if args.seed is not None else cfg.seed
     model, sys_ = _build_or_load(args, cfg)
-    report = refinement.check_feedback_refinement(model, sys_, samples, seed)
+    report = refinement.check_feedback_refinement(model, sys_, cfg.samples,
+                                                  cfg.seed)
     summary = "\n".join(report.summary_lines())
     if args.out:
         report.write_summary(_prepare_out(args.out))
@@ -235,10 +234,11 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--in", dest="infile",
                         help="input file (abstraction, controller or plan)")
     parser.add_argument("--threads", type=_int, help="accepted, no effect")
-    parser.add_argument("--seed", type=_int,
-                        help="override the configured random seed")
-    parser.add_argument("--samples", type=_int,
-                        help="override the configured sample count")
+    # each flag is its own dest, so vars(args) holds the texts that
+    # parse_config reads as the last override layer
+    for flag, (section, key) in FLAGS.items():
+        parser.add_argument(flag, dest=flag, metavar=key.upper(),
+                            help=f"override [{section}] {key}")
     parser.add_argument("--lazy", action="store_true",
                         help="accepted, no effect (successor sets are always "
                              "computed on first use)")
@@ -273,9 +273,7 @@ def _run(args) -> int:
             raise ConfigError(f"{args.command} requires --out")
         if needs_in and not args.infile:
             raise ConfigError(f"{args.command} requires --in")
-        check_value("verify", "samples", args.samples, "--samples")
-        check_value("verify", "seed", args.seed, "--seed")
-        cfg = parse_config(_resolve_config(args.config))
+        cfg = parse_config(_resolve_config(args.config), vars(args))
         return run(args, cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=_sys.stderr)

@@ -12,10 +12,14 @@ Format, by example::
     scale = 0.4 0.4          # one value per state axis
 
 Lines are ``key = value`` pairs inside ``[section]`` headers; ``#`` starts a
-comment.  Every value can be overridden by an environment variable named
-``SYMQUANT_<SECTION>__<KEY>`` (uppercase).  :data:`KEYS` holds one row per
-key: the :class:`ScenarioConfig` attribute it fills, its parser, which reads
-the value's grammar, its default (or :data:`REQUIRED`) and the range rule of
+comment.  Two layers override the file: an environment variable named
+``SYMQUANT_<SECTION>__<KEY>`` (uppercase) overrides any key, and a
+command-line flag of :data:`FLAGS` (``--seed``, ``--samples``) overrides
+its ``[verify]`` key and the variable; :func:`parse_config` takes the
+flags' texts, and each layer's text is read and checked by its key's row
+like a file value.  :data:`KEYS` holds one row per key: the
+:class:`ScenarioConfig` attribute it fills, its parser, which reads the
+value's grammar, its default (or :data:`REQUIRED`) and the range rule of
 :mod:`symquant.quantizer` that each number it holds must keep, each number
 of a list alike; the checks that relate several keys (vector lengths, box
 orders, the state dimension of ``simulate.x0``, ``plan.start`` and
@@ -25,7 +29,7 @@ Lines and numbers are read by :mod:`symquant.quantizer`'s one grammar: a
 line ends at ``\\n``, the blanks are ASCII space and tab, and numbers are
 ASCII decimal digits, no ``_``, finite reals.  Unknown sections and keys,
 and a key set twice, are rejected, and every error names the file and line,
-or the environment variable that set the value.
+the environment variable or the flag that set the value.
 """
 
 from __future__ import annotations
@@ -37,12 +41,12 @@ from typing import Any, Callable, NamedTuple
 
 from .dynamics import SampledSystem, make_system
 from .errors import ConfigError
-from .quantizer import (_BLANK, _COUNT, _NON_NEGATIVE, _POSITIVE, _UNIT,
+from .quantizer import (_BLANK, _COUNT, _NATURAL, _POSITIVE, _UNIT,
                         LogLattice, QuantizerVariant, _check, _fields, _int,
                         _lines, _real, _reals, format_cell, parse_cell)
 
-__all__ = ["ScenarioConfig", "parse_config", "check_value", "KEYS",
-           "REQUIRED", "ENV_PREFIX"]
+__all__ = ["ScenarioConfig", "parse_config", "KEYS", "FLAGS", "REQUIRED",
+           "ENV_PREFIX"]
 
 ENV_PREFIX = "SYMQUANT_"
 REQUIRED = object()
@@ -99,36 +103,31 @@ KEYS = (
     _Key(None, "abstraction", "lazy", _bool, False),
     _Key("safe_lo", "synthesis", "safe_lo", _reals),  # unset: the state box
     _Key("safe_hi", "synthesis", "safe_hi", _reals),
-    _Key("seed", "verify", "seed", _int, 0, _NON_NEGATIVE),
-    _Key("samples", "verify", "samples", _int, 10000, _NON_NEGATIVE),
+    _Key("seed", "verify", "seed", _int, 0, _NATURAL),
+    _Key("samples", "verify", "samples", _int, 10000, _NATURAL),
     _Key("plan_start", "plan", "start", parse_cell),
     _Key("plan_goals", "plan", "goals", _cells, ()),
     _Key("plan_relaxed", "plan", "relaxed", _bool, False),
     _Key("plan_grid", "plan", "grid_resolution", _real, 0.02, _POSITIVE),
     _Key("plan_max_steps", "plan", "max_segment_steps", _int, 200, _COUNT),
     _Key("sim_x0", "simulate", "x0", _reals),
-    _Key("sim_max_steps", "simulate", "max_steps", _int, 100, _NON_NEGATIVE),
+    _Key("sim_max_steps", "simulate", "max_steps", _int, 100, _NATURAL),
     _Key("sim_policy", "simulate", "policy", _policy, "controller"),
 )
 _BY_NAME = {(k.section, k.key): k for k in KEYS}
-
-
-def check_value(section: str, key: str, value, where: str):
-    """Raise ``where: key {words}, got {v!r}`` if the value, or a number
-    of a tuple value, breaks the range rule of the row of [section] key."""
-    row = _BY_NAME[(section, key)]
-    if value is not None and row.rule is not None:
-        for v in value if isinstance(value, tuple) else (value,):
-            _check(f"{where}: {key}", v, row.rule, ConfigError)
+# the key that each environment variable and each command-line flag
+# overrides, by its name: the two layers over the file, in this order
+_ENV = {f"{ENV_PREFIX}{s.upper()}__{k.upper()}": (s, k) for s, k in _BY_NAME}
+FLAGS = {"--seed": ("verify", "seed"), "--samples": ("verify", "samples")}
 
 
 class _RawConfig:
     """The scenario's value texts, each with where it was set: its file
-    line ``path:N``, or the environment variable that overrides it.  An
-    unknown section or key, and a key set twice in the file, raise at
-    their line."""
+    line ``path:N``, or the environment variable or flag that overrides
+    it.  An unknown section or key, and a key set twice in the file, raise
+    at their line."""
 
-    def __init__(self, path: str):
+    def __init__(self, path: str, flags):
         self.path = path
         self.values: dict[tuple[str, str], tuple[str, str]] = {}
         sections = {section for section, _ in _BY_NAME}
@@ -158,10 +157,10 @@ class _RawConfig:
             first[(section, key)] = lineno
             self.values[(section, key)] = (value.strip(_BLANK),
                                            f"{path}:{lineno}")
-        for section, key in _BY_NAME:
-            name = f"{ENV_PREFIX}{section.upper()}__{key.upper()}"
-            if name in os.environ:
-                self.values[(section, key)] = (os.environ[name], name)
+        for texts, layer in ((os.environ, _ENV), (flags, FLAGS)):
+            for name, at in layer.items():
+                if texts.get(name) is not None:
+                    self.values[at] = (texts[name], name)
 
     def location(self, section: str, key: str) -> str:
         _, where = self.values.get((section, key), ("", self.path))
@@ -171,8 +170,8 @@ class _RawConfig:
         raise ConfigError(f"{self.location(section, key)}: {message}")
 
     def parse(self, row: _Key):
-        """The checked value of one key: environment, then file, then the
-        row's default."""
+        """The checked value of one key: flag, then environment, then file,
+        then the row's default."""
         if (row.section, row.key) not in self.values:
             if row.default is REQUIRED:
                 raise ConfigError(f"{self.path}: missing required key "
@@ -183,7 +182,9 @@ class _RawConfig:
             value = row.parse(self.values[(row.section, row.key)][0])
         except (ValueError, KeyError) as exc:
             raise ConfigError(f"{where}: {exc}") from None
-        check_value(row.section, row.key, value, where)
+        if row.rule is not None:
+            for v in value if isinstance(value, tuple) else (value,):
+                _check(f"{where}: {row.key}", v, row.rule, ConfigError)
         return value
 
 
@@ -222,9 +223,13 @@ class ScenarioConfig(SimpleNamespace):
         return InputApproxConfig(mu=self.mu, input_samples=self.input_samples)
 
 
-def parse_config(path) -> ScenarioConfig:
-    """Parse and validate a scenario file (see the module docstring)."""
-    raw = _RawConfig(str(path))
+def parse_config(path, flags=None) -> ScenarioConfig:
+    """Parse and validate a scenario file (see the module docstring).
+
+    ``flags`` maps a flag of :data:`FLAGS`, such as ``--seed``, to its
+    text, or to None where it is not given, as ``vars()`` of the command
+    line's parsed arguments does; other names are not read."""
+    raw = _RawConfig(str(path), flags or {})
     values = {row.field: raw.parse(row) for row in KEYS}
     del values[None]  # the keys accepted with no effect
     cfg = ScenarioConfig(path=str(path), **values,

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import _public
 from .errors import DivergenceError
-from .quantizer import _NON_NEGATIVE, _POSITIVE, _UNIT, _check, _frozen
+from .quantizer import _COUNT, _NON_NEGATIVE, _POSITIVE, _UNIT, _check, _frozen
 
 __all__ = _public(__name__)
 
@@ -70,23 +70,15 @@ class SampledSystem:
                            tuple(float(v) for v in np.atleast_1d(self.input_lo)))
         object.__setattr__(self, "input_hi",
                            tuple(float(v) for v in np.atleast_1d(self.input_hi)))
-        if self.dim_x < 1 or self.dim_u < 1:
-            raise ValueError("state and input dimensions must be positive")
+        _check("dim_x", self.dim_x, _COUNT)
+        _check("dim_u", self.dim_u, _COUNT)
         _check("tau", self.tau, _POSITIVE)
         _check("lipschitz", self.lipschitz, _POSITIVE)
-        _substeps(self.integrator_steps, "integrator_steps")
+        _check("integrator_steps", self.integrator_steps, _COUNT)
         if len(self.input_lo) != self.dim_u or len(self.input_hi) != self.dim_u:
             raise ValueError("input box dimension does not match dim_u")
         if any(lo > hi for lo, hi in zip(self.input_lo, self.input_hi)):
             raise ValueError("input box is empty")
-
-
-def _substeps(steps, name: str = "steps") -> int:
-    """``steps``, the RK4 substeps of one period, if it is an ``int`` of at
-    least 1; anything else, a float or a bool included, raises ValueError."""
-    if type(steps) is not int or steps < 1:
-        raise ValueError(f"{name} must be an int of at least 1, got {steps!r}")
-    return steps
 
 
 def _field(sys: SampledSystem):
@@ -129,7 +121,8 @@ def successor_many(sys: SampledSystem, x0: np.ndarray, u: np.ndarray,
         raise ValueError(f"expected states of shape (N, {sys.dim_x})")
     if u.ndim != 2 or u.shape[1] != sys.dim_u or u.shape[0] != x.shape[0]:
         raise ValueError(f"expected inputs of shape (N, {sys.dim_u})")
-    steps = sys.integrator_steps if steps is None else _substeps(steps)
+    steps = (sys.integrator_steps if steps is None
+             else _check("steps", steps, _COUNT))
     h = sys.tau / steps
     f = _field(sys)
     with np.errstate(all="ignore"):

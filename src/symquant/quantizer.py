@@ -325,9 +325,11 @@ class LogLattice:
         return range(-self._neg_max[i], self._pos_max[i] + 1)
 
     def __contains__(self, idx) -> bool:
-        """Whether the level tuple ``idx`` is a cell of this lattice."""
-        return len(idx) == self.dim and all(
-            -n <= m <= p for m, n, p in zip(idx, self._neg_max, self._pos_max))
+        """Whether the level tuple ``idx`` is a cell of this lattice; a level
+        that is not an ``int`` raises ValueError."""
+        return len(idx) == self.dim and all([
+            -n <= _check("level", m, _INT) <= p
+            for m, n, p in zip(idx, self._neg_max, self._pos_max)])
 
     def center(self, idx) -> np.ndarray:
         """Quantized value (lattice point) of a cell; a cell that is not on
@@ -429,7 +431,8 @@ class LogLattice:
 
     def checked_cell_ids(self, cells) -> np.ndarray:
         """:meth:`cell_ids` of an iterable of cells; a cell that is not on
-        this lattice raises :class:`OutOfDomainError`."""
+        this lattice raises :class:`OutOfDomainError`, and a level that is
+        not an ``int`` ValueError (see :meth:`__contains__`)."""
         cells = list(cells)
         for cell in cells:
             if cell not in self:
@@ -524,19 +527,23 @@ def _reals(text: str) -> tuple[float, ...]:
 
 
 # the range of every checked number is one of these rules, a test and the
-# words that refuse a value outside it; NaN lies in no range
+# words that refuse a value outside it; NaN lies in no range, and a whole
+# number is an int: a float, a bool, a numpy integer or a str is none
 _POSITIVE = (lambda v: 0 < v < math.inf, "must be positive")
 _UNIT = (lambda v: 0 < v < 1, "must lie in (0, 1)")
-_COUNT = (lambda v: 1 <= v < math.inf, "must be at least 1")
 _NON_NEGATIVE = (lambda v: 0 <= v < math.inf, "must be non-negative")
+_INT = (lambda v: type(v) is int, "must be an int")
+_COUNT = (lambda v: type(v) is int and v >= 1, "must be an int of at least 1")
+_NATURAL = (lambda v: type(v) is int and v >= 0, "must be an int of at least 0")
 
 
 def _check(name: str, value, rule, error=ValueError):
-    """Raise ``error("{name} {words}, got {value!r}")`` unless ``value``
-    lies in the range of ``rule``."""
+    """``value`` if it lies in the range of ``rule``; else raise
+    ``error("{name} {words}, got {value!r}")``."""
     inside, words = rule
     if not inside(value):
         raise error(f"{name} {words}, got {value!r}")
+    return value
 
 
 def parse_cell(text: str) -> tuple[int, ...]:

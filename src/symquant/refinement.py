@@ -26,7 +26,7 @@ from . import _public
 from .abstraction import SymbolicModel
 from .dynamics import SampledSystem, successor_many
 from .errors import ConfigError
-from .quantizer import _NON_NEGATIVE, _check, format_cell
+from .quantizer import _NATURAL, _check, format_cell
 
 __all__ = _public(__name__)
 
@@ -99,7 +99,7 @@ def check_feedback_refinement(model: SymbolicModel, sys: SampledSystem,
     ``_CHUNK`` samples at a time, so only the draws grow with the count.
     """
     for name, value in (("sample_count", sample_count), ("seed", seed)):
-        _check(name, value, _NON_NEGATIVE)
+        _check(name, value, _NATURAL)
     if model.tau != sys.tau or model.lipschitz != sys.lipschitz:
         raise ConfigError(
             f"model built for tau={model.tau}, L={model.lipschitz}; "

@@ -44,7 +44,7 @@ import numpy as np
 from . import _public
 from .dynamics import SampledSystem, Trajectory, successor, successor_many
 from .errors import OutOfDomainError, PlanningError
-from .quantizer import (_BLANK, _COUNT, _NON_NEGATIVE, _POSITIVE, LogLattice,
+from .quantizer import (_BLANK, _COUNT, _INT, _NATURAL, _POSITIVE, LogLattice,
                         _check, _fields, _frozen, _int, _lines, format_cell,
                         parse_cell)
 
@@ -79,7 +79,8 @@ class SafetyController:
     sweeps performed, ``history`` the sweep sizes starting from the safe set
     itself.  A row that :func:`load_controller` would refuse (a cell off
     ``lattice``, no input ids, ids not strictly ascending, an id outside
-    ``inputs``) raises ValueError at construction.
+    ``inputs``) raises ValueError at construction, as does a level or an
+    id that is not an ``int``.
     """
 
     admissible: dict[tuple[int, ...], tuple[int, ...]]
@@ -179,7 +180,7 @@ class Plan:
 
 
 def _check_input_id(uid: int, n_inputs: int, where: str = ""):
-    if not 0 <= uid < n_inputs:
+    if not 0 <= _check(f"{where}input index", uid, _INT) < n_inputs:
         raise ValueError(f"{where}input index {uid} out of range "
                          f"({n_inputs} inputs)")
 
@@ -194,12 +195,12 @@ def _check_row(cell, uids, lattice: LogLattice, n_inputs: int, where=""):
     that are not empty, strictly ascend and index a table of ``n_inputs``."""
     if not uids:
         raise ValueError(f"{where}no input ids")
+    for uid in uids:
+        _check_input_id(uid, n_inputs, where)
     if any(a >= b for a, b in zip(uids, uids[1:])):
         raise ValueError(f"{where}input ids must strictly ascend")
     if cell not in lattice:
         raise ValueError(f"{where}{format_cell(cell)} is not a lattice cell")
-    for uid in uids:
-        _check_input_id(uid, n_inputs, where)
 
 
 def _search(root, expand, visit, is_goal, max_depth: int):
@@ -355,9 +356,10 @@ def plan_rollout(sys: SampledSystem, lattice: LogLattice, inputs, start,
     abstraction-level guarantee and must be validated in closed loop.
 
     A ``grid_resolution`` that is not positive and finite, or a
-    ``max_segment_steps`` below 1, raises ValueError, and a start or goal
-    that is not a cell of ``lattice`` raises :class:`OutOfDomainError`,
-    both before any search.  A goal not reached within
+    ``max_segment_steps`` that is not an int of at least 1, raises
+    ValueError, and a start or goal that is not a cell of ``lattice``
+    raises :class:`OutOfDomainError` (ValueError for a level that is not
+    an int), both before any search.  A goal not reached within
     ``max_segment_steps`` steps of the last arrival, or a dedup grid of
     more than 50M cells, raises :class:`PlanningError`.
     """
@@ -378,9 +380,9 @@ def plan_reach(model: SymbolicModel, start, goals, relaxed: bool = False,
     it reads none of the model's transitions, and a model without a system
     raises :class:`PlanningError`.  Relaxed plans must be validated in
     closed loop.  A ``grid_resolution`` that is not positive and finite, or
-    a ``max_segment_steps`` below 1, raises ValueError, and a start or goal
-    off the model's lattice raises :class:`OutOfDomainError`, both before
-    any search.
+    a ``max_segment_steps`` that is not an int of at least 1, raises
+    ValueError, and a start or goal off the model's lattice raises
+    :class:`OutOfDomainError`, both before any search.
     """
     if relaxed and model.system is None:
         raise PlanningError("relaxed planning needs the model's source system")
@@ -427,11 +429,11 @@ def simulate_closed_loop(sys: SampledSystem, policy, x0,
     leaving the bounds of the plan's lattice.  Raises
     :class:`OutOfDomainError` if the initial state is already outside,
     :class:`DivergenceError` if a step diverges, and ValueError if
-    ``max_steps`` is negative or ``x0`` does not have ``sys.dim_x``
-    components.
+    ``max_steps`` is not an int of at least 0 or ``x0`` does not have
+    ``sys.dim_x`` components.
     """
     begin = time.perf_counter()
-    _check("max_steps", max_steps, _NON_NEGATIVE)
+    _check("max_steps", max_steps, _NATURAL)
     x = np.atleast_1d(np.asarray(x0, float))
     if x.shape != (sys.dim_x,):
         raise ValueError(f"x0 must have {sys.dim_x} components, got {x0!r}")

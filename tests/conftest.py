@@ -10,14 +10,21 @@ import symquant as sq
 from symquant import quantizer
 from symquant.abstraction import SymbolicModel
 
+# values that are not an int, though a comparison, int() or a numpy index
+# would read each as one
+NOT_INTS = (2.5, True, np.int64(1), "1")
 # each range rule of symquant.quantizer as the suite states it: the words
 # of its refusal, its range as the README's key table writes it, and the
 # finite values just outside it; NaN and the infinities lie in no range
 RANGE_RULES = {
     quantizer._POSITIVE: ("must be positive", "> 0", (0.0, -1.0)),
     quantizer._UNIT: ("must lie in (0, 1)", "in (0, 1)", (0.0, 1.0)),
-    quantizer._COUNT: ("must be at least 1", ">= 1", (0, -2)),
     quantizer._NON_NEGATIVE: ("must be non-negative", ">= 0", (-1,)),
+    quantizer._INT: ("must be an int", "an int", NOT_INTS),
+    quantizer._COUNT: ("must be an int of at least 1", "an int >= 1",
+                       (0, -2, *NOT_INTS)),
+    quantizer._NATURAL: ("must be an int of at least 0", "an int >= 0",
+                         (-1, *NOT_INTS)),
 }
 
 

@@ -392,6 +392,25 @@ def test_model_refuses_pairs_its_loader_never_produces():
                           **HAND_PARAMETERS, relation=([0, 1, 2], [0, 1]))
     assert model.successor_ids(0, 1) == (0,)
     assert model.successor_ids(1, 0) == (1,)
+    # the successor sets likewise: offsets rise strictly from 0 to the
+    # target count, and each set's ids strictly ascend and index states;
+    # [2, 0] once hid the stored successor 2 from is_successor, and [99]
+    # raised a raw IndexError from successors
+    lattice = line_lattice(3)
+    for relation, words in ((([1, 2], [0, 1]), "offsets must rise strictly"),
+                            (([0], [0]), "offsets must rise strictly"),
+                            (([0, 2], [2, 0]), "ids must strictly ascend"),
+                            (([0, 2], [1, 1]), "ids must strictly ascend"),
+                            (([0, 1], [99]), "ids must strictly ascend"),
+                            (([0, 1], [-1]), "ids must strictly ascend")):
+        with pytest.raises(ValueError, match=words):
+            SymbolicModel(lattice, [[0.0]], [0, 1, 1, 1], [0],
+                          **HAND_PARAMETERS, relation=relation)
+    # a set may start below the one before it
+    model = SymbolicModel(lattice, [[0.0]], [0, 1, 2, 2], [0, 0],
+                          **HAND_PARAMETERS, relation=([0, 2, 3], [1, 2, 0]))
+    found = model.is_successor(np.array([0, 0, 1]), np.array([2, 0, 0]))
+    assert found.tolist() == [True, False, True]
 
 
 def test_model_takes_one_successor_representation_per_pair():

@@ -18,7 +18,7 @@ import pytest
 
 import symquant as sq
 from symquant import cli
-from symquant.config import parse_config
+from symquant.config import FLAGS, parse_config
 from conftest import rows_with_zeros
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench")
@@ -51,6 +51,12 @@ def test_every_workload_step_parses(name):
         _, _, needs_out, needs_in = cli._COMMANDS[args.command]
         assert args.out == step.output, argv  # the file the harness checks
         assert (args.out or not needs_out) and (args.infile or not needs_in)
+        # the --seed and --samples texts are read as cli._run reads them,
+        # by the [verify] rows over the workload's scenario
+        cfg = parse_config(config, vars(args))
+        for flag, (_, key) in FLAGS.items():
+            if vars(args)[flag] is not None:
+                assert str(getattr(cfg, key)) == vars(args)[flag], argv
 
 
 def test_bench_scenarios_parse():

@@ -16,7 +16,7 @@ import symquant as sq
 from symquant import cli
 from symquant.config import KEYS, parse_config
 from symquant.errors import ConfigError
-from symquant.quantizer import _COUNT, _NON_NEGATIVE
+from symquant.quantizer import _COUNT, _NATURAL, _int
 from conftest import (RANGE_RULES, SEPARATORS, iter_transitions,
                       line_mutations, separator_mutations)
 
@@ -48,12 +48,41 @@ def test_parse_bundled_scenario():
     assert len(lattice.enumerate_cells()) == 25
 
 
-def test_env_override(monkeypatch):
+def test_env_override(monkeypatch, tmp_path, capsys):
     monkeypatch.setenv("SYMQUANT_VERIFY__SAMPLES", "7")
     monkeypatch.setenv("SYMQUANT_ABSTRACTION__INPUT_SAMPLES", "11")
     cfg = parse_config(BUNDLED)
     assert cfg.samples == 7
     assert cfg.input_samples == 11
+    # the file's seed is beaten by its variable, which is beaten by --seed;
+    # an unset flag leaves the layers below it
+    path = tmp_path / "s.cfg"
+    path.write_text(Path(BUNDLED).read_text())
+    at = _with_line(path, "verify", "seed = 1")
+    assert parse_config(path).seed == 1
+    monkeypatch.setenv("SYMQUANT_VERIFY__SEED", "2")
+    assert parse_config(path, {"--seed": None}).seed == 2
+    assert parse_config(path, {"--seed": "3", "--samples": None}).seed == 3
+    # a bad value is refused at its own source, by the key's one row, with
+    # the command line's exit code 2
+    for file, variable, flag, where in (
+            ("-1", None, None, f"{path}:{at}"),
+            ("1", "-2", None, "SYMQUANT_VERIFY__SEED"),
+            ("1", "2", "-3", "--seed")):
+        _with_line(path, "verify", f"seed = {file}")
+        if variable is None:
+            monkeypatch.delenv("SYMQUANT_VERIFY__SEED")
+        else:
+            monkeypatch.setenv("SYMQUANT_VERIFY__SEED", variable)
+        value = flag or variable or file
+        message = (f"{where}: [verify] seed: seed must be an int of at least "
+                   f"0, got {value}")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(path, {"--seed": flag})
+        argv = ["verify", "--config", str(path),
+                *(["--seed", flag] if flag else [])]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
 
 
 @pytest.mark.parametrize("variable, value, message", [
@@ -914,7 +943,9 @@ def test_cli_verify_rejects_negative_flag(tmp_path, capsys, flag, value):
 @pytest.mark.parametrize("command", list(cli._COMMANDS))
 def test_cli_every_command_rejects_negative_seed_and_samples(tmp_path, capsys,
                                                              command):
-    # checked before the scenario is read; abstract once ran with both
+    # refused by the [verify] rows as the last override layer, in KEYS order
+    # with the rest of the scenario, before any command runs; abstract once
+    # ran with both
     cfg = _fast_cfg(tmp_path)
     out = tmp_path / "out"
     infile = ["--in", str(tmp_path / "p.txt")] if command == "simulate" else []
@@ -975,16 +1006,17 @@ def test_numbers_are_ascii_decimals(saved_files, tmp_path, capsys,
     respell = SPELLINGS[spelling]
     assert float(respell("-2.5")) == -2.5 and int(respell("10")) == 10
     scenario = str(saved_files["scenario"][1])
-    if reader == "environment":
-        monkeypatch.setenv("SYMQUANT_VERIFY__SEED", respell("0"))
-        assert cli.main(["verify", "--config", scenario]) == cli.EXIT_CONFIG
-        assert "[verify] seed: not an integer" in capsys.readouterr().err
-        return
-    if reader == "seed_flag":
-        with pytest.raises(SystemExit) as info:
-            cli.main(["verify", "--config", scenario, "--seed", respell("0")])
-        assert info.value.code == cli.EXIT_CONFIG
-        assert "argument --seed: invalid" in capsys.readouterr().err
+    if reader in ("environment", "seed_flag"):
+        # the flag is one more override layer, read by the key's own row
+        argv = ["verify", "--config", scenario]
+        if reader == "environment":
+            monkeypatch.setenv("SYMQUANT_VERIFY__SEED", respell("0"))
+        else:
+            argv += ["--seed", respell("0")]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        where = "SYMQUANT_VERIFY__SEED" if reader == "environment" else "--seed"
+        assert (f"{where}: [verify] seed: not an integer"
+                in capsys.readouterr().err)
         return
     kind, pattern = READERS[reader]
     cfg, source = saved_files[kind]
@@ -1107,8 +1139,14 @@ def test_readme_and_help_list_every_key(capsys):
     # each key's row states the range of its rule, and no other range
     rows = dict(listed)
     for row in KEYS:
-        stated = [rule for rule, (_, written, _) in RANGE_RULES.items()
-                  if written in rows[(row.section, row.key)]]
+        found = {rule: written
+                 for rule, (_, written, _) in RANGE_RULES.items()
+                 if written in rows[(row.section, row.key)]}
+        # a range found inside a longer one found, as ">= 0" and "an int"
+        # inside "an int >= 0", is part of that one
+        stated = [rule for rule, written in found.items()
+                  if not any(written != other and written in other
+                             for other in found.values())]
         assert stated == ([row.rule] if row.rule else []), row.key
     with pytest.raises(SystemExit):
         cli.main(["--help"])
@@ -1127,13 +1165,16 @@ def test_every_ruled_key_refuses_with_its_rule(tmp_path, row):
     path = tmp_path / "scenario.cfg"
     path.write_text(Path(BUNDLED).read_text())
     first = "0.4 " if row.key == "scale" else ""
-    for value in outside:
+    # a file spells numbers only, and an int key's grammar refuses one that
+    # is not an int before its rule
+    for value in (v for v in outside
+                  if type(v) is (int if row.parse is _int else float)):
         at = _with_line(path, row.section, f"{row.key} = {first}{value}")
         message = (f"{path}:{at}: [{row.section}] {row.key}: {row.key} "
                    f"{words}, got {value!r}")
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             parse_config(str(path))
-    if row.rule in (_COUNT, _NON_NEGATIVE):
+    if row.rule in (_COUNT, _NATURAL):
         edge = 1 if row.rule is _COUNT else 0
         _with_line(path, row.section, f"{row.key} = {edge}")
         assert getattr(parse_config(str(path)), row.field) == edge

@@ -226,7 +226,7 @@ def test_system_validation():
                          input_hi=(-1.0,))
     base = dict(dim_x=1, dim_u=1, field=lambda x, u: -x, lipschitz=1.0,
                 tau=0.1, input_lo=(-1.0,), input_hi=(1.0,))
-    for change, message in (({"dim_x": 0}, "dimensions must be positive"),
+    for change, message in (({"dim_x": 0}, "dim_x must be an int of at least"),
                             ({"lipschitz": 0.0}, "lipschitz must be positive"),
                             ({"integrator_steps": 0}, "at least 1"),
                             ({"input_hi": (1.0, 2.0)}, "does not match dim_u")):

@@ -14,7 +14,8 @@ import symquant as sq
 from symquant import abstraction, quantizer
 from symquant.abstraction import SymbolicModel
 from symquant.errors import ConfigError, OutOfDomainError
-from symquant.quantizer import _COUNT, _NON_NEGATIVE, _POSITIVE, _UNIT
+from symquant.quantizer import (_COUNT, _INT, _NATURAL, _NON_NEGATIVE,
+                                _POSITIVE, _UNIT)
 from conftest import HAND_PARAMETERS, RANGE_RULES, contains, region
 
 VALUE_AXIS = sq.LogQuantizerAxis(eta=0.2, scale=0.4)
@@ -707,11 +708,21 @@ RULE_SITES = [
                  lambda s, v: sq.LogQuantizerAxis(v, 0.4), id="axis-eta"),
     pytest.param("scale", _POSITIVE, 0.4, ValueError,
                  lambda s, v: sq.LogQuantizerAxis(0.2, v), id="axis-scale"),
+    pytest.param("dim_x", _COUNT, 1, ValueError,
+                 lambda s, v: replace(s[0], dim_x=v), id="system-dim_x"),
+    pytest.param("dim_u", _COUNT, 1, ValueError,
+                 lambda s, v: replace(s[0], dim_u=v), id="system-dim_u"),
     pytest.param("tau", _POSITIVE, 0.5, ValueError,
                  lambda s, v: replace(s[0], tau=v), id="system-tau"),
     pytest.param("lipschitz", _POSITIVE, 1.0, ValueError,
                  lambda s, v: replace(s[0], lipschitz=v),
                  id="system-lipschitz"),
+    pytest.param("integrator_steps", _COUNT, 1, ValueError,
+                 lambda s, v: replace(s[0], integrator_steps=v),
+                 id="system-integrator_steps"),
+    pytest.param("steps", _COUNT, 1, ValueError,
+                 lambda s, v: sq.successor(s[0], [0.0, 0.0], [0.0], v),
+                 id="successor-steps"),
     pytest.param("mu", _UNIT, 0.002, ConfigError,
                  lambda s, v: sq.InputApproxConfig(v), id="approx-mu"),
     pytest.param("input_samples", _COUNT, 1, ConfigError,
@@ -744,14 +755,36 @@ RULE_SITES = [
     pytest.param("hold", _COUNT, 1, ValueError,
                  lambda s, v: sq.Plan(((0, v),), s[2].inputs, s[1]),
                  id="plan-hold"),
-    pytest.param("max_steps", _NON_NEGATIVE, 0, ValueError,
+    pytest.param("input index", _INT, 0, ValueError,
+                 lambda s, v: sq.Plan(((v, 1),), s[2].inputs, s[1]),
+                 id="plan-input"),
+    pytest.param("input index", _INT, 0, ValueError,
+                 lambda s, v: sq.SafetyController({(0, 0): (v,)}, s[2].inputs,
+                                                  s[1], 0, ()),
+                 id="controller-input"),
+    pytest.param("level", _INT, 0, ValueError,
+                 lambda s, v: sq.SafetyController({(v, 0): (0,)}, s[2].inputs,
+                                                  s[1], 0, ()),
+                 id="controller-cell"),
+    pytest.param("level", _INT, 0, ValueError,
+                 lambda s, v: (0, v) in s[1], id="lattice-contains"),
+    pytest.param("level", _INT, 0, ValueError,
+                 lambda s, v: s[1].checked_cell_ids([(0, 0), (v, 0)]),
+                 id="lattice-checked_cell_ids"),
+    pytest.param("level", _INT, 0, ValueError,
+                 lambda s, v: s[1].center((v, 0)), id="lattice-center"),
+    pytest.param("level", _INT, 0, ValueError,
+                 lambda s, v: s[1].cell_box((v, 0)), id="lattice-cell_box"),
+    pytest.param("level", _INT, 0, ValueError,
+                 lambda s, v: s[2].state_id((v, 0)), id="model-state_id"),
+    pytest.param("max_steps", _NATURAL, 0, ValueError,
                  lambda s, v: sq.simulate_closed_loop(
                      s[0], sq.Plan((), s[2].inputs, s[1]), [0.0, 0.0], v),
                  id="simulate-max_steps"),
-    pytest.param("sample_count", _NON_NEGATIVE, 0, ValueError,
+    pytest.param("sample_count", _NATURAL, 0, ValueError,
                  lambda s, v: sq.check_feedback_refinement(s[2], s[0], v, 0),
                  id="verify-sample_count"),
-    pytest.param("seed", _NON_NEGATIVE, 0, ValueError,
+    pytest.param("seed", _NATURAL, 0, ValueError,
                  lambda s, v: sq.check_feedback_refinement(s[2], s[0], 0, v),
                  id="verify-seed"),
 ]

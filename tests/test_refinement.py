@@ -345,6 +345,6 @@ def test_abstract_safe_set_under_approximates(pendulum_scenario):
 def test_refinement_check_rejects_negative_arguments(pendulum_scenario, count,
                                                      seed, name):
     sys_, _, model = pendulum_scenario
-    with pytest.raises(ValueError,
-                       match=rf"^{name} must be non-negative, got -1$"):
+    with pytest.raises(ValueError, match=rf"^{name} must be an int of at "
+                                         r"least 0, got -1$"):
         sq.check_feedback_refinement(model, sys_, count, seed)

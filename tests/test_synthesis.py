@@ -601,8 +601,8 @@ def test_simulate_rejects_negative_max_steps(pendulum_scenario, mode):
             lattice=lattice, iterations=1, history=(1, 1))
     else:
         policy = sq.Plan(steps=((0, 4),), inputs=model.inputs, lattice=lattice)
-    with pytest.raises(ValueError,
-                       match=r"^max_steps must be non-negative, got -1$"):
+    with pytest.raises(ValueError, match=r"^max_steps must be an int of at "
+                                         r"least 0, got -1$"):
         sq.simulate_closed_loop(sys_, policy, [0.0, 0.0], -1)
     # zero steps stays a valid, empty run for both policies
     trajectory = sq.simulate_closed_loop(sys_, policy, [0.0, 0.0], 0)
