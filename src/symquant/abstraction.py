@@ -32,12 +32,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _public
-from .dynamics import (SampledSystem, growth_radius, input_grid, successor,
-                       successor_many)
-from .errors import ConfigError, DivergenceError
+from .dynamics import SampledSystem, growth_radius, input_grid, successor_many
+from .errors import ConfigError
 from .quantizer import (_COUNT, _POSITIVE, _UNIT, LogLattice,
-                        LogQuantizerAxis, QuantizerVariant, _check, _fields,
-                        _frozen, _lines, _real, format_cell, parse_cell)
+                        LogQuantizerAxis, QuantizerVariant, _check,
+                        _check_index, _fields, _frozen, _lines, _real,
+                        format_cell, parse_cell)
 
 __all__ = _public(__name__)
 
@@ -69,19 +69,20 @@ class InputApproxConfig:
                                 variant=QuantizerVariant.VALUE_ANCHORED)
 
 
-def _dedup(nominal: np.ndarray, grid: np.ndarray, cells,
-           cfg: InputApproxConfig) -> np.ndarray:
-    """Rows ``c * len(grid) + k`` of ``nominal`` (shape cells x grid x dim)
-    that keep, per cell, the first grid sample of each mu-signature class
-    (the mu-quantized levels of its nominal successor), ascending; divergent
-    samples, whose successor is not finite or past the mu quantizer's
-    ceiling, are skipped (and logged)."""
+def _dedup(nominal: np.ndarray, grid: np.ndarray, centers: np.ndarray,
+           lattice: LogLattice, cfg: InputApproxConfig) -> np.ndarray:
+    """Rows ``c * len(grid) + k`` of ``nominal`` (shape cells x grid x dim),
+    the successors from the cell centers ``centers``, that keep, per cell,
+    the first grid sample of each mu-signature class (the mu-quantized
+    levels of its nominal successor), ascending; divergent samples, whose
+    successor is not finite or past the mu quantizer's ceiling, are skipped
+    (and logged with the cell that holds their center)."""
     n_cells, n_grid, dim = nominal.shape
     flat, mu = nominal.reshape(-1, dim), cfg.mu_axis()
     kept = (np.abs(flat) <= mu.ceiling).all(axis=1)
     for r in np.flatnonzero(~kept):
         logger.warning("skipping divergent input sample %s at cell %s",
-                       grid[r % n_grid], cells[r // n_grid])
+                       grid[r % n_grid], lattice.quantize(centers[r // n_grid]))
     rows = np.flatnonzero(kept)
     classes = np.column_stack([rows // n_grid, mu.levels(flat[rows])])
     # a stable sort keeps the first sample of each class in front
@@ -100,26 +101,22 @@ def approximate_inputs(cell, lattice: LogLattice, sys: SampledSystem,
     Representatives are the lexicographically smallest input of each image
     class; divergent samples are skipped (and logged).
     """
-    center = lattice.center(cell)
+    center = lattice.center(cell)[None]
     grid = input_grid(sys, cfg.input_samples)
     succ = successor_many(sys, np.tile(center, (len(grid), 1)), grid)
-    return [grid[k] for k in _dedup(succ[None], grid, [cell], cfg)]
+    return [grid[k] for k in _dedup(succ[None], grid, center, lattice, cfg)]
 
 
 def transition_targets(cell, u, sys: SampledSystem,
                        lattice: LogLattice) -> tuple[tuple[int, ...], ...]:
     """Cells intersecting the inflated one-period successor box of a cell
-    center, sorted; empty when the box leaves the lattice bounds or the
-    integration diverges."""
-    center = lattice.center(cell)
-    try:
-        nominal = successor(sys, center, u)
-    except DivergenceError as exc:
-        logger.warning("divergence from cell %s under input %s: %s",
-                       cell, u, exc)
-        return ()
-    _, ids = _targets_many(lattice, *_paper_boxes(sys, lattice, center[None],
-                                                  nominal[None]))
+    center, sorted: the builder's steps on one row.  Empty when the box
+    leaves the lattice bounds or the nominal successor is not finite."""
+    center = lattice.center(cell)[None]
+    succ = successor_many(sys, center, np.reshape(u, (1, sys.dim_u)))
+    if not np.isfinite(succ).all():
+        logger.warning("divergence from cell %s under input %s", cell, u)
+    _, ids = _targets_many(lattice, *_paper_boxes(sys, lattice, center, succ))
     return tuple(lattice.cells_of(ids))
 
 
@@ -339,10 +336,18 @@ class SymbolicModel:
         return self._relation
 
     def enabled_ids(self, sid: int) -> tuple[int, ...]:
+        """Input ids of state ``sid``'s pairs; an id that is not an ``int``
+        state id raises ValueError, as in :meth:`successor_ids`."""
+        _check_index("state id", sid, self.n_states, "states")
         a, b = self.pair_ptr[sid], self.pair_ptr[sid + 1]
         return tuple(self.pair_input[a:b].tolist())
 
     def successor_ids(self, sid: int, uid: int) -> tuple[int, ...]:
+        """Successor state ids of the pair (``sid``, ``uid``), empty when
+        the input is not enabled there; a state or input id that is not an
+        ``int`` in range raises ValueError."""
+        _check_index("state id", sid, self.n_states, "states")
+        _check_index("input index", uid, self.n_inputs, "inputs")
         ptr, targets = self.relation()
         a, b = self.pair_ptr[sid], self.pair_ptr[sid + 1]
         j = a + int(np.searchsorted(self.pair_input[a:b], uid))
@@ -388,8 +393,9 @@ class SymbolicModel:
 
     def successors(self, cell, input_index: int) -> tuple[tuple[int, ...], ...]:
         """Sorted successor cells of (cell, input index); empty when the
-        input is not enabled there."""
-        ids = self.successor_ids(self.state_id(cell), int(input_index))
+        input is not enabled there; an input index that is not an ``int``
+        in range raises ValueError."""
+        ids = self.successor_ids(self.state_id(cell), input_index)
         return tuple(self.cells[t] for t in ids)
 
     def transition_count(self) -> int:
@@ -460,16 +466,16 @@ def build_abstraction(sys: SampledSystem, lattice: LogLattice,
     if sys.dim_x != lattice.dim:
         raise ConfigError(f"system dimension {sys.dim_x} does not match "
                           f"lattice dimension {lattice.dim}")
-    cells = lattice.enumerate_cells()
     start = time.perf_counter()
     grid = input_grid(sys, cfg.input_samples)
-    n_cells, n_grid = len(cells), len(grid)
     centers = lattice.geometry()[0]
+    n_cells, n_grid = len(centers), len(grid)
 
     # one batched integration for every (cell center, grid input) pair
     nominal_all = successor_many(sys, np.repeat(centers, n_grid, axis=0),
                                  np.tile(grid, (n_cells, 1)))
-    rows = _dedup(nominal_all.reshape(n_cells, n_grid, -1), grid, cells, cfg)
+    rows = _dedup(nominal_all.reshape(n_cells, n_grid, -1), grid, centers,
+                  lattice, cfg)
 
     # the input table is the grid, so a pair's input id is its sample index;
     # a representative is a pair only where its box meets a cell

@@ -158,7 +158,9 @@ def successor(sys: SampledSystem, x0, u, steps: int | None = None) -> np.ndarray
 def input_grid(sys: SampledSystem, samples: int) -> np.ndarray:
     """Uniform grid of ``samples`` points per axis over the input box, rows
     in lexicographic order; row k is the input of input id k in every
-    model, controller and plan of a scenario."""
+    model, controller and plan of a scenario.  A ``samples`` that is not
+    an ``int`` of at least 1 raises ValueError."""
+    _check("samples", samples, _COUNT)
     axes = [np.linspace(lo, hi, samples)
             for lo, hi in zip(sys.input_lo, sys.input_hi)]
     rows = list(itertools.product(*axes))

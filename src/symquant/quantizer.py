@@ -108,8 +108,9 @@ class LogQuantizerAxis:
         return (1.0 + self.eta) * self.scale
 
     def level_value(self, level: int) -> float:
-        """Quantized value of a signed level (0 maps to 0.0)."""
-        if level == 0:
+        """Quantized value of a signed level (0 maps to 0.0); a level that
+        is not an ``int`` raises ValueError."""
+        if _check("level", level, _INT) == 0:
             return 0.0
         v = self._value_scale * self.rho ** (1 - abs(level))
         return v if level > 0 else -v
@@ -117,7 +118,9 @@ class LogQuantizerAxis:
     def boundary(self, m: int) -> float:
         """Left edge of positive region m (m >= 1); ``boundary(1)`` is the
         deadzone edge and ``boundary(m + 1)`` is region m's right edge.  An
-        edge past the float range reads as +inf."""
+        edge past the float range reads as +inf; an m that is not an
+        ``int`` of at least 1 raises ValueError."""
+        _check("m", m, _COUNT)
         try:
             return self.deadzone * self.rho ** (1 - m)
         except OverflowError:
@@ -321,7 +324,9 @@ class LogLattice:
         return self.axes[0].eta
 
     def axis_levels(self, i: int) -> range:
-        """Valid signed levels on axis i, ascending."""
+        """Valid signed levels on axis i, ascending; an i that is not an
+        axis index raises ValueError."""
+        _check_index("axis", i, self.dim, "axes")
         return range(-self._neg_max[i], self._pos_max[i] + 1)
 
     def __contains__(self, idx) -> bool:
@@ -424,7 +429,15 @@ class LogLattice:
 
     def cell_ids(self, levels) -> np.ndarray:
         """Positions in :meth:`enumerate_cells` of cells given as level
-        rows (the raveled index of the levels)."""
+        rows (the raveled index of the levels).  A level that is not a
+        whole number raises ValueError: an array that is not empty must
+        have an integer dtype, and each level of a sequence must be an
+        ``int``."""
+        if not isinstance(levels, np.ndarray):  # numpy reads a True as 1
+            for m in np.array(levels, object).flat:
+                _check("level", m, _INT)
+        elif levels.size and levels.dtype.kind not in "iu":
+            raise ValueError(f"levels must be ints, got dtype {levels.dtype}")
         levels = np.asarray(levels, np.int64).reshape(-1, self.dim)
         return np.ravel_multi_index(tuple((levels + self._neg_max).T),
                                     self.shape)
@@ -448,14 +461,19 @@ class LogLattice:
         return math.prod(self.shape)
 
     def levels_in_interval(self, i: int, a: float, b: float) -> list[int]:
-        """Valid levels on axis i whose clipped cells intersect [a, b]."""
+        """Valid levels on axis i whose clipped cells intersect [a, b]; an
+        i that is not an axis index raises ValueError."""
+        _check_index("axis", i, self.dim, "axes")
         a, b = max(float(a), self.lo[i]), min(float(b), self.hi[i])
         if a > b:
             return []
         return list(range(self._level(i, a), self._level(i, b) + 1))
 
     def sample_in_cell(self, idx, rng, count: int = 1) -> np.ndarray:
-        """Uniform samples from a cell's box (boundary hits have measure zero)."""
+        """``count`` uniform samples from a cell's box (boundary hits have
+        measure zero); a count that is not an ``int`` of at least 0 raises
+        ValueError."""
+        _check("count", count, _NATURAL)
         box = self.cell_box(idx)
         return rng.uniform(box.lo, box.hi, size=(count, self.dim))
 
@@ -544,6 +562,14 @@ def _check(name: str, value, rule, error=ValueError):
     if not inside(value):
         raise error(f"{name} {words}, got {value!r}")
     return value
+
+
+def _check_index(name: str, value, count: int, things: str):
+    """Refuse a ``value`` that is not an ``int`` index of a table of
+    ``count`` ``things`` with a ValueError, ``{name} must be an int, got
+    ...`` or ``{name} {value} out of range ({count} {things})``."""
+    if not 0 <= _check(name, value, _INT) < count:
+        raise ValueError(f"{name} {value} out of range ({count} {things})")
 
 
 def parse_cell(text: str) -> tuple[int, ...]:

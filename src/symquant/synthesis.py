@@ -44,9 +44,9 @@ import numpy as np
 from . import _public
 from .dynamics import SampledSystem, Trajectory, successor, successor_many
 from .errors import OutOfDomainError, PlanningError
-from .quantizer import (_BLANK, _COUNT, _INT, _NATURAL, _POSITIVE, LogLattice,
-                        _check, _fields, _frozen, _int, _lines, format_cell,
-                        parse_cell)
+from .quantizer import (_BLANK, _COUNT, _NATURAL, _POSITIVE, LogLattice,
+                        _check, _check_index, _fields, _frozen, _int, _lines,
+                        format_cell, parse_cell)
 
 # abstraction and refinement are named in annotations only: simulate loads
 # neither, and plan never loads refinement
@@ -80,7 +80,8 @@ class SafetyController:
     itself.  A row that :func:`load_controller` would refuse (a cell off
     ``lattice``, no input ids, ids not strictly ascending, an id outside
     ``inputs``) raises ValueError at construction, as does a level or an
-    id that is not an ``int``.
+    id that is not an ``int`` and an ``iterations`` that is not an ``int``
+    of at least 0.
     """
 
     admissible: dict[tuple[int, ...], tuple[int, ...]]
@@ -91,6 +92,7 @@ class SafetyController:
 
     def __post_init__(self):
         object.__setattr__(self, "inputs", _frozen(self.inputs))
+        _check("iterations", self.iterations, _NATURAL)
         for cell, uids in self.admissible.items():
             _check_row(cell, uids, self.lattice, len(self.inputs))
 
@@ -179,15 +181,9 @@ class Plan:
                 yield uid
 
 
-def _check_input_id(uid: int, n_inputs: int, where: str = ""):
-    if not 0 <= _check(f"{where}input index", uid, _INT) < n_inputs:
-        raise ValueError(f"{where}input index {uid} out of range "
-                         f"({n_inputs} inputs)")
-
-
 def _check_step(uid: int, hold: int, n_inputs: int, where: str = ""):
     _check(f"{where}hold", hold, _COUNT)
-    _check_input_id(uid, n_inputs, where)
+    _check_index(f"{where}input index", uid, n_inputs, "inputs")
 
 
 def _check_row(cell, uids, lattice: LogLattice, n_inputs: int, where=""):
@@ -196,7 +192,7 @@ def _check_row(cell, uids, lattice: LogLattice, n_inputs: int, where=""):
     if not uids:
         raise ValueError(f"{where}no input ids")
     for uid in uids:
-        _check_input_id(uid, n_inputs, where)
+        _check_index(f"{where}input index", uid, n_inputs, "inputs")
     if any(a >= b for a, b in zip(uids, uids[1:])):
         raise ValueError(f"{where}input ids must strictly ascend")
     if cell not in lattice:

@@ -165,3 +165,25 @@ def test_method_forwarders_stay_deleted():
         sq.make_system("linear", tau=0.1)
     with pytest.raises(TypeError):
         sq.DivergenceError(0, "diverged")
+
+
+def test_successor_targets_have_one_batched_path(monkeypatch):
+    # transition_targets runs the builder's batched steps on one row, so
+    # abstraction needs neither the closed loop's single-row successor nor
+    # its DivergenceError; the builder keeps no cell list of its own, and
+    # the model's constructor makes the one list
+    from symquant import abstraction
+    for name in ("successor", "DivergenceError"):
+        assert not hasattr(abstraction, name), name
+    callers = []
+    enumerate_cells = sq.LogLattice.enumerate_cells
+
+    def counted(lattice):
+        callers.append(inspect.currentframe().f_back.f_code.co_qualname)
+        return enumerate_cells(lattice)
+
+    monkeypatch.setattr(sq.LogLattice, "enumerate_cells", counted)
+    sq.build_abstraction(sq.linear_system(),
+                         sq.LogLattice.from_params(0.2, [0.4], [-1], [1]),
+                         sq.InputApproxConfig(0.002, 3))
+    assert callers == ["SymbolicModel.__init__"]

@@ -787,6 +787,45 @@ RULE_SITES = [
     pytest.param("seed", _NATURAL, 0, ValueError,
                  lambda s, v: sq.check_feedback_refinement(s[2], s[0], 0, v),
                  id="verify-seed"),
+    pytest.param("steps", _COUNT, 1, ValueError,
+                 lambda s, v: sq.successor_many(s[0], np.zeros((1, 2)),
+                                                np.zeros((1, 1)), v),
+                 id="successor_many-steps"),
+    pytest.param("max_segment_steps", _COUNT, 1, ValueError,
+                 lambda s, v: sq.plan_reach(s[2], (0, 0), [(0, 0)],
+                                            max_segment_steps=v),
+                 id="plan_reach-max_segment_steps"),
+    pytest.param("iterations", _NATURAL, 0, ValueError,
+                 lambda s, v: sq.SafetyController({}, s[2].inputs, s[1], v,
+                                                  ()),
+                 id="controller-iterations"),
+    pytest.param("state id", _INT, 0, ValueError,
+                 lambda s, v: s[2].enabled_ids(v), id="model-enabled_ids"),
+    pytest.param("state id", _INT, 0, ValueError,
+                 lambda s, v: s[2].successor_ids(v, 0),
+                 id="model-successor_ids-sid"),
+    pytest.param("input index", _INT, 0, ValueError,
+                 lambda s, v: s[2].successor_ids(0, v),
+                 id="model-successor_ids-uid"),
+    pytest.param("input index", _INT, 0, ValueError,
+                 lambda s, v: s[2].successors((0, 0), v),
+                 id="model-successors"),
+    pytest.param("samples", _COUNT, 1, ValueError,
+                 lambda s, v: sq.input_grid(s[0], v), id="input_grid-samples"),
+    pytest.param("count", _NATURAL, 0, ValueError,
+                 lambda s, v: s[1].sample_in_cell(
+                     (0, 0), np.random.default_rng(0), v),
+                 id="lattice-sample_in_cell"),
+    pytest.param("axis", _INT, 0, ValueError,
+                 lambda s, v: s[1].axis_levels(v), id="lattice-axis_levels"),
+    pytest.param("axis", _INT, 0, ValueError,
+                 lambda s, v: s[1].levels_in_interval(v, -1.0, 0.0),
+                 id="lattice-levels_in_interval"),
+    pytest.param("level", _INT, 0, ValueError,
+                 lambda s, v: s[1].axes[0].level_value(v),
+                 id="axis-level_value"),
+    pytest.param("m", _COUNT, 1, ValueError,
+                 lambda s, v: s[1].axes[0].boundary(v), id="axis-boundary"),
 ]
 
 
@@ -803,3 +842,114 @@ def test_every_range_rule_site_refuses_with_one_message(
         assert type(info.value) is error
         assert str(info.value) == f"{name} {words}, got {value!r}"
     call(contracting_scenario, ok)
+
+
+# every index check that tests/test_synthesis.py does not already test, as
+# (name, the table's size and its things, the call on the contracting
+# scenario and an index); each also has a RULE_SITES row
+INDEX_SITES = [
+    pytest.param("state id", "25 states", lambda s, v: s[2].enabled_ids(v),
+                 id="model-enabled_ids"),
+    pytest.param("state id", "25 states", lambda s, v: s[2].successor_ids(v, 0),
+                 id="model-successor_ids-sid"),
+    pytest.param("input index", "21 inputs",
+                 lambda s, v: s[2].successor_ids(0, v),
+                 id="model-successor_ids-uid"),
+    pytest.param("input index", "21 inputs",
+                 lambda s, v: s[2].successors((0, 0), v), id="model-successors"),
+    pytest.param("axis", "2 axes", lambda s, v: s[1].axis_levels(v),
+                 id="lattice-axis_levels"),
+    pytest.param("axis", "2 axes",
+                 lambda s, v: s[1].levels_in_interval(v, -1.0, 0.0),
+                 id="lattice-levels_in_interval"),
+]
+
+
+@pytest.mark.parametrize("name, size, call", INDEX_SITES)
+def test_every_index_site_refuses_an_index_out_of_range(
+        contracting_scenario, name, size, call):
+    # a negative index once read a row from the end, and one past the end
+    # ended in numpy's raw IndexError
+    count = int(size.split()[0])
+    for value in (-1, -count, count, count + 1):
+        with pytest.raises(ValueError) as info:
+            call(contracting_scenario, value)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"{name} {value} out of range ({size})"
+    call(contracting_scenario, count - 1)
+
+
+# every public parameter annotated as a whole number, by the RULE_SITES row
+# that tests its rule, and the records that the package fills itself
+RULED_PARAMETERS = {
+    "SampledSystem.dim_x": "system-dim_x",
+    "SampledSystem.dim_u": "system-dim_u",
+    "SampledSystem.integrator_steps": "system-integrator_steps",
+    "successor.steps": "successor-steps",
+    "successor_many.steps": "successor_many-steps",
+    "input_grid.samples": "input_grid-samples",
+    "InputApproxConfig.input_samples": "approx-input_samples",
+    "LogQuantizerAxis.level_value.level": "axis-level_value",
+    "LogQuantizerAxis.boundary.m": "axis-boundary",
+    "LogLattice.axis_levels.i": "lattice-axis_levels",
+    "LogLattice.levels_in_interval.i": "lattice-levels_in_interval",
+    "LogLattice.sample_in_cell.count": "lattice-sample_in_cell",
+    "SymbolicModel.enabled_ids.sid": "model-enabled_ids",
+    "SymbolicModel.successor_ids.sid": "model-successor_ids-sid",
+    "SymbolicModel.successor_ids.uid": "model-successor_ids-uid",
+    "SymbolicModel.successors.input_index": "model-successors",
+    "SafetyController.iterations": "controller-iterations",
+    "plan_rollout.max_segment_steps": "plan-max_segment_steps",
+    "plan_reach.max_segment_steps": "plan_reach-max_segment_steps",
+    "simulate_closed_loop.max_steps": "simulate-max_steps",
+    "check_feedback_refinement.sample_count": "verify-sample_count",
+    "check_feedback_refinement.seed": "verify-seed",
+}
+FILLED_RECORDS = {"DivergenceError.substep", "RefinementReport.samples_tested",
+                  "RefinementWitness.input_index"}
+
+
+def _whole_number_parameters():
+    """``owner.parameter`` of every parameter annotated ``int`` or ``int |
+    None``, as a string or a class, of the functions, class constructors
+    and public methods that ``symquant`` exports."""
+    found = set()
+    for name in sq.__all__:
+        obj = getattr(sq, name)
+        calls = [(name, obj)]
+        if inspect.isclass(obj):
+            calls += [(f"{name}.{attr}", getattr(obj, attr))
+                      for attr, value in vars(obj).items()
+                      if not attr.startswith("_") and (
+                          inspect.isfunction(value)
+                          or isinstance(value, (classmethod, staticmethod)))]
+        for owner, call in calls:
+            try:
+                parameters = inspect.signature(call).parameters.values()
+            except ValueError:  # an exception class without an __init__
+                continue
+            found |= {f"{owner}.{p.name}" for p in parameters
+                      if p.annotation in (int, "int", "int | None")}
+    return found
+
+
+def test_every_whole_number_parameter_has_a_rule():
+    sites = {p.id for p in RULE_SITES}
+    ruled = {name for name, site in RULED_PARAMETERS.items() if site in sites}
+    assert _whole_number_parameters() == ruled | FILLED_RECORDS
+
+
+def test_cell_ids_refuses_levels_that_are_not_ints():
+    # np.asarray(levels, np.int64) once truncated 0.5 to 0 and read True as 1
+    lattice = edge_lattice_2d()
+    for levels in ([[0.5, 0]], [[True, 0]], [[0, "1"]]):
+        with pytest.raises(ValueError, match="^level must be an int, got"):
+            lattice.cell_ids(levels)
+    for dtype in (float, bool, object):
+        with pytest.raises(ValueError, match=f"^levels must be ints, got "
+                                             f"dtype {np.dtype(dtype)}$"):
+            lattice.cell_ids(np.zeros((1, 2), dtype))
+    assert lattice.cell_ids([]).tolist() == []
+    assert lattice.cell_ids(np.empty((0, 2))).tolist() == []
+    assert lattice.cell_ids([(1, 0)]).tolist() == [17]
+    assert lattice.cell_ids(np.array([(1, 0)], np.int32)).tolist() == [17]
