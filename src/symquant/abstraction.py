@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import logging
 import math
+import re
 import time
 from dataclasses import dataclass
 
@@ -36,8 +37,8 @@ from .dynamics import SampledSystem, growth_radius, input_grid, successor_many
 from .errors import ConfigError
 from .quantizer import (_COUNT, _POSITIVE, _UNIT, LogLattice,
                         LogQuantizerAxis, QuantizerVariant, _check,
-                        _check_index, _fields, _frozen, _lines, _real,
-                        format_cell, parse_cell)
+                        _check_ids, _check_index, _fields, _frozen, _lines,
+                        _real, format_cell, parse_cell)
 
 __all__ = _public(__name__)
 
@@ -267,8 +268,8 @@ class SymbolicModel:
         self.lipschitz = float(lipschitz)
         _check_parameters(self.tau, self.mu, self.lipschitz)
         self.system = system
-        ptr = self.pair_ptr = np.asarray(pair_ptr, np.int64)
-        uid = self.pair_input = np.asarray(pair_input, np.int64)
+        ptr = self.pair_ptr = _check_ids("pair offset", pair_ptr)
+        uid = self.pair_input = _check_ids("input id", pair_input)
         if (len(ptr) != len(self.cells) + 1 or ptr[0] != 0
                 or ptr[-1] != len(uid) or (np.diff(ptr) < 0).any()):
             raise ValueError("pair_ptr must rise from 0 to the pair count")
@@ -280,7 +281,8 @@ class SymbolicModel:
             raise ValueError("give exactly one of relation and boxes")
         if relation is not None:
             offsets, targets = relation = tuple(
-                np.asarray(part, np.int64) for part in relation)
+                _check_ids(name, part) for name, part in zip(
+                    ("successor offset", "state id"), relation, strict=True))
             if (offsets[:1].tolist() != [0] or offsets[-1] != len(targets)
                     or (np.diff(offsets) <= 0).any()):
                 raise ValueError("successor offsets must rise strictly from 0 "
@@ -439,10 +441,13 @@ class SymbolicModel:
 
         ``successors`` maps (state id, input id) to an iterable of state ids;
         an empty entry is dropped, so a pair exists only where its input is
-        enabled.
+        enabled.  An id that is not an ``int`` raises ValueError (see
+        :func:`symquant.quantizer._check_ids`).
         """
-        table = np.array([(s, d, u) for (s, u), dsts in successors.items()
-                          for d in dsts], np.int64).reshape(-1, 3)
+        rows = [(s, d, u) for (s, u), dsts in successors.items() for d in dsts]
+        _check_ids("state id", [row[:2] for row in rows])
+        _check_ids("input id", [row[2] for row in rows])
+        table = np.array(rows, np.int64).reshape(-1, 3)
         n_states, n_inputs = lattice.cell_count(), len(inputs)
         key, bad = _key(table, n_states, n_inputs)
         if bad >= 0:
@@ -493,23 +498,31 @@ def build_abstraction(sys: SampledSystem, lattice: LogLattice,
     return model
 
 
-def _format_floats(values) -> str:
-    return ",".join(repr(float(v)) for v in values)
+# a model file's three header lines, the one spelling that save_abstraction
+# writes and _values reads: each "..." stands for one value, in a field of
+# its own or after "="
+_HEADER = ("#version ...",
+           "#lattice variant=... eta=... scale=... lo=... hi=...",
+           "#tau ... #eta ... #mu ... #L ...")
 
 
 def save_abstraction(model: SymbolicModel, path):
-    """Write the versioned line-oriented abstraction file (lossless)."""
+    """Write the versioned line-oriented abstraction file (lossless).  Each
+    header line is its shape in ``_HEADER`` with the ``...`` filled in: an
+    int or a word as it is, a real or a list of reals as the ``repr`` of
+    each real, joined by commas."""
     lat = model.lattice
     start = time.perf_counter()
     with open(path, "w") as fh:
-        fh.write(f"#version {FORMAT_VERSION}\n")
-        fh.write("#lattice variant=%s eta=%s scale=%s lo=%s hi=%s\n" % (
-            lat.axes[0].variant.value, repr(float(lat.shared_eta)),
-            _format_floats(axis.scale for axis in lat.axes),
-            _format_floats(lat.lo), _format_floats(lat.hi)))
-        fh.write("#tau %s #eta %s #mu %s #L %s\n" % (
-            repr(float(model.tau)), repr(float(lat.shared_eta)),
-            repr(float(model.mu)), repr(float(model.lipschitz))))
+        for shape, values in zip(_HEADER, (
+                [FORMAT_VERSION],
+                [lat.axes[0].variant.value, lat.shared_eta,
+                 [axis.scale for axis in lat.axes], lat.lo, lat.hi],
+                [model.tau, lat.shared_eta, model.mu, model.lipschitz])):
+            fh.write(shape.replace("...", "%s") % tuple(
+                v if isinstance(v, (int, str))
+                else ",".join(repr(float(x)) for x in np.atleast_1d(v))
+                for v in values) + "\n")
         for text in model.transition_text("%s ", " %s\n"):
             fh.write(text)
         for uid in range(model.n_inputs):
@@ -521,26 +534,16 @@ def save_abstraction(model: SymbolicModel, path):
                 time.perf_counter() - start)
 
 
-# a model file's three header lines in the shape save_abstraction writes
-# them: each "..." stands for one value, in a field of its own or after "="
-_HEADER = ("#version ...",
-           "#lattice variant=... eta=... scale=... lo=... hi=...",
-           "#tau ... #eta ... #mu ... #L ...")
-
-
 def _values(line: str, shape: str) -> list[str]:
     """The values of a header line in ``shape``, an entry of ``_HEADER``:
-    its fields (see :func:`_fields`) match the shape's one to one, a field
-    whose shape ends in ``...`` by its start and any other exactly.  A line
+    its fields (see :func:`_fields`), joined by single spaces, are the
+    shape with each ``...`` a run of characters other than a space.  A line
     in another shape raises ValueError."""
-    fields, want = _fields(line), shape.split()
-    if len(fields) != len(want) or any(
-            field != key and not (key.endswith("...")
-                                  and field.startswith(key[:-3]))
-            for field, key in zip(fields, want)):
+    match = re.fullmatch(re.escape(shape).replace(re.escape("..."), "([^ ]*)"),
+                         " ".join(_fields(line)))
+    if match is None:
         raise ValueError(f"expected {shape!r}, got {line!r}")
-    return [field[len(key) - 3:] for field, key in zip(fields, want)
-            if key.endswith("...")]
+    return list(match.groups())
 
 
 def _read_header(path):
@@ -719,8 +722,9 @@ def _read_tables(path, tail: int, number: int, cells) -> list:
 def load_abstraction(path, system=None) -> SymbolicModel:
     """Read an abstraction file written by :func:`save_abstraction`.
 
-    The file holds the lines that the writer produces, in its order:
-    ``#version 1``; ``#lattice variant=V eta=E scale=S lo=LO hi=HI``
+    The file holds the lines that the writer produces, in its order: the
+    shapes of ``_HEADER``, ``#version 1``;
+    ``#lattice variant=V eta=E scale=S lo=LO hi=HI``
     with comma-separated per-axis values; ``#tau T #eta E #mu M #L L``,
     whose ``#eta`` is the ``#lattice`` eta and whose values the builders
     would accept (``#tau`` and ``#L`` positive, ``#mu`` in (0, 1)); one

@@ -85,9 +85,7 @@ def _cmd_abstract(args, cfg: ScenarioConfig) -> int:
 
     model, _ = _build_or_load(args, cfg)
     abstraction.save_abstraction(model, _prepare_out(args.out))
-    info = model.summary()
-    print(f"states {info['states']} inputs {info['inputs']} "
-          f"transitions {info['transitions']}")
+    print(" ".join(f"{key} {n}" for key, n in model.summary().items()))
     return EXIT_OK
 
 
@@ -98,13 +96,9 @@ def _cmd_synthesize(args, cfg: ScenarioConfig) -> int:
     safe = refinement.abstract_safe_set(cfg.safe_lo, cfg.safe_hi, model)
     controller = synthesis.safety_fixpoint(model, safe)
     synthesis.save_controller(controller, _prepare_out(args.out))
-    lines = [
-        f"states {model.n_states}",
-        f"inputs {model.n_inputs}",
-        f"transitions {model.transition_count()}",
+    lines = [f"{key} {n}" for key, n in model.summary().items()] + [
         f"iterations {controller.iterations}",
-        f"domain {len(controller.domain)}",
-    ]
+        f"domain {len(controller.domain)}"]
     with open(args.out + ".summary", "w") as fh:
         fh.write("\n".join(lines) + "\n")
     print("\n".join(lines))

@@ -309,10 +309,8 @@ class LogLattice:
     def from_params(cls, eta, scales, lo, hi,
                     variant=QuantizerVariant.VALUE_ANCHORED) -> "LogLattice":
         """Build a lattice with one shared density `eta` and per-axis scales."""
-        scales = np.atleast_1d(np.asarray(scales, float))
-        axes = tuple(LogQuantizerAxis(float(eta), float(s), QuantizerVariant(variant))
-                     for s in scales)
-        return cls(axes, tuple(np.atleast_1d(lo)), tuple(np.atleast_1d(hi)))
+        return cls(tuple(LogQuantizerAxis(float(eta), float(s), variant)
+                         for s in np.atleast_1d(scales)), lo, hi)
 
     @property
     def dim(self) -> int:
@@ -430,15 +428,8 @@ class LogLattice:
     def cell_ids(self, levels) -> np.ndarray:
         """Positions in :meth:`enumerate_cells` of cells given as level
         rows (the raveled index of the levels).  A level that is not a
-        whole number raises ValueError: an array that is not empty must
-        have an integer dtype, and each level of a sequence must be an
-        ``int``."""
-        if not isinstance(levels, np.ndarray):  # numpy reads a True as 1
-            for m in np.array(levels, object).flat:
-                _check("level", m, _INT)
-        elif levels.size and levels.dtype.kind not in "iu":
-            raise ValueError(f"levels must be ints, got dtype {levels.dtype}")
-        levels = np.asarray(levels, np.int64).reshape(-1, self.dim)
+        whole number raises ValueError (see :func:`_check_ids`)."""
+        levels = _check_ids("level", levels).reshape(-1, self.dim)
         return np.ravel_multi_index(tuple((levels + self._neg_max).T),
                                     self.shape)
 
@@ -453,7 +444,12 @@ class LogLattice:
         return self.cell_ids(cells)
 
     def cells_of(self, ids) -> list[tuple[int, ...]]:
-        """Inverse of :meth:`cell_ids`."""
+        """Inverse of :meth:`cell_ids`; an id that is not a whole number
+        (see :func:`_check_ids`) or not in ``[0, cell_count())`` raises
+        ValueError."""
+        ids = _check_ids("cell id", ids)
+        for v in (ids.min(initial=0), ids.max(initial=0)):
+            _check_index("cell id", int(v), self.cell_count(), "cells")
         levels = np.column_stack(np.unravel_index(ids, self.shape))
         return [tuple(row) for row in (levels - self._neg_max).tolist()]
 
@@ -570,6 +566,19 @@ def _check_index(name: str, value, count: int, things: str):
     ...`` or ``{name} {value} out of range ({count} {things})``."""
     if not 0 <= _check(name, value, _INT) < count:
         raise ValueError(f"{name} {value} out of range ({count} {things})")
+
+
+def _check_ids(name: str, ids) -> np.ndarray:
+    """``ids`` as an int64 array if they are whole numbers; else raise a
+    ValueError, ``{name}s must be ints, got dtype ...`` for an array that
+    is not empty and has no integer dtype, or ``{name} must be an int, got
+    ...`` for an id of anything else that is not an ``int``."""
+    if not isinstance(ids, np.ndarray):  # numpy reads a True as 1
+        for v in np.array(ids, object).flat:
+            _check(name, v, _INT)
+    elif ids.size and ids.dtype.kind not in "iu":
+        raise ValueError(f"{name}s must be ints, got dtype {ids.dtype}")
+    return np.asarray(ids, np.int64)
 
 
 def parse_cell(text: str) -> tuple[int, ...]:

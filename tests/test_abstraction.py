@@ -413,6 +413,70 @@ def test_model_refuses_pairs_its_loader_never_produces():
     assert found.tolist() == [True, False, True]
 
 
+SEVEN = sq.LogLattice.from_params(0.2, [0.4], [-1], [1])  # 7 cells
+PTR = [0, 1, 1, 1, 1, 1, 1, 1]
+
+
+def _tables(succ):
+    return SymbolicModel.from_tables(SEVEN, [[0.0], [1.0]], succ,
+                                     **HAND_PARAMETERS)
+
+
+def _model(ptr=PTR, uids=(1,), relation=([0, 1], [1])):
+    return SymbolicModel(SEVEN, [[0.0], [1.0]], ptr, uids, **HAND_PARAMETERS,
+                         relation=relation)
+
+
+# each site of whole-number ids: the ids' name, a valid sequence of them
+# that ends in 1, and the call that takes it
+ID_SITES = {
+    "cells_of": ("cell id", [1], SEVEN.cells_of),
+    "from_tables source": ("state id", [1],
+                           lambda ids: _tables({(ids[-1], 0): [1]})),
+    "from_tables target": ("state id", [1],
+                           lambda ids: _tables({(0, 0): ids})),
+    "from_tables input": ("input id", [1],
+                          lambda ids: _tables({(0, ids[-1]): [1]})),
+    "pair_ptr": ("pair offset", PTR, lambda ids: _model(ptr=ids)),
+    "pair_input": ("input id", [1], lambda ids: _model(uids=ids)),
+    "successor offsets": ("successor offset", [0, 1],
+                          lambda ids: _model(relation=(ids, [1]))),
+    "successor ids": ("state id", [1],
+                      lambda ids: _model(relation=([0, 1], ids))),
+}
+
+
+@pytest.mark.parametrize("site", sorted(ID_SITES))
+def test_ids_that_are_not_ints_are_refused(site):
+    # np.asarray(ids, np.int64) once truncated 0.5 to 0 and read True and
+    # "1" as 1, and cells_of answered [True] with a cell
+    name, ids, call = ID_SITES[site]
+    call(ids)
+    if not site.startswith("from_tables"):  # it reads ids one at a time
+        call(np.array(ids))
+        call(np.array(ids, np.int32))
+    for bad in (0.5, True, "1", np.int64(1)):
+        with pytest.raises(ValueError, match=rf"^{name} must be an int, "
+                                             rf"got {re.escape(repr(bad))}$"):
+            call(ids[:-1] + [bad])
+    # an array is refused by its dtype, and from_tables refuses the id it
+    # reads from one
+    with pytest.raises(ValueError, match=rf"^{name}(s must be ints, got dtype "
+                                         rf"float64| must be an int, got "
+                                         rf"np.float64\(1.0\))$"):
+        call(np.array(ids, float))
+
+
+def test_cells_of_refuses_ids_off_the_lattice():
+    # numpy's raw ValueError once answered 99 and -1, and 2.5 a TypeError
+    assert SEVEN.cells_of([0, 6]) == [(-3,), (3,)]
+    assert SEVEN.cells_of(np.array([], np.int64)) == []
+    for bad in (7, 99, -1):
+        with pytest.raises(ValueError, match=rf"^cell id {bad} out of range "
+                                             rf"\(7 cells\)$"):
+            SEVEN.cells_of([0, bad])
+
+
 def test_model_takes_one_successor_representation_per_pair():
     # neither representation, two sets for one pair, and a relation given
     # as lists, which is stored as int64 arrays
@@ -762,8 +826,8 @@ def _wide_models():
     rng = np.random.default_rng(7)
     succ = {(s, u): sorted(set(rng.integers(0, n, rng.integers(1, 5))
                                .tolist()))
-            for s in range(n) for u in rng.choice(k, 3, replace=False)
-            if s % 5}
+            for s in range(n)
+            for u in rng.choice(k, 3, replace=False).tolist() if s % 5}
     tables = SymbolicModel.from_tables(lattice, inputs, succ, tau=0.2,
                                        mu=0.002, lipschitz=6.0)
     pair_state, pair_input, sets = [], [], []

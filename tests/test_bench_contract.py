@@ -12,6 +12,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,6 +59,19 @@ def test_every_workload_step_parses(name):
         for flag, (_, key) in FLAGS.items():
             if vars(args)[flag] is not None:
                 assert str(getattr(cfg, key)) == vars(args)[flag], argv
+
+
+@pytest.mark.parametrize("name", sorted(RUN.WORKLOADS))
+def test_one_harness_pass_meets_its_checks(name, tmp_path, monkeypatch):
+    # one untraced pass on the package's source checks each subcommand's
+    # exit code, printed lines and output structure and, with the default
+    # seed, each output's sha256: a run with any failure is incorrect
+    monkeypatch.setattr(RUN, "OUT", tmp_path)
+    monkeypatch.setattr(RUN, "SRC", Path(BENCH).parent / "src")
+    monkeypatch.setattr(RUN, "STARTED", time.perf_counter())
+    run = RUN.Pass(name, RUN.DEFAULT_SEED)
+    run.run_all()
+    assert run.failures == []
 
 
 def test_bench_scenarios_parse():

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import symquant as sq
@@ -187,3 +188,39 @@ def test_successor_targets_have_one_batched_path(monkeypatch):
                          sq.LogLattice.from_params(0.2, [0.4], [-1], [1]),
                          sq.InputApproxConfig(0.002, 3))
     assert callers == ["SymbolicModel.__init__"]
+
+
+def test_each_fact_has_one_spelling(tmp_path):
+    # the model header is written from _HEADER and read by its shapes, the
+    # printed counts are the model's summary, and the header lines of any
+    # model are the shapes filled with the values read back from them
+    from symquant import abstraction, cli
+    assert not hasattr(abstraction, "_format_floats")
+    source = inspect.getsource(abstraction.save_abstraction)
+    for key in ("#version", "#lattice", "#tau"):
+        assert key not in source, key
+    for command in (cli._cmd_abstract, cli._cmd_synthesize):
+        assert "states " not in inspect.getsource(command), command
+    rng = np.random.default_rng(37)
+    reals = (0.1 + 0.2, 1e-7, 0.25, 6.0)
+    for variant in sq.QuantizerVariant:
+        for dim in (1, 2, 3):
+            lattice = sq.LogLattice.from_params(
+                rng.choice([0.2, 0.1 + 0.2]),
+                rng.choice([0.4, 0.1 + 0.2], dim),
+                -rng.choice([1.0, 0.7, 3 * (0.1 + 0.2)], dim),
+                rng.choice([1.0, 0.7, 3 * (0.1 + 0.2)], dim), variant)
+            tau, mu, lipschitz = rng.choice(reals), 1e-7, rng.choice(reals)
+            model = sq.SymbolicModel.from_tables(
+                lattice, [[0.0]], {}, tau=tau, mu=mu, lipschitz=lipschitz)
+            sq.save_abstraction(model, tmp_path / "m.abs")
+            lines = (tmp_path / "m.abs").read_text().splitlines()
+            header = lines[:len(abstraction._HEADER)]
+            for line, shape in zip(header, abstraction._HEADER, strict=True):
+                values = abstraction._values(line, shape)
+                assert line == "".join(
+                    part + value for part, value in
+                    zip(shape.split("..."), [*values, ""])), line
+            loaded = sq.load_abstraction(tmp_path / "m.abs")
+            assert (loaded.lattice, loaded.tau, loaded.mu,
+                    loaded.lipschitz) == (lattice, tau, mu, lipschitz)
